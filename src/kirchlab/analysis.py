@@ -108,15 +108,6 @@ def quintic_ratio_series(traj: Trajectory, N: NonlinearitySpec, s: float, s0: fl
     return out
 
 
-def _energy_derivative_t0(state, N, s, dt, stride):
-    """FD derivative of the total modified energy at t ~ 0+, using a
-    coarse sampling stride over fine integration steps."""
-    h = dt * stride
-    traj = evolve(state, N, 4 * h, dt, stride=stride, method="rotation")
-    series = [(t, modified_energy(st, N, s).e_total) for t, st in zip(traj.times, traj.states)]
-    return derivative_fd(series, 2), series[2][1]
-
-
 def scaling_point(
     base_state: SpectralState,
     N: NonlinearitySpec,

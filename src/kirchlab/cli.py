@@ -356,7 +356,9 @@ def run(config: RunConfig, out_dir, threads: int = 1, seed_override: int | None 
         N = nonlinearity_from_config(config.nonlinearity)
         state = build_state(config, seed_override)
         gate_info = None
-        if config.scenario not in ("obstruction",):
+        # a sweep rescales the data to each epsilon, and scaling_point
+        # checks the gate at every one of them
+        if config.scenario not in ("obstruction", "sweep"):
             gate_info = _gate_check(state, N, config)
         result = _SCENARIO_IMPL[config.scenario](config, N, state, out_dir, threads)
     except (ConfigError,) as exc:

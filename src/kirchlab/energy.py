@@ -4,16 +4,19 @@ correction, the cubic normal-form terms, and the asymmetry term.
 All double/triple sums here have min-kernels: the coefficient depends on
 the participating frequencies only through their minimum (plus separable
 per-mode factors).  After sorting, those collapse to prefix/suffix sums,
-giving O(M) fast paths.  The one genuinely non-separable kernel is the
-divided difference (l1^2s - l2^2s)/(l1^2 - l2^2) in the b/c parts, which
-stays an explicit O(M^2) blocked sum.
+giving O(M) fast paths.  The one non-separable kernel is the divided
+difference D_s(x, y) = (x^s - y^s)/(x - y), x = l^2, in the b/c parts of
+the second-order term.  Its integer part is a finite separable sum; its
+fractional part is a trapezoid rule on the Balakrishnan integral, one
+separable term per node, so the b/c parts cost O(R*M) for R ~ 50-400
+nodes (see _divided_difference_sum).
 
-Reference implementations (vectorized O(M^2) matrix sums) are kept
-alongside the fast paths; the test suite holds them equal.
+Dense O(M^2) oracles for every sum live in the test suite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +36,6 @@ __all__ = [
     "unmodified_derivative_analytic",
     "second_order_model",
     "second_order_rate_model",
-    "second_order_term_reference",
-    "normal_form_term_reference",
-    "asym_term_reference",
 ]
 
 DIAGONAL_TOL = 1e-8
@@ -139,7 +139,91 @@ def _min_kernel_pair_sum(K: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.add.reduce(terms))
 
 
-_BLOCK = 1024
+# Trapezoid rule for the Balakrishnan integral (see _balakrishnan_nodes):
+# node spacing in log t across [log x_min, log x_max], the factor e^-_TAIL
+# at which the tails are cut, and the array elements per block of nodes.
+_STEP = 0.5
+_TAIL = 36.0
+_CHUNK = 1 << 16
+
+
+def _balakrishnan_nodes(x_min: float, x_max: float, sigma: float):
+    """Nodes and weights for D_sigma(x, y), 0 < sigma < 1, x, y in [x_min, x_max]:
+
+      D_sigma(x, y) = (sin pi sigma / pi) int t^sigma / ((t + x)(t + y)) dt
+                    = sum_i w_i P_i(x) P_i(y),   P_i(x) = t_i / (t_i + x).
+
+    In tau = log t the integrand t^(sigma-1) P_t(x) P_t(y) has poles at
+    distance pi from the real axis, and decays like e^((1+sigma) tau) and
+    e^((sigma-1) tau) outside [log x_min, log x_max].  The exp-sinh
+    substitution tau = c + a sinh(u) turns both tails into double
+    exponentials, so the node count grows only like log 1/(1 - sigma).
+    The step h keeps the tau spacing inside the band at or below _STEP;
+    a >= 3 keeps h <= 1/6 for narrow bands, where the substitution pulls
+    the poles' images towards the real axis.  Per pair the rule is exact
+    to ~1e-14 relative.  Returns (1/t_i, w_i); 1/t_i underflows to 0
+    where t_i overflows, which is the right limit.
+    """
+    lo, hi = math.log(x_min), math.log(x_max)
+    c, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    a = max(half, 3.0)
+    h = _STEP / math.hypot(a, half)
+    u_lo = -math.asinh((half + _TAIL / (1.0 + sigma)) / a)
+    u_hi = math.asinh((half + _TAIL / (1.0 - sigma)) / a)
+    u = h * np.arange(math.floor(u_lo / h), math.ceil(u_hi / h) + 1.0)
+    tau = c + a * np.sinh(u)
+    scale = math.sin(math.pi * sigma) / math.pi * h * a
+    return np.exp(-tau), scale * np.cosh(u) * np.exp((sigma - 1.0) * tau)
+
+
+def _divided_difference_sum(K, x, s: float, r, f, g) -> float:
+    """sum_{j,k} K[min(j,k)] D_s(x_j, x_k) (r_j r_k - f_j g_k) for ascending
+    x, in O(R*M) time and O(M + _CHUNK) memory.
+
+    With s = n + sigma, pointwise
+      D_s(x, y) = x^n D_sigma(x, y) + y^sigma sum_{i<n} x^i y^(n-1-i),
+    so the kernel is a sum of rows L(x_j) R(x_k): n exact rows, plus one
+    row per quadrature node of D_sigma when sigma > 0.  Each row's
+    min-kernel sum telescopes: sum_{j,k} K[min] X_j Y_k = sum_m dK_m SX_m SY_m,
+    dK_m = K_m - K_{m-1}, SX the suffix sums of X.  Everything is reversed
+    so the suffix sums are cumsums along axis 1.
+    """
+    if s < 0:
+        raise ValueError("regularity s must be non-negative")
+    n = int(s)
+    sigma = s - n
+    dK = K.copy()
+    dK[1:] -= K[:-1]
+    dK = dK[::-1]
+    x, r, f, g = x[::-1], r[::-1], f[::-1], g[::-1]
+
+    def rows(left, right):
+        sr = np.cumsum(left * r, axis=1)
+        sr2 = sr if right is left else np.cumsum(right * r, axis=1)
+        sf = np.cumsum(left * f, axis=1)
+        sg = np.cumsum(right * g, axis=1)
+        return (sr * sr2 - sf * sg) @ dK
+
+    total = 0.0
+    if n:
+        i = np.arange(n)[:, None]
+        total += float(np.add.reduce(rows(x**i, x ** (n - 1 - i + sigma))))
+    if sigma > 0.0:
+        inv_t, weights = _balakrishnan_nodes(x[-1], x[0], sigma)
+        xn = x**n
+        step = max(1, _CHUNK // len(x))
+        for lo in range(0, len(weights), step):
+            P = 1.0 / (1.0 + np.multiply.outer(inv_t[lo : lo + step], x))
+            total += float(rows(xn * P if n else P, P) @ weights[lo : lo + step])
+    return total
+
+
+def _second_order(K, lam, s: float, p, q, V, r) -> float:
+    # a-part: w_j w_k a_{jk} |u_j|^2 |u_k|^2 = -1/8 (p_j q_k + q_j p_k),
+    # which symmetrizes to -1/4 sum K[min] p_j q_k;
+    # b/c parts: b = -1/4 l_j^2 l_k^2 D_{jk}, c = -b
+    a_part = -0.25 * _min_kernel_pair_sum(K, p, q)
+    return a_part + 0.25 * _divided_difference_sum(K, lam * lam, s, r, p, V)
 
 
 def second_order_term(
@@ -152,52 +236,27 @@ def second_order_term(
     + c Re(u_j v_j) Re(u_k v_k)], m = min(l_j, l_k).
 
     The a-part is a min-kernel sum (O(M)); the b/c parts carry the
-    divided-difference kernel and are summed as blocked O(M^2) matrices.
+    divided-difference kernel and cost O(R*M) through
+    _divided_difference_sum (exact for integer s, zero for s = 0).
     """
     if profile is None:
         profile = build_profile(state, N)
-    lam = state.grid.lambdas
-    p, q, V, r = _mode_arrays(state, s)
     K = profile.a_values * profile.f_values
-
-    # a-part: w_j w_k a_{jk} |u_j|^2 |u_k|^2 = -1/8 (p_j q_k + q_j p_k),
-    # which symmetrizes to -1/4 sum K[min] p_j q_k
-    a_part = -0.25 * _min_kernel_pair_sum(K, p, q)
-
-    # b/c parts: b = -1/4 l_j^2 l_k^2 D_{jk}, c = -b
-    M = len(lam)
-    idx = np.arange(M)
-    b_total = 0.0
-    c_total = 0.0
-    for lo in range(0, M, _BLOCK):
-        hi = min(lo + _BLOCK, M)
-        D = divided_difference(lam[lo:hi, None], lam[None, :], s)
-        Kmin = K[np.minimum(idx[lo:hi, None], idx[None, :])]
-        KD = Kmin * D
-        b_total += float(p[lo:hi] @ KD @ V)
-        c_total += float(r[lo:hi] @ KD @ r)
-    return a_part - 0.25 * b_total + 0.25 * c_total
+    return _second_order(K, state.grid.lambdas, s, *_mode_arrays(state, s))
 
 
-def second_order_term_reference(
-    state: SpectralState,
-    N: NonlinearitySpec,
-    s: float,
-    profile: FilteredProfile | None = None,
-) -> float:
-    """Full O(M^2) matrix evaluation of second_order_term (oracle/benchmark)."""
-    if profile is None:
-        profile = build_profile(state, N)
-    lam = state.grid.lambdas
-    p, q, V, r = _mode_arrays(state, s)
-    K = (profile.a_values * profile.f_values)[
-        np.minimum.outer(np.arange(len(lam)), np.arange(len(lam)))
-    ]
-    a_part = -0.125 * float(np.sum(K * (np.outer(p, q) + np.outer(q, p))))
-    D = divided_difference(lam[:, None], lam[None, :], s)
-    b_part = -0.25 * float(np.sum(K * D * np.outer(p, V)))
-    c_part = 0.25 * float(np.sum(K * D * np.outer(r, r)))
-    return a_part + b_part + c_part
+def _normal_form(profile: FilteredProfile, p, q) -> float:
+    g = profile.a_values * p
+    AF = profile.a_values * profile.f_values
+    G = np.cumsum(g)  # inclusive prefix of g
+    Sp, Sq, Sg = _suffix(p), _suffix(q), _suffix(g)
+    tail_p = np.append(Sp[1:], 0.0)
+    tail_q = np.append(Sq[1:], 0.0)
+
+    t1 = -0.25 * float(np.add.reduce(AF * G * (p * q + p * tail_q + q * tail_p)))
+    t2 = -0.25 * float(np.add.reduce(AF * p * Sq * Sg))
+    t3 = 0.25 * float(np.add.reduce(g * np.cumsum(AF * q) * Sp))
+    return t1 + t2 + t3
 
 
 def normal_form_term(
@@ -217,47 +276,16 @@ def normal_form_term(
     if profile is None:
         profile = build_profile(state, N)
     p, q, V, r = _mode_arrays(state, s)
-    g = profile.a_values * p
-    AF = profile.a_values * profile.f_values
-    G = np.cumsum(g)  # inclusive prefix of g
-    Sp, Sq, Sg = _suffix(p), _suffix(q), _suffix(g)
-    tail_p = np.append(Sp[1:], 0.0)
-    tail_q = np.append(Sq[1:], 0.0)
-
-    t1 = -0.25 * float(np.add.reduce(AF * G * (p * q + p * tail_q + q * tail_p)))
-    t2 = -0.25 * float(np.add.reduce(AF * p * Sq * Sg))
-    t3 = 0.25 * float(np.add.reduce(g * np.cumsum(AF * q) * Sp))
-    return t1 + t2 + t3
+    return _normal_form(profile, p, q)
 
 
-def normal_form_term_reference(
-    state: SpectralState,
-    N: NonlinearitySpec,
-    s: float,
-    profile: FilteredProfile | None = None,
-) -> float:
-    """O(M^2) matrix evaluation of normal_form_term with the inner index
-    pre-summed (oracle/benchmark)."""
-    if profile is None:
-        profile = build_profile(state, N)
-    p, q, V, r = _mode_arrays(state, s)
-    g = profile.a_values * p
-    AF = profile.a_values * profile.f_values
-    M = len(p)
-    idx = np.arange(M)
-    mn = np.minimum.outer(idx, idx)
-    G = np.cumsum(g)
-    Sp, Sq, Sg = _suffix(p), _suffix(q), _suffix(g)
-    t1 = -0.25 * float(np.sum((AF * G)[mn] * np.outer(p, q)))
-    # T2: the summed index l1 runs below min(l2, l3), so the pair (l2, l3)
-    # carries the prefix sum of A F p at the smaller of the two
-    t2 = -0.25 * float(np.sum(np.outer(q, g) * np.cumsum(AF * p)[mn]))
-    # T3: l1 <= l3 <= l2; matrix over (l1, l2) of AF_1 q_1 p_2, inner sum
-    # of g over [l1, l2]
-    Gmat = G[None, :] - G[:, None] + g[:, None]
-    upper = idx[:, None] <= idx[None, :]
-    t3 = 0.25 * float(np.sum(np.where(upper, np.outer(AF * q, p) * Gmat, 0.0)))
-    return t1 + t2 + t3
+def _asym(profile: FilteredProfile, p, q) -> float:
+    A = profile.a_values
+    Sp = _suffix(p)
+    inc = np.diff(A, prepend=A[:1])  # inc[i] = A_i - A_{i-1}, inc[0] = 0
+    # T_j = sum_{k >= j} (A_k - A_j) p_k = sum_{i > j} inc_i * Sp_i
+    T = np.append(_suffix(inc * Sp)[1:], 0.0)
+    return -0.5 * float(np.add.reduce(q * T))
 
 
 def asym_term(
@@ -275,38 +303,21 @@ def asym_term(
     if profile is None:
         profile = build_profile(state, N)
     p, q, V, r = _mode_arrays(state, s)
-    A = profile.a_values
-    Sp = _suffix(p)
-    inc = np.diff(A, prepend=A[:1])  # inc[i] = A_i - A_{i-1}, inc[0] = 0
-    # T_j = sum_{k >= j} (A_k - A_j) p_k = sum_{i > j} inc_i * Sp_i
-    T = np.append(_suffix(inc * Sp)[1:], 0.0)
-    return -0.5 * float(np.add.reduce(q * T))
-
-
-def asym_term_reference(
-    state: SpectralState,
-    N: NonlinearitySpec,
-    s: float,
-    profile: FilteredProfile | None = None,
-) -> float:
-    if profile is None:
-        profile = build_profile(state, N)
-    p, q, V, r = _mode_arrays(state, s)
-    A = profile.a_values
-    M = len(p)
-    idx = np.arange(M)
-    upper = idx[:, None] <= idx[None, :]
-    diff = A[None, :] - A[:, None]
-    return -0.5 * float(np.sum(np.where(upper, np.outer(q, p) * diff, 0.0)))
+    return _asym(profile, p, q)
 
 
 def modified_energy(state: SpectralState, N: NonlinearitySpec, s: float) -> EnergyBreakdown:
-    """Assemble the modified energy at regularity s from its four parts."""
+    """Assemble the modified energy at regularity s from its four parts.
+
+    The second-order part goes through the public second_order_term, so it
+    stays a layer of its own in call traces; the cubic parts share one
+    _mode_arrays pass."""
     profile = build_profile(state, N)
     e0 = unmodified_energy(state, N, s)
     e2 = second_order_term(state, N, s, profile)
-    en = normal_form_term(state, N, s, profile)
-    ea = asym_term(state, N, s, profile)
+    p, q, V, r = _mode_arrays(state, s)
+    en = _normal_form(profile, p, q)
+    ea = _asym(profile, p, q)
     return EnergyBreakdown(s, e0, e2, en, ea, e0 + e2 + en + ea)
 
 
@@ -332,19 +343,8 @@ def unmodified_derivative_analytic(
 def second_order_model(state: SpectralState, A: float, s: float) -> float:
     """The model-case second-order correction A * sum_{j,k} w_j w_k E^s_{jk}
     (constant filter A, no resummation factor)."""
-    p, q, V, r = _mode_arrays(state, s)
-    lam = state.grid.lambdas
-    M = len(lam)
-    ones = np.full(M, float(A))
-    a_part = -0.25 * _min_kernel_pair_sum(ones, p, q)
-    b_total = 0.0
-    c_total = 0.0
-    for lo in range(0, M, _BLOCK):
-        hi = min(lo + _BLOCK, M)
-        D = divided_difference(lam[lo:hi, None], lam[None, :], s)
-        b_total += float(p[lo:hi] @ D @ V)
-        c_total += float(r[lo:hi] @ D @ r)
-    return a_part + float(A) * 0.25 * (c_total - b_total)
+    K = np.full(len(state.grid), float(A))
+    return _second_order(K, state.grid.lambdas, s, *_mode_arrays(state, s))
 
 
 def second_order_rate_model(state: SpectralState, A: float, s: float) -> float:

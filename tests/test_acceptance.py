@@ -17,7 +17,14 @@ from kirchlab.nonlinearity import delta_gate, model_nonlinearity, quadratic_nonl
 from kirchlab.spectral import build_random_decay, rescale_to
 
 from conftest import ACCEPTANCE_VERDICTS
-from test_energy import brute_asym, brute_normal_form, brute_second_order
+from test_energy import (
+    asym_term_reference,
+    brute_asym,
+    brute_normal_form,
+    brute_second_order,
+    normal_form_term_reference,
+    second_order_term_reference,
+)
 
 N1 = model_nonlinearity(1.0)
 
@@ -39,9 +46,9 @@ def test_criterion_01_oracle_equivalence_and_speed():
     worst = 0.0
     st = rescale_to(_decaying(200, 5), 0.05, 0.0)
     for fn, ref in (
-        (energy.second_order_term, energy.second_order_term_reference),
-        (energy.normal_form_term, energy.normal_form_term_reference),
-        (energy.asym_term, energy.asym_term_reference),
+        (energy.second_order_term, second_order_term_reference),
+        (energy.normal_form_term, normal_form_term_reference),
+        (energy.asym_term, asym_term_reference),
     ):
         for N in (N1, NQ):
             for s in (0.0, 0.25, 0.5):
@@ -61,8 +68,8 @@ def test_criterion_01_oracle_equivalence_and_speed():
     big = rescale_to(_decaying(4096, 1, lam_max=64.0), 0.05, 0.0)
     speed = {}
     for tag, fn, ref in (
-        ("normal_form", energy.normal_form_term, energy.normal_form_term_reference),
-        ("asym", energy.asym_term, energy.asym_term_reference),
+        ("normal_form", energy.normal_form_term, normal_form_term_reference),
+        ("asym", energy.asym_term, asym_term_reference),
     ):
         fn(big, N1, 0.25)  # warm up
         t0 = time.perf_counter()

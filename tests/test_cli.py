@@ -235,6 +235,10 @@ class TestShippedConfigs:
     def test_parses(self, name):
         parse_config((CONFIGS / f"{name}.json").read_text())
 
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_runs_at_shipped_size(self, path, tmp_path):
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
     def test_truncation_config_runs_clean(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["--config", str(CONFIGS / "truncation.json"), "--out", str(out)])

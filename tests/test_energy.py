@@ -1,21 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kirchlab.energy import (
     EnergyBreakdown,
+    _divided_difference_sum,
     asym_term,
-    asym_term_reference,
     divided_difference,
     modified_energy,
     normal_form_term,
-    normal_form_term_reference,
     pair_coefficients,
     second_order_rate_model,
     second_order_model,
     second_order_term,
-    second_order_term_reference,
     unmodified_derivative_analytic,
     unmodified_energy,
 )
@@ -159,6 +157,90 @@ def brute_normal_form_model(state, A, s):
     return 0.25 * A * A * (t3 - t1 - t2)
 
 
+# Dense O(M^2) matrix evaluations of the same sums: a second oracle at
+# sizes the plain-python loops cannot reach, and the baseline of the
+# speed check in criterion 01.
+
+def mode_arrays(state, s):
+    """p, q, V, r per mode: w l^2 |u|^2, w l^(2+2s) |u|^2, w l^2 |v|^2,
+    w l^2 Re(u conj v)."""
+    lam, w = state.grid.lambdas, state.grid.weights
+    u2 = np.abs(state.u_hat) ** 2
+    p = w * lam**2 * u2
+    q = w * lam ** (2.0 + 2.0 * s) * u2
+    V = w * lam**2 * np.abs(state.v_hat) ** 2
+    r = w * lam**2 * np.real(state.u_hat * np.conj(state.v_hat))
+    return p, q, V, r
+
+
+def second_order_term_reference(state, N, s, profile=None):
+    if profile is None:
+        profile = build_profile(state, N)
+    lam = state.grid.lambdas
+    p, q, V, r = mode_arrays(state, s)
+    K = (profile.a_values * profile.f_values)[
+        np.minimum.outer(np.arange(len(lam)), np.arange(len(lam)))
+    ]
+    a_part = -0.125 * float(np.sum(K * (np.outer(p, q) + np.outer(q, p))))
+    D = divided_difference(lam[:, None], lam[None, :], s)
+    b_part = -0.25 * float(np.sum(K * D * np.outer(p, V)))
+    c_part = 0.25 * float(np.sum(K * D * np.outer(r, r)))
+    return a_part + b_part + c_part
+
+
+def normal_form_term_reference(state, N, s, profile=None):
+    """The inner index pre-summed, the outer pair as a matrix."""
+    if profile is None:
+        profile = build_profile(state, N)
+    p, q, V, r = mode_arrays(state, s)
+    g = profile.a_values * p
+    AF = profile.a_values * profile.f_values
+    M = len(p)
+    idx = np.arange(M)
+    mn = np.minimum.outer(idx, idx)
+    G = np.cumsum(g)
+    t1 = -0.25 * float(np.sum((AF * G)[mn] * np.outer(p, q)))
+    # T2: the summed index l1 runs below min(l2, l3), so the pair (l2, l3)
+    # carries the prefix sum of A F p at the smaller of the two
+    t2 = -0.25 * float(np.sum(np.outer(q, g) * np.cumsum(AF * p)[mn]))
+    # T3: l1 <= l3 <= l2; matrix over (l1, l2) of AF_1 q_1 p_2, inner sum
+    # of g over [l1, l2]
+    Gmat = G[None, :] - G[:, None] + g[:, None]
+    upper = idx[:, None] <= idx[None, :]
+    t3 = 0.25 * float(np.sum(np.where(upper, np.outer(AF * q, p) * Gmat, 0.0)))
+    return t1 + t2 + t3
+
+
+def asym_term_reference(state, N, s, profile=None):
+    if profile is None:
+        profile = build_profile(state, N)
+    p, q, V, r = mode_arrays(state, s)
+    A = profile.a_values
+    idx = np.arange(len(p))
+    upper = idx[:, None] <= idx[None, :]
+    diff = A[None, :] - A[:, None]
+    return -0.5 * float(np.sum(np.where(upper, np.outer(q, p) * diff, 0.0)))
+
+
+def exact_divided_difference(x, y, s):
+    """(x^s - y^s)/(x - y) to a few ulps for every pair, including nearly
+    equal ones: x^(s-1) expm1(s log1p(d))/d with d = (y - x)/x."""
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    d = (hi - lo) / lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.expm1(s * np.log1p(d)) / d
+    return lo ** (s - 1.0) * np.where(d == 0.0, s, ratio)
+
+
+def dense_divided_difference_sum(K, x, s, r, f, g):
+    """sum_{j,k} K[min(j,k)] D_s(x_j, x_k) (r_j r_k - f_j g_k) as a matrix,
+    with the sum of the summands' magnitudes."""
+    idx = np.arange(len(x))
+    KD = K[np.minimum.outer(idx, idx)] * exact_divided_difference(x[:, None], x[None, :], s)
+    rr, fg = KD * np.outer(r, r), KD * np.outer(f, g)
+    return float(np.sum(rr - fg)), float(np.sum(np.abs(rr)) + np.sum(np.abs(fg)))
+
+
 # ---------------------------------------------------------------- tests ----
 class TestPairCoefficients:
     def test_s_zero(self):
@@ -282,6 +364,68 @@ class TestOracleEquivalence:
         assert second_order_term(st_, N_QUAD, 0.25) == 0.0
         assert normal_form_term(st_, N_QUAD, 0.25) == 0.0
         assert asym_term(st_, N_QUAD, 0.25) == 0.0
+
+
+def _grid_draw(M, lam_min, log_ratio, near_gap, seed):
+    """Ascending frequencies spanning lam_min * [1, 10^log_ratio]; with a
+    near_gap, two neighbours sit that relative distance apart."""
+    rng = np.random.default_rng(seed)
+    steps = rng.uniform(0.05, 1.0, M - 1)
+    steps *= log_ratio * np.log(10.0) / max(steps.sum(), 1e-300)
+    if near_gap is not None and M > 1:
+        steps[rng.integers(M - 1)] = np.log1p(near_gap)
+    lam = lam_min * np.exp(np.concatenate(([0.0], np.cumsum(steps))))
+    assume(np.all(np.diff(lam) > 0))
+    return lam, rng
+
+
+REGULARITIES = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 4.0, 0.99, 3.99]),
+    st.builds(lambda n, sigma: n + sigma, st.integers(0, 3), st.floats(0.0, 0.99)),
+)
+GRIDS = dict(
+    M=st.integers(1, 24),
+    lam_min=st.floats(0.1, 10.0),
+    log_ratio=st.floats(0.0, 6.0),
+    near_gap=st.none() | st.floats(1e-15, 1e-3),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestDividedDifferenceSum:
+    """The O(R*M) divided-difference kernel against the dense matrix sum,
+    over s in [0, 4] and frequency ratios up to 1e6.  The error is measured
+    against the sum of the summands' magnitudes, so cancellation between
+    the b and c parts cannot hide a wrong answer."""
+
+    @given(s=REGULARITIES, **GRIDS)
+    @settings(max_examples=200)
+    def test_kernel_matches_dense(self, s, M, lam_min, log_ratio, near_gap, seed):
+        lam, rng = _grid_draw(M, lam_min, log_ratio, near_gap, seed)
+        K, r, f, g = rng.normal(size=(4, M))
+        x = lam**2
+        got = _divided_difference_sum(K, x, s, r, f, g)
+        want, scale = dense_divided_difference_sum(K, x, s, r, f, g)
+        assert abs(got - want) <= 1e-11 * scale
+
+    @given(s=REGULARITIES, A=st.floats(-2.0, 2.0), **GRIDS)
+    @settings(max_examples=100)
+    def test_second_order_model_matches_dense(self, s, A, M, lam_min, log_ratio, near_gap, seed):
+        lam, rng = _grid_draw(M, lam_min, log_ratio, near_gap, seed)
+        u, v = rng.normal(size=(2, M)) + 1j * rng.normal(size=(2, M))
+        st_ = SpectralState(FrequencyGrid(lam, rng.uniform(0.1, 1.0, M)), u, v)
+        p, q, V, r = mode_arrays(st_, s)
+        K = np.full(M, A)
+        a_terms = -0.125 * A * (np.outer(p, q) + np.outer(q, p))
+        bc, bc_scale = dense_divided_difference_sum(K, lam**2, s, r, p, V)
+        want = float(np.sum(a_terms)) + 0.25 * bc
+        scale = float(np.sum(np.abs(a_terms))) + 0.25 * bc_scale
+        assert abs(second_order_model(st_, A, s) - want) <= 1e-11 * scale
+
+    def test_rejects_negative_regularity(self):
+        x = np.array([1.0, 4.0])
+        with pytest.raises(ValueError):
+            _divided_difference_sum(np.ones(2), x, -0.5, x, x, x)
 
 
 class TestModifiedEnergy:
