@@ -113,7 +113,7 @@ def _emit(out_dir, name, header, rows, fmt, plots=False, plot_series=None, plot_
     return paths
 
 
-def _scenario_simulate(config, N, state, out_dir, threads):
+def _scenario_simulate(config, N, state, out_dir, threads, seed):
     integ = config.integrator
     traj = evolve(state, N, integ["T"], integ["dt"], stride=integ["stride"], method=integ["method"])
     header, rows = _traj_rows(traj, N, config.s_list)
@@ -126,7 +126,7 @@ def _scenario_simulate(config, N, state, out_dir, threads):
     return {"pass": True, "artifacts": artifacts, "samples": len(traj)}
 
 
-def _scenario_energies(config, N, state, out_dir, threads):
+def _scenario_energies(config, N, state, out_dir, threads, seed):
     header = ["t", "s", "e_unmodified", "e_second_order", "e_normal_form", "e_asym", "e_total"]
     rows = []
     for s in config.s_list:
@@ -137,9 +137,8 @@ def _scenario_energies(config, N, state, out_dir, threads):
     return {"pass": True, "artifacts": artifacts}
 
 
-def _scenario_verify(config, N, state, out_dir, threads):
+def _scenario_verify(config, N, state, out_dir, threads, seed):
     p = config.params
-    seed = config.data.get("seed", 0)
     verdicts = []
 
     kern = analysis.kernel_bounds_suite(int(p.get("kernel_samples", 20000)), seed)
@@ -201,7 +200,7 @@ def _scenario_verify(config, N, state, out_dir, threads):
     return {"pass": doc["pass"], "artifacts": artifacts, "verdicts": verdicts}
 
 
-def _scenario_sweep(config, N, state, out_dir, threads):
+def _scenario_sweep(config, N, state, out_dir, threads, seed):
     p = config.params
     s = float(p.get("s", 0.25))
     eps = sorted(config.epsilons) or [2e-1, 6e-2, 2e-2, 6e-3, 2e-3]
@@ -239,11 +238,10 @@ def _scenario_sweep(config, N, state, out_dir, threads):
     return {"pass": True, "artifacts": artifacts, "fit": doc}
 
 
-def _scenario_linearized(config, N, state, out_dir, threads):
+def _scenario_linearized(config, N, state, out_dir, threads, seed):
     if N.name != "model":
         raise RuntimeError("linearized scenario requires the model nonlinearity")
     p = config.params
-    seed = config.data.get("seed", 0)
     d = config.data
     wdir = build_random_decay(len(state.grid), d.get("lambda_min", 1.0),
                               d.get("lambda_max", 16.0), d.get("regularity", 0.25),
@@ -268,12 +266,11 @@ def _scenario_linearized(config, N, state, out_dir, threads):
     return {"pass": doc["pass"], "artifacts": artifacts, "fd_ratio": ratio}
 
 
-def _scenario_resonance(config, N, state, out_dir, threads):
+def _scenario_resonance(config, N, state, out_dir, threads, seed):
     if N.name != "model":
         raise RuntimeError("resonance scenario requires the model nonlinearity")
     p = config.params
     sigma = float(p.get("sigma", 0.25))
-    seed = config.data.get("seed", 0)
     d = config.data
     wdir = build_random_decay(len(state.grid), d.get("lambda_min", 1.0),
                               d.get("lambda_max", 16.0), d.get("regularity", 0.25),
@@ -299,7 +296,7 @@ def _scenario_resonance(config, N, state, out_dir, threads):
     return {"pass": True, "artifacts": artifacts, **summary}
 
 
-def _scenario_obstruction(config, N, state, out_dir, threads):
+def _scenario_obstruction(config, N, state, out_dir, threads, seed):
     p = config.params
     x = float(p.get("x", 1.0))
     y = float(p.get("y", 1.0))
@@ -312,7 +309,7 @@ def _scenario_obstruction(config, N, state, out_dir, threads):
     return {"pass": True, "artifacts": artifacts, "feasible": cert.feasible}
 
 
-def _scenario_truncation(config, N, state, out_dir, threads):
+def _scenario_truncation(config, N, state, out_dir, threads, seed):
     p = config.params
     lam_max = float(state.grid.lambdas[-1])
     cutoffs = p.get("cutoffs") or [lam_max / 2**k for k in range(3, -1, -1)]
@@ -354,19 +351,23 @@ def run(config: RunConfig, out_dir, threads: int = 1, seed_override: int | None 
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         N = nonlinearity_from_config(config.nonlinearity)
-        state = build_state(config, seed_override)
+        # one seed for the data and for every seeded draw of the scenario
+        seed = config.data.get("seed", 0) if seed_override is None else seed_override
+        state = build_state(config, seed)
         gate_info = None
         # a sweep rescales the data to each epsilon, and scaling_point
         # checks the gate at every one of them
         if config.scenario not in ("obstruction", "sweep"):
             gate_info = _gate_check(state, N, config)
-        result = _SCENARIO_IMPL[config.scenario](config, N, state, out_dir, threads)
+        result = _SCENARIO_IMPL[config.scenario](config, N, state, out_dir, threads, seed)
     except (ConfigError,) as exc:
-        output.write_json(out_dir / "error.json", {"errors": exc.errors})
+        output.write_json(out_dir / "error.json",
+                          {"type": type(exc).__name__, "errors": exc.errors})
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
-        output.write_json(out_dir / "error.json", {"error": str(exc)})
+        output.write_json(out_dir / "error.json",
+                          {"type": type(exc).__name__, "error": str(exc)})
         print(f"error: {exc}", file=sys.stderr)
         return 1
     doc = {"scenario": config.scenario, "pass": bool(result["pass"]),

@@ -5,6 +5,10 @@ the H^1 mass, so two independent integrators are cheap to provide: an
 exact-rotation splitting (freeze the wave speed at its midpoint value,
 rotate every mode analytically) and a classical RK4 step.  Every
 dynamical claim in the test suite is cross-validated between them.
+
+The rotation step and the linearized companion run on raw arrays.  One
+marching loop serves `evolve` and `evolve_pair`; it validates one new
+`SpectralState` per step and builds a `LinearizedState` only at samples.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nonlinearity import DegenerateNonlinearityError, NonlinearitySpec
-from .spectral import FrequencyGrid, SpectralState, sobolev_norm_sq
+from .spectral import SpectralState, _norm_sq, sobolev_norm_sq
 
 __all__ = [
     "Trajectory",
@@ -85,39 +89,38 @@ def rhs(state: SpectralState, N: NonlinearitySpec):
     return du, dv
 
 
-def _h1_mass(grid: FrequencyGrid, u_hat: np.ndarray) -> float:
-    return float(np.add.reduce(grid.weights * grid.lambdas**2 * np.abs(u_hat) ** 2))
+def _rotation_arrays(lam, wl2, u, v, N, dt, allow_halve):
+    """(u, v) after one rotation step of size dt; wl2 = weights * lambdas**2.
 
-
-def _rotate(grid, u, v, speed, dt):
-    omega = grid.lambdas * np.sqrt(speed)
-    c, s = np.cos(omega * dt), np.sin(omega * dt)
-    return c * u + (s / omega) * v, -omega * s * u + c * v
-
-
-def _rotation_once(state, N, dt, allow_halve):
-    m0 = _h1_mass(state.grid, state.u_hat)
+    The trial rotations of the midpoint iteration only need u1 for the
+    mass; v1 is formed once, from the last trial's cos and sin when the
+    converged speed is the one that trial used."""
+    m0 = float(np.add.reduce(wl2 * np.abs(u) ** 2))
     nbar = float(N.eval(m0))
-    converged = False
     for _ in range(5):
         if 1.0 + nbar <= 0.0:
             raise DegenerateNonlinearityError("wave speed lost during midpoint iteration")
-        u1, v1 = _rotate(state.grid, state.u_hat, state.v_hat, 1.0 + nbar, dt)
-        nxt = float(N.eval(0.5 * (m0 + _h1_mass(state.grid, u1))))
-        if abs(nxt - nbar) <= 1e-14 * max(1.0, abs(nbar)):
-            nbar = nxt
-            converged = True
-            break
+        speed = 1.0 + nbar
+        omega = lam * np.sqrt(speed)
+        c, s = np.cos(omega * dt), np.sin(omega * dt)
+        u1 = c * u + (s / omega) * v
+        nxt = float(N.eval(0.5 * (m0 + float(np.add.reduce(wl2 * np.abs(u1) ** 2)))))
+        converged = abs(nxt - nbar) <= 1e-14 * max(1.0, abs(nbar))
         nbar = nxt
-    if not converged:
+        if converged:
+            break
+    else:
         if not allow_halve:
             raise RuntimeError(f"midpoint iteration failed to converge at dt={dt}")
-        half = _rotation_once(state, N, dt / 2, allow_halve=False)
-        return _rotation_once(half, N, dt / 2, allow_halve=False)
+        u, v = _rotation_arrays(lam, wl2, u, v, N, dt / 2, allow_halve=False)
+        return _rotation_arrays(lam, wl2, u, v, N, dt / 2, allow_halve=False)
     if 1.0 + nbar <= 0.0:
         raise DegenerateNonlinearityError("wave speed lost during midpoint iteration")
-    u1, v1 = _rotate(state.grid, state.u_hat, state.v_hat, 1.0 + nbar, dt)
-    return state.replace_amplitudes(u1, v1, state.time + dt)
+    if 1.0 + nbar != speed:
+        omega = lam * np.sqrt(1.0 + nbar)
+        c, s = np.cos(omega * dt), np.sin(omega * dt)
+        u1 = c * u + (s / omega) * v
+    return u1, -omega * s * u + c * v
 
 
 def step_rotation(state: SpectralState, N: NonlinearitySpec, dt: float) -> SpectralState:
@@ -125,7 +128,11 @@ def step_rotation(state: SpectralState, N: NonlinearitySpec, dt: float) -> Spect
     value (fixed-point iterated); unconditionally stable in lambda_max."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return _rotation_once(state, N, dt, allow_halve=True)
+    lam = state.grid.lambdas
+    u1, v1 = _rotation_arrays(
+        lam, state.grid.weights * lam**2, state.u_hat, state.v_hat, N, dt, allow_halve=True
+    )
+    return state.replace_amplitudes(u1, v1, state.time + dt)
 
 
 def rk4_dt_guard(state: SpectralState, N: NonlinearitySpec) -> float:
@@ -161,9 +168,7 @@ def step_rk4(state: SpectralState, N: NonlinearitySpec, dt: float) -> SpectralSt
 def hamiltonian(state: SpectralState, N: NonlinearitySpec) -> float:
     """(1/2)|u'|^2 + (1/2)|u|_{H^1}^2 + (1/2) antiderivative(|u|_{H^1}^2);
     conserved exactly by the flow (chain rule against the equation)."""
-    kinetic = 0.5 * sobolev_norm_sq(
-        SpectralState(state.grid, state.v_hat, state.v_hat, state.time), 0.0
-    )
+    kinetic = 0.5 * _norm_sq(state.grid, state.v_hat, 0.0)
     mass = sobolev_norm_sq(state, 1.0)
     return kinetic + 0.5 * mass + 0.5 * float(N.antiderivative(mass))
 
@@ -176,6 +181,49 @@ def _stepper(method: str):
     raise ValueError(f"unknown integrator {method!r}")
 
 
+def _at_time(state: SpectralState, t: float) -> SpectralState:
+    """`state` re-timed to t; shares the read-only arrays it already validated."""
+    out = object.__new__(SpectralState)
+    out.__dict__.update(state.__dict__, time=float(t))
+    return out
+
+
+def _march(state, T, dt, stride, step, on_sample=None):
+    """The marching loop of `evolve` and `evolve_pair`: nsteps = round(T/dt)
+    uniform steps of T/nsteps, where step(cur, dt) gives the next state.
+    Samples every `stride` steps and the last; on_sample() runs at each.
+    A failing step's exception is raised again with its type kept (a
+    RuntimeError if that type takes no single message), naming the step
+    and its start time.  Returns (times, states, dt, nsteps)."""
+    if T < 0:
+        raise ValueError("T must be non-negative")
+    if stride < 1:
+        raise ValueError("stride must be at least 1")
+    t0 = state.time
+    if T == 0:
+        return [t0], [state], dt, 0
+    nsteps = max(1, int(round(T / dt)))
+    dt = T / nsteps
+    times, states = [t0], [state]
+    cur = state
+    for n in range(1, nsteps + 1):
+        try:
+            cur = _at_time(step(cur, dt), t0 + n * dt)
+        except Exception as exc:
+            msg = f"step {n} failed at t={t0 + (n - 1) * dt}: {exc}"
+            try:
+                located = type(exc)(msg)
+            except TypeError:
+                located = RuntimeError(msg)
+            raise located from exc
+        if n % stride == 0 or n == nsteps:
+            times.append(t0 + n * dt)
+            states.append(cur)
+            if on_sample is not None:
+                on_sample()
+    return times, states, dt, nsteps
+
+
 def evolve(
     state: SpectralState,
     N: NonlinearitySpec,
@@ -186,29 +234,15 @@ def evolve(
 ) -> Trajectory:
     """March to time T in uniform steps, sampling every `stride` steps
     (first and last samples always included)."""
-    if T < 0:
-        raise ValueError("T must be non-negative")
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
     step = _stepper(method)
-    if T == 0:
-        return Trajectory((state.time,), (state,), None, method, dt, 0)
-    nsteps = max(1, int(round(T / dt)))
-    dt = T / nsteps
-    t0 = state.time
-    times = [t0]
-    states = [state]
-    cur = state
-    for n in range(1, nsteps + 1):
-        try:
-            cur = step(cur, N, dt)
-        except Exception as exc:
-            raise RuntimeError(f"step failed at t={t0 + (n - 1) * dt}: {exc}") from exc
-        cur = cur.replace_amplitudes(cur.u_hat, cur.v_hat, t0 + n * dt)
-        if n % stride == 0 or n == nsteps:
-            times.append(t0 + n * dt)
-            states.append(cur)
+    times, states, dt, nsteps = _march(state, T, dt, stride, lambda cur, h: step(cur, N, h))
     return Trajectory(tuple(times), tuple(states), None, method, dt, nsteps)
+
+
+def _linearized_rhs(lam2, wl2, A, u, m, w_hat):
+    """dw'/dt of the linearized equation at base amplitudes u of H^1 mass m."""
+    inner = float(np.add.reduce(wl2 * np.real(u * np.conj(w_hat))))
+    return -(1.0 + A * m) * lam2 * w_hat - 2.0 * A * lam2 * u * inner
 
 
 def linearized_rhs(base: SpectralState, lin: LinearizedState, A: float = 1.0):
@@ -221,21 +255,9 @@ def linearized_rhs(base: SpectralState, lin: LinearizedState, A: float = 1.0):
     if lin.w_hat.shape != base.u_hat.shape:
         raise ValueError("linearized state does not match the base grid")
     lam2 = base.grid.lambdas**2
-    w = base.grid.weights
-    m = _h1_mass(base.grid, base.u_hat)
-    inner = float(np.add.reduce(w * lam2 * np.real(base.u_hat * np.conj(lin.w_hat))))
-    dw = lin.w_vel.copy()
-    dwv = -(1.0 + A * m) * lam2 * lin.w_hat - 2.0 * A * lam2 * base.u_hat * inner
-    return dw, dwv
-
-
-def _hermite(u0, v0, u1, v1, dt, tau):
-    """Cubic Hermite value of u at fraction tau of a step (u' = v)."""
-    h00 = (1 + 2 * tau) * (1 - tau) ** 2
-    h10 = tau * (1 - tau) ** 2
-    h01 = tau**2 * (3 - 2 * tau)
-    h11 = tau**2 * (tau - 1)
-    return h00 * u0 + h10 * dt * v0 + h01 * u1 + h11 * dt * v1
+    wl2 = base.grid.weights * lam2
+    m = float(np.add.reduce(wl2 * np.abs(base.u_hat) ** 2))
+    return lin.w_vel.copy(), _linearized_rhs(lam2, wl2, A, base.u_hat, m, lin.w_hat)
 
 
 def evolve_pair(
@@ -248,44 +270,36 @@ def evolve_pair(
 ) -> Trajectory:
     """Co-evolve a base solution (rotation steps) and a linearized
     companion (RK4 on the frozen-coefficient linear system, with the base
-    interpolated at stage times by cubic Hermite)."""
+    interpolated at the half step by cubic Hermite)."""
     if N.name != "model":
         raise ValueError("linearized flow implemented for model case only")
     A = float(N.d1(0.0))
-    if T < 0:
-        raise ValueError("T must be non-negative")
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
-    if T == 0:
-        return Trajectory((base.time,), (base,), (lin,), "rotation+rk4", dt, 0)
-    nsteps = max(1, int(round(T / dt)))
-    dt = T / nsteps
     lam2 = base.grid.lambdas**2
-    gw = base.grid.weights
-    t0 = base.time
-    times, states, comps = [t0], [base], [lin]
-    cur, curw = base, lin
-    for n in range(1, nsteps + 1):
+    wl2 = base.grid.weights * lam2
+    # companion (w, w') and the H^1 mass of the current base amplitudes
+    wh, wv = lin.w_hat, lin.w_vel
+    m0 = float(np.add.reduce(wl2 * np.abs(base.u_hat) ** 2))
+    comps = [lin]
+
+    def step(cur, dt):
+        nonlocal wh, wv, m0
         nxt = step_rotation(cur, N, dt)
+        u0, u1 = cur.u_hat, nxt.u_hat
+        # cubic Hermite weights at tau = 1/2: 1/2, 1/8, 1/2, -1/8
+        um = 0.5 * u0 + 0.125 * dt * cur.v_hat + 0.5 * u1 + -0.125 * dt * nxt.v_hat
+        mm = float(np.add.reduce(wl2 * np.abs(um) ** 2))
+        m1 = float(np.add.reduce(wl2 * np.abs(u1) ** 2))
+        h = 0.5 * dt
+        k1h, k1v = wv, _linearized_rhs(lam2, wl2, A, u0, m0, wh)
+        k2h, k2v = wv + h * k1v, _linearized_rhs(lam2, wl2, A, um, mm, wh + h * k1h)
+        k3h, k3v = wv + h * k2v, _linearized_rhs(lam2, wl2, A, um, mm, wh + h * k2h)
+        k4h, k4v = wv + dt * k3v, _linearized_rhs(lam2, wl2, A, u1, m1, wh + dt * k3h)
+        wh = wh + dt / 6.0 * (k1h + 2 * k2h + 2 * k3h + k4h)
+        wv = wv + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        m0 = m1
+        return nxt
 
-        def f(tau, wh, wv):
-            u = _hermite(cur.u_hat, cur.v_hat, nxt.u_hat, nxt.v_hat, dt, tau)
-            m = float(np.add.reduce(gw * lam2 * np.abs(u) ** 2))
-            inner = float(np.add.reduce(gw * lam2 * np.real(u * np.conj(wh))))
-            return wv, -(1.0 + A * m) * lam2 * wh - 2.0 * A * lam2 * u * inner
-
-        wh, wv = curw.w_hat, curw.w_vel
-        k1h, k1v = f(0.0, wh, wv)
-        k2h, k2v = f(0.5, wh + 0.5 * dt * k1h, wv + 0.5 * dt * k1v)
-        k3h, k3v = f(0.5, wh + 0.5 * dt * k2h, wv + 0.5 * dt * k2v)
-        k4h, k4v = f(1.0, wh + dt * k3h, wv + dt * k3v)
-        curw = LinearizedState(
-            wh + dt / 6.0 * (k1h + 2 * k2h + 2 * k3h + k4h),
-            wv + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v),
-        )
-        cur = nxt.replace_amplitudes(nxt.u_hat, nxt.v_hat, t0 + n * dt)
-        if n % stride == 0 or n == nsteps:
-            times.append(t0 + n * dt)
-            states.append(cur)
-            comps.append(curw)
+    times, states, dt, nsteps = _march(
+        base, T, dt, stride, step, lambda: comps.append(LinearizedState(wh, wv))
+    )
     return Trajectory(tuple(times), tuple(states), tuple(comps), "rotation+rk4", dt, nsteps)

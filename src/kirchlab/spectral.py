@@ -90,7 +90,7 @@ class SpectralState:
         n = len(self.grid)
         if u.shape != (n,) or v.shape != (n,):
             raise ValueError("amplitude arrays must match the grid length")
-        if not (np.all(np.isfinite(u.view(float))) and np.all(np.isfinite(v.view(float)))):
+        if not (np.isfinite(u).all() and np.isfinite(v).all()):
             raise ValueError("amplitudes must be finite")
 
     def replace_amplitudes(self, u_hat, v_hat, time=None) -> "SpectralState":

@@ -115,6 +115,18 @@ class TestExitCodes:
         err = json.loads((out / "error.json").read_text())
         assert "increasing" in err["error"]
 
+    def test_degenerate_run_records_type_and_step(self, tmp_path):
+        doc = small_doc()
+        del doc["data"]["rescale"]  # H^1 mass 0.60, so 1 + N starts at 0.05
+        doc["nonlinearity"]["A"] = -1.58
+        doc["allow_gate_violation"] = True
+        doc["integrator"].update(dt=1e-2, T=1.0)
+        out = tmp_path / "out"
+        assert main(["--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "DegenerateNonlinearityError"
+        assert err["error"].startswith("step 6 failed at t=0.05")
+
     def test_gate_violation_refused_then_allowed(self, tmp_path):
         doc = small_doc()
         del doc["data"]["rescale"]  # raw decaying data sits above the gate
@@ -175,6 +187,22 @@ class TestScenarioOutputs:
         assert main(["--config", str(cfg), "--out", str(o1)]) == 0
         assert main(["--config", str(cfg), "--out", str(o2), "--seed", "5"]) == 0
         assert (o1 / "trajectory.csv").read_bytes() != (o2 / "trajectory.csv").read_bytes()
+
+    def test_seed_override_equals_data_seed(self, tmp_path):
+        doc = small_doc("verify")
+        doc["params"] = {"kernel_samples": 2000, "obstruction_samples": 10,
+                         "comparability_states": 5}
+        cfg = write_cfg(tmp_path, doc)
+        doc["data"]["seed"] = 3
+        cfg3 = write_cfg(tmp_path, doc, "seed3.json")
+        outs = {tag: tmp_path / tag for tag in ("flag", "data", "zero")}
+        rc_flag = main(["--config", str(cfg), "--out", str(outs["flag"]), "--seed", "3"])
+        rc_data = main(["--config", str(cfg3), "--out", str(outs["data"])])
+        main(["--config", str(cfg), "--out", str(outs["zero"])])
+        assert rc_flag == rc_data
+        verdicts = {tag: (out / "verify.json").read_bytes() for tag, out in outs.items()}
+        assert verdicts["flag"] == verdicts["data"]
+        assert verdicts["flag"] != verdicts["zero"]
 
     def test_obstruction_verdict(self, tmp_path):
         doc = small_doc("obstruction")

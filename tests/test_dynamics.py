@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,17 @@ from kirchlab.dynamics import (
     step_rk4,
     step_rotation,
 )
-from kirchlab.nonlinearity import delta_gate, model_nonlinearity, quadratic_nonlinearity
+from kirchlab.nonlinearity import (
+    DegenerateNonlinearityError,
+    delta_gate,
+    model_nonlinearity,
+    quadratic_nonlinearity,
+)
 from kirchlab.spectral import (
     FrequencyGrid,
     SpectralState,
     build_random_decay,
+    build_two_mode,
     pair_norm,
     rescale_to,
     sobolev_norm_sq,
@@ -251,3 +259,206 @@ class TestLinearized:
             )
         ratio = errs[0] / errs[1]
         assert 8.0 <= ratio <= 12.0
+
+
+# Frozen reference: the per-step loops as they were before the array
+# kernels (a SpectralState per trial rotation, a Hermite call per RK4
+# stage, a LinearizedState per step).  The kernels must match them bit
+# for bit, so this copy is not to be "improved".
+
+
+def _ref_h1_mass(grid, u_hat):
+    return float(np.add.reduce(grid.weights * grid.lambdas**2 * np.abs(u_hat) ** 2))
+
+
+def _ref_rotate(grid, u, v, speed, dt):
+    omega = grid.lambdas * np.sqrt(speed)
+    c, s = np.cos(omega * dt), np.sin(omega * dt)
+    return c * u + (s / omega) * v, -omega * s * u + c * v
+
+
+def _ref_rotation_once(state, N, dt, allow_halve=True):
+    m0 = _ref_h1_mass(state.grid, state.u_hat)
+    nbar = float(N.eval(m0))
+    converged = False
+    for _ in range(5):
+        if 1.0 + nbar <= 0.0:
+            raise DegenerateNonlinearityError("wave speed lost during midpoint iteration")
+        u1, v1 = _ref_rotate(state.grid, state.u_hat, state.v_hat, 1.0 + nbar, dt)
+        nxt = float(N.eval(0.5 * (m0 + _ref_h1_mass(state.grid, u1))))
+        if abs(nxt - nbar) <= 1e-14 * max(1.0, abs(nbar)):
+            nbar = nxt
+            converged = True
+            break
+        nbar = nxt
+    if not converged:
+        if not allow_halve:
+            raise RuntimeError(f"midpoint iteration failed to converge at dt={dt}")
+        half = _ref_rotation_once(state, N, dt / 2, allow_halve=False)
+        return _ref_rotation_once(half, N, dt / 2, allow_halve=False)
+    if 1.0 + nbar <= 0.0:
+        raise DegenerateNonlinearityError("wave speed lost during midpoint iteration")
+    u1, v1 = _ref_rotate(state.grid, state.u_hat, state.v_hat, 1.0 + nbar, dt)
+    return state.replace_amplitudes(u1, v1, state.time + dt)
+
+
+def _ref_evolve(state, N, T, dt, stride):
+    nsteps = max(1, int(round(T / dt)))
+    dt = T / nsteps
+    t0 = state.time
+    times, states = [t0], [state]
+    cur = state
+    for n in range(1, nsteps + 1):
+        cur = _ref_rotation_once(cur, N, dt)
+        cur = cur.replace_amplitudes(cur.u_hat, cur.v_hat, t0 + n * dt)
+        if n % stride == 0 or n == nsteps:
+            times.append(t0 + n * dt)
+            states.append(cur)
+    return times, states
+
+
+def _ref_hermite(u0, v0, u1, v1, dt, tau):
+    h00 = (1 + 2 * tau) * (1 - tau) ** 2
+    h10 = tau * (1 - tau) ** 2
+    h01 = tau**2 * (3 - 2 * tau)
+    h11 = tau**2 * (tau - 1)
+    return h00 * u0 + h10 * dt * v0 + h01 * u1 + h11 * dt * v1
+
+
+def _ref_evolve_pair(base, lin, N, T, dt, stride):
+    A = float(N.d1(0.0))
+    nsteps = max(1, int(round(T / dt)))
+    dt = T / nsteps
+    lam2 = base.grid.lambdas**2
+    gw = base.grid.weights
+    t0 = base.time
+    times, states, comps = [t0], [base], [lin]
+    cur, curw = base, lin
+    for n in range(1, nsteps + 1):
+        nxt = _ref_rotation_once(cur, N, dt)
+
+        def f(tau, wh, wv):
+            u = _ref_hermite(cur.u_hat, cur.v_hat, nxt.u_hat, nxt.v_hat, dt, tau)
+            m = float(np.add.reduce(gw * lam2 * np.abs(u) ** 2))
+            inner = float(np.add.reduce(gw * lam2 * np.real(u * np.conj(wh))))
+            return wv, -(1.0 + A * m) * lam2 * wh - 2.0 * A * lam2 * u * inner
+
+        wh, wv = curw.w_hat, curw.w_vel
+        k1h, k1v = f(0.0, wh, wv)
+        k2h, k2v = f(0.5, wh + 0.5 * dt * k1h, wv + 0.5 * dt * k1v)
+        k3h, k3v = f(0.5, wh + 0.5 * dt * k2h, wv + 0.5 * dt * k2v)
+        k4h, k4v = f(1.0, wh + dt * k3h, wv + dt * k3v)
+        curw = LinearizedState(
+            wh + dt / 6.0 * (k1h + 2 * k2h + 2 * k3h + k4h),
+            wv + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v),
+        )
+        cur = nxt.replace_amplitudes(nxt.u_hat, nxt.v_hat, t0 + n * dt)
+        if n % stride == 0 or n == nsteps:
+            times.append(t0 + n * dt)
+            states.append(cur)
+            comps.append(curw)
+    return times, states, comps
+
+
+def _two_mode_resonance_data():
+    # configs/resonance_two_mode.json and the companion direction its
+    # scenario draws (seed 1)
+    st = build_two_mode(1.0, 2.0, [0.02, 0.015], [0.0, 0.0])
+    wdir = build_random_decay(2, 1.0, 16.0, 0.25, 0.55, seed=1)
+    return st, LinearizedState(wdir.u_hat, wdir.v_hat)
+
+
+def _assert_same_states(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a.u_hat, b.u_hat) and np.array_equal(a.v_hat, b.v_hat)
+
+
+class TestFrozenReference:
+    """The array kernels reproduce the frozen per-step loops bit for bit."""
+
+    # T is no multiple of stride * dt, so the last sample is off-stride
+    CASES = [(1, 0.02), (7, 0.05)]
+
+    @pytest.mark.parametrize("stride, T", CASES)
+    def test_resonance_pair(self, stride, T):
+        st, w0 = _two_mode_resonance_data()
+        T = 1000 * T
+        traj = evolve_pair(st, w0, N1, T, 0.02, stride=stride)
+        times, states, comps = _ref_evolve_pair(st, w0, N1, T, 0.02, stride)
+        assert list(traj.times) == times
+        _assert_same_states(traj.states, states)
+        for a, b in zip(traj.companions, comps):
+            assert np.array_equal(a.w_hat, b.w_hat) and np.array_equal(a.w_vel, b.w_vel)
+
+    @pytest.mark.parametrize("stride, T", CASES)
+    @pytest.mark.parametrize("N", [N1, quadratic_nonlinearity(1.0, 2.0)], ids=["model", "quad"])
+    def test_random_decay_evolve(self, stride, T, N):
+        st = small_state(M=64, seed=3, size=0.05, lam_max=16.0)
+        traj = evolve(st, N, T, 1e-3, stride=stride)
+        times, states = _ref_evolve(st, N, T, 1e-3, stride)
+        assert list(traj.times) == times
+        _assert_same_states(traj.states, states)
+
+    @pytest.mark.parametrize("stride, T", CASES)
+    def test_random_decay_pair(self, stride, T):
+        st = small_state(M=64, seed=3, size=0.05, lam_max=16.0)
+        wdir = build_random_decay(64, 1.0, 16.0, 0.25, 0.55, seed=4)
+        w0 = LinearizedState(wdir.u_hat, wdir.v_hat)
+        traj = evolve_pair(st, w0, N1, T, 1e-3, stride=stride)
+        times, states, comps = _ref_evolve_pair(st, w0, N1, T, 1e-3, stride)
+        assert list(traj.times) == times
+        _assert_same_states(traj.states, states)
+        for a, b in zip(traj.companions, comps):
+            assert np.array_equal(a.w_hat, b.w_hat) and np.array_equal(a.w_vel, b.w_vel)
+
+
+class TestMidpointHalving:
+    """Above the gate the midpoint iteration can fail at dt and retry as
+    two half steps."""
+
+    @staticmethod
+    def large_state():
+        # pair size 0.2 against the model gate 0.316
+        return rescale_to(build_random_decay(16, 1.0, 8.0, 0.25, 0.55, 0), 0.2, 0.0)
+
+    def test_halved_step_is_two_half_steps(self):
+        st = self.large_state()
+        calls = []
+
+        def counted(r):
+            calls.append(r)
+            return N1.eval(r)
+
+        out = step_rotation(st, dataclasses.replace(N1, eval=counted), 0.2)
+        # 1 + 5 evaluations before the iteration gives up on the full step
+        assert len(calls) > 6
+        two = step_rotation(step_rotation(st, N1, 0.1), N1, 0.1)
+        assert np.array_equal(out.u_hat, two.u_hat) and np.array_equal(out.v_hat, two.v_hat)
+        ref = _ref_rotation_once(st, N1, 0.2)
+        assert np.array_equal(out.u_hat, ref.u_hat) and np.array_equal(out.v_hat, ref.v_hat)
+
+    def test_half_steps_that_fail_raise(self):
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            step_rotation(self.large_state(), N1, 0.5)
+
+
+class TestStepFailures:
+    # raw decaying data (H^1 mass 0.60) with 1 + N(mass) = 0.05 at t = 0:
+    # the mass grows and the wave speed is lost in the sixth step
+    N_DEGENERATE = model_nonlinearity(-1.58)
+
+    def test_degenerate_run_keeps_type_and_names_step(self):
+        st = build_random_decay(16, 1.0, 8.0, 0.25, 0.55, seed=0)
+        with pytest.raises(DegenerateNonlinearityError, match=r"^step 6 failed at t=0\.05: wave"):
+            evolve(st, self.N_DEGENERATE, 1.0, 1e-2)
+
+    def test_pair_failure_is_located(self):
+        st = build_random_decay(16, 1.0, 8.0, 0.25, 0.55, seed=0)
+        z = np.zeros(16, complex)
+        with pytest.raises(DegenerateNonlinearityError, match="^step 6 failed"):
+            evolve_pair(st, LinearizedState(z, z), self.N_DEGENERATE, 1.0, 1e-2)
+
+    def test_non_converging_step_stays_runtime_error(self):
+        with pytest.raises(RuntimeError, match=r"^step 1 failed at t=0\.0: midpoint"):
+            evolve(TestMidpointHalving.large_state(), N1, 1.0, 0.5)
