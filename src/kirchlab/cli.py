@@ -7,7 +7,6 @@ Exit codes: 0 success (all asserted suites pass), 2 suite failure
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
 from pathlib import Path
@@ -113,7 +112,7 @@ def _emit(out_dir, name, header, rows, fmt, plots=False, plot_series=None, plot_
     return paths
 
 
-def _scenario_simulate(config, N, state, out_dir, threads, seed):
+def _scenario_simulate(config, N, state, out_dir, seed):
     integ = config.integrator
     traj = evolve(state, N, integ["T"], integ["dt"], stride=integ["stride"], method=integ["method"])
     header, rows = _traj_rows(traj, N, config.s_list)
@@ -126,7 +125,7 @@ def _scenario_simulate(config, N, state, out_dir, threads, seed):
     return {"pass": True, "artifacts": artifacts, "samples": len(traj)}
 
 
-def _scenario_energies(config, N, state, out_dir, threads, seed):
+def _scenario_energies(config, N, state, out_dir, seed):
     header = ["t", "s", "e_unmodified", "e_second_order", "e_normal_form", "e_asym", "e_total"]
     rows = []
     for s in config.s_list:
@@ -137,7 +136,7 @@ def _scenario_energies(config, N, state, out_dir, threads, seed):
     return {"pass": True, "artifacts": artifacts}
 
 
-def _scenario_verify(config, N, state, out_dir, threads, seed):
+def _scenario_verify(config, N, state, out_dir, seed):
     p = config.params
     verdicts = []
 
@@ -175,8 +174,8 @@ def _scenario_verify(config, N, state, out_dir, threads, seed):
     comp_ok = all(0.4 <= v["min"] and v["max"] <= 0.6 for v in comp["per_s"].values())
     verdicts.append({"suite": "comparability", "pass": comp_ok, "worst_case": comp["per_s"]})
 
-    if N.name == "model":
-        A = float(N.d1(0.0))
+    if N.is_linear:
+        A = N.coefficients[0]
         st30 = rescale_to(
             build_random_decay(30, 1.0, 8.0, 0.25, 0.4, seed + 500), 0.05, 0.0
         )
@@ -200,7 +199,7 @@ def _scenario_verify(config, N, state, out_dir, threads, seed):
     return {"pass": doc["pass"], "artifacts": artifacts, "verdicts": verdicts}
 
 
-def _scenario_sweep(config, N, state, out_dir, threads, seed):
+def _scenario_sweep(config, N, state, out_dir, seed):
     p = config.params
     s = float(p.get("s", 0.25))
     eps = sorted(config.epsilons) or [2e-1, 6e-2, 2e-2, 6e-3, 2e-3]
@@ -209,15 +208,7 @@ def _scenario_sweep(config, N, state, out_dir, threads, seed):
     stride = int(p.get("fd_stride", 10))
     method = config.integrator["method"]
 
-    def point(e):
-        return e, analysis.scaling_point(state, N, s, e, dt, stride, method)
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(point, eps))
-    else:
-        results = [point(e) for e in eps]
-    results.sort(key=lambda r: r[0])
+    results = [(e, analysis.scaling_point(state, N, s, e, dt, stride, method)) for e in eps]
     fit_u = analysis._fit_loglog([r[0] for r in results], [r[1][0] for r in results])
     fit_m = analysis._fit_loglog([r[0] for r in results], [r[1][1] for r in results])
     header = ["epsilon", "y_unmodified", "y_modified"]
@@ -238,15 +229,19 @@ def _scenario_sweep(config, N, state, out_dir, threads, seed):
     return {"pass": True, "artifacts": artifacts, "fit": doc}
 
 
-def _scenario_linearized(config, N, state, out_dir, threads, seed):
-    if N.name != "model":
-        raise RuntimeError("linearized scenario requires the model nonlinearity")
-    p = config.params
+def _companion_direction(config, state, seed):
+    """Seeded decaying data on the state's mode count, as a linearized state."""
     d = config.data
     wdir = build_random_decay(len(state.grid), d.get("lambda_min", 1.0),
                               d.get("lambda_max", 16.0), d.get("regularity", 0.25),
                               d.get("margin", 0.55), seed + 1)
-    w0 = LinearizedState(wdir.u_hat, wdir.v_hat)
+    return LinearizedState(wdir.u_hat, wdir.v_hat)
+
+
+def _scenario_linearized(config, N, state, out_dir, seed):
+    if not N.is_linear:
+        raise RuntimeError("linearized scenario requires the model nonlinearity")
+    w0 = _companion_direction(config, state, seed)
     T = config.integrator["T"]
     dt = config.integrator["dt"]
     traj = evolve_pair(state, w0, N, T, dt, stride=config.integrator["stride"])
@@ -266,16 +261,12 @@ def _scenario_linearized(config, N, state, out_dir, threads, seed):
     return {"pass": doc["pass"], "artifacts": artifacts, "fd_ratio": ratio}
 
 
-def _scenario_resonance(config, N, state, out_dir, threads, seed):
-    if N.name != "model":
+def _scenario_resonance(config, N, state, out_dir, seed):
+    if not N.is_linear:
         raise RuntimeError("resonance scenario requires the model nonlinearity")
     p = config.params
     sigma = float(p.get("sigma", 0.25))
-    d = config.data
-    wdir = build_random_decay(len(state.grid), d.get("lambda_min", 1.0),
-                              d.get("lambda_max", 16.0), d.get("regularity", 0.25),
-                              d.get("margin", 0.55), seed + 1)
-    w0 = LinearizedState(wdir.u_hat, wdir.v_hat)
+    w0 = _companion_direction(config, state, seed)
     rep = analysis.resonance_report(state, w0, N, sigma, config.integrator["T"],
                                     config.integrator["dt"], stride=config.integrator["stride"])
     header = ["t", "sep", "mixed", "sep_running_mean", "mixed_running_mean", "lin_energy"]
@@ -296,7 +287,7 @@ def _scenario_resonance(config, N, state, out_dir, threads, seed):
     return {"pass": True, "artifacts": artifacts, **summary}
 
 
-def _scenario_obstruction(config, N, state, out_dir, threads, seed):
+def _scenario_obstruction(config, N, state, out_dir, seed):
     p = config.params
     x = float(p.get("x", 1.0))
     y = float(p.get("y", 1.0))
@@ -309,7 +300,7 @@ def _scenario_obstruction(config, N, state, out_dir, threads, seed):
     return {"pass": True, "artifacts": artifacts, "feasible": cert.feasible}
 
 
-def _scenario_truncation(config, N, state, out_dir, threads, seed):
+def _scenario_truncation(config, N, state, out_dir, seed):
     p = config.params
     lam_max = float(state.grid.lambdas[-1])
     cutoffs = p.get("cutoffs") or [lam_max / 2**k for k in range(3, -1, -1)]
@@ -345,7 +336,7 @@ _SCENARIO_IMPL = {
 }
 
 
-def run(config: RunConfig, out_dir, threads: int = 1, seed_override: int | None = None) -> int:
+def run(config: RunConfig, out_dir, seed_override: int | None = None) -> int:
     """Execute one scenario; returns the process exit code."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -359,7 +350,7 @@ def run(config: RunConfig, out_dir, threads: int = 1, seed_override: int | None 
         # checks the gate at every one of them
         if config.scenario not in ("obstruction", "sweep"):
             gate_info = _gate_check(state, N, config)
-        result = _SCENARIO_IMPL[config.scenario](config, N, state, out_dir, threads, seed)
+        result = _SCENARIO_IMPL[config.scenario](config, N, state, out_dir, seed)
     except (ConfigError,) as exc:
         output.write_json(out_dir / "error.json",
                           {"type": type(exc).__name__, "errors": exc.errors})
@@ -370,9 +361,10 @@ def run(config: RunConfig, out_dir, threads: int = 1, seed_override: int | None 
                           {"type": type(exc).__name__, "error": str(exc)})
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    doc = {"scenario": config.scenario, "pass": bool(result["pass"]),
-           "gate": gate_info, "artifacts": result.get("artifacts", []),
-           "config": config.as_dict()}
+    # the seed every draw used, and paths that do not depend on --out
+    artifacts = [Path(p).relative_to(out_dir).as_posix() for p in result.get("artifacts", [])]
+    doc = {"scenario": config.scenario, "pass": bool(result["pass"]), "seed": seed,
+           "gate": gate_info, "artifacts": artifacts, "config": config.as_dict()}
     output.write_json(out_dir / "run.json", doc)
     return 0 if result["pass"] else 2
 
@@ -385,7 +377,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=Path, help="JSON config file")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the data seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--format", choices=("csv", "json", "both"), default=None)
     parser.add_argument("--plots", action="store_true", help="emit diagnostic SVG plots")
     sub = parser.add_subparsers(dest="scenario")
@@ -426,7 +419,7 @@ def main(argv=None) -> int:
         doc = cfg.as_dict()
         doc.update(overrides)
         cfg = parse_config(json.dumps(doc))
-    return run(cfg, args.out, max(1, args.threads), args.seed)
+    return run(cfg, args.out, args.seed)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nonlinearity import DegenerateNonlinearityError, NonlinearitySpec
-from .spectral import SpectralState, _norm_sq, sobolev_norm_sq
+from .spectral import SpectralState, _norm_sq, _readonly, sobolev_norm_sq
 
 __all__ = [
     "Trajectory",
@@ -42,10 +42,8 @@ class LinearizedState:
     w_vel: np.ndarray
 
     def __post_init__(self):
-        w = np.ascontiguousarray(np.asarray(self.w_hat, dtype=complex))
-        v = np.ascontiguousarray(np.asarray(self.w_vel, dtype=complex))
-        w.flags.writeable = False
-        v.flags.writeable = False
+        w = _readonly(self.w_hat, complex)
+        v = _readonly(self.w_vel, complex)
         object.__setattr__(self, "w_hat", w)
         object.__setattr__(self, "w_vel", v)
         if w.shape != v.shape or w.ndim != 1:
@@ -271,9 +269,11 @@ def evolve_pair(
     """Co-evolve a base solution (rotation steps) and a linearized
     companion (RK4 on the frozen-coefficient linear system, with the base
     interpolated at the half step by cubic Hermite)."""
-    if N.name != "model":
+    if not N.is_linear:
         raise ValueError("linearized flow implemented for model case only")
-    A = float(N.d1(0.0))
+    if lin.w_hat.shape != base.u_hat.shape:
+        raise ValueError("linearized state does not match the base grid")
+    A = N.coefficients[0]
     lam2 = base.grid.lambdas**2
     wl2 = base.grid.weights * lam2
     # companion (w, w') and the H^1 mass of the current base amplitudes

@@ -25,9 +25,7 @@ from .nonlinearity import FilteredProfile, NonlinearitySpec, build_profile
 from .spectral import SpectralState, sobolev_norm_sq
 
 __all__ = [
-    "PairCoefficients",
     "EnergyBreakdown",
-    "pair_coefficients",
     "unmodified_energy",
     "second_order_term",
     "normal_form_term",
@@ -39,15 +37,6 @@ __all__ = [
 ]
 
 DIAGONAL_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class PairCoefficients:
-    """Coefficients of the quadratic pair density at fixed (l1, l2, s)."""
-
-    a: float
-    b: float
-    c: float
 
 
 def divided_difference(lambda1, lambda2, s: float, tol: float = DIAGONAL_TOL):
@@ -66,20 +55,6 @@ def divided_difference(lambda1, lambda2, s: float, tol: float = DIAGONAL_TOL):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = num / den
     return np.where(near, limit, ratio)
-
-
-def pair_coefficients(
-    lambda1: float, lambda2: float, s: float, tol: float = DIAGONAL_TOL
-) -> PairCoefficients:
-    """a = -1/8 l1^2 l2^2 (l1^2s + l2^2s); b = -1/4 l1^2 l2^2 * divided
-    difference; c = -b."""
-    if lambda1 <= 0 or lambda2 <= 0:
-        raise ValueError("frequencies must be positive")
-    l1, l2 = float(lambda1), float(lambda2)
-    common = l1**2 * l2**2
-    a = -0.125 * common * (l1 ** (2 * s) + l2 ** (2 * s))
-    b = -0.25 * common * float(divided_difference(l1, l2, s, tol))
-    return PairCoefficients(a, b, -b)
 
 
 @dataclass(frozen=True)

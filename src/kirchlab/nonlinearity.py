@@ -1,5 +1,7 @@
 """The scalar nonlinearity N and the derived low-frequency profiles.
 
+N is a polynomial without constant term, given by its coefficients; the
+linear case N(r) = A r is the model the exact identities hold for.
 Three quantities ride on a state: the cumulative H^1 mass below a
 frequency r, the frequency-filtered coefficient A(r) = N'(mass below r),
 and the resummed correction F(r) = (1 + N(mass below r))^(-3/2).
@@ -16,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import SpectralState, sobolev_norm_sq
+from .spectral import SpectralState
 
 __all__ = [
     "NonlinearitySpec",
@@ -26,9 +28,6 @@ __all__ = [
     "quadratic_nonlinearity",
     "polynomial_nonlinearity",
     "nonlinearity_from_config",
-    "cumulative_mass",
-    "filtered_A",
-    "correction_F",
     "build_profile",
     "delta_gate",
 ]
@@ -40,87 +39,87 @@ class DegenerateNonlinearityError(ValueError):
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """N with its first two derivatives and antiderivative (vectorized callables)."""
+    """N(r) = sum_i c_i r^i (i >= 1) with its first two derivatives and
+    antiderivative as vectorized callables; coefficients = (c_1, c_2, ...)."""
 
+    coefficients: tuple
     eval: Callable
     d1: Callable
     d2: Callable
     antiderivative: Callable
-    name: str = "custom"
 
-    def check_consistency(self, rmax: float = 0.1, rel_tol: float = 1e-6) -> None:
-        """Finite-difference sanity of d1, d2 and the antiderivative on [0, rmax]."""
-        if self.eval(0.0) != 0.0:
-            raise ValueError("nonlinearity must vanish at zero")
-        rs = np.linspace(rmax * 0.05, rmax, 12)
-        h = rmax * 1e-5
-        scale = max(1.0, float(np.max(np.abs(self.d1(rs)))))
-        fd1 = (self.eval(rs + h) - self.eval(rs - h)) / (2 * h)
-        if np.max(np.abs(fd1 - self.d1(rs))) > rel_tol * scale:
-            raise ValueError("d1 inconsistent with eval")
-        fd2 = (self.eval(rs + h) - 2 * self.eval(rs) + self.eval(rs - h)) / h**2
-        scale2 = max(1.0, float(np.max(np.abs(self.d2(rs)))))
-        if np.max(np.abs(fd2 - self.d2(rs))) > 1e-4 * scale2:
-            raise ValueError("d2 inconsistent with eval")
-        fda = (self.antiderivative(rs + h) - self.antiderivative(rs - h)) / (2 * h)
-        if np.max(np.abs(fda - self.eval(rs))) > rel_tol * scale:
-            raise ValueError("antiderivative inconsistent with eval")
+    @property
+    def is_linear(self) -> bool:
+        """N(r) = A r with A = coefficients[0] (the model case)."""
+        return len(self.coefficients) == 1
+
+
+def _horner(cs, r):
+    """sum_i cs[i] r^i by Horner's rule (the scalar cs[0] if that is all)."""
+    p = cs[-1]
+    for c in cs[-2::-1]:
+        p = p * r + c
+    return p
+
+
+def _shaped_horner(cs):
+    """r -> sum_i cs[i] r^i shaped like r, also when it is a constant."""
+
+    def f(r):
+        r = np.asarray(r, dtype=float)
+        return _horner(cs, r) + 0.0 * r
+
+    return f
+
+
+def polynomial_nonlinearity(coefficients) -> NonlinearitySpec:
+    """N(r) = sum_i c_i r^i for i >= 1; the constant term is forced to zero.
+    Trailing zero coefficients are dropped, keeping at least one."""
+    cs = [float(c) for c in coefficients]
+    if not cs:
+        raise ValueError("need at least one coefficient")
+    while len(cs) > 1 and cs[-1] == 0.0:
+        cs.pop()
+    cs = tuple(cs)
+    dcs = tuple(i * c for i, c in enumerate(cs, 1))
+    ddcs = tuple(i * (i - 1) * c for i, c in enumerate(cs, 1))[1:] or (0.0,)
+
+    def eval_(r):
+        r = np.asarray(r, dtype=float)
+        return _horner(cs, r) * r
+
+    def antiderivative(r):
+        r = np.asarray(r, dtype=float)
+        total = cs[0] * r**2 / 2
+        for i, c in enumerate(cs[1:], 2):
+            total = total + c * r ** (i + 1) / (i + 1)
+        return total
+
+    return NonlinearitySpec(cs, eval_, _shaped_horner(dcs), _shaped_horner(ddcs), antiderivative)
 
 
 def model_nonlinearity(A: float) -> NonlinearitySpec:
     """N(r) = A r (constant wave-speed derivative; either sign allowed)."""
-    A = float(A)
-    return NonlinearitySpec(
-        eval=lambda r: A * np.asarray(r, dtype=float),
-        d1=lambda r: np.full_like(np.asarray(r, dtype=float), A),
-        d2=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        antiderivative=lambda r: A * np.asarray(r, dtype=float) ** 2 / 2,
-        name="model",
-    )
+    return polynomial_nonlinearity([A])
 
 
 def quadratic_nonlinearity(A: float, B: float) -> NonlinearitySpec:
     """N(r) = A r + B r^2."""
-    A, B = float(A), float(B)
-    return NonlinearitySpec(
-        eval=lambda r: (A + B * np.asarray(r, dtype=float)) * np.asarray(r, dtype=float),
-        d1=lambda r: A + 2 * B * np.asarray(r, dtype=float),
-        d2=lambda r: np.full_like(np.asarray(r, dtype=float), 2 * B),
-        antiderivative=lambda r: A * np.asarray(r, dtype=float) ** 2 / 2
-        + B * np.asarray(r, dtype=float) ** 3 / 3,
-        name="quadratic",
-    )
-
-
-def polynomial_nonlinearity(coefficients) -> NonlinearitySpec:
-    """N(r) = sum_i c_i r^i for i >= 1; the constant term is forced to zero."""
-    cs = [float(c) for c in coefficients]
-    if not cs:
-        raise ValueError("need at least one coefficient")
-    # poly coefficients for numpy.polynomial, constant term 0
-    p = np.polynomial.Polynomial([0.0] + cs)
-    dp = p.deriv()
-    ddp = dp.deriv()
-    ip = p.integ()
-    return NonlinearitySpec(
-        eval=lambda r: p(np.asarray(r, dtype=float)),
-        d1=lambda r: dp(np.asarray(r, dtype=float)),
-        d2=lambda r: ddp(np.asarray(r, dtype=float)),
-        antiderivative=lambda r: ip(np.asarray(r, dtype=float)),
-        name="custom-polynomial",
-    )
+    return polynomial_nonlinearity([A, B])
 
 
 def nonlinearity_from_config(spec: dict) -> NonlinearitySpec:
     """Build a nonlinearity from its config dictionary (see config schema)."""
     name = spec.get("name")
     if name == "model":
-        return model_nonlinearity(spec["A"])
-    if name == "quadratic":
-        return quadratic_nonlinearity(spec["A"], spec.get("B", 0.0))
-    if name == "custom-polynomial":
-        return polynomial_nonlinearity(spec["coefficients"])
-    raise ValueError(f"unknown nonlinearity {name!r}")
+        cs = [spec["A"]]
+    elif name == "quadratic":
+        cs = [spec["A"], spec.get("B", 0.0)]
+    elif name == "custom-polynomial":
+        cs = spec["coefficients"]
+    else:
+        raise ValueError(f"unknown nonlinearity {name!r}")
+    return polynomial_nonlinearity(cs)
 
 
 @dataclass(frozen=True)
@@ -134,39 +133,15 @@ class FilteredProfile:
     below_min: tuple  # (C, A, F) for r < lambda_1
 
 
-def cumulative_mass(state: SpectralState, r: float) -> float:
-    """H^1 mass carried by modes with lambda_k <= r (inclusive)."""
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    lam = state.grid.lambdas
-    n = int(np.searchsorted(lam, r, side="right"))
-    if n == 0:
-        return 0.0
-    terms = state.grid.weights[:n] * lam[:n] ** 2 * np.abs(state.u_hat[:n]) ** 2
-    return float(np.add.reduce(terms))
-
-
-def filtered_A(state: SpectralState, N: NonlinearitySpec, r: float) -> float:
-    """N' evaluated at the cumulative mass below r."""
-    return float(N.d1(cumulative_mass(state, r)))
-
-
-def _check_wave_type(one_plus_n, index=None):
+def _check_wave_type(one_plus_n):
     bad = np.asarray(one_plus_n) <= 0.0
     if np.any(bad):
-        where = int(np.argmax(bad)) if index is None else index
+        where = int(np.argmax(bad))
         raise DegenerateNonlinearityError(
             f"nonlinearity degenerate at this data size (mode index {where})"
         )
     if np.any(np.asarray(one_plus_n) <= 0.5):
         warnings.warn("1 + N(C) fell below 1/2; wave-type margin is thin", stacklevel=3)
-
-
-def correction_F(state: SpectralState, N: NonlinearitySpec, r: float) -> float:
-    """(1 + N(cumulative mass below r))^(-3/2)."""
-    base = 1.0 + float(N.eval(cumulative_mass(state, r)))
-    _check_wave_type(base)
-    return float(base ** -1.5)
 
 
 def build_profile(state: SpectralState, N: NonlinearitySpec) -> FilteredProfile:
@@ -189,8 +164,8 @@ def delta_gate(N: NonlinearitySpec, s0: float) -> float:
     correction dominance (4 max|N'| (1+s0) delta^2 <= 1/2), which is the
     pair of conditions the model-case closed form encodes.
     """
-    if N.name == "model":
-        A = float(N.d1(0.0))
+    if N.is_linear:
+        A = N.coefficients[0]
         if A == 0.0:
             return float("inf")
         return 1.0 / np.sqrt(8.0 * (1.0 + s0) * abs(A))

@@ -7,6 +7,7 @@ so repeated runs of the same config produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 __all__ = ["fmt", "write_csv", "write_json", "write_svg_lines"]
@@ -53,16 +54,17 @@ def write_json(path, doc) -> Path:
 def write_svg_lines(path, series, title="", width=640, height=400, logy=False) -> Path:
     """Minimal polyline plot; `series` is {label: (xs, ys)}.  Diagnostic
     only — never load-bearing for verdicts."""
-    import math
-
     path = Path(path)
-    pts_all = []
-    for xs, ys in series.values():
+    curves = {}
+    for label, (xs, ys) in series.items():
+        pts = []
         for x, y in zip(xs, ys):
             if logy:
                 y = math.log10(abs(y)) if y != 0 else float("nan")
             if math.isfinite(x) and math.isfinite(y):
-                pts_all.append((x, y))
+                pts.append((x, y))
+        curves[label] = pts
+    pts_all = [p for pts in curves.values() for p in pts]
     if not pts_all:
         path.write_text(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"/>\n')
         return path
@@ -86,20 +88,11 @@ def write_svg_lines(path, series, title="", width=640, height=400, logy=False) -
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width // 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
     ]
-    for i, (label, (xs, ys)) in enumerate(series.items()):
-        pts = []
-        for x, y in zip(xs, ys):
-            import math as _m
-
-            if logy:
-                if y == 0:
-                    continue
-                y = _m.log10(abs(y))
-            if _m.isfinite(x) and _m.isfinite(y):
-                pts.append(f"{sx(x):.2f},{sy(y):.2f}")
+    for i, (label, pts) in enumerate(curves.items()):
+        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
         color = colors[i % len(colors)]
         parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{" ".join(pts)}"/>'
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>'
         )
         parts.append(
             f'<text x="{margin}" y="{margin + 16 * i}" font-size="12" fill="{color}">{label}</text>'

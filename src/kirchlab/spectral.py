@@ -28,8 +28,9 @@ __all__ = [
 ]
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def _readonly(a, dtype) -> np.ndarray:
+    """A read-only contiguous copy of a; the caller's array stays as it was."""
+    a = np.array(a, dtype=dtype, order="C")
     a.flags.writeable = False
     return a
 
@@ -42,8 +43,8 @@ class FrequencyGrid:
     weights: np.ndarray
 
     def __post_init__(self):
-        lam = _readonly(np.asarray(self.lambdas, dtype=float))
-        w = _readonly(np.asarray(self.weights, dtype=float))
+        lam = _readonly(self.lambdas, float)
+        w = _readonly(self.weights, float)
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "weights", w)
         if lam.ndim != 1 or w.ndim != 1 or lam.shape != w.shape:
@@ -83,8 +84,8 @@ class SpectralState:
     time: float = 0.0
 
     def __post_init__(self):
-        u = _readonly(np.asarray(self.u_hat, dtype=complex))
-        v = _readonly(np.asarray(self.v_hat, dtype=complex))
+        u = _readonly(self.u_hat, complex)
+        v = _readonly(self.v_hat, complex)
         object.__setattr__(self, "u_hat", u)
         object.__setattr__(self, "v_hat", v)
         n = len(self.grid)
@@ -116,12 +117,7 @@ class NormPair:
 
 def sobolev_norm_sq(state: SpectralState, sigma: float) -> float:
     """sum_k w_k lambda_k^(2*sigma) |u_hat_k|^2, summed in ascending order."""
-    lam = state.grid.lambdas
-    terms = state.grid.weights * lam ** (2.0 * sigma) * np.abs(state.u_hat) ** 2
-    out = float(np.add.reduce(terms))
-    if not np.isfinite(out):
-        raise ValueError(f"Sobolev norm overflowed at sigma={sigma}")
-    return out
+    return _norm_sq(state.grid, state.u_hat, sigma)
 
 
 def _norm_sq(grid: FrequencyGrid, amps: np.ndarray, sigma: float) -> float:

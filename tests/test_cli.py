@@ -256,6 +256,43 @@ class TestReproducibility:
             )
         assert all(b == blobs[0] for b in blobs[1:])
 
+    def test_run_json_records_seed_and_is_independent_of_out(self, tmp_path):
+        cfg = write_cfg(tmp_path, small_doc())
+        blobs = []
+        for tag in ("a", "b/nested"):
+            out = tmp_path / tag
+            assert main(["--config", str(cfg), "--out", str(out), "--seed", "4"]) == 0
+            blobs.append((out / "run.json").read_bytes())
+        assert blobs[0] == blobs[1]
+        run = json.loads(blobs[0])
+        assert run["seed"] == 4
+        assert run["artifacts"] == ["trajectory.csv"]
+
+
+class TestLinearNonlinearityAliases:
+    @pytest.mark.parametrize("scenario, artifact", [("linearized", "linearized.json"),
+                                                    ("resonance", "resonance.csv")])
+    @pytest.mark.parametrize("alias", [{"name": "quadratic", "A": 1.0, "B": 0.0},
+                                       {"name": "custom-polynomial", "coefficients": [1.0]}],
+                             ids=["quadratic", "custom"])
+    def test_runs_as_the_model(self, tmp_path, scenario, artifact, alias):
+        runs = []
+        for tag, nl in (("model", {"name": "model", "A": 1.0}), ("alias", alias)):
+            out = tmp_path / tag
+            cfg = write_cfg(tmp_path, small_doc(scenario, nonlinearity=nl), f"{tag}.json")
+            rc = main(["--config", str(cfg), "--out", str(out)])
+            runs.append((rc, (out / artifact).read_bytes()))
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("scenario", ["linearized", "resonance"])
+    def test_nonlinear_quadratic_refused(self, tmp_path, scenario):
+        doc = small_doc(scenario, nonlinearity={"name": "quadratic", "A": 1.0, "B": 0.5})
+        out = tmp_path / "out"
+        assert main(["--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert "requires the model nonlinearity" in err["error"]
+
 
 class TestShippedConfigs:
     @pytest.mark.parametrize("name", ["simulate", "verify", "sweep",

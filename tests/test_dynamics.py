@@ -225,6 +225,20 @@ class TestLinearized:
         with pytest.raises(ValueError):
             linearized_rhs(st, LinearizedState(z, z))
 
+    def test_state_copies_caller_arrays(self):
+        w, wv = np.array([1.0 + 0j, 2.0]), np.array([0j, 3.0])
+        lin = LinearizedState(w, wv)
+        assert w.flags.writeable and wv.flags.writeable
+        w[1] = wv[1] = -1.0
+        assert lin.w_hat[1] == 2.0 and lin.w_vel[1] == 3.0
+        assert not (lin.w_hat.flags.writeable or lin.w_vel.flags.writeable)
+
+    def test_pair_grid_mismatch_errors(self):
+        base = build_two_mode(1.0, 2.0, [0.01, 0.0], [0.0, 0.01])
+        z = np.zeros(1, complex)
+        with pytest.raises(ValueError, match="does not match the base grid"):
+            evolve_pair(base, LinearizedState(z, z), N1, 0.1, 1e-2)
+
     def test_non_model_rejected(self):
         st = small_state()
         z = np.zeros(len(st.grid), complex)

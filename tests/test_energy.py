@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scalar_oracles import correction_F, filtered_A, pair_coefficients
 
 from kirchlab.energy import (
     EnergyBreakdown,
@@ -10,20 +11,13 @@ from kirchlab.energy import (
     divided_difference,
     modified_energy,
     normal_form_term,
-    pair_coefficients,
     second_order_rate_model,
     second_order_model,
     second_order_term,
     unmodified_derivative_analytic,
     unmodified_energy,
 )
-from kirchlab.nonlinearity import (
-    build_profile,
-    correction_F,
-    filtered_A,
-    model_nonlinearity,
-    quadratic_nonlinearity,
-)
+from kirchlab.nonlinearity import build_profile, model_nonlinearity, quadratic_nonlinearity
 from kirchlab.spectral import (
     FrequencyGrid,
     SpectralState,

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+from scalar_oracles import check_consistency, correction_F, cumulative_mass, filtered_A
+
 from kirchlab.nonlinearity import (
     DegenerateNonlinearityError,
     build_profile,
-    correction_F,
-    cumulative_mass,
     delta_gate,
-    filtered_A,
     model_nonlinearity,
     nonlinearity_from_config,
     polynomial_nonlinearity,
@@ -49,7 +48,7 @@ class TestSpecs:
         ],
     )
     def test_derivative_consistency(self, N):
-        N.check_consistency()
+        check_consistency(N)
 
     def test_constant_term_forced_zero(self):
         N = polynomial_nonlinearity([2.0])
@@ -118,13 +117,13 @@ class TestFilteredAandF:
         g = FrequencyGrid([1.0], [1.0])
         st = SpectralState(g, np.array([2.0 + 0j]), np.zeros(1, complex))
         with pytest.raises(DegenerateNonlinearityError):
-            correction_F(st, model_nonlinearity(-1.0), 2.0)
+            build_profile(st, model_nonlinearity(-1.0))
 
     def test_thin_margin_warns(self):
         g = FrequencyGrid([1.0], [1.0])
         st = SpectralState(g, np.array([0.8 + 0j]), np.zeros(1, complex))
         with pytest.warns(UserWarning):
-            correction_F(st, model_nonlinearity(-1.0), 2.0)
+            build_profile(st, model_nonlinearity(-1.0))
 
     def test_integral_equation_residual(self):
         # discrete residual of F = 1 - F int A p - 1/2 int F A p is bounded
@@ -249,3 +248,113 @@ class TestDeltaGate:
         rs = np.linspace(0, m, 50)
         assert np.all(1.0 + np.asarray(N.eval(rs)) >= 0.5 - 1e-9)
         assert 4.0 * float(np.max(np.abs(N.d1(rs)))) * 1.25 * m <= 0.5 + 1e-9
+
+
+def _asf(r):
+    return np.asarray(r, dtype=float)
+
+
+def frozen_model(A):
+    """The separate model lambdas, as they were before the polynomial spec."""
+    A = float(A)
+    return (
+        lambda r: A * _asf(r),
+        lambda r: np.full_like(_asf(r), A),
+        lambda r: np.zeros_like(_asf(r)),
+        lambda r: A * _asf(r) ** 2 / 2,
+    )
+
+
+def frozen_quadratic(A, B):
+    """The separate quadratic lambdas, as they were before the polynomial spec."""
+    A, B = float(A), float(B)
+    return (
+        lambda r: (A + B * _asf(r)) * _asf(r),
+        lambda r: A + 2 * B * _asf(r),
+        lambda r: np.full_like(_asf(r), 2 * B),
+        lambda r: A * _asf(r) ** 2 / 2 + B * _asf(r) ** 3 / 3,
+    )
+
+
+def _callables(N):
+    return (N.eval, N.d1, N.d2, N.antiderivative)
+
+
+def _bitwise_equal(fs, gs, points):
+    for f, g in zip(fs, gs):
+        for r in points:
+            a, b = np.asarray(f(r)), np.asarray(g(r))
+            if a.shape != b.shape or a.tobytes() != b.tobytes():
+                return False
+    return True
+
+
+_RNG = np.random.default_rng(2024)
+PROBES = [float(x) for x in _RNG.uniform(-2.0, 5.0, 2000)] + [0.0, 1e-300, 1e10]
+PROBES.append(_RNG.uniform(0.0, 3.0, 257))
+
+
+class TestPolynomialSpec:
+    @pytest.mark.parametrize("A", [1.0, -1.58, 0.0])
+    def test_model_bitwise_as_frozen(self, A):
+        assert _bitwise_equal(_callables(model_nonlinearity(A)), frozen_model(A), PROBES)
+
+    @pytest.mark.parametrize("A, B", [(1.3, 0.7), (-1.0, 2.0), (1.0, 0.0)])
+    def test_quadratic_bitwise_as_frozen(self, A, B):
+        N = quadratic_nonlinearity(A, B)
+        assert _bitwise_equal(_callables(N), frozen_quadratic(A, B), PROBES)
+
+    @pytest.mark.parametrize(
+        "N",
+        [
+            quadratic_nonlinearity(1.7, 0.0),
+            polynomial_nonlinearity([1.7]),
+            polynomial_nonlinearity([1.7, 0.0, 0.0]),
+            nonlinearity_from_config({"name": "quadratic", "A": 1.7, "B": 0.0}),
+            nonlinearity_from_config({"name": "quadratic", "A": 1.7}),
+            nonlinearity_from_config({"name": "custom-polynomial", "coefficients": [1.7]}),
+        ],
+    )
+    def test_linear_aliases_are_the_model(self, N):
+        M = model_nonlinearity(1.7)
+        assert N.is_linear and M.is_linear
+        assert N.coefficients == M.coefficients == (1.7,)
+        assert _bitwise_equal(_callables(N), _callables(M), PROBES)
+        # the closed-form gate, not a bisection to nearly the same value
+        assert delta_gate(N, 0.25) == delta_gate(M, 0.25) == 1.0 / np.sqrt(8 * 1.25 * 1.7)
+
+    def test_nonlinear_specs(self):
+        assert not quadratic_nonlinearity(1.0, 1e-12).is_linear
+        assert not polynomial_nonlinearity([0.0, 1.0]).is_linear
+        assert polynomial_nonlinearity([1.0, -0.3, 0.1]).coefficients == (1.0, -0.3, 0.1)
+
+    def test_trimming_keeps_one_coefficient(self):
+        N = polynomial_nonlinearity([0.0, 0.0])
+        assert N.coefficients == (0.0,) and N.is_linear
+        assert N.eval(0.7) == 0.0 and N.d1(0.7) == 0.0 and N.d2(0.7) == 0.0
+        assert delta_gate(N, 0.25) == np.inf
+        with pytest.raises(ValueError):
+            polynomial_nonlinearity([])
+
+    def test_custom_polynomial_matches_numpy(self):
+        N = polynomial_nonlinearity([1.0, -0.3, 0.1])
+        p = np.polynomial.Polynomial([0.0, 1.0, -0.3, 0.1])
+        r = PROBES[-1]
+        assert np.array_equal(N.eval(r), p(r))
+        assert np.array_equal(N.d1(r), p.deriv()(r))
+        assert np.array_equal(N.d2(r), p.deriv(2)(r))
+        assert np.allclose(N.antiderivative(r), p.integ()(r), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("N", [model_nonlinearity(2.0), quadratic_nonlinearity(1.0, 3.0)])
+    def test_derivatives_shaped_like_argument(self, N):
+        r = np.linspace(0.0, 1.0, 7).reshape(7, 1)
+        for f in _callables(N):
+            assert np.shape(f(r)) == (7, 1)
+        assert np.shape(N.d1(0.5)) == () and np.shape(N.d2(0.5)) == ()
+
+    def test_eval_replaceable(self):
+        # a wrapped eval keeps the coefficients and the linearity
+        import dataclasses
+
+        N = dataclasses.replace(model_nonlinearity(2.0), eval=lambda r: 2.0 * r)
+        assert N.is_linear and N.coefficients == (2.0,)

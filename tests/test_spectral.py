@@ -56,6 +56,17 @@ class TestGrid:
         with pytest.raises(ValueError):
             SpectralState(g, np.array([np.nan + 0j]), np.zeros(1, complex))
 
+    def test_caller_arrays_stay_writable(self):
+        lam, w = np.array([1.0, 2.0]), np.array([1.0, 0.5])
+        u, v = np.array([1.0 + 1j, 2.0]), np.array([0.5j, 1.0])
+        st = SpectralState(FrequencyGrid(lam, w), u, v)
+        for a in (lam, w, u, v):
+            assert a.flags.writeable
+        lam[0], w[0], u[0], v[0] = 0.5, 9.0, 7.0, 7.0
+        assert st.grid.lambdas[0] == 1.0 and st.grid.weights[0] == 1.0
+        assert st.u_hat[0] == 1.0 + 1j and st.v_hat[0] == 0.5j
+        assert not (st.u_hat.flags.writeable or st.grid.lambdas.flags.writeable)
+
 
 class TestNorms:
     def test_single_mode(self):
