@@ -9,7 +9,8 @@ difference D_s(x, y) = (x^s - y^s)/(x - y), x = l^2, in the b/c parts of
 the second-order term.  Its integer part is a finite separable sum; its
 fractional part is a trapezoid rule on the Balakrishnan integral, one
 separable term per node, so the b/c parts cost O(R*M) for R ~ 50-400
-nodes (see _divided_difference_sum).
+nodes (see _divided_difference_sum).  The pointwise divided difference
+that the kernel-bounds suite samples is `analysis.divided_difference`.
 
 Dense O(M^2) oracles for every sum live in the test suite.
 """
@@ -35,26 +36,6 @@ __all__ = [
     "second_order_model",
     "second_order_rate_model",
 ]
-
-DIAGONAL_TOL = 1e-8
-
-
-def divided_difference(lambda1, lambda2, s: float, tol: float = DIAGONAL_TOL):
-    """(l1^2s - l2^2s)/(l1^2 - l2^2), with the analytic limit s*l^(2s-2)
-    at l = (l1+l2)/2 substituted when |l1^2 - l2^2| < tol*max(l1,l2)^2.
-
-    Vectorized over broadcastable lambda arrays.
-    """
-    l1 = np.asarray(lambda1, dtype=float)
-    l2 = np.asarray(lambda2, dtype=float)
-    num = l1 ** (2.0 * s) - l2 ** (2.0 * s)
-    den = l1**2 - l2**2
-    near = np.abs(den) < tol * np.maximum(l1, l2) ** 2
-    mid = 0.5 * (l1 + l2)
-    limit = s * mid ** (2.0 * s - 2.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = num / den
-    return np.where(near, limit, ratio)
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,9 @@ class SpectralState:
         if u.shape != (n,) or v.shape != (n,):
             raise ValueError("amplitude arrays must match the grid length")
         if not (np.isfinite(u).all() and np.isfinite(v).all()):
-            raise ValueError("amplitudes must be finite")
+            name, a = ("u_hat", u) if not np.isfinite(u).all() else ("v_hat", v)
+            k = int(np.flatnonzero(~np.isfinite(a))[0])
+            raise ValueError(f"amplitudes must be finite: {name}[{k}] = {a[k]}")
 
     def replace_amplitudes(self, u_hat, v_hat, time=None) -> "SpectralState":
         t = self.time if time is None else float(time)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kirchlab.energy import DIAGONAL_TOL, divided_difference
+from kirchlab.analysis import DIAGONAL_TOL, divided_difference
 
 
 def cumulative_mass(state, r):

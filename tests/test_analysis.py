@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import kirchlab.analysis as analysis
 from kirchlab.analysis import (
+    DIAGONAL_TOL,
     comparability_sweep,
     derivative_fd,
+    divided_difference,
     f_bounds_suite,
     kernel_bounds_suite,
     linearized_energy,
@@ -165,9 +168,95 @@ class TestKernelSuite:
             assert abs(ratio - s / (1 + s)) <= 0.01 * (s / (1 + s))
 
     def test_s_zero_kernel_vanishes(self):
-        from kirchlab.energy import divided_difference
+        from kirchlab.analysis import divided_difference
 
         assert float(divided_difference(2.0, 5.0, 0.0)) == 0.0
+
+    def test_nan_kernel_value_fails(self, monkeypatch):
+        real = analysis.divided_difference
+
+        def with_nan(l1, l2, s, tol=DIAGONAL_TOL):
+            D = np.array(real(l1, l2, s, tol), dtype=float)
+            D.flat[0] = np.nan
+            return D
+
+        monkeypatch.setattr(analysis, "divided_difference", with_nan)
+        out = kernel_bounds_suite(100, seed=0)
+        assert out["violations"] == 2 and not out["pass"]
+
+
+def _ref_divided_difference(lambda1, lambda2, s, tol=DIAGONAL_TOL):
+    l1 = np.asarray(lambda1, dtype=float)
+    l2 = np.asarray(lambda2, dtype=float)
+    num = l1 ** (2.0 * s) - l2 ** (2.0 * s)
+    den = l1**2 - l2**2
+    near = np.abs(den) < tol * np.maximum(l1, l2) ** 2
+    mid = 0.5 * (l1 + l2)
+    limit = s * mid ** (2.0 * s - 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num / den
+    return np.where(near, limit, ratio)
+
+
+def _ref_kernel_bounds_suite(n_samples, seed):
+    """Frozen copy of the per-sample suite and of the divided difference
+    it called: one scalar call per sample and per probe."""
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    rng = np.random.default_rng(seed)
+    lo, hi = np.log(1e-6), np.log(1e6)
+    l = np.exp(rng.uniform(lo, hi, size=(n_samples, 2)))
+    l1 = np.minimum(l[:, 0], l[:, 1])
+    l2 = np.maximum(l[:, 0], l[:, 1])
+    violations = 0
+    worst_ratio = 0.0
+    for s_lo, s_hi, positive in ((0.0, 4.0, True), (-2.0, 0.0, False)):
+        s = rng.uniform(s_lo, s_hi, size=n_samples)
+        D = np.array([_ref_divided_difference(a, b, si) for a, b, si in zip(l1, l2, s)])
+        if positive:
+            bound = (1.0 + s) * l2 ** (2 * s) / l2**2
+        else:
+            bound = (1.0 + np.abs(s)) * l1 ** (2 * s) / l2**2
+        ratio = np.abs(D) / bound
+        violations += int(np.sum(ratio > 1.0 + 1e-12))
+        worst_ratio = max(worst_ratio, float(np.max(ratio)))
+    probes = {}
+    for s in (0.5, 1.0, 2.0, 3.5):
+        lam = 3.0
+        D = float(_ref_divided_difference(lam, lam * (1 + 1e-6), s))
+        probes[s] = abs(D) / ((1.0 + s) * lam ** (2 * s) / lam**2)
+    return {
+        "samples": 2 * n_samples,
+        "violations": violations,
+        "worst_ratio": worst_ratio,
+        "diagonal_probes": probes,
+        "pass": violations == 0,
+    }
+
+
+class TestKernelSuiteFrozenReference:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n_samples", [1, 2, 1000])
+    def test_same_dict_as_per_sample_suite(self, seed, n_samples):
+        assert kernel_bounds_suite(n_samples, seed) == _ref_kernel_bounds_suite(n_samples, seed)
+
+    def test_array_call_equals_scalar_calls(self):
+        rng = np.random.default_rng(7)
+        n = 4000
+        l1 = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), n))
+        # first half near the diagonal (relative gaps 1e-15 to 1e-7), second half far
+        gap = np.exp(rng.uniform(np.log(1e-15), np.log(1e-7), n // 2))
+        l2 = np.concatenate([l1[: n // 2] * (1 + gap), np.exp(rng.uniform(-13.8, 13.8, n // 2))])
+        s = rng.uniform(-2.0, 4.0, n)
+        # 0, integers and half-integers: 2s or 2s - 2 hits the exponents 2 and -1
+        s[::10] = rng.choice([-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0], size=n // 10)
+        near = np.abs(l1**2 - l2**2) < DIAGONAL_TOL * np.maximum(l1, l2) ** 2
+        assert 100 < np.count_nonzero(near) < n - 100
+        assert np.count_nonzero(s == 0.0) > 10 and np.count_nonzero(s == 1.0) > 10
+        D = divided_difference(l1, l2, s)
+        for cast in (np.float64, float):
+            ref = [divided_difference(cast(a), cast(b), cast(si)) for a, b, si in zip(l1, l2, s)]
+            assert np.array_equal(D, np.array(ref))
 
 
 class TestFBounds:

@@ -5,6 +5,7 @@ import pytest
 
 from kirchlab.dynamics import (
     LinearizedState,
+    _march,
     evolve,
     evolve_pair,
     hamiltonian,
@@ -476,3 +477,15 @@ class TestStepFailures:
     def test_non_converging_step_stays_runtime_error(self):
         with pytest.raises(RuntimeError, match=r"^step 1 failed at t=0\.0: midpoint"):
             evolve(TestMidpointHalving.large_state(), N1, 1.0, 0.5)
+
+    def test_nonfinite_step_names_array_and_mode(self):
+        def step(cur, dt):
+            v = cur.v_hat.copy()
+            if cur.time > 0:
+                v[5] = np.nan
+            return cur.replace_amplitudes(cur.u_hat, v, cur.time + dt)
+
+        with pytest.raises(
+            ValueError, match=r"^step 2 failed at t=0\.1: amplitudes must be finite: v_hat\[5\]"
+        ):
+            _march(small_state(), 1.0, 0.1, 1, step)

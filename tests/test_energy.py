@@ -4,11 +4,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scalar_oracles import correction_F, filtered_A, pair_coefficients
 
+from kirchlab.analysis import divided_difference
 from kirchlab.energy import (
     EnergyBreakdown,
     _divided_difference_sum,
     asym_term,
-    divided_difference,
     modified_energy,
     normal_form_term,
     second_order_rate_model,

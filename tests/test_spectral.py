@@ -56,6 +56,15 @@ class TestGrid:
         with pytest.raises(ValueError):
             SpectralState(g, np.array([np.nan + 0j]), np.zeros(1, complex))
 
+    def test_nonfinite_names_array_and_first_mode(self):
+        g = FrequencyGrid([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+        z = np.zeros(3, complex)
+        bad = np.array([0.0, np.inf, np.nan], complex)
+        with pytest.raises(ValueError, match=r"^amplitudes must be finite: v_hat\[1\] = "):
+            SpectralState(g, z, bad)
+        with pytest.raises(ValueError, match=r"^amplitudes must be finite: u_hat\[1\] = "):
+            SpectralState(g, bad, bad[::-1])
+
     def test_caller_arrays_stay_writable(self):
         lam, w = np.array([1.0, 2.0]), np.array([1.0, 0.5])
         u, v = np.array([1.0 + 1j, 2.0]), np.array([0.5j, 1.0])
