@@ -13,15 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, dynamics, energy, output
-from .config import SCENARIOS, ConfigError, RunConfig, canonical_text, parse_config
+from . import analysis, energy, output
+from .config import SCENARIOS, ConfigError, RunConfig, parse_config
 from .dynamics import LinearizedState, evolve, evolve_pair, hamiltonian
 from .energy import modified_energy
-from .nonlinearity import (
-    NonlinearitySpec,
-    delta_gate,
-    nonlinearity_from_config,
-)
+from .nonlinearity import delta_gate, nonlinearity_from_config
 from .spectral import (
     SpectralState,
     build_random_decay,
@@ -51,16 +47,23 @@ def build_state(config: RunConfig, seed_override: int | None = None) -> Spectral
 
 
 def _gate_check(state, N, config):
-    gate = delta_gate(N, 0.25)
+    gate = delta_gate(N)
     size = pair_norm(state, 0.0).combined
-    if size > gate:
-        if not config.allow_gate_violation:
-            raise RuntimeError(
-                f"initial data size {size:.6g} exceeds the smallness gate {gate:.6g} "
-                "(set allow_gate_violation to proceed)"
-            )
-        return {"gate": gate, "size": size, "violated": True}
-    return {"gate": gate, "size": size, "violated": False}
+    violated = bool(size > gate)
+    if violated and not config.allow_gate_violation:
+        raise RuntimeError(
+            f"initial data size {size:.6g} exceeds the smallness gate {gate:.6g} "
+            "(set allow_gate_violation to proceed)"
+        )
+    return {"gate": gate, "size": size, "violated": violated}
+
+
+def _random_decay(config, M, seed):
+    """Seeded decaying data on M modes, shaped like the config's data (the
+    builder's defaults where the data is two-mode)."""
+    d = config.data
+    return build_random_decay(M, d.get("lambda_min", 1.0), d.get("lambda_max", 16.0),
+                              d.get("regularity", 0.25), d.get("margin", 0.55), seed)
 
 
 def _traj_rows(traj, N, s_list):
@@ -158,16 +161,11 @@ def _scenario_verify(config, N, state, out_dir, seed):
             worst = cert.__dict__
     verdicts.append({"suite": "obstruction-infeasibility", "pass": obs_ok, "worst_case": worst})
 
-    gate = delta_gate(N, 0.25)
+    gate = delta_gate(N)
     n_states = int(p.get("comparability_states", 20))
-    d = config.data
+    M = config.data.get("M", 64)
     states = [
-        rescale_to(
-            build_random_decay(d.get("M", 64), d.get("lambda_min", 1.0),
-                               d.get("lambda_max", 16.0), d.get("regularity", 0.25),
-                               d.get("margin", 0.55), seed + 100 + i),
-            gate / 10.0, 0.0,
-        )
+        rescale_to(_random_decay(config, M, seed + 100 + i), gate / 10.0, 0.0)
         for i in range(n_states)
     ]
     comp = analysis.comparability_sweep(states, N, config.s_list)
@@ -202,8 +200,7 @@ def _scenario_verify(config, N, state, out_dir, seed):
 def _scenario_sweep(config, N, state, out_dir, seed):
     p = config.params
     s = float(p.get("s", 0.25))
-    eps = sorted(config.epsilons) or [2e-1, 6e-2, 2e-2, 6e-3, 2e-3]
-    eps = sorted(float(e) for e in eps)
+    eps = sorted(float(e) for e in config.epsilons or (2e-1, 6e-2, 2e-2, 6e-3, 2e-3))
     dt = config.integrator["dt"]
     stride = int(p.get("fd_stride", 10))
     method = config.integrator["method"]
@@ -231,10 +228,7 @@ def _scenario_sweep(config, N, state, out_dir, seed):
 
 def _companion_direction(config, state, seed):
     """Seeded decaying data on the state's mode count, as a linearized state."""
-    d = config.data
-    wdir = build_random_decay(len(state.grid), d.get("lambda_min", 1.0),
-                              d.get("lambda_max", 16.0), d.get("regularity", 0.25),
-                              d.get("margin", 0.55), seed + 1)
+    wdir = _random_decay(config, len(state.grid), seed + 1)
     return LinearizedState(wdir.u_hat, wdir.v_hat)
 
 

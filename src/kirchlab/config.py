@@ -25,10 +25,8 @@ SCENARIOS = (
 
 _DEFAULTS = {
     "s_list": [0.25],
-    "epsilons": [],
     "integrator": {"method": "rotation", "dt": 1e-3, "T": 1.0, "stride": 1},
     "output": {"format": "csv", "plots": False},
-    "allow_gate_violation": False,
 }
 
 
@@ -70,14 +68,7 @@ def canonical_text(config: RunConfig) -> str:
     return json.dumps(config.as_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _require(doc, key, errors, path=""):
-    if key not in doc:
-        errors.append(f"{path}{key}: missing required key")
-        return None
-    return doc[key]
-
-
-def _num(doc, key, errors, path, lo=None, hi=None, default=None, strict_lo=False):
+def _num(doc, key, errors, path, lo=None, default=None, strict_lo=False):
     if key not in doc:
         if default is None:
             errors.append(f"{path}{key}: missing required key")
@@ -89,9 +80,6 @@ def _num(doc, key, errors, path, lo=None, hi=None, default=None, strict_lo=False
     v = float(v)
     if lo is not None and (v <= lo if strict_lo else v < lo):
         errors.append(f"{path}{key}: must be {'>' if strict_lo else '>='} {lo}")
-        return default
-    if hi is not None and v > hi:
-        errors.append(f"{path}{key}: must be <= {hi}")
         return default
     return v
 
@@ -129,17 +117,17 @@ def _validate_data(doc, errors):
         if out["lambda1"] is not None and out["lambda1"] == out["lambda2"]:
             errors.append("data.lambda2: must differ from data.lambda1")
         for key in ("c_plus", "c_minus"):
-            v = _require(doc, key, errors, "data.")
-            if v is not None:
-                ok = (
-                    isinstance(v, list)
-                    and len(v) == 2
-                    and all(isinstance(c, list) and len(c) == 2 for c in v)
-                )
-                if not ok:
-                    errors.append(f"data.{key}: must be two [re, im] pairs")
-                else:
-                    out[key] = [[float(c[0]), float(c[1])] for c in v]
+            v = doc.get(key)
+            if key not in doc:
+                errors.append(f"data.{key}: missing required key")
+            elif not (
+                isinstance(v, list)
+                and len(v) == 2
+                and all(isinstance(c, list) and len(c) == 2 for c in v)
+            ):
+                errors.append(f"data.{key}: must be two [re, im] pairs")
+            else:
+                out[key] = [[float(c[0]), float(c[1])] for c in v]
     else:
         errors.append(f"data.builder: unknown builder {builder!r}")
         return {}

@@ -57,8 +57,6 @@ class Trajectory:
     times: tuple
     states: tuple
     companions: tuple | None
-    method: str
-    dt: float
     steps: int
 
     def __post_init__(self):
@@ -78,13 +76,17 @@ class Trajectory:
         return len(self.times)
 
 
+def _rhs(lam2, wl2, N, u, v):
+    """(du, dv) on raw arrays; lam2 = lambdas**2, wl2 = weights * lam2."""
+    speed = 1.0 + float(N.eval(float(np.add.reduce(wl2 * np.abs(u) ** 2))))
+    return v, -speed * lam2 * u
+
+
 def rhs(state: SpectralState, N: NonlinearitySpec):
     """du = v;  dv_k = -(1 + N(|u|_{H^1}^2)) l_k^2 u_k."""
-    mass = sobolev_norm_sq(state, 1.0)
-    speed = 1.0 + float(N.eval(mass))
-    du = state.v_hat.copy()
-    dv = -speed * state.grid.lambdas**2 * state.u_hat
-    return du, dv
+    lam2 = state.grid.lambdas**2
+    du, dv = _rhs(lam2, state.grid.weights * lam2, N, state.u_hat, state.v_hat)
+    return du.copy(), dv
 
 
 def _rotation_arrays(lam, wl2, u, v, N, dt, allow_halve):
@@ -147,17 +149,12 @@ def step_rk4(state: SpectralState, N: NonlinearitySpec, dt: float) -> SpectralSt
     if dt > guard:
         raise ValueError(f"RK4 stability guard requires dt <= {guard:.6g}, got {dt}")
     lam2 = state.grid.lambdas**2
-    w = state.grid.weights
-
-    def f(u, v):
-        speed = 1.0 + float(N.eval(float(np.add.reduce(w * lam2 * np.abs(u) ** 2))))
-        return v, -speed * lam2 * u
-
+    wl2 = state.grid.weights * lam2
     u, v = state.u_hat, state.v_hat
-    k1u, k1v = f(u, v)
-    k2u, k2v = f(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
-    k3u, k3v = f(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
-    k4u, k4v = f(u + dt * k3u, v + dt * k3v)
+    k1u, k1v = _rhs(lam2, wl2, N, u, v)
+    k2u, k2v = _rhs(lam2, wl2, N, u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
+    k3u, k3v = _rhs(lam2, wl2, N, u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
+    k4u, k4v = _rhs(lam2, wl2, N, u + dt * k3u, v + dt * k3v)
     u1 = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
     v1 = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
     return state.replace_amplitudes(u1, v1, state.time + dt)
@@ -172,6 +169,7 @@ def hamiltonian(state: SpectralState, N: NonlinearitySpec) -> float:
 
 
 def _stepper(method: str):
+    # resolved at call time, so a tracer that rebinds step_rotation sees its calls
     if method == "rotation":
         return step_rotation
     if method == "rk4":
@@ -192,14 +190,14 @@ def _march(state, T, dt, stride, step, on_sample=None):
     Samples every `stride` steps and the last; on_sample() runs at each.
     A failing step's exception is raised again with its type kept (a
     RuntimeError if that type takes no single message), naming the step
-    and its start time.  Returns (times, states, dt, nsteps)."""
+    and its start time.  Returns (times, states, nsteps)."""
     if T < 0:
         raise ValueError("T must be non-negative")
     if stride < 1:
         raise ValueError("stride must be at least 1")
     t0 = state.time
     if T == 0:
-        return [t0], [state], dt, 0
+        return [t0], [state], 0
     nsteps = max(1, int(round(T / dt)))
     dt = T / nsteps
     times, states = [t0], [state]
@@ -219,7 +217,7 @@ def _march(state, T, dt, stride, step, on_sample=None):
             states.append(cur)
             if on_sample is not None:
                 on_sample()
-    return times, states, dt, nsteps
+    return times, states, nsteps
 
 
 def evolve(
@@ -233,8 +231,8 @@ def evolve(
     """March to time T in uniform steps, sampling every `stride` steps
     (first and last samples always included)."""
     step = _stepper(method)
-    times, states, dt, nsteps = _march(state, T, dt, stride, lambda cur, h: step(cur, N, h))
-    return Trajectory(tuple(times), tuple(states), None, method, dt, nsteps)
+    times, states, nsteps = _march(state, T, dt, stride, lambda cur, h: step(cur, N, h))
+    return Trajectory(tuple(times), tuple(states), None, nsteps)
 
 
 def _linearized_rhs(lam2, wl2, A, u, m, w_hat):
@@ -299,7 +297,7 @@ def evolve_pair(
         m0 = m1
         return nxt
 
-    times, states, dt, nsteps = _march(
+    times, states, nsteps = _march(
         base, T, dt, stride, step, lambda: comps.append(LinearizedState(wh, wv))
     )
-    return Trajectory(tuple(times), tuple(states), tuple(comps), "rotation+rk4", dt, nsteps)
+    return Trajectory(tuple(times), tuple(states), tuple(comps), nsteps)

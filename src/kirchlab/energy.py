@@ -40,22 +40,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    s: float
     e_unmodified: float
     e_second_order: float
     e_normal_form: float
     e_asym: float
     e_total: float
-
-    def as_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "e_unmodified": self.e_unmodified,
-            "e_second_order": self.e_second_order,
-            "e_normal_form": self.e_normal_form,
-            "e_asym": self.e_asym,
-            "e_total": self.e_total,
-        }
 
 
 def unmodified_energy(state: SpectralState, N: NonlinearitySpec, s: float) -> float:
@@ -215,12 +204,7 @@ def _normal_form(profile: FilteredProfile, p, q) -> float:
     return t1 + t2 + t3
 
 
-def normal_form_term(
-    state: SpectralState,
-    N: NonlinearitySpec,
-    s: float,
-    profile: FilteredProfile | None = None,
-) -> float:
+def normal_form_term(state: SpectralState, N: NonlinearitySpec, s: float) -> float:
     """The three cubic region sums (integration-by-parts terms).
 
     With g_l = w_l A(l_l) l_l^2 |u_l|^2 and the arrays of _mode_arrays:
@@ -229,10 +213,8 @@ def normal_form_term(
       T3 = +1/4 sum_{l1 <= l3 <= l2}   A(l1)F(l1) q_1 p_2 g_3
     each collapsed to prefix/suffix sums after sorting.
     """
-    if profile is None:
-        profile = build_profile(state, N)
     p, q, V, r = _mode_arrays(state, s)
-    return _normal_form(profile, p, q)
+    return _normal_form(build_profile(state, N), p, q)
 
 
 def _asym(profile: FilteredProfile, p, q) -> float:
@@ -244,22 +226,15 @@ def _asym(profile: FilteredProfile, p, q) -> float:
     return -0.5 * float(np.add.reduce(q * T))
 
 
-def asym_term(
-    state: SpectralState,
-    N: NonlinearitySpec,
-    s: float,
-    profile: FilteredProfile | None = None,
-) -> float:
+def asym_term(state: SpectralState, N: NonlinearitySpec, s: float) -> float:
     """-1/2 sum_{l_j <= l_k} w_j w_k l_j^{2s+2} l_k^2 (A(l_k) - A(l_j))
     |u_j|^2 |u_k|^2, via suffix sums.  Exactly zero when N' is constant.
 
     The difference A(l_k) - A(l_j) is telescoped through consecutive-mode
     increments, so a constant filter yields a structural (not rounded)
     zero."""
-    if profile is None:
-        profile = build_profile(state, N)
     p, q, V, r = _mode_arrays(state, s)
-    return _asym(profile, p, q)
+    return _asym(build_profile(state, N), p, q)
 
 
 def modified_energy(state: SpectralState, N: NonlinearitySpec, s: float) -> EnergyBreakdown:
@@ -274,7 +249,7 @@ def modified_energy(state: SpectralState, N: NonlinearitySpec, s: float) -> Ener
     p, q, V, r = _mode_arrays(state, s)
     en = _normal_form(profile, p, q)
     ea = _asym(profile, p, q)
-    return EnergyBreakdown(s, e0, e2, en, ea, e0 + e2 + en + ea)
+    return EnergyBreakdown(e0, e2, en, ea, e0 + e2 + en + ea)
 
 
 def unmodified_derivative_analytic(

@@ -126,11 +126,9 @@ def nonlinearity_from_config(spec: dict) -> NonlinearitySpec:
 class FilteredProfile:
     """C, A, F cached at every grid point (inclusive prefixes, one pass)."""
 
-    state: SpectralState
     c_prefix: np.ndarray
     a_values: np.ndarray
     f_values: np.ndarray
-    below_min: tuple  # (C, A, F) for r < lambda_1
 
 
 def _check_wave_type(one_plus_n):
@@ -152,14 +150,17 @@ def build_profile(state: SpectralState, N: NonlinearitySpec) -> FilteredProfile:
     base = 1.0 + np.asarray(N.eval(c_prefix), dtype=float)
     _check_wave_type(base)
     f_values = base**-1.5
-    below = (0.0, float(N.d1(0.0)), 1.0)
-    return FilteredProfile(state, c_prefix, a_values, f_values, below)
+    return FilteredProfile(c_prefix, a_values, f_values)
 
 
-def delta_gate(N: NonlinearitySpec, s0: float) -> float:
+# the regularity s0 = 1/4 at which the smallness gate is posed
+_GATE_S0 = 0.25
+
+
+def delta_gate(N: NonlinearitySpec) -> float:
     """Largest H^1 x L^2 size at which the smallness assumptions hold.
 
-    Model case: the closed form 1/sqrt(8 (1+s0) |A|).  General case:
+    Model case: the closed form 1/sqrt(8 (1+s0) |A|), s0 = 1/4.  General case:
     bisection on wave-type margin (1 + N >= 1/2) together with
     correction dominance (4 max|N'| (1+s0) delta^2 <= 1/2), which is the
     pair of conditions the model-case closed form encodes.
@@ -168,7 +169,7 @@ def delta_gate(N: NonlinearitySpec, s0: float) -> float:
         A = N.coefficients[0]
         if A == 0.0:
             return float("inf")
-        return 1.0 / np.sqrt(8.0 * (1.0 + s0) * abs(A))
+        return 1.0 / np.sqrt(8.0 * (1.0 + _GATE_S0) * abs(A))
 
     def ok(delta: float) -> bool:
         m = delta * delta
@@ -178,7 +179,7 @@ def delta_gate(N: NonlinearitySpec, s0: float) -> float:
         amax = float(np.max(np.abs(N.d1(rs))))
         if amax == 0.0:
             return True
-        return 4.0 * amax * (1.0 + s0) * m <= 0.5
+        return 4.0 * amax * (1.0 + _GATE_S0) * m <= 0.5
 
     hi = 1e3
     if ok(hi):

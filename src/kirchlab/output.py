@@ -14,13 +14,13 @@ __all__ = ["fmt", "write_csv", "write_json", "write_svg_lines"]
 
 
 def fmt(value) -> str:
-    """Shortest round-trip text for a scalar."""
+    """Shortest round-trip text for a scalar; numpy scalars are unwrapped."""
+    if hasattr(value, "item"):
+        value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 
@@ -51,19 +51,15 @@ def write_json(path, doc) -> Path:
     return path
 
 
-def write_svg_lines(path, series, title="", width=640, height=400, logy=False) -> Path:
-    """Minimal polyline plot; `series` is {label: (xs, ys)}.  Diagnostic
-    only — never load-bearing for verdicts."""
+def write_svg_lines(path, series, title="") -> Path:
+    """Minimal 640 x 400 polyline plot; `series` is {label: (xs, ys)}.
+    Diagnostic only — never load-bearing for verdicts."""
     path = Path(path)
-    curves = {}
-    for label, (xs, ys) in series.items():
-        pts = []
-        for x, y in zip(xs, ys):
-            if logy:
-                y = math.log10(abs(y)) if y != 0 else float("nan")
-            if math.isfinite(x) and math.isfinite(y):
-                pts.append((x, y))
-        curves[label] = pts
+    width, height = 640, 400
+    curves = {
+        label: [(x, y) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
+        for label, (xs, ys) in series.items()
+    }
     pts_all = [p for pts in curves.values() for p in pts]
     if not pts_all:
         path.write_text(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"/>\n')

@@ -9,7 +9,7 @@ continuum integrals become exact finite sums.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -92,7 +92,7 @@ def test_criterion_02_hamiltonian_conservation():
     worst = 0.0
     for A in (1.0, -1.0):
         N = model_nonlinearity(A)
-        st = rescale_to(_decaying(64, 7), delta_gate(N, 0.25) / 10, 0.0)
+        st = rescale_to(_decaying(64, 7), delta_gate(N) / 10, 0.0)
         H0 = hamiltonian(st, N)
         for method in ("rotation", "rk4"):
             # dt = 1e-3 sits well inside the rk4 stability guard
@@ -133,7 +133,7 @@ def test_criterion_05_comparability():
     window_ok = True
     worst = (0.5, 0.5)
     for _, N in cases:
-        gate = delta_gate(N, 0.25)
+        gate = delta_gate(N)
         states = [rescale_to(_decaying(64, 1000 + i), gate / 10, 0.0) for i in range(100)]
         rep = analysis.comparability_sweep(states, N, [0.0, 0.25, 0.5])
         assert rep["excluded"] == 0

@@ -67,7 +67,7 @@ class TestQuinticRatio:
         assert max(abs(r) for _, r, _ in series) < 1e-6
 
     def test_model_ratio_finite_and_stable_under_dt(self):
-        st = small_state(M=32, size=delta_gate(N1, 0.25) / 10)
+        st = small_state(M=32, size=delta_gate(N1) / 10)
         vals = []
         for dt in (1e-3, 5e-4):
             traj = evolve(st, N1, 0.2, dt, stride=int(round(0.02 / dt)))
@@ -182,7 +182,8 @@ class TestKernelSuite:
 
         monkeypatch.setattr(analysis, "divided_difference", with_nan)
         out = kernel_bounds_suite(100, seed=0)
-        assert out["violations"] == 2 and not out["pass"]
+        assert out["violations"] == 3 and not out["pass"]
+        assert np.isnan(out["worst_ratio"])
 
 
 def _ref_divided_difference(lambda1, lambda2, s, tol=DIAGONAL_TOL):
@@ -269,7 +270,7 @@ class TestFBounds:
         assert out["worst_F"] == 1.0
 
     def test_positive_A_keeps_F_below_one(self):
-        st = small_state(M=32, size=delta_gate(N1, 0.25) / 10)
+        st = small_state(M=32, size=delta_gate(N1) / 10)
         traj = evolve(st, N1, 0.05, 1e-3, stride=5)
         out = f_bounds_suite(traj, N1)
         assert out["pass"]
@@ -277,7 +278,7 @@ class TestFBounds:
 
     def test_negative_A_at_gate_bounded(self):
         Nneg = model_nonlinearity(-1.0)
-        st = small_state(M=32, size=delta_gate(Nneg, 0.25) * 0.999)
+        st = small_state(M=32, size=delta_gate(Nneg) * 0.999)
         traj = evolve(st, Nneg, 0.05, 1e-3, stride=5)
         out = f_bounds_suite(traj, Nneg)
         assert out["pass"]

@@ -77,6 +77,15 @@ class TestConfigValidation:
         assert "data.lambda2" in text
         assert "data.c_plus" in text
 
+    def test_two_mode_null_or_missing_coefficients(self):
+        data = {"builder": "two-mode", "lambda1": 1.0, "lambda2": 2.0, "c_plus": None}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps({"scenario": "simulate", "data": data}))
+        assert exc.value.errors == [
+            "data.c_plus: must be two [re, im] pairs",
+            "data.c_minus: missing required key",
+        ]
+
     def test_canonical_text_round_trips(self):
         cfg = parse_config(json.dumps(small_doc("sweep", epsilons=[0.1, 0.01])))
         assert parse_config(canonical_text(cfg)) == cfg

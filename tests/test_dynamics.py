@@ -70,7 +70,7 @@ class TestRotation:
         assert np.max(np.abs(out.v_hat - st.v_hat)) < 1e-12
 
     def test_hamiltonian_drift_small(self):
-        st = small_state(M=64, size=delta_gate(N1, 0.25) / 10)
+        st = small_state(M=64, size=delta_gate(N1) / 10)
         H0 = hamiltonian(st, N1)
         traj = evolve(st, N1, 1.0, 1e-3, stride=100)
         drift = max(abs(hamiltonian(x, N1) - H0) for x in traj.states)

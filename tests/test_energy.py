@@ -452,7 +452,7 @@ class TestModifiedEnergy:
         from kirchlab.nonlinearity import delta_gate
 
         for N in (model_nonlinearity(1.0), model_nonlinearity(-1.0), N_QUAD):
-            gate = min(delta_gate(N, 0.25), 1e-2 * 10)
+            gate = min(delta_gate(N), 1e-2 * 10)
             for seed in range(5):
                 st_ = rescale_to(small_state(M=50, seed=seed), min(gate / 10, 1e-2), 0.0)
                 for s in (0.0, 0.25, 0.5):

@@ -230,20 +230,20 @@ class TestTelescoping:
 class TestDeltaGate:
     def test_model_closed_form(self):
         N = model_nonlinearity(2.0)
-        assert np.isclose(delta_gate(N, 0.25), 1.0 / np.sqrt(8 * 1.25 * 2.0))
+        assert np.isclose(delta_gate(N), 1.0 / np.sqrt(8 * 1.25 * 2.0))
 
     def test_zero_nonlinearity_unbounded(self):
-        assert delta_gate(model_nonlinearity(0.0), 0.25) == np.inf
+        assert delta_gate(model_nonlinearity(0.0)) == np.inf
 
     def test_general_bisection_brackets_model(self):
         # a quadratic with tiny B should land near the model value
-        d_model = delta_gate(model_nonlinearity(1.0), 0.25)
-        d_general = delta_gate(quadratic_nonlinearity(1.0, 1e-12), 0.25)
+        d_model = delta_gate(model_nonlinearity(1.0))
+        d_general = delta_gate(quadratic_nonlinearity(1.0, 1e-12))
         assert abs(d_general - d_model) / d_model < 0.05
 
     def test_general_gate_conditions_hold(self):
         N = quadratic_nonlinearity(-1.0, 2.0)
-        d = delta_gate(N, 0.25)
+        d = delta_gate(N)
         m = d * d
         rs = np.linspace(0, m, 50)
         assert np.all(1.0 + np.asarray(N.eval(rs)) >= 0.5 - 1e-9)
@@ -321,7 +321,7 @@ class TestPolynomialSpec:
         assert N.coefficients == M.coefficients == (1.7,)
         assert _bitwise_equal(_callables(N), _callables(M), PROBES)
         # the closed-form gate, not a bisection to nearly the same value
-        assert delta_gate(N, 0.25) == delta_gate(M, 0.25) == 1.0 / np.sqrt(8 * 1.25 * 1.7)
+        assert delta_gate(N) == delta_gate(M) == 1.0 / np.sqrt(8 * 1.25 * 1.7)
 
     def test_nonlinear_specs(self):
         assert not quadratic_nonlinearity(1.0, 1e-12).is_linear
@@ -332,7 +332,7 @@ class TestPolynomialSpec:
         N = polynomial_nonlinearity([0.0, 0.0])
         assert N.coefficients == (0.0,) and N.is_linear
         assert N.eval(0.7) == 0.0 and N.d1(0.7) == 0.0 and N.d2(0.7) == 0.0
-        assert delta_gate(N, 0.25) == np.inf
+        assert delta_gate(N) == np.inf
         with pytest.raises(ValueError):
             polynomial_nonlinearity([])
 
