@@ -72,17 +72,22 @@ def _fit_loglog(epsilons, values) -> ScalingFit:
     return ScalingFit(eps, vals, float(slope))
 
 
-def derivative_fd(series, index: int) -> float:
-    """Fourth-order centered difference on a uniform time grid
-    (one Richardson level of the 2nd-order stencil)."""
-    times = np.asarray([t for t, _ in series], dtype=float)
-    values = np.asarray([v for _, v in series], dtype=float)
-    n = len(times)
-    if not (2 <= index <= n - 3):
-        raise ValueError(f"index {index} too close to the series boundary")
+def _uniform_step(times) -> float:
+    """The step h of uniformly spaced sample times; ValueError otherwise."""
+    times = np.asarray(times, dtype=float)
     h = times[1] - times[0]
     if not np.allclose(np.diff(times), h, rtol=1e-9, atol=1e-12):
         raise ValueError("series must be sampled on a uniform time grid")
+    return h
+
+
+def derivative_fd(series, index: int) -> float:
+    """Fourth-order centered difference on a uniform time grid
+    (one Richardson level of the 2nd-order stencil)."""
+    values = np.asarray([v for _, v in series], dtype=float)
+    if not (2 <= index <= len(values) - 3):
+        raise ValueError(f"index {index} too close to the series boundary")
+    h = _uniform_step([t for t, _ in series])
     i = index
     return float(
         (-values[i + 2] + 8 * values[i + 1] - 8 * values[i - 1] + values[i - 2]) / (12 * h)
@@ -156,7 +161,7 @@ def comparability_sweep(states, N: NonlinearitySpec, s_list) -> dict:
     """min/max of E_total / (pair norm squared) per regularity s over the
     given states; gate violations are excluded and counted."""
     gate = delta_gate(N)
-    report = {"gate": gate, "excluded": 0, "per_s": {}}
+    report = {"excluded": 0, "per_s": {}}
     for s in s_list:
         ratios = []
         for st in states:
@@ -181,10 +186,7 @@ def second_order_identity_check(traj: Trajectory, A: float, s: float) -> float:
     sampling refinement."""
     if len(traj) < 3:
         raise ValueError("need at least three samples")
-    times = np.asarray(traj.times)
-    h = times[1] - times[0]
-    if not np.allclose(np.diff(times), h, rtol=1e-9, atol=1e-12):
-        raise ValueError("uniform sampling required")
+    h = _uniform_step(traj.times)
     e2 = [second_order_model(st, A, s) for st in traj.states]
     worst = 0.0
     for i in range(1, len(traj) - 1):
@@ -258,10 +260,10 @@ def kernel_bounds_suite(n_samples: int, seed: int) -> dict:
 
 def f_bounds_suite(traj: Trajectory, N: NonlinearitySpec) -> dict:
     """Pointwise range and finite-difference time-derivative bounds of
-    the correction function F along a uniformly sampled trajectory; the
-    derivative bound allows 100 h^2 for the O(h^2) difference error."""
-    times = np.asarray(traj.times)
-    h = float(times[1] - times[0]) if len(times) > 1 else 0.0
+    the correction function F along a uniformly sampled trajectory
+    (ValueError otherwise); the derivative bound allows 100 h^2 for the
+    O(h^2) difference error."""
+    h = _uniform_step(traj.times) if len(traj) > 1 else 0.0
     profiles = [build_profile(st, N) for st in traj.states]
     range_ok = True
     worst_range = 0.0

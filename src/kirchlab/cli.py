@@ -34,9 +34,7 @@ def build_state(config: RunConfig, seed_override: int | None = None) -> Spectral
     d = config.data
     if d["builder"] == "random-decay":
         seed = d["seed"] if seed_override is None else seed_override
-        st = build_random_decay(
-            d["M"], d["lambda_min"], d["lambda_max"], d["regularity"], d["margin"], seed
-        )
+        st = _random_decay(config, d["M"], seed)
     else:
         cp = [complex(re, im) for re, im in d["c_plus"]]
         cm = [complex(re, im) for re, im in d["c_minus"]]

@@ -8,7 +8,7 @@ round-trips: parse(canonical(cfg)) == cfg.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "canonical_text"]
 
@@ -22,13 +22,6 @@ SCENARIOS = (
     "obstruction",
     "truncation",
 )
-
-_DEFAULTS = {
-    "s_list": [0.25],
-    "integrator": {"method": "rotation", "dt": 1e-3, "T": 1.0, "stride": 1},
-    "output": {"format": "csv", "plots": False},
-}
-
 
 class ConfigError(ValueError):
     """Carries the full list of validation errors, each with its key path."""
@@ -51,21 +44,15 @@ class RunConfig:
     params: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "data": self.data,
-            "nonlinearity": self.nonlinearity,
-            "integrator": self.integrator,
-            "s_list": list(self.s_list),
-            "epsilons": list(self.epsilons),
-            "output": self.output,
-            "allow_gate_violation": self.allow_gate_violation,
-            "params": self.params,
-        }
+        return asdict(self)
 
 
 def canonical_text(config: RunConfig) -> str:
     return json.dumps(config.as_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _num(doc, key, errors, path, lo=None, default=None, strict_lo=False):
@@ -74,7 +61,7 @@ def _num(doc, key, errors, path, lo=None, default=None, strict_lo=False):
             errors.append(f"{path}{key}: missing required key")
         return default
     v = doc[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
+    if not _is_number(v):
         errors.append(f"{path}{key}: must be a number")
         return default
     v = float(v)
@@ -82,6 +69,13 @@ def _num(doc, key, errors, path, lo=None, default=None, strict_lo=False):
         errors.append(f"{path}{key}: must be {'>' if strict_lo else '>='} {lo}")
         return default
     return v
+
+
+def _int(doc, key, errors, path, lo, default):
+    v = _num(doc, key, errors, path, lo=lo, default=default)
+    if v.is_integer():
+        return int(v)
+    errors.append(f"{path}{key}: must be an integer")
 
 
 def _check_unknown(doc, allowed, errors, path=""):
@@ -99,15 +93,14 @@ def _validate_data(doc, errors):
         allowed = {"builder", "M", "lambda_min", "lambda_max", "regularity", "margin", "seed", "rescale"}
         _check_unknown(doc, allowed, errors, "data.")
         out = {"builder": "random-decay"}
-        m = _num(doc, "M", errors, "data.", lo=2, default=64.0)
-        out["M"] = int(m)
+        out["M"] = _int(doc, "M", errors, "data.", lo=2, default=64.0)
         out["lambda_min"] = _num(doc, "lambda_min", errors, "data.", lo=0, strict_lo=True, default=1.0)
         out["lambda_max"] = _num(doc, "lambda_max", errors, "data.", lo=0, strict_lo=True, default=16.0)
         if out["lambda_max"] <= out["lambda_min"]:
             errors.append("data.lambda_max: must exceed data.lambda_min")
         out["regularity"] = _num(doc, "regularity", errors, "data.", default=0.25)
         out["margin"] = _num(doc, "margin", errors, "data.", lo=0, default=0.55)
-        out["seed"] = int(_num(doc, "seed", errors, "data.", lo=0, default=0.0))
+        out["seed"] = _int(doc, "seed", errors, "data.", lo=0, default=0.0)
     elif builder == "two-mode":
         allowed = {"builder", "lambda1", "lambda2", "c_plus", "c_minus", "rescale"}
         _check_unknown(doc, allowed, errors, "data.")
@@ -123,7 +116,7 @@ def _validate_data(doc, errors):
             elif not (
                 isinstance(v, list)
                 and len(v) == 2
-                and all(isinstance(c, list) and len(c) == 2 for c in v)
+                and all(isinstance(c, list) and len(c) == 2 and all(map(_is_number, c)) for c in v)
             ):
                 errors.append(f"data.{key}: must be two [re, im] pairs")
             else:
@@ -162,11 +155,9 @@ def _validate_nonlinearity(doc, errors):
     if name == "custom-polynomial":
         _check_unknown(doc, {"name", "coefficients"}, errors, "nonlinearity.")
         cs = doc.get("coefficients")
-        if not isinstance(cs, list) or not cs or not all(
-            isinstance(c, (int, float)) and not isinstance(c, bool) for c in cs
-        ):
+        if not isinstance(cs, list) or not cs or not all(map(_is_number, cs)):
             errors.append("nonlinearity.coefficients: must be a non-empty list of numbers")
-            return {"name": "custom-polynomial", "coefficients": [1.0]}
+            return {}
         return {"name": "custom-polynomial", "coefficients": [float(c) for c in cs]}
     errors.append(f"nonlinearity.name: unknown nonlinearity {name!r}")
     return {}
@@ -175,17 +166,16 @@ def _validate_nonlinearity(doc, errors):
 def _validate_integrator(doc, errors):
     if not isinstance(doc, dict):
         errors.append("integrator: must be an object")
-        return dict(_DEFAULTS["integrator"])
+        return {}
     _check_unknown(doc, {"method", "dt", "T", "stride"}, errors, "integrator.")
     method = doc.get("method", "rotation")
     if method not in ("rotation", "rk4"):
         errors.append(f"integrator.method: unknown method {method!r}")
-        method = "rotation"
     return {
         "method": method,
         "dt": _num(doc, "dt", errors, "integrator.", lo=0, strict_lo=True, default=1e-3),
         "T": _num(doc, "T", errors, "integrator.", lo=0, default=1.0),
-        "stride": int(_num(doc, "stride", errors, "integrator.", lo=1, default=1.0)),
+        "stride": _int(doc, "stride", errors, "integrator.", lo=1, default=1.0),
     }
 
 
@@ -197,56 +187,38 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError(["(root): top level must be an object"])
     errors: list[str] = []
-    top_allowed = {
-        "scenario",
-        "data",
-        "nonlinearity",
-        "integrator",
-        "s_list",
-        "epsilons",
-        "output",
-        "allow_gate_violation",
-        "params",
-    }
-    _check_unknown(doc, top_allowed, errors)
+    _check_unknown(doc, {f.name for f in fields(RunConfig)}, errors)
+    # a value that fails its check is never used: ConfigError is raised first
     scenario = doc.get("scenario")
     if scenario not in SCENARIOS:
         errors.append(f"scenario: must be one of {', '.join(SCENARIOS)}")
-        scenario = "simulate"
-    data = _validate_data(doc.get("data", {"builder": "random-decay"}), errors)
-    nl = _validate_nonlinearity(doc.get("nonlinearity", {"name": "model", "A": 1.0}), errors)
-    integ = _validate_integrator(doc.get("integrator", dict(_DEFAULTS["integrator"])), errors)
-    s_list = doc.get("s_list", list(_DEFAULTS["s_list"]))
+    data = _validate_data(doc.get("data", {}), errors)
+    nl = _validate_nonlinearity(doc.get("nonlinearity", {"name": "model"}), errors)
+    integ = _validate_integrator(doc.get("integrator", {}), errors)
+    s_list = doc.get("s_list", [0.25])
     if not isinstance(s_list, list) or not s_list or not all(
-        isinstance(s, (int, float)) and not isinstance(s, bool) and s >= 0 for s in s_list
+        _is_number(s) and s >= 0 for s in s_list
     ):
         errors.append("s_list: must be a non-empty list of non-negative numbers")
-        s_list = list(_DEFAULTS["s_list"])
     epsilons = doc.get("epsilons", [])
-    if not isinstance(epsilons, list) or not all(
-        isinstance(e, (int, float)) and not isinstance(e, bool) and e > 0 for e in epsilons
-    ):
+    if not isinstance(epsilons, list) or not all(_is_number(e) and e > 0 for e in epsilons):
         errors.append("epsilons: must be a list of positive numbers")
-        epsilons = []
-    output = doc.get("output", dict(_DEFAULTS["output"]))
+    output = doc.get("output", {})
     if not isinstance(output, dict):
         errors.append("output: must be an object")
-        output = dict(_DEFAULTS["output"])
     else:
         _check_unknown(output, {"format", "plots"}, errors, "output.")
-        fmt = output.get("format", "csv")
-        if fmt not in ("csv", "json", "both"):
+        output = {"format": output.get("format", "csv"), "plots": output.get("plots", False)}
+        if output["format"] not in ("csv", "json", "both"):
             errors.append("output.format: must be csv, json, or both")
-            fmt = "csv"
-        output = {"format": fmt, "plots": bool(output.get("plots", False))}
+        if not isinstance(output["plots"], bool):
+            errors.append("output.plots: must be a boolean")
     allow = doc.get("allow_gate_violation", False)
     if not isinstance(allow, bool):
         errors.append("allow_gate_violation: must be a boolean")
-        allow = False
     params = doc.get("params", {})
     if not isinstance(params, dict):
         errors.append("params: must be an object")
-        params = {}
     if errors:
         raise ConfigError(errors)
     return RunConfig(

@@ -195,10 +195,7 @@ def _normal_form(profile: FilteredProfile, p, q) -> float:
     AF = profile.a_values * profile.f_values
     G = np.cumsum(g)  # inclusive prefix of g
     Sp, Sq, Sg = _suffix(p), _suffix(q), _suffix(g)
-    tail_p = np.append(Sp[1:], 0.0)
-    tail_q = np.append(Sq[1:], 0.0)
-
-    t1 = -0.25 * float(np.add.reduce(AF * G * (p * q + p * tail_q + q * tail_p)))
+    t1 = -0.25 * _min_kernel_pair_sum(AF * G, p, q)
     t2 = -0.25 * float(np.add.reduce(AF * p * Sq * Sg))
     t3 = 0.25 * float(np.add.reduce(g * np.cumsum(AF * q) * Sp))
     return t1 + t2 + t3

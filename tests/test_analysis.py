@@ -284,6 +284,12 @@ class TestFBounds:
         assert out["pass"]
         assert out["worst_F"] <= 2.0**1.5 + 1e-9
 
+    def test_nonuniform_samples_rejected(self):
+        # the last sample gap is 0.002 against 0.005 elsewhere
+        traj = evolve(small_state(), N1, 0.052, 1e-3, stride=5)
+        with pytest.raises(ValueError, match="uniform time grid"):
+            f_bounds_suite(traj, N1)
+
 
 class TestObstruction:
     def test_unit_frequencies_infeasible(self):

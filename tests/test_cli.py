@@ -61,21 +61,23 @@ class TestConfigValidation:
             parse_config("{not json")
 
     def test_two_mode_shape_errors(self):
-        doc = {
-            "scenario": "simulate",
-            "data": {
-                "builder": "two-mode",
-                "lambda1": 1.0,
-                "lambda2": 1.0,
-                "c_plus": [[1.0, 0.0]],
-                "c_minus": [[0.0, 0.0], [0.0, 0.0]],
-            },
-        }
-        with pytest.raises(ConfigError) as exc:
-            parse_config(json.dumps(doc))
-        text = "\n".join(exc.value.errors)
-        assert "data.lambda2" in text
-        assert "data.c_plus" in text
+        # one pair only, then entries that are not numbers (bools included)
+        for c_plus in ([[1.0, 0.0]], [["a", 0], [0, 0]], [[None, 0], [0, 0]], [[0, 0], [True, 0]]):
+            doc = {
+                "scenario": "simulate",
+                "data": {
+                    "builder": "two-mode",
+                    "lambda1": 1.0,
+                    "lambda2": 1.0,
+                    "c_plus": c_plus,
+                    "c_minus": [[0.0, 0.0], [0.0, 0.0]],
+                },
+            }
+            with pytest.raises(ConfigError) as exc:
+                parse_config(json.dumps(doc))
+            text = "\n".join(exc.value.errors)
+            assert "data.lambda2" in text
+            assert "data.c_plus: must be two [re, im] pairs" in exc.value.errors
 
     def test_two_mode_null_or_missing_coefficients(self):
         data = {"builder": "two-mode", "lambda1": 1.0, "lambda2": 2.0, "c_plus": None}
@@ -86,9 +88,42 @@ class TestConfigValidation:
             "data.c_minus: missing required key",
         ]
 
-    def test_canonical_text_round_trips(self):
-        cfg = parse_config(json.dumps(small_doc("sweep", epsilons=[0.1, 0.01])))
+    @pytest.mark.parametrize(
+        "doc",
+        [small_doc("sweep", epsilons=[0.1, 0.01])]
+        + [json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))],
+        ids=["small_sweep"] + [p.stem for p in sorted(CONFIGS.glob("*.json"))],
+    )
+    def test_canonical_text_round_trips(self, doc):
+        cfg = parse_config(json.dumps(doc))
         assert parse_config(canonical_text(cfg)) == cfg
+        assert canonical_text(parse_config(canonical_text(cfg))) == canonical_text(cfg)
+
+    def test_missing_sections_equal_empty_objects(self):
+        doc = {"scenario": "simulate"}
+        empty = dict(doc, data={}, integrator={}, output={})
+        assert parse_config(json.dumps(doc)) == parse_config(json.dumps(empty))
+
+    @pytest.mark.parametrize(
+        "section, key, bad, message, good, parsed",
+        [
+            ("output", "plots", "false", "must be a boolean", False, False),
+            ("data", "M", 64.5, "must be an integer", 64.0, 64),
+            ("data", "M", float("inf"), "must be an integer", 64.0, 64),
+            ("data", "seed", 1.5, "must be an integer", 3.0, 3),
+            ("integrator", "stride", 2.5, "must be an integer", 2.0, 2),
+        ],
+        ids=["plots-string", "M-fraction", "M-infinite", "seed-fraction", "stride-fraction"],
+    )
+    def test_values_are_not_coerced(self, section, key, bad, message, good, parsed):
+        doc = small_doc(output={"format": "csv"})
+        doc[section][key] = bad
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        assert exc.value.errors == [f"{section}.{key}: {message}"]
+        doc[section][key] = good
+        value = getattr(parse_config(json.dumps(doc)), section)[key]
+        assert value == parsed and type(value) is type(parsed)
 
     def test_defaults_filled_in(self):
         cfg = parse_config(json.dumps({"scenario": "simulate"}))
