@@ -187,12 +187,9 @@ def second_order_identity_check(traj: Trajectory, A: float, s: float) -> float:
     if len(traj) < 3:
         raise ValueError("need at least three samples")
     h = _uniform_step(traj.times)
-    e2 = [second_order_model(st, A, s) for st in traj.states]
-    worst = 0.0
-    for i in range(1, len(traj) - 1):
-        fd = (e2[i + 1] - e2[i - 1]) / (2 * h)
-        worst = max(worst, abs(fd - second_order_rate_model(traj.states[i], A, s)))
-    return worst
+    e2 = np.array([second_order_model(st, A, s) for st in traj.states])
+    rate = np.array([second_order_rate_model(st, A, s) for st in traj.states[1:-1]])
+    return float(np.max(np.abs((e2[2:] - e2[:-2]) / (2 * h) - rate)))  # NaN propagates
 
 
 def divided_difference(lambda1, lambda2, s, tol: float = DIAGONAL_TOL):
@@ -265,40 +262,30 @@ def f_bounds_suite(traj: Trajectory, N: NonlinearitySpec) -> dict:
     O(h^2) difference error."""
     h = _uniform_step(traj.times) if len(traj) > 1 else 0.0
     profiles = [build_profile(st, N) for st in traj.states]
-    range_ok = True
-    worst_range = 0.0
-    nprime_max = 0.0
-    for st, prof in zip(traj.states, profiles):
-        base = 1.0 + np.asarray(N.eval(prof.c_prefix))
-        if np.any(base < 0.5 - 1e-12):
-            return {"pass": False, "reason": "gate violated (1+N < 1/2)", "skipped": True}
-        fmax_allowed = 2.0**1.5 + 1e-12
-        fmin_allowed = float(np.max(base)) ** -1.5 - 1e-12
-        lo = float(np.min(prof.f_values))
-        hi = float(np.max(prof.f_values))
-        if hi > fmax_allowed or lo < fmin_allowed * (1 - 1e-12):
-            range_ok = False
-        worst_range = max(worst_range, hi)
-        nprime_max = max(nprime_max, float(np.max(np.abs(N.d1(prof.c_prefix)))))
-    fd_ok = True
-    worst_excess = 0.0
-    for i in range(1, len(traj) - 1):
-        dF = (profiles[i + 1].f_values - profiles[i - 1].f_values) / (2 * h)
-        st = traj.states[i]
-        lam, w = st.grid.lambdas, st.grid.weights
-        flux = np.abs(
-            np.cumsum(w * lam**2 * np.real(st.u_hat * np.conj(st.v_hat)))
-        )
-        bound = 3.0 * nprime_max * 2.0**2.5 * flux + 100.0 * h * h
-        excess = float(np.max(np.abs(dF) - bound))
-        worst_excess = max(worst_excess, excess)
-        if excess > 0:
-            fd_ok = False
+    # one row per sample
+    c = np.array([prof.c_prefix for prof in profiles])
+    F = np.array([prof.f_values for prof in profiles])
+    base = 1.0 + np.asarray(N.eval(c))
+    if np.any(base < 0.5 - 1e-12):
+        return {"pass": False, "reason": "gate violated (1+N < 1/2)", "skipped": True}
+    fmin_allowed = np.max(base, axis=1) ** -1.5 - 1e-12
+    # written so that a NaN fails the range check
+    range_ok = bool(np.all(np.max(F, axis=1) <= 2.0**1.5 + 1e-12)
+                    and np.all(np.min(F, axis=1) >= fmin_allowed * (1 - 1e-12)))
+    nprime_max = float(np.max(np.abs(N.d1(c)), initial=0.0))
+    dF = (F[2:] - F[:-2]) / (2 * h)
+    lam, w = traj.states[0].grid.lambdas, traj.states[0].grid.weights
+    u = np.array([st.u_hat for st in traj.states])[1:-1]
+    v = np.array([st.v_hat for st in traj.states])[1:-1]
+    flux = np.abs(np.cumsum(w * lam**2 * np.real(u * np.conj(v)), axis=1))
+    bound = 3.0 * nprime_max * 2.0**2.5 * flux + 100.0 * h * h
+    worst_excess = float(np.max(np.abs(dF) - bound, initial=0.0))  # NaN propagates
+    fd_ok = worst_excess <= 0
     return {
         "pass": range_ok and fd_ok,
         "range_ok": range_ok,
         "fd_ok": fd_ok,
-        "worst_F": worst_range,
+        "worst_F": float(np.max(F, initial=0.0)),
         "worst_fd_excess": worst_excess,
         "skipped": False,
     }
@@ -431,36 +418,19 @@ def truncation_convergence(
     cutoffs = [float(c) for c in cutoffs]
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError("cutoffs must be strictly increasing")
-    full_lam = rough_state.grid.lambdas
-    runs = []
+    w, lam = rough_state.grid.weights, rough_state.grid.lambdas
+    us, vs, e_sup = [], [], []
     for c in cutoffs:
-        st = truncate(rough_state, c)
-        traj = evolve(st, N, T, dt, stride=stride, method="rotation")
-        runs.append(traj)
-    # embed each truncation's samples into the full grid for comparison
-    def embedded(traj):
-        out = []
-        for st in traj.states:
-            u = np.zeros(len(full_lam), dtype=complex)
-            v = np.zeros(len(full_lam), dtype=complex)
-            idx = np.searchsorted(full_lam, st.grid.lambdas)
-            u[idx] = st.u_hat
-            v[idx] = st.v_hat
-            out.append((u, v))
-        return out
-
-    w, lam = rough_state.grid.weights, full_lam
-    emb = [embedded(tr) for tr in runs]
-    diffs = []
-    for a, b in zip(emb, emb[1:]):
-        worst = 0.0
-        for (ua, va), (ub, vb) in zip(a, b):
-            d = np.add.reduce(w * lam**2 * np.abs(ua - ub) ** 2) + np.add.reduce(
-                w * np.abs(va - vb) ** 2
-            )
-            worst = max(worst, float(np.sqrt(d)))
-        diffs.append(worst)
-    e_sup = []
-    for tr in runs:
-        e_sup.append(max(modified_energy(st, N, s_low).e_total for st in tr.states))
+        traj = evolve(truncate(rough_state, c), N, T, dt, stride=stride, method="rotation")
+        # a truncation keeps a prefix of the ascending grid (an empty one keeps
+        # lambdas[:1] at zero amplitude): zero padding embeds it in the full grid
+        pad = ((0, 0), (0, len(lam) - len(traj.states[0].grid)))
+        us.append(np.pad([st.u_hat for st in traj.states], pad))
+        vs.append(np.pad([st.v_hat for st in traj.states], pad))
+        e_sup.append(max(modified_energy(st, N, s_low).e_total for st in traj.states))
+    diffs = [
+        float(np.max(np.sqrt(np.add.reduce(w * lam**2 * np.abs(ua - ub) ** 2, axis=1)
+                             + np.add.reduce(w * np.abs(va - vb) ** 2, axis=1))))
+        for ua, va, ub, vb in zip(us, vs, us[1:], vs[1:])
+    ]
     return {"cutoffs": cutoffs, "consecutive_diffs": diffs, "energy_sup": e_sup}

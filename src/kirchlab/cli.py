@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from . import analysis, energy, output
 from .config import SCENARIOS, ConfigError, RunConfig, parse_config
 from .dynamics import LinearizedState, evolve, evolve_pair, hamiltonian
-from .energy import modified_energy
+from .energy import EnergyBreakdown, modified_energy
 from .nonlinearity import delta_gate, nonlinearity_from_config
 from .spectral import (
     SpectralState,
@@ -24,10 +25,12 @@ from .spectral import (
     build_two_mode,
     pair_norm,
     rescale_to,
-    sobolev_norm_sq,
 )
 
 __all__ = ["main", "run", "build_state"]
+
+# the energy columns of every artifact, in EnergyBreakdown's field order
+_ENERGY_COLUMNS = [f.name for f in fields(EnergyBreakdown)]
 
 
 def build_state(config: RunConfig, seed_override: int | None = None) -> SpectralState:
@@ -68,35 +71,14 @@ def _traj_rows(traj, N, s_list):
     header = ["t", "hamiltonian", "h1_norm", "l2_vel"]
     for s in s_list:
         tag = output.fmt(float(s))
-        header += [
-            f"pos[{tag}]",
-            f"vel[{tag}]",
-            f"e_unmodified[{tag}]",
-            f"e_second_order[{tag}]",
-            f"e_normal_form[{tag}]",
-            f"e_asym[{tag}]",
-            f"e_total[{tag}]",
-        ]
+        header += [f"{name}[{tag}]" for name in ("pos", "vel", *_ENERGY_COLUMNS)]
     rows = []
     for t, st in zip(traj.times, traj.states):
-        row = [
-            float(t),
-            hamiltonian(st, N),
-            float(np.sqrt(sobolev_norm_sq(st, 1.0))),
-            pair_norm(st, 0.0).vel,
-        ]
+        h1 = pair_norm(st, 0.0)
+        row = [float(t), hamiltonian(st, N), h1.pos, h1.vel]
         for s in s_list:
             nrm = pair_norm(st, s)
-            bd = modified_energy(st, N, s)
-            row += [
-                nrm.pos,
-                nrm.vel,
-                bd.e_unmodified,
-                bd.e_second_order,
-                bd.e_normal_form,
-                bd.e_asym,
-                bd.e_total,
-            ]
+            row += [nrm.pos, nrm.vel, *astuple(modified_energy(st, N, s))]
         rows.append(row)
     return header, rows
 
@@ -123,16 +105,13 @@ def _scenario_simulate(config, N, state, out_dir, seed):
         out_dir, "trajectory", header, rows, config.output["format"],
         config.output["plots"], series, "trajectory diagnostics",
     )
-    return {"pass": True, "artifacts": artifacts, "samples": len(traj)}
+    return {"pass": True, "artifacts": artifacts}
 
 
 def _scenario_energies(config, N, state, out_dir, seed):
-    header = ["t", "s", "e_unmodified", "e_second_order", "e_normal_form", "e_asym", "e_total"]
-    rows = []
-    for s in config.s_list:
-        bd = modified_energy(state, N, s)
-        rows.append([float(state.time), float(s), bd.e_unmodified, bd.e_second_order,
-                     bd.e_normal_form, bd.e_asym, bd.e_total])
+    header = ["t", "s", *_ENERGY_COLUMNS]
+    rows = [[float(state.time), float(s), *astuple(modified_energy(state, N, s))]
+            for s in config.s_list]
     artifacts = _emit(out_dir, "energies", header, rows, config.output["format"])
     return {"pass": True, "artifacts": artifacts}
 
@@ -192,7 +171,7 @@ def _scenario_verify(config, N, state, out_dir, seed):
     doc = {"scenario": "verify", "params": dict(p), "verdicts": verdicts,
            "pass": all(v["pass"] for v in verdicts)}
     artifacts = [str(output.write_json(out_dir / "verify.json", doc))]
-    return {"pass": doc["pass"], "artifacts": artifacts, "verdicts": verdicts}
+    return {"pass": doc["pass"], "artifacts": artifacts}
 
 
 def _scenario_sweep(config, N, state, out_dir, seed):
@@ -221,7 +200,7 @@ def _scenario_sweep(config, N, state, out_dir, seed):
         "slope_difference": fit_m.slope - fit_u.slope,
     }
     artifacts.append(str(output.write_json(out_dir / "sweep_fit.json", doc)))
-    return {"pass": True, "artifacts": artifacts, "fit": doc}
+    return {"pass": True, "artifacts": artifacts}
 
 
 def _companion_direction(config, state, seed):
@@ -250,7 +229,7 @@ def _scenario_linearized(config, N, state, out_dir, seed):
     doc = {"fd_errors": errs, "fd_ratio": ratio, "T": T, "dt": dt,
            "pass": bool(8.0 <= ratio <= 12.0)}
     artifacts = [str(output.write_json(out_dir / "linearized.json", doc))]
-    return {"pass": doc["pass"], "artifacts": artifacts, "fd_ratio": ratio}
+    return {"pass": doc["pass"], "artifacts": artifacts}
 
 
 def _scenario_resonance(config, N, state, out_dir, seed):
@@ -262,12 +241,8 @@ def _scenario_resonance(config, N, state, out_dir, seed):
     rep = analysis.resonance_report(state, w0, N, sigma, config.integrator["T"],
                                     config.integrator["dt"], stride=config.integrator["stride"])
     header = ["t", "sep", "mixed", "sep_running_mean", "mixed_running_mean", "lin_energy"]
-    rows = [
-        [float(t), float(a), float(b), float(c), float(e), float(g)]
-        for t, a, b, c, e, g in zip(rep["times"], rep["sep"], rep["mixed"],
-                                    rep["sep_running_mean"], rep["mixed_running_mean"],
-                                    rep["energy"])
-    ]
+    rows = np.column_stack([rep["times"], rep["sep"], rep["mixed"], rep["sep_running_mean"],
+                            rep["mixed_running_mean"], rep["energy"]]).tolist()
     artifacts = _emit(out_dir, "resonance", header, rows, config.output["format"],
                       config.output["plots"],
                       {"sep_mean": (list(rep["times"]), list(rep["sep_running_mean"])),
@@ -276,7 +251,7 @@ def _scenario_resonance(config, N, state, out_dir, seed):
     summary = {"final_sep_mean": float(rep["sep_running_mean"][-1]),
                "final_mixed_mean": float(rep["mixed_running_mean"][-1])}
     artifacts.append(str(output.write_json(out_dir / "resonance_summary.json", summary)))
-    return {"pass": True, "artifacts": artifacts, **summary}
+    return {"pass": True, "artifacts": artifacts}
 
 
 def _scenario_obstruction(config, N, state, out_dir, seed):
@@ -284,12 +259,9 @@ def _scenario_obstruction(config, N, state, out_dir, seed):
     x = float(p.get("x", 1.0))
     y = float(p.get("y", 1.0))
     sigma = float(p.get("sigma", 0.0))
-    cert = analysis.obstruction_certificate(x, y, sigma)
-    doc = {"x": cert.x, "y": cert.y, "sigma": cert.sigma, "feasible": cert.feasible,
-           "residual": cert.residual, "lstsq_residual": cert.lstsq_residual,
-           "derived_identity": cert.derived_identity}
+    doc = asdict(analysis.obstruction_certificate(x, y, sigma))
     artifacts = [str(output.write_json(out_dir / "obstruction.json", doc))]
-    return {"pass": True, "artifacts": artifacts, "feasible": cert.feasible}
+    return {"pass": True, "artifacts": artifacts}
 
 
 def _scenario_truncation(config, N, state, out_dir, seed):
@@ -343,18 +315,13 @@ def run(config: RunConfig, out_dir, seed_override: int | None = None) -> int:
         if config.scenario not in ("obstruction", "sweep"):
             gate_info = _gate_check(state, N, config)
         result = _SCENARIO_IMPL[config.scenario](config, N, state, out_dir, seed)
-    except (ConfigError,) as exc:
-        output.write_json(out_dir / "error.json",
-                          {"type": type(exc).__name__, "errors": exc.errors})
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
         output.write_json(out_dir / "error.json",
                           {"type": type(exc).__name__, "error": str(exc)})
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # the seed every draw used, and paths that do not depend on --out
-    artifacts = [Path(p).relative_to(out_dir).as_posix() for p in result.get("artifacts", [])]
+    artifacts = [Path(p).relative_to(out_dir).as_posix() for p in result["artifacts"]]
     doc = {"scenario": config.scenario, "pass": bool(result["pass"]), "seed": seed,
            "gate": gate_info, "artifacts": artifacts, "config": config.as_dict()}
     output.write_json(out_dir / "run.json", doc)

@@ -8,6 +8,7 @@ round-trips: parse(canonical(cfg)) == cfg.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "canonical_text"]
@@ -52,17 +53,19 @@ def canonical_text(config: RunConfig) -> str:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite number; JSON's NaN and Infinity are not, and neither is a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def _num(doc, key, errors, path, lo=None, default=None, strict_lo=False):
+def _num(doc, key, errors, path, lo=None, default=None, strict_lo=False, kind="a finite number"):
     if key not in doc:
         if default is None:
             errors.append(f"{path}{key}: missing required key")
         return default
     v = doc[key]
     if not _is_number(v):
-        errors.append(f"{path}{key}: must be a number")
+        # a NaN or an infinity is a number of the wrong kind
+        errors.append(f"{path}{key}: must be {kind if isinstance(v, float) else 'a number'}")
         return default
     v = float(v)
     if lo is not None and (v <= lo if strict_lo else v < lo):
@@ -72,7 +75,7 @@ def _num(doc, key, errors, path, lo=None, default=None, strict_lo=False):
 
 
 def _int(doc, key, errors, path, lo, default):
-    v = _num(doc, key, errors, path, lo=lo, default=default)
+    v = _num(doc, key, errors, path, lo=lo, default=default, kind="an integer")
     if v.is_integer():
         return int(v)
     errors.append(f"{path}{key}: must be an integer")

@@ -9,6 +9,7 @@ dynamical claim in the test suite is cross-validated between them.
 The rotation step and the linearized companion run on raw arrays.  One
 marching loop serves `evolve` and `evolve_pair`; it validates one new
 `SpectralState` per step and builds a `LinearizedState` only at samples.
+One RK4 tableau serves `step_rk4` and the companion.
 """
 
 from __future__ import annotations
@@ -76,17 +77,28 @@ class Trajectory:
         return len(self.times)
 
 
-def _rhs(lam2, wl2, N, u, v):
-    """(du, dv) on raw arrays; lam2 = lambdas**2, wl2 = weights * lam2."""
+def _rhs(lam2, wl2, N, u):
+    """The acceleration dv/dt on raw arrays; lam2 = lambdas**2, wl2 = weights * lam2."""
     speed = 1.0 + float(N.eval(float(np.add.reduce(wl2 * np.abs(u) ** 2))))
-    return v, -speed * lam2 * u
+    return -speed * lam2 * u
+
+
+def _rk4(accel, u, v, dt):
+    """One classical RK4 step of u' = v, v' = accel(i, u), where i is 0 at
+    the start, 1 at both midpoint stages and 2 at the end."""
+    h = 0.5 * dt
+    k1u, k1v = v, accel(0, u)
+    k2u, k2v = v + h * k1v, accel(1, u + h * k1u)
+    k3u, k3v = v + h * k2v, accel(1, u + h * k2u)
+    k4u, k4v = v + dt * k3v, accel(2, u + dt * k3u)
+    return (u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u),
+            v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
 
 
 def rhs(state: SpectralState, N: NonlinearitySpec):
     """du = v;  dv_k = -(1 + N(|u|_{H^1}^2)) l_k^2 u_k."""
     lam2 = state.grid.lambdas**2
-    du, dv = _rhs(lam2, state.grid.weights * lam2, N, state.u_hat, state.v_hat)
-    return du.copy(), dv
+    return state.v_hat.copy(), _rhs(lam2, state.grid.weights * lam2, N, state.u_hat)
 
 
 def _rotation_arrays(lam, wl2, u, v, N, dt, allow_halve):
@@ -150,13 +162,7 @@ def step_rk4(state: SpectralState, N: NonlinearitySpec, dt: float) -> SpectralSt
         raise ValueError(f"RK4 stability guard requires dt <= {guard:.6g}, got {dt}")
     lam2 = state.grid.lambdas**2
     wl2 = state.grid.weights * lam2
-    u, v = state.u_hat, state.v_hat
-    k1u, k1v = _rhs(lam2, wl2, N, u, v)
-    k2u, k2v = _rhs(lam2, wl2, N, u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
-    k3u, k3v = _rhs(lam2, wl2, N, u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
-    k4u, k4v = _rhs(lam2, wl2, N, u + dt * k3u, v + dt * k3v)
-    u1 = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-    v1 = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+    u1, v1 = _rk4(lambda i, u: _rhs(lam2, wl2, N, u), state.u_hat, state.v_hat, dt)
     return state.replace_amplitudes(u1, v1, state.time + dt)
 
 
@@ -287,13 +293,9 @@ def evolve_pair(
         um = 0.5 * u0 + 0.125 * dt * cur.v_hat + 0.5 * u1 + -0.125 * dt * nxt.v_hat
         mm = float(np.add.reduce(wl2 * np.abs(um) ** 2))
         m1 = float(np.add.reduce(wl2 * np.abs(u1) ** 2))
-        h = 0.5 * dt
-        k1h, k1v = wv, _linearized_rhs(lam2, wl2, A, u0, m0, wh)
-        k2h, k2v = wv + h * k1v, _linearized_rhs(lam2, wl2, A, um, mm, wh + h * k1h)
-        k3h, k3v = wv + h * k2v, _linearized_rhs(lam2, wl2, A, um, mm, wh + h * k2h)
-        k4h, k4v = wv + dt * k3v, _linearized_rhs(lam2, wl2, A, u1, m1, wh + dt * k3h)
-        wh = wh + dt / 6.0 * (k1h + 2 * k2h + 2 * k3h + k4h)
-        wv = wv + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        bases, masses = (u0, um, u1), (m0, mm, m1)
+        wh, wv = _rk4(lambda i, w: _linearized_rhs(lam2, wl2, A, bases[i], masses[i], w),
+                      wh, wv, dt)
         m0 = m1
         return nxt
 

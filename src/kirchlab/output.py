@@ -40,8 +40,6 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if hasattr(obj, "tolist"):
         return _jsonable(obj.tolist())
-    if hasattr(obj, "item") and not isinstance(obj, (int, float, str, bool)):
-        return obj.item()
     return obj
 
 

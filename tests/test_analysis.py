@@ -18,9 +18,15 @@ from kirchlab.analysis import (
     truncation_convergence,
 )
 from kirchlab.dynamics import LinearizedState, evolve, evolve_pair
-from kirchlab.energy import second_order_model
-from kirchlab.nonlinearity import delta_gate, model_nonlinearity, quadratic_nonlinearity
-from kirchlab.spectral import build_random_decay, build_two_mode, rescale_to
+from kirchlab.energy import modified_energy, second_order_model, second_order_rate_model
+from kirchlab.nonlinearity import (
+    FilteredProfile,
+    build_profile,
+    delta_gate,
+    model_nonlinearity,
+    quadratic_nonlinearity,
+)
+from kirchlab.spectral import build_random_decay, build_two_mode, rescale_to, truncate
 
 N1 = model_nonlinearity(1.0)
 
@@ -156,6 +162,14 @@ class TestSecondOrderIdentity:
         scale = abs(second_order_model(st, 1.0, 0.25))
         assert resid <= 1e-7 * scale
 
+    def test_nan_rate_gives_nan_residual(self, monkeypatch):
+        monkeypatch.setattr(analysis, "second_order_rate_model", lambda st, A, s: np.nan)
+        st = rescale_to(build_random_decay(30, 1.0, 8.0, 0.25, 0.4, seed=5), 0.05, 0.0)
+        traj = evolve(st, N1, 4e-4, 1e-4, stride=1)
+        rel = second_order_identity_check(traj, 1.0, 0.25) / abs(second_order_model(st, 1.0, 0.25))
+        # the verify scenario passes the suite only when rel <= 1e-7
+        assert np.isnan(rel) and not rel <= 1e-7
+
 
 class TestKernelSuite:
     def test_no_violations(self):
@@ -290,6 +304,21 @@ class TestFBounds:
         with pytest.raises(ValueError, match="uniform time grid"):
             f_bounds_suite(traj, N1)
 
+    def test_nan_f_value_fails(self, monkeypatch):
+        real = analysis.build_profile
+
+        def with_nan(state, N):
+            prof = real(state, N)
+            f = prof.f_values.copy()
+            f[0] = np.nan
+            return FilteredProfile(prof.c_prefix, prof.a_values, f)
+
+        monkeypatch.setattr(analysis, "build_profile", with_nan)
+        traj = evolve(small_state(M=32, size=delta_gate(N1) / 10), N1, 0.05, 1e-3, stride=5)
+        out = f_bounds_suite(traj, N1)
+        assert not out["pass"] and not out["fd_ok"]
+        assert np.isnan(out["worst_F"]) and np.isnan(out["worst_fd_excess"])
+
 
 class TestObstruction:
     def test_unit_frequencies_infeasible(self):
@@ -365,6 +394,17 @@ class TestTruncation:
         tab = truncation_convergence(st, [10.0, 20.0], N1, 0.05, dt=1e-3, stride=10)
         assert tab["consecutive_diffs"] == [0.0]
 
+    def test_empty_truncation_diff_is_norm_of_next_run(self):
+        # the first cutoff lies below the lowest grid frequency 1.0
+        st = small_state(M=16, lam_max=8.0)
+        tab = truncation_convergence(st, [0.5, 10.0], N1, 0.05, dt=1e-3, stride=10)
+        lam, w = st.grid.lambdas, st.grid.weights
+        sup = max(
+            np.sqrt(np.sum(w * lam**2 * np.abs(x.u_hat) ** 2) + np.sum(w * np.abs(x.v_hat) ** 2))
+            for x in evolve(st, N1, 0.05, 1e-3, stride=10).states
+        )
+        assert tab["consecutive_diffs"][0] == pytest.approx(sup, rel=1e-12)
+
     def test_tail_decay_rate(self):
         rough = rescale_to(
             build_random_decay(256, 1.0, 512.0, 0.25, 0.55, seed=31), 0.05, 0.25
@@ -389,3 +429,93 @@ class TestTruncation:
         st = small_state()
         with pytest.raises(ValueError):
             truncation_convergence(st, [4.0, 2.0], N1, 0.01)
+
+
+def _ref_identity_check(traj, A, s):
+    """Frozen copy of the per-sample second-order identity check."""
+    h = traj.times[1] - traj.times[0]
+    e2 = [second_order_model(st, A, s) for st in traj.states]
+    worst = 0.0
+    for i in range(1, len(traj) - 1):
+        fd = (e2[i + 1] - e2[i - 1]) / (2 * h)
+        worst = max(worst, abs(fd - second_order_rate_model(traj.states[i], A, s)))
+    return worst
+
+
+def _ref_f_bounds_suite(traj, N):
+    """Frozen copy of the per-sample correction-function suite."""
+    h = traj.times[1] - traj.times[0] if len(traj) > 1 else 0.0
+    profiles = [build_profile(st, N) for st in traj.states]
+    range_ok, worst_range, nprime_max = True, 0.0, 0.0
+    for prof in profiles:
+        base = 1.0 + np.asarray(N.eval(prof.c_prefix))
+        if np.any(base < 0.5 - 1e-12):
+            return {"pass": False, "reason": "gate violated (1+N < 1/2)", "skipped": True}
+        fmin_allowed = float(np.max(base)) ** -1.5 - 1e-12
+        lo, hi = float(np.min(prof.f_values)), float(np.max(prof.f_values))
+        if hi > 2.0**1.5 + 1e-12 or lo < fmin_allowed * (1 - 1e-12):
+            range_ok = False
+        worst_range = max(worst_range, hi)
+        nprime_max = max(nprime_max, float(np.max(np.abs(N.d1(prof.c_prefix)))))
+    fd_ok, worst_excess = True, 0.0
+    for i in range(1, len(traj) - 1):
+        dF = (profiles[i + 1].f_values - profiles[i - 1].f_values) / (2 * h)
+        st = traj.states[i]
+        lam, w = st.grid.lambdas, st.grid.weights
+        flux = np.abs(np.cumsum(w * lam**2 * np.real(st.u_hat * np.conj(st.v_hat))))
+        excess = float(np.max(np.abs(dF) - (3.0 * nprime_max * 2.0**2.5 * flux + 100.0 * h * h)))
+        worst_excess = max(worst_excess, excess)
+        fd_ok = fd_ok and not excess > 0
+    return {"pass": range_ok and fd_ok, "range_ok": range_ok, "fd_ok": fd_ok,
+            "worst_F": worst_range, "worst_fd_excess": worst_excess, "skipped": False}
+
+
+def _ref_truncation_diffs(rough, cutoffs, N, T, dt, stride):
+    """Frozen copy of the per-sample truncation diffs: each sample is
+    embedded in the full grid by searchsorted."""
+    lam, w = rough.grid.lambdas, rough.grid.weights
+    runs = []
+    for c in cutoffs:
+        emb = []
+        for st in evolve(truncate(rough, c), N, T, dt, stride=stride).states:
+            u, v = np.zeros(len(lam), complex), np.zeros(len(lam), complex)
+            idx = np.searchsorted(lam, st.grid.lambdas)
+            u[idx], v[idx] = st.u_hat, st.v_hat
+            emb.append((u, v))
+        runs.append(emb)
+    diffs = []
+    for a, b in zip(runs, runs[1:]):
+        worst = 0.0
+        for (ua, va), (ub, vb) in zip(a, b):
+            d = np.add.reduce(w * lam**2 * np.abs(ua - ub) ** 2) + np.add.reduce(
+                w * np.abs(va - vb) ** 2
+            )
+            worst = max(worst, float(np.sqrt(d)))
+        diffs.append(worst)
+    return diffs
+
+
+class TestSampledSuitesFrozenReference:
+    """The array passes give exactly the per-sample loops' results."""
+
+    @pytest.mark.parametrize("dt", [4e-4, 1e-4])
+    def test_identity_check(self, dt):
+        st = rescale_to(build_random_decay(30, 1.0, 8.0, 0.25, 0.4, seed=9), 0.05, 0.0)
+        traj = evolve(st, N1, 20 * dt, dt, stride=1)
+        assert second_order_identity_check(traj, 1.0, 0.25) == _ref_identity_check(traj, 1.0, 0.25)
+
+    @pytest.mark.parametrize("N", [N1, quadratic_nonlinearity(1.0, 2.0), model_nonlinearity(-1.0)],
+                             ids=["model", "quad", "negative"])
+    @pytest.mark.parametrize("T", [0.0, 0.005, 0.05])
+    def test_f_bounds_suite(self, N, T):
+        # T = 0 and 0.005 give one and two samples: no interior sample
+        st = small_state(M=32, seed=4, size=delta_gate(N) * 0.5)
+        traj = evolve(st, N, T, 1e-3, stride=5)
+        assert f_bounds_suite(traj, N) == _ref_f_bounds_suite(traj, N)
+
+    def test_truncation_diffs(self):
+        rough = rescale_to(build_random_decay(64, 1.0, 64.0, 0.25, 0.55, seed=31), 0.05, 0.25)
+        cutoffs = [0.5, 4.0, 9.5, 64.0, 100.0]
+        tab = truncation_convergence(rough, cutoffs, N1, 0.05, dt=1e-3, stride=10)
+        ref = _ref_truncation_diffs(rough, cutoffs, N1, 0.05, 1e-3, 10)
+        assert tab["consecutive_diffs"] == ref and ref[0] > 0.0

@@ -99,6 +99,11 @@ class TestConfigValidation:
         assert parse_config(canonical_text(cfg)) == cfg
         assert canonical_text(parse_config(canonical_text(cfg))) == canonical_text(cfg)
 
+    def test_non_finite_s_list_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(small_doc(s_list=[0.25, float("inf")])))
+        assert exc.value.errors == ["s_list: must be a non-empty list of non-negative numbers"]
+
     def test_missing_sections_equal_empty_objects(self):
         doc = {"scenario": "simulate"}
         empty = dict(doc, data={}, integrator={}, output={})
@@ -112,8 +117,12 @@ class TestConfigValidation:
             ("data", "M", float("inf"), "must be an integer", 64.0, 64),
             ("data", "seed", 1.5, "must be an integer", 3.0, 3),
             ("integrator", "stride", 2.5, "must be an integer", 2.0, 2),
+            ("integrator", "T", float("inf"), "must be a finite number", 0.05, 0.05),
+            ("integrator", "dt", float("nan"), "must be a finite number", 1e-3, 1e-3),
+            ("data", "lambda_max", float("inf"), "must be a finite number", 8.0, 8.0),
         ],
-        ids=["plots-string", "M-fraction", "M-infinite", "seed-fraction", "stride-fraction"],
+        ids=["plots-string", "M-fraction", "M-infinite", "seed-fraction", "stride-fraction",
+             "T-infinite", "dt-nan", "lambda_max-infinite"],
     )
     def test_values_are_not_coerced(self, section, key, bad, message, good, parsed):
         doc = small_doc(output={"format": "csv"})

@@ -1,8 +1,11 @@
 """Every name a module of the package imports is used in that module or
-listed in its __all__.  A standard-library scan of the source, so it runs
-with the rest of the suite and needs no linter."""
+listed in its __all__, and every module-level private function or class is
+referenced somewhere in the package outside its own definition.
+Standard-library scans of the source, so they run with the rest of the
+suite and need no linter."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -50,3 +53,72 @@ def test_scan_finds_unused_and_accepts_exported_names():
         "    return os.path.join('a')\n"
     )
     assert unused_imports(source) == ["field (line 4)", "json (line 2)"]
+
+
+def _referenced_names(tree) -> list[str]:
+    """Every name the tree reads, as a bare name, an attribute or an import."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.append(node.attr)
+        elif isinstance(node, ast.alias):
+            out.append(node.name)
+    return out
+
+
+def unreferenced_private_definitions(sources: dict) -> list[str]:
+    """Module-level private functions and classes (one leading underscore)
+    that no module names outside the definition itself; `sources` maps a
+    module name to its text."""
+    defined, counts = [], Counter()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        counts.update(_referenced_names(tree))
+        defined += [
+            (module, node)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+            and not node.name.startswith("__")
+        ]
+    # a definition that names only itself (recursion) is still dead
+    return sorted(
+        f"{module}: {node.name} (line {node.lineno})"
+        for module, node in defined
+        if counts[node.name] == _referenced_names(node).count(node.name)
+    )
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_definitions(sources) == []
+
+
+def test_scan_finds_unreferenced_private_definitions():
+    sources = {
+        "a.py": (
+            "from .b import _imported\n"
+            "def _called():\n"
+            "    return _imported()\n"
+            "def _recursive_only(n):\n"
+            "    return _recursive_only(n - 1)\n"
+            "class _Unused:\n"
+            "    pass\n"
+            "def public():\n"
+            "    return _called()\n"
+        ),
+        "b.py": (
+            "from . import c\n"
+            "def _imported():\n"
+            "    return c._by_attribute()\n"
+            "def __dunder__():\n"
+            "    pass\n"
+        ),
+        "c.py": "def _by_attribute():\n    pass\n",
+    }
+    assert unreferenced_private_definitions(sources) == [
+        "a.py: _Unused (line 6)",
+        "a.py: _recursive_only (line 4)",
+    ]
