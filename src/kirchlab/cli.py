@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, energy, output
-from .config import SCENARIOS, ConfigError, RunConfig, parse_config
+from .config import DECAY_DEFAULTS, SCENARIOS, ConfigError, RunConfig, parse_config
 from .dynamics import LinearizedState, evolve, evolve_pair, hamiltonian
 from .energy import EnergyBreakdown, modified_energy
 from .nonlinearity import delta_gate, nonlinearity_from_config
@@ -33,11 +33,10 @@ __all__ = ["main", "run", "build_state"]
 _ENERGY_COLUMNS = [f.name for f in fields(EnergyBreakdown)]
 
 
-def build_state(config: RunConfig, seed_override: int | None = None) -> SpectralState:
+def build_state(config: RunConfig, seed: int) -> SpectralState:
     d = config.data
     if d["builder"] == "random-decay":
-        seed = d["seed"] if seed_override is None else seed_override
-        st = _random_decay(config, d["M"], seed)
+        st = _random_decay(config, seed)
     else:
         cp = [complex(re, im) for re, im in d["c_plus"]]
         cm = [complex(re, im) for re, im in d["c_minus"]]
@@ -59,12 +58,12 @@ def _gate_check(state, N, config):
     return {"gate": gate, "size": size, "violated": violated}
 
 
-def _random_decay(config, M, seed):
-    """Seeded decaying data on M modes, shaped like the config's data (the
-    builder's defaults where the data is two-mode)."""
-    d = config.data
-    return build_random_decay(M, d.get("lambda_min", 1.0), d.get("lambda_max", 16.0),
-                              d.get("regularity", 0.25), d.get("margin", 0.55), seed)
+def _random_decay(config, seed, M=None):
+    """Seeded decaying data shaped like the config's data (the builder's
+    defaults where the data is two-mode), on M modes if given."""
+    d = {**DECAY_DEFAULTS, **config.data}
+    return build_random_decay(M or d["M"], d["lambda_min"], d["lambda_max"], d["regularity"],
+                              d["margin"], seed)
 
 
 def _traj_rows(traj, N, s_list):
@@ -120,15 +119,14 @@ def _scenario_verify(config, N, state, out_dir, seed):
     p = config.params
     verdicts = []
 
-    kern = analysis.kernel_bounds_suite(int(p.get("kernel_samples", 20000)), seed)
+    kern = analysis.kernel_bounds_suite(p["kernel_samples"], seed)
     verdicts.append({"suite": "kernel-bounds", "pass": bool(kern["pass"]),
                      "worst_case": {"ratio": kern["worst_ratio"], "violations": kern["violations"]}})
 
     rng = np.random.default_rng(seed + 1)
-    n_obs = int(p.get("obstruction_samples", 50))
     obs_ok = True
     worst = None
-    for _ in range(n_obs):
+    for _ in range(p["obstruction_samples"]):
         x, y = np.exp(rng.uniform(-3, 3, size=2))
         sigma = rng.uniform(0.0, 1.0)
         cert = analysis.obstruction_certificate(float(x), float(y), float(sigma))
@@ -139,11 +137,9 @@ def _scenario_verify(config, N, state, out_dir, seed):
     verdicts.append({"suite": "obstruction-infeasibility", "pass": obs_ok, "worst_case": worst})
 
     gate = delta_gate(N)
-    n_states = int(p.get("comparability_states", 20))
-    M = config.data.get("M", 64)
     states = [
-        rescale_to(_random_decay(config, M, seed + 100 + i), gate / 10.0, 0.0)
-        for i in range(n_states)
+        rescale_to(_random_decay(config, seed + 100 + i), gate / 10.0, 0.0)
+        for i in range(p["comparability_states"])
     ]
     comp = analysis.comparability_sweep(states, N, config.s_list)
     comp_ok = all(0.4 <= v["min"] and v["max"] <= 0.6 for v in comp["per_s"].values())
@@ -154,7 +150,7 @@ def _scenario_verify(config, N, state, out_dir, seed):
         st30 = rescale_to(
             build_random_decay(30, 1.0, 8.0, 0.25, 0.4, seed + 500), 0.05, 0.0
         )
-        dt = float(p.get("identity_dt", 1e-4))
+        dt = p["identity_dt"]
         traj = evolve(st30, N, 20 * dt, dt, stride=1)
         resid = analysis.second_order_identity_check(traj, A, 0.25)
         scale = abs(energy.second_order_model(st30, A, 0.25))
@@ -175,11 +171,10 @@ def _scenario_verify(config, N, state, out_dir, seed):
 
 
 def _scenario_sweep(config, N, state, out_dir, seed):
-    p = config.params
-    s = float(p.get("s", 0.25))
+    s = config.params["s"]
     eps = sorted(float(e) for e in config.epsilons or (2e-1, 6e-2, 2e-2, 6e-3, 2e-3))
     dt = config.integrator["dt"]
-    stride = int(p.get("fd_stride", 10))
+    stride = config.params["fd_stride"]
     method = config.integrator["method"]
 
     results = [(e, analysis.scaling_point(state, N, s, e, dt, stride, method)) for e in eps]
@@ -205,7 +200,7 @@ def _scenario_sweep(config, N, state, out_dir, seed):
 
 def _companion_direction(config, state, seed):
     """Seeded decaying data on the state's mode count, as a linearized state."""
-    wdir = _random_decay(config, len(state.grid), seed + 1)
+    wdir = _random_decay(config, seed + 1, len(state.grid))
     return LinearizedState(wdir.u_hat, wdir.v_hat)
 
 
@@ -235,10 +230,8 @@ def _scenario_linearized(config, N, state, out_dir, seed):
 def _scenario_resonance(config, N, state, out_dir, seed):
     if not N.is_linear:
         raise RuntimeError("resonance scenario requires the model nonlinearity")
-    p = config.params
-    sigma = float(p.get("sigma", 0.25))
     w0 = _companion_direction(config, state, seed)
-    rep = analysis.resonance_report(state, w0, N, sigma, config.integrator["T"],
+    rep = analysis.resonance_report(state, w0, N, config.params["sigma"], config.integrator["T"],
                                     config.integrator["dt"], stride=config.integrator["stride"])
     header = ["t", "sep", "mixed", "sep_running_mean", "mixed_running_mean", "lin_energy"]
     rows = np.column_stack([rep["times"], rep["sep"], rep["mixed"], rep["sep_running_mean"],
@@ -256,10 +249,7 @@ def _scenario_resonance(config, N, state, out_dir, seed):
 
 def _scenario_obstruction(config, N, state, out_dir, seed):
     p = config.params
-    x = float(p.get("x", 1.0))
-    y = float(p.get("y", 1.0))
-    sigma = float(p.get("sigma", 0.0))
-    doc = asdict(analysis.obstruction_certificate(x, y, sigma))
+    doc = asdict(analysis.obstruction_certificate(p["x"], p["y"], p["sigma"]))
     artifacts = [str(output.write_json(out_dir / "obstruction.json", doc))]
     return {"pass": True, "artifacts": artifacts}
 
@@ -269,8 +259,8 @@ def _scenario_truncation(config, N, state, out_dir, seed):
     lam_max = float(state.grid.lambdas[-1])
     cutoffs = p.get("cutoffs") or [lam_max / 2**k for k in range(3, -1, -1)]
     tab = analysis.truncation_convergence(
-        state, cutoffs, N, config.integrator["T"], float(p.get("s_low", 0.25)),
-        config.integrator["dt"], stride=int(p.get("fd_stride", 10)),
+        state, cutoffs, N, config.integrator["T"], p["s_low"], config.integrator["dt"],
+        stride=p["fd_stride"],
     )
     header = ["cutoff", "diff_from_previous", "energy_sup"]
     rows = []
@@ -307,7 +297,9 @@ def run(config: RunConfig, out_dir, seed_override: int | None = None) -> int:
     try:
         N = nonlinearity_from_config(config.nonlinearity)
         # one seed for the data and for every seeded draw of the scenario
-        seed = config.data.get("seed", 0) if seed_override is None else seed_override
+        seed = seed_override
+        if seed is None:  # two-mode data has no seed of its own
+            seed = config.data["seed"] if "seed" in config.data else DECAY_DEFAULTS["seed"]
         state = build_state(config, seed)
         gate_info = None
         # a sweep rescales the data to each epsilon, and scaling_point
@@ -346,38 +338,41 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(["--seed: must be >= 0"])
         if args.config is not None:
-            cfg = parse_config(args.config.read_text())
+            text = args.config.read_text()
         else:
-            scenario = args.scenario or "simulate"
             # built-in default: generic decaying data scaled safely below
             # the smallness gate
-            cfg = parse_config(json.dumps({
-                "scenario": scenario,
-                "data": {"builder": "random-decay",
-                         "rescale": {"target": 0.03, "s": 0.0}},
-            }))
+            text = json.dumps({"scenario": "simulate",
+                               "data": {"builder": "random-decay",
+                                        "rescale": {"target": 0.03, "s": 0.0}}})
+        if args.scenario is not None or args.format is not None or args.plots:
+            # the flags go into the document itself, so one parse checks the
+            # given params against the chosen scenario
+            try:
+                doc = json.loads(text)
+            except json.JSONDecodeError:
+                doc = None  # parse_config reports it
+            if isinstance(doc, dict):
+                if args.scenario is not None:
+                    doc["scenario"] = args.scenario
+                out = doc.setdefault("output", {})
+                if isinstance(out, dict):
+                    if args.format is not None:
+                        out["format"] = args.format
+                    if args.plots:
+                        out["plots"] = True
+                text = json.dumps(doc)
+        cfg = parse_config(text)
     except ConfigError as exc:
         for e in exc.errors:
             print(f"config error: {e}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
-    overrides = {}
-    if args.scenario is not None and args.scenario != cfg.scenario:
-        overrides["scenario"] = args.scenario
-    if args.format is not None or args.plots:
-        out = dict(cfg.output)
-        if args.format is not None:
-            out["format"] = args.format
-        if args.plots:
-            out["plots"] = True
-        overrides["output"] = out
-    if overrides:
-        doc = cfg.as_dict()
-        doc.update(overrides)
-        cfg = parse_config(json.dumps(doc))
     return run(cfg, args.out, args.seed)
 
 

@@ -8,21 +8,49 @@ round-trips: parse(canonical(cfg)) == cfg.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "canonical_text"]
 
-SCENARIOS = (
-    "simulate",
-    "energies",
-    "verify",
-    "sweep",
-    "linearized",
-    "resonance",
-    "obstruction",
-    "truncation",
-)
+# The numeric keys of each section: key -> (kind, lower bound, default).  A
+# bound reads as its message; a default of None marks a required key, and one
+# of ... a key that stays absent when it is not given.
+_RANDOM_DECAY = {
+    "M": (int, ">= 2", 64),
+    "lambda_min": (float, "> 0", 1.0),
+    "lambda_max": (float, "> 0", 16.0),
+    "regularity": (float, None, 0.25),
+    "margin": (float, ">= 0", 0.55),
+    "seed": (int, ">= 0", 0),
+}
+DECAY_DEFAULTS = {key: default for key, (_, _, default) in _RANDOM_DECAY.items()}
+_TWO_MODE = {"lambda1": (float, "> 0", None), "lambda2": (float, "> 0", None)}
+_RESCALE = {"target": (float, "> 0", None), "s": (float, None, 0.0)}
+_NONLINEARITIES = {
+    "model": {"A": (float, None, 1.0)},
+    "quadratic": {"A": (float, None, 1.0), "B": (float, None, 0.0)},
+}
+_INTEGRATOR = {"dt": (float, "> 0", 1e-3), "T": (float, ">= 0", 1.0), "stride": (int, ">= 1", 1)}
+# each scenario's params
+_PARAMS = {
+    "simulate": {},
+    "energies": {},
+    "verify": {
+        "kernel_samples": (int, ">= 1", 20000),
+        "obstruction_samples": (int, ">= 0", 50),
+        "comparability_states": (int, ">= 1", 20),
+        "identity_dt": (float, "> 0", 1e-4),
+    },
+    "sweep": {"s": (float, ">= 0", 0.25), "fd_stride": (int, ">= 1", 10)},
+    "linearized": {},
+    "resonance": {"sigma": (float, None, 0.25)},
+    "obstruction": {"x": (float, ">= 0", 1.0), "y": (float, ">= 0", 1.0),
+                    "sigma": (float, None, 0.0)},
+    "truncation": {"cutoffs": (list, "> 0", ...), "s_low": (float, ">= 0", 0.25),
+                   "fd_stride": (int, ">= 1", 10)},
+}
+SCENARIOS = tuple(_PARAMS)
 
 class ConfigError(ValueError):
     """Carries the full list of validation errors, each with its key path."""
@@ -53,38 +81,46 @@ def canonical_text(config: RunConfig) -> str:
 
 
 def _is_number(v) -> bool:
-    """A finite number; JSON's NaN and Infinity are not, and neither is a bool."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A finite number; JSON's NaN and Infinity are not, and neither is a bool
+    or an integer beyond float range."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def _num(doc, key, errors, path, lo=None, default=None, strict_lo=False, kind="a finite number"):
-    if key not in doc:
-        if default is None:
-            errors.append(f"{path}{key}: missing required key")
-        return default
-    v = doc[key]
+def _must(v, kind, bound):
+    """What v must be to have this kind and bound, or None if it has."""
+    if kind is list:
+        ok = isinstance(v, list) and v and not any(_must(c, float, bound) for c in v)
+        return None if ok else f"a non-empty list of numbers {bound}"
     if not _is_number(v):
-        # a NaN or an infinity is a number of the wrong kind
-        errors.append(f"{path}{key}: must be {kind if isinstance(v, float) else 'a number'}")
-        return default
-    v = float(v)
-    if lo is not None and (v <= lo if strict_lo else v < lo):
-        errors.append(f"{path}{key}: must be {'>' if strict_lo else '>='} {lo}")
-        return default
-    return v
+        # a NaN, an infinity or a huge integer is a number of the wrong kind
+        wrong_kind = "an integer" if kind is int and isinstance(v, float) else "a finite number"
+        return wrong_kind if type(v) in (int, float) else "a number"
+    if bound:
+        op, lo = bound.split()
+        if v < float(lo) or (op == ">" and v == float(lo)):
+            return bound
+    if kind is int and not float(v).is_integer():
+        return "an integer"
+    return None
 
 
-def _int(doc, key, errors, path, lo, default):
-    v = _num(doc, key, errors, path, lo=lo, default=default, kind="an integer")
-    if v.is_integer():
-        return int(v)
-    errors.append(f"{path}{key}: must be an integer")
-
-
-def _check_unknown(doc, allowed, errors, path=""):
-    for k in doc:
-        if k not in allowed:
-            errors.append(f"{path}{k}: unknown key")
+def _read(doc, table, errors, path, other=()):
+    """Check doc's keys against `table` and `other` (keys the caller reads itself);
+    return each table key's value, its default where the key is absent or wrong."""
+    errors.extend(f"{path}{k}: unknown key" for k in doc if k not in table and k not in other)
+    out = {}
+    for key, (kind, bound, default) in table.items():
+        if key not in doc:
+            if default is None:
+                errors.append(f"{path}{key}: missing required key")
+            if default is not ...:
+                out[key] = default
+        elif must := _must(doc[key], kind, bound):
+            errors.append(f"{path}{key}: must be {must}")
+            out[key] = default
+        else:
+            out[key] = [float(c) for c in doc[key]] if kind is list else kind(doc[key])
+    return out
 
 
 def _validate_data(doc, errors):
@@ -93,23 +129,11 @@ def _validate_data(doc, errors):
         return {}
     builder = doc.get("builder", "random-decay")
     if builder == "random-decay":
-        allowed = {"builder", "M", "lambda_min", "lambda_max", "regularity", "margin", "seed", "rescale"}
-        _check_unknown(doc, allowed, errors, "data.")
-        out = {"builder": "random-decay"}
-        out["M"] = _int(doc, "M", errors, "data.", lo=2, default=64.0)
-        out["lambda_min"] = _num(doc, "lambda_min", errors, "data.", lo=0, strict_lo=True, default=1.0)
-        out["lambda_max"] = _num(doc, "lambda_max", errors, "data.", lo=0, strict_lo=True, default=16.0)
+        out = _read(doc, _RANDOM_DECAY, errors, "data.", ("builder", "rescale"))
         if out["lambda_max"] <= out["lambda_min"]:
             errors.append("data.lambda_max: must exceed data.lambda_min")
-        out["regularity"] = _num(doc, "regularity", errors, "data.", default=0.25)
-        out["margin"] = _num(doc, "margin", errors, "data.", lo=0, default=0.55)
-        out["seed"] = _int(doc, "seed", errors, "data.", lo=0, default=0.0)
     elif builder == "two-mode":
-        allowed = {"builder", "lambda1", "lambda2", "c_plus", "c_minus", "rescale"}
-        _check_unknown(doc, allowed, errors, "data.")
-        out = {"builder": "two-mode"}
-        out["lambda1"] = _num(doc, "lambda1", errors, "data.", lo=0, strict_lo=True)
-        out["lambda2"] = _num(doc, "lambda2", errors, "data.", lo=0, strict_lo=True)
+        out = _read(doc, _TWO_MODE, errors, "data.", ("builder", "rescale", "c_plus", "c_minus"))
         if out["lambda1"] is not None and out["lambda1"] == out["lambda2"]:
             errors.append("data.lambda2: must differ from data.lambda1")
         for key in ("c_plus", "c_minus"):
@@ -127,16 +151,13 @@ def _validate_data(doc, errors):
     else:
         errors.append(f"data.builder: unknown builder {builder!r}")
         return {}
+    out["builder"] = builder
     if "rescale" in doc:
         r = doc["rescale"]
         if not isinstance(r, dict):
             errors.append("data.rescale: must be an object")
         else:
-            _check_unknown(r, {"target", "s"}, errors, "data.rescale.")
-            out["rescale"] = {
-                "target": _num(r, "target", errors, "data.rescale.", lo=0, strict_lo=True),
-                "s": _num(r, "s", errors, "data.rescale.", default=0.0),
-            }
+            out["rescale"] = _read(r, _RESCALE, errors, "data.rescale.")
     return out
 
 
@@ -145,18 +166,11 @@ def _validate_nonlinearity(doc, errors):
         errors.append("nonlinearity: must be an object")
         return {}
     name = doc.get("name")
-    if name == "model":
-        _check_unknown(doc, {"name", "A"}, errors, "nonlinearity.")
-        return {"name": "model", "A": _num(doc, "A", errors, "nonlinearity.", default=1.0)}
-    if name == "quadratic":
-        _check_unknown(doc, {"name", "A", "B"}, errors, "nonlinearity.")
-        return {
-            "name": "quadratic",
-            "A": _num(doc, "A", errors, "nonlinearity.", default=1.0),
-            "B": _num(doc, "B", errors, "nonlinearity.", default=0.0),
-        }
+    if name in ("model", "quadratic"):
+        out = _read(doc, _NONLINEARITIES[name], errors, "nonlinearity.", ("name",))
+        return {"name": name, **out}
     if name == "custom-polynomial":
-        _check_unknown(doc, {"name", "coefficients"}, errors, "nonlinearity.")
+        _read(doc, {}, errors, "nonlinearity.", ("name", "coefficients"))
         cs = doc.get("coefficients")
         if not isinstance(cs, list) or not cs or not all(map(_is_number, cs)):
             errors.append("nonlinearity.coefficients: must be a non-empty list of numbers")
@@ -164,22 +178,6 @@ def _validate_nonlinearity(doc, errors):
         return {"name": "custom-polynomial", "coefficients": [float(c) for c in cs]}
     errors.append(f"nonlinearity.name: unknown nonlinearity {name!r}")
     return {}
-
-
-def _validate_integrator(doc, errors):
-    if not isinstance(doc, dict):
-        errors.append("integrator: must be an object")
-        return {}
-    _check_unknown(doc, {"method", "dt", "T", "stride"}, errors, "integrator.")
-    method = doc.get("method", "rotation")
-    if method not in ("rotation", "rk4"):
-        errors.append(f"integrator.method: unknown method {method!r}")
-    return {
-        "method": method,
-        "dt": _num(doc, "dt", errors, "integrator.", lo=0, strict_lo=True, default=1e-3),
-        "T": _num(doc, "T", errors, "integrator.", lo=0, default=1.0),
-        "stride": _int(doc, "stride", errors, "integrator.", lo=1, default=1.0),
-    }
 
 
 def parse_config(text: str) -> RunConfig:
@@ -190,14 +188,21 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError(["(root): top level must be an object"])
     errors: list[str] = []
-    _check_unknown(doc, {f.name for f in fields(RunConfig)}, errors)
+    _read(doc, {}, errors, "", {f.name for f in fields(RunConfig)})
     # a value that fails its check is never used: ConfigError is raised first
     scenario = doc.get("scenario")
     if scenario not in SCENARIOS:
         errors.append(f"scenario: must be one of {', '.join(SCENARIOS)}")
     data = _validate_data(doc.get("data", {}), errors)
     nl = _validate_nonlinearity(doc.get("nonlinearity", {"name": "model"}), errors)
-    integ = _validate_integrator(doc.get("integrator", {}), errors)
+    integ = doc.get("integrator", {})
+    if not isinstance(integ, dict):
+        errors.append("integrator: must be an object")
+        integ = {}
+    method = integ.get("method", "rotation")
+    if method not in ("rotation", "rk4"):
+        errors.append(f"integrator.method: unknown method {method!r}")
+    integ = {"method": method, **_read(integ, _INTEGRATOR, errors, "integrator.", ("method",))}
     s_list = doc.get("s_list", [0.25])
     if not isinstance(s_list, list) or not s_list or not all(
         _is_number(s) and s >= 0 for s in s_list
@@ -210,7 +215,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(output, dict):
         errors.append("output: must be an object")
     else:
-        _check_unknown(output, {"format", "plots"}, errors, "output.")
+        _read(output, {}, errors, "output.", ("format", "plots"))
         output = {"format": output.get("format", "csv"), "plots": output.get("plots", False)}
         if output["format"] not in ("csv", "json", "both"):
             errors.append("output.format: must be csv, json, or both")
@@ -222,6 +227,8 @@ def parse_config(text: str) -> RunConfig:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         errors.append("params: must be an object")
+    elif scenario in SCENARIOS:
+        params = _read(params, _PARAMS[scenario], errors, "params.")
     if errors:
         raise ConfigError(errors)
     return RunConfig(

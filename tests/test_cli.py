@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from kirchlab import cli, config
 from kirchlab.cli import main
 from kirchlab.config import ConfigError, canonical_text, parse_config
 
@@ -120,9 +121,10 @@ class TestConfigValidation:
             ("integrator", "T", float("inf"), "must be a finite number", 0.05, 0.05),
             ("integrator", "dt", float("nan"), "must be a finite number", 1e-3, 1e-3),
             ("data", "lambda_max", float("inf"), "must be a finite number", 8.0, 8.0),
+            ("integrator", "T", 10**400, "must be a finite number", 0.05, 0.05),
         ],
         ids=["plots-string", "M-fraction", "M-infinite", "seed-fraction", "stride-fraction",
-             "T-infinite", "dt-nan", "lambda_max-infinite"],
+             "T-infinite", "dt-nan", "lambda_max-infinite", "T-beyond-float-range"],
     )
     def test_values_are_not_coerced(self, section, key, bad, message, good, parsed):
         doc = small_doc(output={"format": "csv"})
@@ -140,6 +142,32 @@ class TestConfigValidation:
         assert cfg.nonlinearity == {"name": "model", "A": 1.0}
         assert cfg.integrator["method"] == "rotation"
         assert cfg.s_list == (0.25,)
+        sweep = parse_config(json.dumps({"scenario": "sweep"}))
+        assert sweep.params == {"s": 0.25, "fd_stride": 10}
+
+    @pytest.mark.parametrize(
+        "scenario, params, errors",
+        [
+            ("verify", {"kernel_samples": 2.5}, ["params.kernel_samples: must be an integer"]),
+            ("verify", {"kernel_samples": 0}, ["params.kernel_samples: must be >= 1"]),
+            ("verify", {"kernel_sampels": 200}, ["params.kernel_sampels: unknown key"]),
+            ("verify", {"identity_dt": float("nan")},
+             ["params.identity_dt: must be a finite number"]),
+            ("resonance", {"sigma": "0.25"}, ["params.sigma: must be a number"]),
+            ("truncation", {"cutoffs": [8, -1]},
+             ["params.cutoffs: must be a non-empty list of numbers > 0"]),
+            ("simulate", {"x": 1}, ["params.x: unknown key"]),
+        ],
+        ids=["samples-fraction", "samples-zero", "samples-misspelt", "identity_dt-nan",
+             "sigma-string", "cutoffs-negative", "simulate-takes-none"],
+    )
+    def test_params_checked_against_scenario(self, scenario, params, errors):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(small_doc(scenario, params=params)))
+        assert exc.value.errors == errors
+
+    def test_every_scenario_has_one_implementation(self):
+        assert set(cli._SCENARIO_IMPL) == set(config.SCENARIOS)
 
 
 class TestExitCodes:
@@ -158,6 +186,35 @@ class TestExitCodes:
         cfg.write_text('{"scenario": "nope"}')
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_config_not_utf8_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b"\xff{}")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 1
+        assert "error: cannot read config: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "--seed", "-1", "simulate"]) == 1
+        assert capsys.readouterr().err == "config error: --seed: must be >= 0\n"
+        assert not out.exists()
+
+    def test_subcommand_rechecks_params(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["--config", str(CONFIGS / "verify.json"), "--out", str(out), "simulate"]) == 1
+        assert "config error: params.kernel_samples: unknown key\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["verify", "sweep", "resonance", "obstruction",
+                                          "truncation"])
+    def test_subcommand_on_config_without_params(self, tmp_path, scenario):
+        # only the params the file gives are checked, not its scenario's defaults
+        cfg = write_cfg(tmp_path, small_doc(scenario))
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "--format", "json", "simulate"]) == 0
+        assert json.loads((out / "run.json").read_text())["config"]["params"] == {}
 
     def test_runtime_error_exit_one_writes_error_json(self, tmp_path):
         doc = small_doc("truncation")
