@@ -9,20 +9,29 @@ the CLI can serialize verdicts without further computation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import LinearizedState, Trajectory, evolve, evolve_pair
 from .energy import (
-    modified_energy,
+    modified_energy_stack,
+    second_order_model_stack,
     second_order_rate_model,
-    second_order_model,
     unmodified_derivative_analytic,
     unmodified_energy,
 )
 from .nonlinearity import NonlinearitySpec, build_profile, delta_gate
-from .spectral import SpectralState, pair_norm, rescale_to, sobolev_norm_sq, truncate
+from .spectral import (
+    SpectralState,
+    pair_norm,
+    pair_norm_stack,
+    rescale_to,
+    sobolev_norm_sq,
+    stack_states,
+    truncate,
+)
 
 __all__ = [
     "ScalingFit",
@@ -99,15 +108,16 @@ def quintic_ratio_series(traj: Trajectory, N: NonlinearitySpec, s: float):
     interior samples, with a per-sample smallness-gate flag."""
     if len(traj) < 7:
         raise ValueError("need at least 7 uniform samples")
-    gate = delta_gate(N)
-    e_s = [(t, modified_energy(st, N, s).e_total) for t, st in zip(traj.times, traj.states)]
-    e_q = [modified_energy(st, N, 0.25).e_total for st in traj.states]
+    stack = stack_states(traj.states)
+    e_s = modified_energy_stack(*stack, N, s).e_total.tolist()
+    e_q = e_s if s == 0.25 else modified_energy_stack(*stack, N, 0.25).e_total.tolist()
+    over = (np.hypot(*pair_norm_stack(*stack, 0.0)) > delta_gate(N)).tolist()
+    series = list(zip(traj.times, e_s))
     out = []
     for i in range(2, len(traj) - 2):
-        d = derivative_fd(e_s, i)
-        denom = e_s[i][1] * e_q[i] ** 2
-        flag = pair_norm(traj.states[i], 0.0).combined > gate
-        out.append((traj.times[i], abs(d) / denom if denom != 0 else 0.0, flag))
+        d = derivative_fd(series, i)
+        denom = e_s[i] * e_q[i] ** 2
+        out.append((traj.times[i], abs(d) / denom if denom != 0 else 0.0, over[i]))
     return out
 
 
@@ -130,8 +140,8 @@ def scaling_point(
     y_unmod = abs(unmodified_derivative_analytic(st, N, s)) / e0
     h = dt * stride
     traj = evolve(st, N, 4 * h, dt, stride=stride, method=method)
-    series = [(t, modified_energy(x, N, s).e_total) for t, x in zip(traj.times, traj.states)]
-    d, e_mid = derivative_fd(series, 2), series[2][1]
+    e = modified_energy_stack(*stack_states(traj.states), N, s).e_total.tolist()
+    d, e_mid = derivative_fd(list(zip(traj.times, e)), 2), e[2]
     return y_unmod, abs(d) / e_mid
 
 
@@ -159,24 +169,31 @@ def scaling_slope_experiment(
 
 def comparability_sweep(states, N: NonlinearitySpec, s_list) -> dict:
     """min/max of E_total / (pair norm squared) per regularity s over the
-    given states; gate violations are excluded and counted."""
-    gate = delta_gate(N)
-    report = {"excluded": 0, "per_s": {}}
-    for s in s_list:
-        ratios = []
-        for st in states:
-            if pair_norm(st, 0.0).combined > gate:
-                report["excluded"] += 1
-                continue
-            nrm = pair_norm(st, s)
-            denom = nrm.pos**2 + nrm.vel**2
-            ratios.append(modified_energy(st, N, s).e_total / denom)
-        report["per_s"][float(s)] = {
-            "min": float(min(ratios)),
-            "max": float(max(ratios)),
-            "count": len(ratios),
-        }
-    return report
+    given states, which must share one grid (ValueError naming the first
+    state that does not).  States above the smallness gate are excluded,
+    counted once per s.  With no state left, count is 0 and min and max
+    are NaN."""
+    ratios = {float(s): np.empty(0) for s in s_list}
+    excluded = 0
+    if states:
+        grid, u, v = stack_states(states)
+        over = np.hypot(*pair_norm_stack(grid, u, v, 0.0)) > delta_gate(N)
+        excluded = int(np.count_nonzero(over)) * len(s_list)
+        u, v = u[~over], v[~over]
+        for s in s_list:
+            pos, vel = pair_norm_stack(grid, u, v, s)
+            # the per-state arithmetic: Python's float ** 2 may differ from
+            # numpy's x * x in the last bit
+            denom = np.array([a**2 + b**2 for a, b in zip(pos.tolist(), vel.tolist())])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios[float(s)] = modified_energy_stack(grid, u, v, N, s).e_total / denom
+    per_s = {
+        s: {"min": float(r.min()) if r.size else math.nan,
+            "max": float(r.max()) if r.size else math.nan,
+            "count": len(r)}
+        for s, r in ratios.items()
+    }
+    return {"excluded": excluded, "per_s": per_s}
 
 
 def second_order_identity_check(traj: Trajectory, A: float, s: float) -> float:
@@ -187,7 +204,7 @@ def second_order_identity_check(traj: Trajectory, A: float, s: float) -> float:
     if len(traj) < 3:
         raise ValueError("need at least three samples")
     h = _uniform_step(traj.times)
-    e2 = np.array([second_order_model(st, A, s) for st in traj.states])
+    e2 = second_order_model_stack(*stack_states(traj.states), A, s)
     rate = np.array([second_order_rate_model(st, A, s) for st in traj.states[1:-1]])
     return float(np.max(np.abs((e2[2:] - e2[:-2]) / (2 * h) - rate)))  # NaN propagates
 
@@ -422,12 +439,13 @@ def truncation_convergence(
     us, vs, e_sup = [], [], []
     for c in cutoffs:
         traj = evolve(truncate(rough_state, c), N, T, dt, stride=stride, method="rotation")
+        grid, u, v = stack_states(traj.states)
+        e_sup.append(float(np.max(modified_energy_stack(grid, u, v, N, s_low).e_total)))
         # a truncation keeps a prefix of the ascending grid (an empty one keeps
         # lambdas[:1] at zero amplitude): zero padding embeds it in the full grid
-        pad = ((0, 0), (0, len(lam) - len(traj.states[0].grid)))
-        us.append(np.pad([st.u_hat for st in traj.states], pad))
-        vs.append(np.pad([st.v_hat for st in traj.states], pad))
-        e_sup.append(max(modified_energy(st, N, s_low).e_total for st in traj.states))
+        pad = ((0, 0), (0, len(lam) - len(grid)))
+        us.append(np.pad(u, pad))
+        vs.append(np.pad(v, pad))
     diffs = [
         float(np.max(np.sqrt(np.add.reduce(w * lam**2 * np.abs(ua - ub) ** 2, axis=1)
                              + np.add.reduce(w * np.abs(va - vb) ** 2, axis=1))))

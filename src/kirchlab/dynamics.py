@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nonlinearity import DegenerateNonlinearityError, NonlinearitySpec
-from .spectral import SpectralState, _norm_sq, _readonly, sobolev_norm_sq
+from .spectral import SpectralState, _norm_sq, _readonly, _shared_grid, sobolev_norm_sq
 
 __all__ = [
     "Trajectory",
@@ -67,9 +67,7 @@ class Trajectory:
             raise ValueError("trajectory must contain at least one sample")
         if np.any(np.diff(np.asarray(self.times)) <= 0):
             raise ValueError("sample times must be strictly increasing")
-        g0 = self.states[0].grid
-        if any(st.grid is not g0 and not np.array_equal(st.grid.lambdas, g0.lambdas) for st in self.states):
-            raise ValueError("all states must share one grid")
+        _shared_grid(self.states)
         if self.companions is not None and len(self.companions) != len(self.states):
             raise ValueError("companions must align with samples")
 

@@ -12,6 +12,13 @@ separable term per node, so the b/c parts cost O(R*M) for R ~ 50-400
 nodes (see _divided_difference_sum).  The pointwise divided difference
 that the kernel-bounds suite samples is `analysis.divided_difference`.
 
+Every kernel works along axis -1: on one state's (M,) amplitudes, or on
+an (S, M) stack of states that share one grid, which the *_stack
+functions evaluate in one pass.  A stack gives bitwise the per-state
+values: the reductions and prefix sums run along axis -1 (which matches
+the 1-d calls row by row), and every matrix product runs one sample at a
+time.
+
 Dense O(M^2) oracles for every sum live in the test suite.
 """
 
@@ -22,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nonlinearity import FilteredProfile, NonlinearitySpec, build_profile
-from .spectral import SpectralState, sobolev_norm_sq
+from .nonlinearity import FilteredProfile, NonlinearitySpec, _profile, build_profile
+from .spectral import FrequencyGrid, SpectralState, _norm_sq, sobolev_norm_sq
 
 __all__ = [
     "EnergyBreakdown",
@@ -32,8 +39,10 @@ __all__ = [
     "normal_form_term",
     "asym_term",
     "modified_energy",
+    "modified_energy_stack",
     "unmodified_derivative_analytic",
     "second_order_model",
+    "second_order_model_stack",
     "second_order_rate_model",
 ]
 
@@ -50,10 +59,14 @@ class EnergyBreakdown:
 def unmodified_energy(state: SpectralState, N: NonlinearitySpec, s: float) -> float:
     """(1/2)(1 + N(|u|_{H1}^2)) |u|_{H^{1+s}}^2 + (1/2)|u'|_{H^s}^2."""
     h1 = sobolev_norm_sq(state, 1.0)
-    lam, w = state.grid.lambdas, state.grid.weights
-    pos = float(np.add.reduce(w * lam ** (2.0 + 2.0 * s) * np.abs(state.u_hat) ** 2))
-    vel = float(np.add.reduce(w * lam ** (2.0 * s) * np.abs(state.v_hat) ** 2))
-    return 0.5 * (1.0 + float(N.eval(h1))) * pos + 0.5 * vel
+    return float(_unmodified(state.grid, h1, state.u_hat, state.v_hat, N, s))
+
+
+def _unmodified(grid: FrequencyGrid, h1, u, v, N: NonlinearitySpec, s: float):
+    lam, w = grid.lambdas, grid.weights
+    pos = np.add.reduce(w * lam ** (2.0 + 2.0 * s) * np.abs(u) ** 2, axis=-1)
+    vel = np.add.reduce(w * lam ** (2.0 * s) * np.abs(v) ** 2, axis=-1)
+    return 0.5 * (1.0 + N.eval(h1)) * pos + 0.5 * vel
 
 
 # -- per-mode building blocks shared by the sums below ------------------------
@@ -61,27 +74,32 @@ def unmodified_energy(state: SpectralState, N: NonlinearitySpec, s: float) -> fl
 #   q_j = w_j l_j^{2+2s} |u_j|^2     (H^{1+s} mass)
 #   V_j = w_j l_j^2      |v_j|^2
 #   r_j = w_j l_j^2      Re(u_j conj(v_j))
-def _mode_arrays(state: SpectralState, s: float):
-    lam, w = state.grid.lambdas, state.grid.weights
-    u2 = np.abs(state.u_hat) ** 2
+def _mode_arrays(grid: FrequencyGrid, u, v, s: float):
+    lam, w = grid.lambdas, grid.weights
+    u2 = np.abs(u) ** 2
     p = w * lam**2 * u2
     q = w * lam ** (2.0 + 2.0 * s) * u2
-    V = w * lam**2 * np.abs(state.v_hat) ** 2
-    r = w * lam**2 * np.real(state.u_hat * np.conj(state.v_hat))
+    V = w * lam**2 * np.abs(v) ** 2
+    r = w * lam**2 * np.real(u * np.conj(v))
     return p, q, V, r
 
 
 def _suffix(a: np.ndarray) -> np.ndarray:
     """Inclusive suffix sums: out[i] = a[i] + a[i+1] + ... (ascending adds)."""
-    return np.cumsum(a[::-1])[::-1].copy()
+    return a[..., ::-1].cumsum(-1)[..., ::-1].copy()
 
 
-def _min_kernel_pair_sum(K: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+def _tail(a: np.ndarray) -> np.ndarray:
+    """Exclusive suffix sums: out[i] = a[i+1] + a[i+2] + ..., 0 at the end."""
+    out = np.zeros_like(a)
+    out[..., :-1] = _suffix(a)[..., 1:]
+    return out
+
+
+def _min_kernel_pair_sum(K: np.ndarray, x: np.ndarray, y: np.ndarray):
     """sum_{j,k} K[min(j,k)] * x_j * y_k in O(M) (K symmetric in j,k)."""
-    tail_x = np.append(_suffix(x)[1:], 0.0)
-    tail_y = np.append(_suffix(y)[1:], 0.0)
-    terms = K * (x * y + x * tail_y + y * tail_x)
-    return float(np.add.reduce(terms))
+    terms = K * (x * y + x * _tail(y) + y * _tail(x))
+    return np.add.reduce(terms, axis=-1)
 
 
 # Trapezoid rule for the Balakrishnan integral (see _balakrishnan_nodes):
@@ -121,9 +139,22 @@ def _balakrishnan_nodes(x_min: float, x_max: float, sigma: float):
     return np.exp(-tau), scale * np.cosh(u) * np.exp((sigma - 1.0) * tau)
 
 
-def _divided_difference_sum(K, x, s: float, r, f, g) -> float:
+def _sample_blocks(a: np.ndarray, size: int):
+    """Index blocks over the samples of an (S, M) stack a, for block arrays
+    of `size` elements per sample; for one state's (M,) array, the one
+    block `...`.  A block keeps about four such arrays alive at once, so
+    together they hold at most _CHUNK elements (with _CHUNK each, verify's
+    peak RSS rose by 2.2 MiB)."""
+    if a.ndim == 1:
+        return (...,)
+    step = max(1, _CHUNK // (4 * size))
+    return [slice(lo, lo + step) for lo in range(0, len(a), step)]
+
+
+def _divided_difference_sum(K, x, s: float, r, f, g):
     """sum_{j,k} K[min(j,k)] D_s(x_j, x_k) (r_j r_k - f_j g_k) for ascending
-    x, in O(R*M) time and O(M + _CHUNK) memory.
+    x, in O(R*M) time and O(M + _CHUNK) memory.  K, r, f and g are (M,)
+    arrays, or (S, M) stacks with one sum per sample; x is shared.
 
     With s = n + sigma, pointwise
       D_s(x, y) = x^n D_sigma(x, y) + y^sigma sum_{i<n} x^i y^(n-1-i),
@@ -131,39 +162,50 @@ def _divided_difference_sum(K, x, s: float, r, f, g) -> float:
     row per quadrature node of D_sigma when sigma > 0.  Each row's
     min-kernel sum telescopes: sum_{j,k} K[min] X_j Y_k = sum_m dK_m SX_m SY_m,
     dK_m = K_m - K_{m-1}, SX the suffix sums of X.  Everything is reversed
-    so the suffix sums are cumsums along axis 1.
+    so the suffix sums are cumsums along the last axis.  The nodes and the
+    rows P_i are built once for all samples; samples go through in blocks
+    (_sample_blocks), and the node blocks are the same for any S.
     """
     if s < 0:
         raise ValueError("regularity s must be non-negative")
     n = int(s)
     sigma = s - n
     dK = K.copy()
-    dK[1:] -= K[:-1]
-    dK = dK[::-1]
-    x, r, f, g = x[::-1], r[::-1], f[::-1], g[::-1]
+    dK[..., 1:] -= K[..., :-1]
+    dK = dK[..., ::-1]
+    # reversed, with an axis for the rows: (..., 1, M)
+    x, r, f, g = x[::-1], r[..., None, ::-1], f[..., None, ::-1], g[..., None, ::-1]
 
-    def rows(left, right):
-        sr = np.cumsum(left * r, axis=1)
-        sr2 = sr if right is left else np.cumsum(right * r, axis=1)
-        sf = np.cumsum(left * f, axis=1)
-        sg = np.cumsum(right * g, axis=1)
-        return (sr * sr2 - sf * sg) @ dK
+    def rows(left, right, b):
+        # the (k, M) rows against the samples b: their (..., k) min-kernel sums
+        sr = (left * r[b]).cumsum(-1)
+        sr2 = sr if right is left else (right * r[b]).cumsum(-1)
+        sf = (left * f[b]).cumsum(-1)
+        sg = (right * g[b]).cumsum(-1)
+        X, d = sr * sr2 - sf * sg, dK[b]
+        # one product per sample: a product over the stack sums in another order
+        return X @ d if d.ndim == 1 else np.array([a @ c for a, c in zip(X, d)])
 
-    total = 0.0
+    total = np.zeros(dK.shape[:-1])
     if n:
         i = np.arange(n)[:, None]
-        total += float(np.add.reduce(rows(x**i, x ** (n - 1 - i + sigma))))
+        left, right = x**i, x ** (n - 1 - i + sigma)
+        for b in _sample_blocks(dK, left.size):
+            total[b] += np.add.reduce(rows(left, right, b), axis=-1)
     if sigma > 0.0:
         inv_t, weights = _balakrishnan_nodes(x[-1], x[0], sigma)
         xn = x**n
         step = max(1, _CHUNK // len(x))
         for lo in range(0, len(weights), step):
             P = 1.0 / (1.0 + np.multiply.outer(inv_t[lo : lo + step], x))
-            total += float(rows(xn * P if n else P, P) @ weights[lo : lo + step])
+            left, w = (xn * P if n else P), weights[lo : lo + step]
+            for b in _sample_blocks(dK, P.size):
+                Y = rows(left, P, b)
+                total[b] += Y @ w if Y.ndim == 1 else [y @ w for y in Y]
     return total
 
 
-def _second_order(K, lam, s: float, p, q, V, r) -> float:
+def _second_order(K, lam, s: float, p, q, V, r):
     # a-part: w_j w_k a_{jk} |u_j|^2 |u_k|^2 = -1/8 (p_j q_k + q_j p_k),
     # which symmetrizes to -1/4 sum K[min] p_j q_k;
     # b/c parts: b = -1/4 l_j^2 l_k^2 D_{jk}, c = -b
@@ -187,17 +229,18 @@ def second_order_term(
     if profile is None:
         profile = build_profile(state, N)
     K = profile.a_values * profile.f_values
-    return _second_order(K, state.grid.lambdas, s, *_mode_arrays(state, s))
+    modes = _mode_arrays(state.grid, state.u_hat, state.v_hat, s)
+    return float(_second_order(K, state.grid.lambdas, s, *modes))
 
 
-def _normal_form(profile: FilteredProfile, p, q) -> float:
+def _normal_form(profile: FilteredProfile, p, q):
     g = profile.a_values * p
     AF = profile.a_values * profile.f_values
-    G = np.cumsum(g)  # inclusive prefix of g
+    G = g.cumsum(-1)  # inclusive prefix of g
     Sp, Sq, Sg = _suffix(p), _suffix(q), _suffix(g)
     t1 = -0.25 * _min_kernel_pair_sum(AF * G, p, q)
-    t2 = -0.25 * float(np.add.reduce(AF * p * Sq * Sg))
-    t3 = 0.25 * float(np.add.reduce(g * np.cumsum(AF * q) * Sp))
+    t2 = -0.25 * np.add.reduce(AF * p * Sq * Sg, axis=-1)
+    t3 = 0.25 * np.add.reduce(g * (AF * q).cumsum(-1) * Sp, axis=-1)
     return t1 + t2 + t3
 
 
@@ -210,17 +253,18 @@ def normal_form_term(state: SpectralState, N: NonlinearitySpec, s: float) -> flo
       T3 = +1/4 sum_{l1 <= l3 <= l2}   A(l1)F(l1) q_1 p_2 g_3
     each collapsed to prefix/suffix sums after sorting.
     """
-    p, q, V, r = _mode_arrays(state, s)
-    return _normal_form(build_profile(state, N), p, q)
+    p, q, V, r = _mode_arrays(state.grid, state.u_hat, state.v_hat, s)
+    return float(_normal_form(build_profile(state, N), p, q))
 
 
-def _asym(profile: FilteredProfile, p, q) -> float:
+def _asym(profile: FilteredProfile, p, q):
     A = profile.a_values
     Sp = _suffix(p)
-    inc = np.diff(A, prepend=A[:1])  # inc[i] = A_i - A_{i-1}, inc[0] = 0
+    inc = np.zeros_like(A)  # inc[i] = A_i - A_{i-1}, inc[0] = 0
+    inc[..., 1:] = A[..., 1:] - A[..., :-1]
     # T_j = sum_{k >= j} (A_k - A_j) p_k = sum_{i > j} inc_i * Sp_i
-    T = np.append(_suffix(inc * Sp)[1:], 0.0)
-    return -0.5 * float(np.add.reduce(q * T))
+    T = _tail(inc * Sp)
+    return -0.5 * np.add.reduce(q * T, axis=-1)
 
 
 def asym_term(state: SpectralState, N: NonlinearitySpec, s: float) -> float:
@@ -230,8 +274,8 @@ def asym_term(state: SpectralState, N: NonlinearitySpec, s: float) -> float:
     The difference A(l_k) - A(l_j) is telescoped through consecutive-mode
     increments, so a constant filter yields a structural (not rounded)
     zero."""
-    p, q, V, r = _mode_arrays(state, s)
-    return _asym(build_profile(state, N), p, q)
+    p, q, V, r = _mode_arrays(state.grid, state.u_hat, state.v_hat, s)
+    return float(_asym(build_profile(state, N), p, q))
 
 
 def modified_energy(state: SpectralState, N: NonlinearitySpec, s: float) -> EnergyBreakdown:
@@ -243,7 +287,22 @@ def modified_energy(state: SpectralState, N: NonlinearitySpec, s: float) -> Ener
     profile = build_profile(state, N)
     e0 = unmodified_energy(state, N, s)
     e2 = second_order_term(state, N, s, profile)
-    p, q, V, r = _mode_arrays(state, s)
+    p, q, V, r = _mode_arrays(state.grid, state.u_hat, state.v_hat, s)
+    en = float(_normal_form(profile, p, q))
+    ea = float(_asym(profile, p, q))
+    return EnergyBreakdown(e0, e2, en, ea, e0 + e2 + en + ea)
+
+
+def modified_energy_stack(
+    grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: NonlinearitySpec, s: float
+) -> EnergyBreakdown:
+    """modified_energy of every state of an (S, M) amplitude stack on one
+    grid (see spectral.stack_states), in one pass; each field is an (S,)
+    array equal bitwise to the per-state values."""
+    profile = _profile(grid, u, N)
+    e0 = _unmodified(grid, _norm_sq(grid, u, 1.0), u, v, N, s)
+    p, q, V, r = _mode_arrays(grid, u, v, s)
+    e2 = _second_order(profile.a_values * profile.f_values, grid.lambdas, s, p, q, V, r)
     en = _normal_form(profile, p, q)
     ea = _asym(profile, p, q)
     return EnergyBreakdown(e0, e2, en, ea, e0 + e2 + en + ea)
@@ -259,7 +318,7 @@ def unmodified_derivative_analytic(
       (sum_j q_j) * sum_l w_l l_l^2 Re(u_l v_l) N''(C(l_l)) * suffix_p(l).
     """
     profile = build_profile(state, N)
-    p, q, V, r = _mode_arrays(state, s)
+    p, q, V, r = _mode_arrays(state.grid, state.u_hat, state.v_hat, s)
     Q = float(np.add.reduce(q))
     first = Q * float(np.add.reduce(profile.a_values * r))
     d2 = np.asarray(N.d2(profile.c_prefix), dtype=float)
@@ -271,8 +330,18 @@ def unmodified_derivative_analytic(
 def second_order_model(state: SpectralState, A: float, s: float) -> float:
     """The model-case second-order correction A * sum_{j,k} w_j w_k E^s_{jk}
     (constant filter A, no resummation factor)."""
-    K = np.full(len(state.grid), float(A))
-    return _second_order(K, state.grid.lambdas, s, *_mode_arrays(state, s))
+    return float(_second_order_model(state.grid, state.u_hat, state.v_hat, A, s))
+
+
+def second_order_model_stack(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, A: float, s: float):
+    """second_order_model of every state of an (S, M) amplitude stack on one
+    grid, as an (S,) array equal bitwise to the per-state values."""
+    return _second_order_model(grid, u, v, A, s)
+
+
+def _second_order_model(grid, u, v, A, s):
+    K = np.full(u.shape, float(A))
+    return _second_order(K, grid.lambdas, s, *_mode_arrays(grid, u, v, s))
 
 
 def second_order_rate_model(state: SpectralState, A: float, s: float) -> float:
@@ -284,7 +353,7 @@ def second_order_rate_model(state: SpectralState, A: float, s: float) -> float:
            * (sum p)
     """
     A = float(A)
-    p, q, V, r = _mode_arrays(state, s)
+    p, q, V, r = _mode_arrays(state.grid, state.u_hat, state.v_hat, s)
     lam, w = state.grid.lambdas, state.grid.weights
     rs = w * lam ** (2.0 + 2.0 * s) * np.real(state.u_hat * np.conj(state.v_hat))
     P = float(np.add.reduce(p))

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import SpectralState
+from .spectral import FrequencyGrid, SpectralState
 
 __all__ = [
     "NonlinearitySpec",
@@ -132,20 +132,27 @@ class FilteredProfile:
 
 
 def _check_wave_type(one_plus_n):
-    bad = np.asarray(one_plus_n) <= 0.0
+    """Raise where 1 + N(C) <= 0, naming the mode (and the sample of a
+    stack); warn where it is <= 1/2."""
+    bad = one_plus_n <= 0.0
     if np.any(bad):
-        where = int(np.argmax(bad))
-        raise DegenerateNonlinearityError(
-            f"nonlinearity degenerate at this data size (mode index {where})"
-        )
-    if np.any(np.asarray(one_plus_n) <= 0.5):
-        warnings.warn("1 + N(C) fell below 1/2; wave-type margin is thin", stacklevel=3)
+        *sample, mode = (int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        where = f"sample {sample[0]}, mode index {mode}" if sample else f"mode index {mode}"
+        raise DegenerateNonlinearityError(f"nonlinearity degenerate at this data size ({where})")
+    if np.any(one_plus_n <= 0.5):
+        warnings.warn("1 + N(C) fell below 1/2; wave-type margin is thin", stacklevel=4)
 
 
 def build_profile(state: SpectralState, N: NonlinearitySpec) -> FilteredProfile:
-    lam = state.grid.lambdas
-    masses = state.grid.weights * lam**2 * np.abs(state.u_hat) ** 2
-    c_prefix = np.cumsum(masses)
+    return _profile(state.grid, state.u_hat, N)
+
+
+def _profile(grid: FrequencyGrid, u: np.ndarray, N: NonlinearitySpec) -> FilteredProfile:
+    """The profile of one state's (M,) amplitudes u, or of each state of an
+    (S, M) stack on the grid (then every array is (S, M))."""
+    lam = grid.lambdas
+    masses = grid.weights * lam**2 * np.abs(u) ** 2
+    c_prefix = masses.cumsum(-1)
     a_values = np.asarray(N.d1(c_prefix), dtype=float)
     base = 1.0 + np.asarray(N.eval(c_prefix), dtype=float)
     _check_wave_type(base)

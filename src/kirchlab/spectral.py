@@ -19,6 +19,8 @@ __all__ = [
     "NormPair",
     "sobolev_norm_sq",
     "pair_norm",
+    "pair_norm_stack",
+    "stack_states",
     "rescale_to",
     "build_two_mode",
     "build_random_decay",
@@ -122,11 +124,18 @@ def sobolev_norm_sq(state: SpectralState, sigma: float) -> float:
     return _norm_sq(state.grid, state.u_hat, sigma)
 
 
-def _norm_sq(grid: FrequencyGrid, amps: np.ndarray, sigma: float) -> float:
+def _norm_sq(grid: FrequencyGrid, amps: np.ndarray, sigma: float):
+    """The squared H^sigma norm along the last axis: a float for one state's
+    (M,) amplitudes, an (S,) array for an (S, M) stack on the grid."""
     terms = grid.weights * grid.lambdas ** (2.0 * sigma) * np.abs(amps) ** 2
-    out = float(np.add.reduce(terms))
-    if not np.isfinite(out):
-        raise ValueError(f"Sobolev norm overflowed at sigma={sigma}")
+    out = np.add.reduce(terms, axis=-1)
+    if out.ndim == 0:
+        out = float(out)
+        if not np.isfinite(out):
+            raise ValueError(f"Sobolev norm overflowed at sigma={sigma}")
+    elif not np.isfinite(out).all():
+        k = int(np.flatnonzero(~np.isfinite(out))[0])
+        raise ValueError(f"Sobolev norm overflowed at sigma={sigma} in sample {k}")
     return out
 
 
@@ -135,6 +144,33 @@ def pair_norm(state: SpectralState, s: float) -> NormPair:
     pos = np.sqrt(_norm_sq(state.grid, state.u_hat, 1.0 + s))
     vel = np.sqrt(_norm_sq(state.grid, state.v_hat, s))
     return NormPair(float(pos), float(vel))
+
+
+def pair_norm_stack(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, s: float):
+    """pair_norm of every state of an (S, M) stack on one grid, as the two
+    (S,) arrays (pos, vel), equal to the per-state norms.  An overflowing
+    norm raises as in pair_norm, so both arrays are finite."""
+    return np.sqrt(_norm_sq(grid, u, 1.0 + s)), np.sqrt(_norm_sq(grid, v, s))
+
+
+def _shared_grid(states) -> FrequencyGrid:
+    """The grid of states[0]; ValueError naming the first state whose grid
+    differs from it in lambdas or weights."""
+    g0 = states[0].grid
+    for i, st in enumerate(states):
+        g = st.grid
+        if g is not g0 and not (np.array_equal(g.lambdas, g0.lambdas)
+                                and np.array_equal(g.weights, g0.weights)):
+            raise ValueError(f"all states must share one grid: state {i} differs from state 0")
+    return g0
+
+
+def stack_states(states):
+    """(grid, u, v) for one or more states on one grid (ValueError naming
+    the first state that is not): u and v are the (S, M) stacks of their
+    amplitudes, the input of the *_stack functions."""
+    grid = _shared_grid(states)
+    return grid, np.array([st.u_hat for st in states]), np.array([st.v_hat for st in states])
 
 
 def rescale_to(state: SpectralState, target: float, space_exponent: float) -> SpectralState:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from kirchlab.analysis import (
     second_order_identity_check,
     quintic_ratio_series,
     resonance_report,
+    scaling_point,
     scaling_slope_experiment,
     truncation_convergence,
 )
@@ -26,7 +29,15 @@ from kirchlab.nonlinearity import (
     model_nonlinearity,
     quadratic_nonlinearity,
 )
-from kirchlab.spectral import build_random_decay, build_two_mode, rescale_to, truncate
+from kirchlab.spectral import (
+    FrequencyGrid,
+    SpectralState,
+    build_random_decay,
+    build_two_mode,
+    pair_norm,
+    rescale_to,
+    truncate,
+)
 
 N1 = model_nonlinearity(1.0)
 
@@ -134,6 +145,26 @@ class TestComparability:
             v = rep["per_s"][0.25]
             devs.append(max(abs(v["min"] - 0.5), abs(v["max"] - 0.5)))
         assert all(b < a for a, b in zip(devs, devs[1:]))
+
+    @pytest.mark.parametrize("sizes", [[], [1.5, 2.0]], ids=["no-states", "all-over-gate"])
+    def test_no_state_left_gives_nan_extremes(self, sizes):
+        states = [small_state(seed=i, size=size * delta_gate(N1)) for i, size in enumerate(sizes)]
+        rep = comparability_sweep(states, N1, [0.0, 0.5])
+        assert rep["excluded"] == 2 * len(sizes)
+        for v in rep["per_s"].values():
+            assert v["count"] == 0 and math.isnan(v["min"]) and math.isnan(v["max"])
+            # the verify verdict's window test fails on NaN
+            assert not (0.4 <= v["min"] and v["max"] <= 0.6)
+
+    @pytest.mark.parametrize("field", ["lambdas", "weights"])
+    def test_states_on_different_grids_rejected(self, field):
+        states = [small_state(seed=i) for i in range(3)]
+        g = states[2].grid
+        arrays = {"lambdas": g.lambdas, "weights": g.weights}
+        arrays[field] = arrays[field] * (1 + 1e-12)
+        states[2] = SpectralState(FrequencyGrid(**arrays), states[2].u_hat, states[2].v_hat)
+        with pytest.raises(ValueError, match="state 2 differs"):
+            comparability_sweep(states, N1, [0.25])
 
 
 class TestSecondOrderIdentity:
@@ -495,8 +526,70 @@ def _ref_truncation_diffs(rough, cutoffs, N, T, dt, stride):
     return diffs
 
 
+def _ref_comparability_sweep(states, N, s_list):
+    """Frozen copy of the per-state comparability sweep."""
+    gate = delta_gate(N)
+    report = {"excluded": 0, "per_s": {}}
+    for s in s_list:
+        ratios = []
+        for st in states:
+            if pair_norm(st, 0.0).combined > gate:
+                report["excluded"] += 1
+                continue
+            nrm = pair_norm(st, s)
+            ratios.append(modified_energy(st, N, s).e_total / (nrm.pos**2 + nrm.vel**2))
+        report["per_s"][float(s)] = {"min": min(ratios), "max": max(ratios), "count": len(ratios)}
+    return report
+
+
+def _ref_quintic_ratio_series(traj, N, s):
+    """Frozen copy of the per-sample quintic ratio series."""
+    gate = delta_gate(N)
+    e_s = [(t, modified_energy(st, N, s).e_total) for t, st in zip(traj.times, traj.states)]
+    e_q = [modified_energy(st, N, 0.25).e_total for st in traj.states]
+    out = []
+    for i in range(2, len(traj) - 2):
+        d = derivative_fd(e_s, i)
+        denom = e_s[i][1] * e_q[i] ** 2
+        flag = pair_norm(traj.states[i], 0.0).combined > gate
+        out.append((traj.times[i], abs(d) / denom if denom != 0 else 0.0, flag))
+    return out
+
+
 class TestSampledSuitesFrozenReference:
     """The array passes give exactly the per-sample loops' results."""
+
+    @pytest.mark.parametrize("N", [N1, quadratic_nonlinearity(1.0, 2.0)], ids=["model", "quad"])
+    def test_comparability_sweep(self, N):
+        # seeds 0-29 at a tenth of the gate, and two states above it
+        states = [small_state(M=64, seed=i, size=delta_gate(N) / 10) for i in range(30)]
+        states[3] = rescale_to(states[3], 2 * delta_gate(N), 0.0)
+        states[17] = rescale_to(states[17], 3 * delta_gate(N), 0.0)
+        rep = comparability_sweep(states, N, [0.0, 0.25, 0.5, 1.25])
+        assert rep == _ref_comparability_sweep(states, N, [0.0, 0.25, 0.5, 1.25])
+        assert rep["excluded"] == 8
+
+    @pytest.mark.parametrize("s", [0.25, 0.5])
+    def test_quintic_ratio_series(self, s):
+        st = small_state(M=32, size=delta_gate(N1) / 10)
+        traj = evolve(st, N1, 0.2, 1e-3, stride=20)
+        assert quintic_ratio_series(traj, N1, s) == _ref_quintic_ratio_series(traj, N1, s)
+
+    def test_scaling_point(self):
+        base = build_random_decay(32, 1.0, 16.0, 0.25, 0.55, seed=21)
+        st = rescale_to(base, 0.02, 0.25)
+        traj = evolve(st, N1, 0.04, 1e-3, stride=10)
+        series = [(t, modified_energy(x, N1, 0.25).e_total) for t, x in zip(traj.times, traj.states)]
+        want = abs(derivative_fd(series, 2)) / series[2][1]
+        assert scaling_point(base, N1, 0.25, 0.02)[1] == want
+
+    def test_truncation_energy_sup(self):
+        rough = rescale_to(build_random_decay(64, 1.0, 64.0, 0.25, 0.55, seed=31), 0.05, 0.25)
+        tab = truncation_convergence(rough, [4.0, 64.0], N1, 0.05, dt=1e-3, stride=10)
+        want = [max(modified_energy(st, N1, 0.25).e_total
+                    for st in evolve(truncate(rough, c), N1, 0.05, 1e-3, stride=10).states)
+                for c in (4.0, 64.0)]
+        assert tab["energy_sup"] == want
 
     @pytest.mark.parametrize("dt", [4e-4, 1e-4])
     def test_identity_check(self, dt):

@@ -5,6 +5,7 @@ import pytest
 
 from kirchlab.dynamics import (
     LinearizedState,
+    Trajectory,
     _march,
     evolve,
     evolve_pair,
@@ -157,6 +158,23 @@ class TestHamiltonian:
         for _ in range(10_000):
             cur = step_rotation(cur, N1, 1e-4)
         assert abs(hamiltonian(cur, N1) - H0) <= 1e-9 * abs(H0)
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("field", ["lambdas", "weights"])
+    def test_states_on_different_grids_rejected(self, field):
+        st = small_state()
+        arrays = {"lambdas": st.grid.lambdas, "weights": st.grid.weights}
+        arrays[field] = arrays[field] * (1 + 1e-12)
+        other = SpectralState(FrequencyGrid(**arrays), st.u_hat, st.v_hat, 0.1)
+        with pytest.raises(ValueError, match="share one grid: state 1 differs"):
+            Trajectory((0.0, 0.1), (st, other), None, 1)
+
+    def test_equal_grids_accepted(self):
+        st = small_state()
+        twin = FrequencyGrid(st.grid.lambdas.copy(), st.grid.weights.copy())
+        other = SpectralState(twin, st.u_hat, st.v_hat, 0.1)
+        assert len(Trajectory((0.0, 0.1), (st, other), None, 1)) == 2
 
 
 class TestEvolve:

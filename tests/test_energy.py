@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scalar_oracles import correction_F, filtered_A, pair_coefficients
 
@@ -10,22 +10,32 @@ from kirchlab.energy import (
     _divided_difference_sum,
     asym_term,
     modified_energy,
+    modified_energy_stack,
     normal_form_term,
     second_order_rate_model,
     second_order_model,
+    second_order_model_stack,
     second_order_term,
     unmodified_derivative_analytic,
     unmodified_energy,
 )
-from kirchlab.nonlinearity import build_profile, model_nonlinearity, quadratic_nonlinearity
+from kirchlab.nonlinearity import (
+    DegenerateNonlinearityError,
+    build_profile,
+    model_nonlinearity,
+    polynomial_nonlinearity,
+    quadratic_nonlinearity,
+)
 from kirchlab.spectral import (
     FrequencyGrid,
     SpectralState,
     build_random_decay,
     build_two_mode,
     pair_norm,
+    pair_norm_stack,
     rescale_to,
     sobolev_norm_sq,
+    stack_states,
 )
 
 N_QUAD = quadratic_nonlinearity(1.0, 1.0)
@@ -514,3 +524,69 @@ class TestSecondOrderModelIdentity:
         fd = (e2[3] - e2[1]) / (2 * h)
         rhs = second_order_rate_model(tr.states[2], 1.0, 0.25)
         assert abs(fd - rhs) <= 1e-7 * abs(rhs)
+
+
+class TestStack:
+    """The stacked kernels give bitwise the per-state public calls: the
+    same elementwise arithmetic, reductions along axis -1 and one matrix
+    product per sample, over stacks that span several sample blocks."""
+
+    NONLINEARITIES = {
+        "model": model_nonlinearity(1.0),
+        "quadratic": N_QUAD,
+        "custom": polynomial_nonlinearity([0.5, -0.8, 1.5]),
+    }
+
+    @given(
+        S=st.integers(1, 40),
+        M=st.integers(2, 300),
+        s=st.sampled_from([0.0, 0.25, 0.5, 0.99, 1.0, 1.25, 2.0, 3.5]),
+        name=st.sampled_from(sorted(NONLINEARITIES)),
+        lam_min=st.floats(0.1, 10.0),
+        log_ratio=st.floats(0.0, 6.0),
+        zeros=st.sets(st.integers(0, 39), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # 308 nodes on 300 modes: two node blocks, and one sample per sample block
+    @example(S=40, M=300, s=0.99, name="quadratic", lam_min=1.0, log_ratio=6.0,
+             zeros={0, 39}, seed=1)
+    @settings(max_examples=30)
+    def test_stack_equals_per_state(self, S, M, s, name, lam_min, log_ratio, zeros, seed):
+        N = self.NONLINEARITIES[name]
+        lam, rng = _grid_draw(M, lam_min, log_ratio, None, seed)
+        grid = FrequencyGrid(lam, rng.uniform(0.1, 1.0, M))
+        u, v = rng.normal(size=(2, S, M)) + 1j * rng.normal(size=(2, S, M))
+        # each state at a random size in the H^1 x L^2 pair norm, some zero
+        size = rng.uniform(0.0, 0.05, S)
+        size[[i for i in zeros if i < S]] = 0.0
+        scale = size / np.sqrt(np.sum(grid.weights * (lam**2 * abs(u) ** 2 + abs(v) ** 2), axis=1))
+        u, v = u * scale[:, None], v * scale[:, None]
+        states = [SpectralState(grid, a, b) for a, b in zip(u, v)]
+
+        stacked = modified_energy_stack(*stack_states(states), N, s)
+        model = second_order_model_stack(grid, u, v, 0.7, s)
+        pos, vel = pair_norm_stack(grid, u, v, s)
+        for i, st_ in enumerate(states):
+            e = modified_energy(st_, N, s)
+            assert e.e_unmodified == stacked.e_unmodified[i] == unmodified_energy(st_, N, s)
+            assert e.e_second_order == stacked.e_second_order[i] == second_order_term(st_, N, s)
+            assert e.e_normal_form == stacked.e_normal_form[i] == normal_form_term(st_, N, s)
+            assert e.e_asym == stacked.e_asym[i] == asym_term(st_, N, s)
+            assert e.e_total == stacked.e_total[i]
+            assert model[i] == second_order_model(st_, 0.7, s)
+            n = pair_norm(st_, s)
+            assert (pos[i], vel[i]) == (n.pos, n.vel)
+        # the kernel alone, where a last-bit change is not rounded away
+        K, r, f, g = rng.normal(size=(4, S, M))
+        got = _divided_difference_sum(K, lam**2, s, r, f, g)
+        want = [_divided_difference_sum(K[i], lam**2, s, r[i], f[i], g[i]) for i in range(S)]
+        assert got.tolist() == [float(w) for w in want]
+
+    def test_degenerate_sample_is_named(self):
+        states = [small_state(seed=i) for i in range(3)]
+        big = states[1].replace_amplitudes(100 * states[1].u_hat, states[1].v_hat)
+        stack = stack_states([states[0], big, states[2]])
+        with pytest.raises(DegenerateNonlinearityError, match=r"\(sample 1, mode index \d+\)"):
+            modified_energy_stack(*stack, model_nonlinearity(-1.0), 0.25)
+        with pytest.raises(DegenerateNonlinearityError, match=r"\(mode index \d+\)"):
+            modified_energy(big, model_nonlinearity(-1.0), 0.25)

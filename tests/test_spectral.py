@@ -9,8 +9,10 @@ from kirchlab.spectral import (
     build_random_decay,
     build_two_mode,
     pair_norm,
+    pair_norm_stack,
     rescale_to,
     sobolev_norm_sq,
+    stack_states,
     state_from_json,
     state_to_json,
     truncate,
@@ -110,6 +112,16 @@ class TestNorms:
         n0, n1 = pair_norm(base, 0.5), pair_norm(scaled, 0.5)
         assert np.isclose(n1.pos, abs(c) * n0.pos, rtol=1e-12)
         assert np.isclose(n1.vel, abs(c) * n0.vel, rtol=1e-12)
+
+    def test_overflow_raises_per_state_and_in_stack(self):
+        g = FrequencyGrid([1.0, 1e100], [1.0, 1.0])
+        ok = SpectralState(g, np.ones(2, complex), np.ones(2, complex))
+        big = SpectralState(g, np.array([1.0, 1e10 + 0j]), np.ones(2, complex))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="overflowed at sigma=1.5$"):
+                pair_norm(big, 0.5)
+            with pytest.raises(ValueError, match="overflowed at sigma=1.5 in sample 1"):
+                pair_norm_stack(*stack_states([ok, big, ok]), 0.5)
 
     def test_interpolation_monotone_above_one(self):
         rng = np.random.default_rng(5)
