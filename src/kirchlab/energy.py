@@ -330,16 +330,14 @@ def unmodified_derivative_analytic(
 def second_order_model(state: SpectralState, A: float, s: float) -> float:
     """The model-case second-order correction A * sum_{j,k} w_j w_k E^s_{jk}
     (constant filter A, no resummation factor)."""
-    return float(_second_order_model(state.grid, state.u_hat, state.v_hat, A, s))
+    K = np.full(len(state.grid), float(A))
+    modes = _mode_arrays(state.grid, state.u_hat, state.v_hat, s)
+    return float(_second_order(K, state.grid.lambdas, s, *modes))
 
 
 def second_order_model_stack(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, A: float, s: float):
     """second_order_model of every state of an (S, M) amplitude stack on one
     grid, as an (S,) array equal bitwise to the per-state values."""
-    return _second_order_model(grid, u, v, A, s)
-
-
-def _second_order_model(grid, u, v, A, s):
     K = np.full(u.shape, float(A))
     return _second_order(K, grid.lambdas, s, *_mode_arrays(grid, u, v, s))
 
