@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -6,7 +8,10 @@ from scalar_oracles import correction_F, filtered_A, pair_coefficients
 
 from kirchlab.analysis import divided_difference
 from kirchlab.energy import (
+    _STEP,
+    _TAIL,
     EnergyBreakdown,
+    _balakrishnan_nodes,
     _divided_difference_sum,
     asym_term,
     modified_energy,
@@ -430,6 +435,71 @@ class TestDividedDifferenceSum:
         x = np.array([1.0, 4.0])
         with pytest.raises(ValueError):
             _divided_difference_sum(np.ones(2), x, -0.5, x, x, x)
+
+
+def exp_sinh_count(x_min, x_max, sigma):
+    """Node count of the exp-sinh rule on the Balakrishnan integral, the
+    rule _balakrishnan_nodes falls back to where it is shorter."""
+    lo, hi = math.log(x_min), math.log(x_max)
+    half = 0.5 * (hi - lo)
+    a = max(half, 3.0)
+    h = _STEP / math.hypot(a, half)
+    v_lo = math.floor(-math.asinh((half + _TAIL / (1.0 + sigma)) / a) / h)
+    v_hi = math.ceil(math.asinh((half + _TAIL / (1.0 - sigma)) / a) / h)
+    return v_hi - v_lo + 1
+
+
+# sigma >= 1e-9: near the smallest doubles the weights (~ sin pi sigma)
+# underflow against P_i(x) P_i(y) ~ 1e-24 at kappa = 1e12
+SIGMAS = st.floats(1e-9, 1.0, exclude_max=True)
+
+
+class TestBalakrishnanRule:
+    """The rule for the fractional divided difference on its own: per pair,
+    sum_i w_i P_i(x) P_i(y) against the exact D_sigma(x, y).  Measured over
+    sigma in (0, 1), kappa = x_max/x_min in [1, 1e12] and x_min in
+    [1e-2, 1e3] (a log grid of 43 sigma x 49 kappa x 3 x_min, and 2e4
+    random draws),
+    the worst relative error is 5.4e-14, near kappa = 1e8 and sigma = 1/2;
+    on the band x in [1, 256] it is 5e-15."""
+
+    @given(sigma=SIGMAS, x_min=st.floats(1e-2, 1e3), log_kappa=st.floats(0.0, 12.0),
+           near=st.floats(1e-15, 1e-3))
+    @example(sigma=0.25, x_min=1.0, log_kappa=math.log10(256.0), near=1e-15)
+    @example(sigma=0.9999999999999999, x_min=1.0, log_kappa=12.0, near=1e-15)
+    @settings(max_examples=200)
+    def test_pairs_match_exact(self, sigma, x_min, log_kappa, near):
+        x_max = x_min * 10.0**log_kappa
+        x = np.geomspace(x_min, x_max, 40)  # both ends of the band exactly
+        x = np.concatenate((x, np.minimum(x * (1.0 + near), x_max)))
+        inv_t, w = _balakrishnan_nodes(x_min, x_max, sigma)
+        P = 1.0 / (1.0 + np.multiply.outer(inv_t, x))
+        got = (w * P.T) @ P
+        want = exact_divided_difference(x[:, None], x[None, :], sigma)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.25, 0.5, 0.99])
+    def test_shipped_band_needs_at_most_30_nodes(self, sigma):
+        assert len(_balakrishnan_nodes(1.0, 256.0, sigma)[1]) <= 30
+
+    @given(sigma=SIGMAS, log_kappa=st.floats(0.0, 12.0))
+    @example(sigma=0.5, log_kappa=12.0)
+    def test_never_more_nodes_than_exp_sinh(self, sigma, log_kappa):
+        kappa = 10.0**log_kappa
+        assert len(_balakrishnan_nodes(1.0, kappa, sigma)[1]) <= exp_sinh_count(1.0, kappa, sigma)
+
+    def test_exp_sinh_where_shorter(self):
+        # 168 exp-sinh nodes against 413 Gauss-Jacobi ones
+        assert len(_balakrishnan_nodes(1.0, 1e12, 0.5)[1]) == exp_sinh_count(1.0, 1e12, 0.5)
+
+    def test_cached_arrays_are_read_only(self):
+        first = _balakrishnan_nodes(1.0, 256.0, 0.25)
+        again = _balakrishnan_nodes(1.0, 256.0, 0.25)
+        for a, b in zip(first, again):
+            assert a is b
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestModifiedEnergy:
