@@ -166,8 +166,8 @@ def _balakrishnan_nodes(x_min: float, x_max: float, sigma: float):
                       / ((k + 1) ** 2 * (2 * k + 1) * (2 * k + 3)))
         u, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
         # Squared eigenvector components lose relative accuracy where the
-        # eigenvalue gaps shrink, towards u = -1 and 1 (5e-13 on the weights
-        # at N ~ 180), so the weights are the Christoffel numbers
+        # eigenvalue gaps shrink, towards u = -1 and 1 (up to 2e-12 on the
+        # weights at N ~ 180), so the weights are the Christoffel numbers
         # 1 / sum_k p_k(u)^2 of the orthonormal polynomials instead.  Those
         # are as sensitive to u as the node is close to an end, too much so
         # for the last node: it keeps its eigenvector weight, or for
