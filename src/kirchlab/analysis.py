@@ -16,8 +16,8 @@ import numpy as np
 
 from .dynamics import LinearizedState, Trajectory, evolve, evolve_pair
 from .energy import (
-    modified_energy_stack,
-    second_order_model_stack,
+    modified_energy,
+    second_order_model,
     second_order_rate_model,
     unmodified_derivative_analytic,
     unmodified_energy,
@@ -109,8 +109,8 @@ def quintic_ratio_series(traj: Trajectory, N: NonlinearitySpec, s: float):
     if len(traj) < 7:
         raise ValueError("need at least 7 uniform samples")
     stack = stack_states(traj.states)
-    e_s = modified_energy_stack(*stack, N, s).e_total.tolist()
-    e_q = e_s if s == 0.25 else modified_energy_stack(*stack, N, 0.25).e_total.tolist()
+    e_s = modified_energy(*stack, N, s).e_total.tolist()
+    e_q = e_s if s == 0.25 else modified_energy(*stack, N, 0.25).e_total.tolist()
     over = (np.hypot(*pair_norm_stack(*stack, 0.0)) > delta_gate(N)).tolist()
     series = list(zip(traj.times, e_s))
     out = []
@@ -136,11 +136,11 @@ def scaling_point(
     gate = delta_gate(N)
     if pair_norm(st, 0.0).combined > gate:
         raise ValueError(f"epsilon {epsilon} puts the data above the smallness gate")
-    e0 = unmodified_energy(st, N, s)
-    y_unmod = abs(unmodified_derivative_analytic(st, N, s)) / e0
+    amps = st.grid, st.u_hat, st.v_hat
+    y_unmod = abs(unmodified_derivative_analytic(*amps, N, s)) / unmodified_energy(*amps, N, s)
     h = dt * stride
     traj = evolve(st, N, 4 * h, dt, stride=stride, method=method)
-    e = modified_energy_stack(*stack_states(traj.states), N, s).e_total.tolist()
+    e = modified_energy(*stack_states(traj.states), N, s).e_total.tolist()
     d, e_mid = derivative_fd(list(zip(traj.times, e)), 2), e[2]
     return y_unmod, abs(d) / e_mid
 
@@ -186,7 +186,7 @@ def comparability_sweep(states, N: NonlinearitySpec, s_list) -> dict:
             # numpy's x * x in the last bit
             denom = np.array([a**2 + b**2 for a, b in zip(pos.tolist(), vel.tolist())])
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratios[float(s)] = modified_energy_stack(grid, u, v, N, s).e_total / denom
+                ratios[float(s)] = modified_energy(grid, u, v, N, s).e_total / denom
     per_s = {
         s: {"min": float(r.min()) if r.size else math.nan,
             "max": float(r.max()) if r.size else math.nan,
@@ -204,8 +204,9 @@ def second_order_identity_check(traj: Trajectory, A: float, s: float) -> float:
     if len(traj) < 3:
         raise ValueError("need at least three samples")
     h = _uniform_step(traj.times)
-    e2 = second_order_model_stack(*stack_states(traj.states), A, s)
-    rate = np.array([second_order_rate_model(st, A, s) for st in traj.states[1:-1]])
+    grid, u, v = stack_states(traj.states)
+    e2 = second_order_model(grid, u, v, A, s)
+    rate = second_order_rate_model(grid, u[1:-1], v[1:-1], A, s)
     return float(np.max(np.abs((e2[2:] - e2[:-2]) / (2 * h) - rate)))  # NaN propagates
 
 
@@ -278,10 +279,9 @@ def f_bounds_suite(traj: Trajectory, N: NonlinearitySpec) -> dict:
     (ValueError otherwise); the derivative bound allows 100 h^2 for the
     O(h^2) difference error."""
     h = _uniform_step(traj.times) if len(traj) > 1 else 0.0
-    profiles = [build_profile(st, N) for st in traj.states]
-    # one row per sample
-    c = np.array([prof.c_prefix for prof in profiles])
-    F = np.array([prof.f_values for prof in profiles])
+    grid, u, v = stack_states(traj.states)
+    profile = build_profile(grid, u, N)  # one row per sample
+    c, F = profile.c_prefix, profile.f_values
     base = 1.0 + np.asarray(N.eval(c))
     if np.any(base < 0.5 - 1e-12):
         return {"pass": False, "reason": "gate violated (1+N < 1/2)", "skipped": True}
@@ -291,10 +291,8 @@ def f_bounds_suite(traj: Trajectory, N: NonlinearitySpec) -> dict:
                     and np.all(np.min(F, axis=1) >= fmin_allowed * (1 - 1e-12)))
     nprime_max = float(np.max(np.abs(N.d1(c)), initial=0.0))
     dF = (F[2:] - F[:-2]) / (2 * h)
-    lam, w = traj.states[0].grid.lambdas, traj.states[0].grid.weights
-    u = np.array([st.u_hat for st in traj.states])[1:-1]
-    v = np.array([st.v_hat for st in traj.states])[1:-1]
-    flux = np.abs(np.cumsum(w * lam**2 * np.real(u * np.conj(v)), axis=1))
+    lam, w = grid.lambdas, grid.weights
+    flux = np.abs(np.cumsum(w * lam**2 * np.real(u[1:-1] * np.conj(v[1:-1])), axis=1))
     bound = 3.0 * nprime_max * 2.0**2.5 * flux + 100.0 * h * h
     worst_excess = float(np.max(np.abs(dF) - bound, initial=0.0))  # NaN propagates
     fd_ok = worst_excess <= 0
@@ -440,7 +438,7 @@ def truncation_convergence(
     for c in cutoffs:
         traj = evolve(truncate(rough_state, c), N, T, dt, stride=stride, method="rotation")
         grid, u, v = stack_states(traj.states)
-        e_sup.append(float(np.max(modified_energy_stack(grid, u, v, N, s_low).e_total)))
+        e_sup.append(float(np.max(modified_energy(grid, u, v, N, s_low).e_total)))
         # a truncation keeps a prefix of the ascending grid (an empty one keeps
         # lambdas[:1] at zero amplitude): zero padding embeds it in the full grid
         pad = ((0, 0), (0, len(lam) - len(grid)))

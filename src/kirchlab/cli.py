@@ -77,7 +77,7 @@ def _traj_rows(traj, N, s_list):
         row = [float(t), hamiltonian(st, N), h1.pos, h1.vel]
         for s in s_list:
             nrm = pair_norm(st, s)
-            row += [nrm.pos, nrm.vel, *astuple(modified_energy(st, N, s))]
+            row += [nrm.pos, nrm.vel, *astuple(modified_energy(st.grid, st.u_hat, st.v_hat, N, s))]
         rows.append(row)
     return header, rows
 
@@ -109,7 +109,8 @@ def _scenario_simulate(config, N, state, out_dir, seed):
 
 def _scenario_energies(config, N, state, out_dir, seed):
     header = ["t", "s", *_ENERGY_COLUMNS]
-    rows = [[float(state.time), float(s), *astuple(modified_energy(state, N, s))]
+    amps = state.grid, state.u_hat, state.v_hat
+    rows = [[float(state.time), float(s), *astuple(modified_energy(*amps, N, s))]
             for s in config.s_list]
     artifacts = _emit(out_dir, "energies", header, rows, config.output["format"])
     return {"pass": True, "artifacts": artifacts}
@@ -153,7 +154,7 @@ def _scenario_verify(config, N, state, out_dir, seed):
         dt = p["identity_dt"]
         traj = evolve(st30, N, 20 * dt, dt, stride=1)
         resid = analysis.second_order_identity_check(traj, A, 0.25)
-        scale = abs(energy.second_order_model(st30, A, 0.25))
+        scale = abs(energy.second_order_model(st30.grid, st30.u_hat, st30.v_hat, A, 0.25))
         rel = resid / max(scale, 1e-300)
         verdicts.append({"suite": "second-order-identity", "pass": bool(rel <= 1e-7),
                          "worst_case": {"relative_residual": rel}})

@@ -197,6 +197,8 @@ def _march(state, T, dt, stride, step, on_sample=None):
     and its start time.  Returns (times, states, nsteps)."""
     if T < 0:
         raise ValueError("T must be non-negative")
+    if not dt > 0:  # NaN too
+        raise ValueError("dt must be positive")
     if stride < 1:
         raise ValueError("stride must be at least 1")
     t0 = state.time

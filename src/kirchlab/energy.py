@@ -14,12 +14,12 @@ l_max/l_min = 1e3 (see _balakrishnan_nodes).  The pointwise divided
 difference that the kernel-bounds suite samples is
 `analysis.divided_difference`.
 
-Every kernel works along axis -1: on one state's (M,) amplitudes, or on
-an (S, M) stack of states that share one grid, which the *_stack
-functions evaluate in one pass.  A stack gives bitwise the per-state
-values: the reductions and prefix sums run along axis -1 (which matches
-the 1-d calls row by row), and every matrix product runs one sample at a
-time.
+Every function takes a grid and amplitudes u, v along its last axis:
+one state's (M,) amplitudes give scalars, and an (S, M) stack of states
+that share the grid (spectral.stack_states) gives (S,) arrays, equal
+bitwise to the per-state values: the reductions and prefix sums run
+along axis -1 (which matches the 1-d calls row by row), and every matrix
+product runs one sample at a time.
 
 Dense O(M^2) oracles for every sum live in the test suite.
 """
@@ -33,26 +33,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nonlinearity import FilteredProfile, NonlinearitySpec, _profile, build_profile
-from .spectral import FrequencyGrid, SpectralState, _norm_sq, sobolev_norm_sq
+from .nonlinearity import FilteredProfile, NonlinearitySpec, build_profile
+from .spectral import FrequencyGrid, _norm_sq
 
 __all__ = [
     "EnergyBreakdown",
     "unmodified_energy",
     "second_order_term",
-    "normal_form_term",
-    "asym_term",
     "modified_energy",
-    "modified_energy_stack",
     "unmodified_derivative_analytic",
     "second_order_model",
-    "second_order_model_stack",
     "second_order_rate_model",
 ]
 
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
+    """The four parts of the modified energy and their sum: floats for one
+    state's (M,) amplitudes, (S,) arrays for an (S, M) stack."""
+
     e_unmodified: float
     e_second_order: float
     e_normal_form: float
@@ -60,17 +59,14 @@ class EnergyBreakdown:
     e_total: float
 
 
-def unmodified_energy(state: SpectralState, N: NonlinearitySpec, s: float) -> float:
+def unmodified_energy(
+    grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: NonlinearitySpec, s: float
+):
     """(1/2)(1 + N(|u|_{H1}^2)) |u|_{H^{1+s}}^2 + (1/2)|u'|_{H^s}^2."""
-    h1 = sobolev_norm_sq(state, 1.0)
-    return float(_unmodified(state.grid, h1, state.u_hat, state.v_hat, N, s))
-
-
-def _unmodified(grid: FrequencyGrid, h1, u, v, N: NonlinearitySpec, s: float):
     lam, w = grid.lambdas, grid.weights
     pos = np.add.reduce(w * lam ** (2.0 + 2.0 * s) * np.abs(u) ** 2, axis=-1)
     vel = np.add.reduce(w * lam ** (2.0 * s) * np.abs(v) ** 2, axis=-1)
-    return 0.5 * (1.0 + N.eval(h1)) * pos + 0.5 * vel
+    return 0.5 * (1.0 + N.eval(_norm_sq(grid, u, 1.0))) * pos + 0.5 * vel
 
 
 # -- per-mode building blocks shared by the sums below ------------------------
@@ -261,30 +257,39 @@ def _second_order(K, lam, s: float, p, q, V, r):
 
 
 def second_order_term(
-    state: SpectralState,
+    grid: FrequencyGrid,
+    u: np.ndarray,
+    v: np.ndarray,
     N: NonlinearitySpec,
     s: float,
     profile: FilteredProfile | None = None,
     modes: tuple | None = None,
-) -> float:
+):
     """sum_{j,k} w_j w_k A(m) F(m) [a |u_j|^2|u_k|^2 + b |u_j|^2|v_k|^2
     + c Re(u_j v_j) Re(u_k v_k)], m = min(l_j, l_k).
 
     The a-part is a min-kernel sum (O(M)); the b/c parts carry the
     divided-difference kernel and cost O(R*M) through
     _divided_difference_sum (exact for integer s, zero for s = 0).
-    A caller that already holds the state's profile or its (p, q, V, r)
+    A caller that already holds the profile of u or its (p, q, V, r)
     mode arrays at this s may hand them in.
     """
     if profile is None:
-        profile = build_profile(state, N)
+        profile = build_profile(grid, u, N)
     if modes is None:
-        modes = _mode_arrays(state.grid, state.u_hat, state.v_hat, s)
-    K = profile.a_values * profile.f_values
-    return float(_second_order(K, state.grid.lambdas, s, *modes))
+        modes = _mode_arrays(grid, u, v, s)
+    return _second_order(profile.a_values * profile.f_values, grid.lambdas, s, *modes)
 
 
 def _normal_form(profile: FilteredProfile, p, q):
+    """The three cubic region sums (integration-by-parts terms).
+
+    With g_l = w_l A(l_l) l_l^2 |u_l|^2 and the arrays of _mode_arrays:
+      T1 = -1/4 sum_{l3 <= min(l1,l2)} A(m)F(m) g_3 p_1 q_2   (m = l1^l2 min)
+      T2 = -1/4 sum_{l1 <= min(l2,l3)} A(l1)F(l1) p_1 q_2 g_3
+      T3 = +1/4 sum_{l1 <= l3 <= l2}   A(l1)F(l1) q_1 p_2 g_3
+    each collapsed to prefix/suffix sums after sorting.
+    """
     g = profile.a_values * p
     AF = profile.a_values * profile.f_values
     G = g.cumsum(-1)  # inclusive prefix of g
@@ -295,20 +300,13 @@ def _normal_form(profile: FilteredProfile, p, q):
     return t1 + t2 + t3
 
 
-def normal_form_term(state: SpectralState, N: NonlinearitySpec, s: float) -> float:
-    """The three cubic region sums (integration-by-parts terms).
-
-    With g_l = w_l A(l_l) l_l^2 |u_l|^2 and the arrays of _mode_arrays:
-      T1 = -1/4 sum_{l3 <= min(l1,l2)} A(m)F(m) g_3 p_1 q_2   (m = l1^l2 min)
-      T2 = -1/4 sum_{l1 <= min(l2,l3)} A(l1)F(l1) p_1 q_2 g_3
-      T3 = +1/4 sum_{l1 <= l3 <= l2}   A(l1)F(l1) q_1 p_2 g_3
-    each collapsed to prefix/suffix sums after sorting.
-    """
-    p, q, V, r = _mode_arrays(state.grid, state.u_hat, state.v_hat, s)
-    return float(_normal_form(build_profile(state, N), p, q))
-
-
 def _asym(profile: FilteredProfile, p, q):
+    """-1/2 sum_{l_j <= l_k} w_j w_k l_j^{2s+2} l_k^2 (A(l_k) - A(l_j))
+    |u_j|^2 |u_k|^2, via suffix sums.  Exactly zero when N' is constant.
+
+    The difference A(l_k) - A(l_j) is telescoped through consecutive-mode
+    increments, so a constant filter yields a structural (not rounded)
+    zero."""
     A = profile.a_values
     Sp = _suffix(p)
     inc = np.zeros_like(A)  # inc[i] = A_i - A_{i-1}, inc[0] = 0
@@ -318,82 +316,49 @@ def _asym(profile: FilteredProfile, p, q):
     return -0.5 * np.add.reduce(q * T, axis=-1)
 
 
-def asym_term(state: SpectralState, N: NonlinearitySpec, s: float) -> float:
-    """-1/2 sum_{l_j <= l_k} w_j w_k l_j^{2s+2} l_k^2 (A(l_k) - A(l_j))
-    |u_j|^2 |u_k|^2, via suffix sums.  Exactly zero when N' is constant.
-
-    The difference A(l_k) - A(l_j) is telescoped through consecutive-mode
-    increments, so a constant filter yields a structural (not rounded)
-    zero."""
-    p, q, V, r = _mode_arrays(state.grid, state.u_hat, state.v_hat, s)
-    return float(_asym(build_profile(state, N), p, q))
-
-
-def modified_energy(state: SpectralState, N: NonlinearitySpec, s: float) -> EnergyBreakdown:
+def modified_energy(
+    grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: NonlinearitySpec, s: float
+) -> EnergyBreakdown:
     """Assemble the modified energy at regularity s from its four parts.
 
     The second-order part goes through the public second_order_term, so it
     stays a layer of its own in call traces; all three corrections share
     one profile and one _mode_arrays pass."""
-    profile = build_profile(state, N)
-    e0 = unmodified_energy(state, N, s)
-    modes = p, q, V, r = _mode_arrays(state.grid, state.u_hat, state.v_hat, s)
-    e2 = second_order_term(state, N, s, profile, modes)
-    en = float(_normal_form(profile, p, q))
-    ea = float(_asym(profile, p, q))
-    return EnergyBreakdown(e0, e2, en, ea, e0 + e2 + en + ea)
-
-
-def modified_energy_stack(
-    grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: NonlinearitySpec, s: float
-) -> EnergyBreakdown:
-    """modified_energy of every state of an (S, M) amplitude stack on one
-    grid (see spectral.stack_states), in one pass; each field is an (S,)
-    array equal bitwise to the per-state values."""
-    profile = _profile(grid, u, N)
-    e0 = _unmodified(grid, _norm_sq(grid, u, 1.0), u, v, N, s)
-    p, q, V, r = _mode_arrays(grid, u, v, s)
-    e2 = _second_order(profile.a_values * profile.f_values, grid.lambdas, s, p, q, V, r)
+    profile = build_profile(grid, u, N)
+    e0 = unmodified_energy(grid, u, v, N, s)
+    modes = p, q, V, r = _mode_arrays(grid, u, v, s)
+    e2 = second_order_term(grid, u, v, N, s, profile, modes)
     en = _normal_form(profile, p, q)
     ea = _asym(profile, p, q)
     return EnergyBreakdown(e0, e2, en, ea, e0 + e2 + en + ea)
 
 
 def unmodified_derivative_analytic(
-    state: SpectralState, N: NonlinearitySpec, s: float
-) -> float:
+    grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: NonlinearitySpec, s: float
+):
     """Leading analytic form of d/dt of the unmodified energy.
 
     First (separable) piece: (sum_j q_j) * (sum_k w_k A(l_k) l_k^2 Re(u_k v_k)).
     Second (N'' remainder) piece over l_l <= l_k:
       (sum_j q_j) * sum_l w_l l_l^2 Re(u_l v_l) N''(C(l_l)) * suffix_p(l).
     """
-    profile = build_profile(state, N)
-    p, q, V, r = _mode_arrays(state.grid, state.u_hat, state.v_hat, s)
-    Q = float(np.add.reduce(q))
-    first = Q * float(np.add.reduce(profile.a_values * r))
+    profile = build_profile(grid, u, N)
+    p, q, V, r = _mode_arrays(grid, u, v, s)
+    Q = np.add.reduce(q, axis=-1)
+    first = Q * np.add.reduce(profile.a_values * r, axis=-1)
     d2 = np.asarray(N.d2(profile.c_prefix), dtype=float)
-    Sp = _suffix(p)
-    second = Q * float(np.add.reduce(d2 * r * Sp))
+    second = Q * np.add.reduce(d2 * r * _suffix(p), axis=-1)
     return first + second
 
 
-def second_order_model(state: SpectralState, A: float, s: float) -> float:
+def second_order_model(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, A: float, s: float):
     """The model-case second-order correction A * sum_{j,k} w_j w_k E^s_{jk}
     (constant filter A, no resummation factor)."""
-    K = np.full(len(state.grid), float(A))
-    modes = _mode_arrays(state.grid, state.u_hat, state.v_hat, s)
-    return float(_second_order(K, state.grid.lambdas, s, *modes))
-
-
-def second_order_model_stack(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, A: float, s: float):
-    """second_order_model of every state of an (S, M) amplitude stack on one
-    grid, as an (S,) array equal bitwise to the per-state values."""
     K = np.full(u.shape, float(A))
     return _second_order(K, grid.lambdas, s, *_mode_arrays(grid, u, v, s))
 
 
-def second_order_rate_model(state: SpectralState, A: float, s: float) -> float:
+def second_order_rate_model(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, A: float, s: float):
     """Exact time derivative of second_order_model along the model flow.
 
     Both pieces are separable products of single sums:
@@ -401,12 +366,7 @@ def second_order_rate_model(state: SpectralState, A: float, s: float) -> float:
       R2 = -A^2/2 [ (sum q)(sum w l^2 Re(u v)) - (sum p)(sum w l^{2s+2} Re(u v)) ]
            * (sum p)
     """
-    A = float(A)
-    p, q, V, r = _mode_arrays(state.grid, state.u_hat, state.v_hat, s)
-    lam, w = state.grid.lambdas, state.grid.weights
-    rs = w * lam ** (2.0 + 2.0 * s) * np.real(state.u_hat * np.conj(state.v_hat))
-    P = float(np.add.reduce(p))
-    Q = float(np.add.reduce(q))
-    R = float(np.add.reduce(r))
-    Rs = float(np.add.reduce(rs))
+    p, q, V, r = _mode_arrays(grid, u, v, s)
+    rs = grid.weights * grid.lambdas ** (2.0 + 2.0 * s) * np.real(u * np.conj(v))
+    P, Q, R, Rs = (np.add.reduce(a, axis=-1) for a in (p, q, r, rs))
     return -A * Q * R - 0.5 * A * A * (Q * R - P * Rs) * P

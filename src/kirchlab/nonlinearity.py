@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import FrequencyGrid, SpectralState
+from .spectral import FrequencyGrid
 
 __all__ = [
     "NonlinearitySpec",
@@ -140,16 +140,12 @@ def _check_wave_type(one_plus_n):
         where = f"sample {sample[0]}, mode index {mode}" if sample else f"mode index {mode}"
         raise DegenerateNonlinearityError(f"nonlinearity degenerate at this data size ({where})")
     if np.any(one_plus_n <= 0.5):
-        warnings.warn("1 + N(C) fell below 1/2; wave-type margin is thin", stacklevel=4)
+        warnings.warn("1 + N(C) fell below 1/2; wave-type margin is thin", stacklevel=3)
 
 
-def build_profile(state: SpectralState, N: NonlinearitySpec) -> FilteredProfile:
-    return _profile(state.grid, state.u_hat, N)
-
-
-def _profile(grid: FrequencyGrid, u: np.ndarray, N: NonlinearitySpec) -> FilteredProfile:
-    """The profile of one state's (M,) amplitudes u, or of each state of an
-    (S, M) stack on the grid (then every array is (S, M))."""
+def build_profile(grid: FrequencyGrid, u: np.ndarray, N: NonlinearitySpec) -> FilteredProfile:
+    """The profile of one state's (M,) amplitudes u on the grid, or of each
+    state of an (S, M) stack on it (then every array is (S, M))."""
     lam = grid.lambdas
     masses = grid.weights * lam**2 * np.abs(u) ** 2
     c_prefix = masses.cumsum(-1)

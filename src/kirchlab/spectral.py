@@ -168,7 +168,7 @@ def _shared_grid(states) -> FrequencyGrid:
 def stack_states(states):
     """(grid, u, v) for one or more states on one grid (ValueError naming
     the first state that is not): u and v are the (S, M) stacks of their
-    amplitudes, the input of the *_stack functions."""
+    amplitudes, the input of the energy functions and pair_norm_stack."""
     grid = _shared_grid(states)
     return grid, np.array([st.u_hat for st in states]), np.array([st.v_hat for st in states])
 

@@ -3,7 +3,8 @@ in vectorized passes: the inclusive cumulative H^1 mass, the filtered
 coefficient A(r) and correction F(r) at one frequency, the pair
 coefficients of the second-order density, and a finite-difference check
 of a nonlinearity's derivatives.  They are the building blocks of the
-dense oracles in the test suite.
+dense oracles in the test suite.  `amps` unpacks a state into the
+(grid, u, v) arguments of the energy functions.
 """
 
 from dataclasses import dataclass
@@ -11,6 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from kirchlab.analysis import DIAGONAL_TOL, divided_difference
+
+
+def amps(state):
+    """(grid, u_hat, v_hat) of one state."""
+    return state.grid, state.u_hat, state.v_hat
 
 
 def cumulative_mass(state, r):

@@ -13,10 +13,16 @@ import numpy as np
 from kirchlab import analysis, energy
 from kirchlab.cli import main as cli_main
 from kirchlab.dynamics import LinearizedState, evolve, evolve_pair, hamiltonian
-from kirchlab.nonlinearity import delta_gate, model_nonlinearity, quadratic_nonlinearity
+from kirchlab.nonlinearity import (
+    build_profile,
+    delta_gate,
+    model_nonlinearity,
+    quadratic_nonlinearity,
+)
 from kirchlab.spectral import build_random_decay, rescale_to
 
 from conftest import ACCEPTANCE_VERDICTS
+from scalar_oracles import amps
 from test_energy import (
     asym_term_reference,
     brute_asym,
@@ -41,14 +47,31 @@ def _decaying(M, seed, lam_max=16.0, margin=0.55):
     return build_random_decay(M, 1.0, lam_max, 0.25, margin, seed=seed)
 
 
+def _second_order(st, N, s):
+    return energy.second_order_term(*amps(st), N, s)
+
+
+# The normal-form and asymmetric parts of modified_energy on their own:
+# the state's profile and mode arrays, then the part's O(M) sum, which is
+# what the speed check times.
+def _normal_form(st, N, s):
+    p, q, _, _ = energy._mode_arrays(*amps(st), s)
+    return energy._normal_form(build_profile(st.grid, st.u_hat, N), p, q)
+
+
+def _asym(st, N, s):
+    p, q, _, _ = energy._mode_arrays(*amps(st), s)
+    return energy._asym(build_profile(st.grid, st.u_hat, N), p, q)
+
+
 def test_criterion_01_oracle_equivalence_and_speed():
     NQ = quadratic_nonlinearity(1.0, 1.0)
     worst = 0.0
     st = rescale_to(_decaying(200, 5), 0.05, 0.0)
     for fn, ref in (
-        (energy.second_order_term, second_order_term_reference),
-        (energy.normal_form_term, normal_form_term_reference),
-        (energy.asym_term, asym_term_reference),
+        (_second_order, second_order_term_reference),
+        (_normal_form, normal_form_term_reference),
+        (_asym, asym_term_reference),
     ):
         for N in (N1, NQ):
             for s in (0.0, 0.25, 0.5):
@@ -56,9 +79,9 @@ def test_criterion_01_oracle_equivalence_and_speed():
                 worst = max(worst, abs(a - b) / max(abs(b), 1e-300))
     st40 = rescale_to(_decaying(40, 6, lam_max=8.0), 0.05, 0.0)
     for fn, brute in (
-        (energy.second_order_term, brute_second_order),
-        (energy.normal_form_term, brute_normal_form),
-        (energy.asym_term, brute_asym),
+        (_second_order, brute_second_order),
+        (_normal_form, brute_normal_form),
+        (_asym, brute_asym),
     ):
         for N in (N1, NQ):
             a, b = fn(st40, N, 0.25), brute(st40, N, 0.25)
@@ -68,8 +91,8 @@ def test_criterion_01_oracle_equivalence_and_speed():
     big = rescale_to(_decaying(4096, 1, lam_max=64.0), 0.05, 0.0)
     speed = {}
     for tag, fn, ref in (
-        ("normal_form", energy.normal_form_term, normal_form_term_reference),
-        ("asym", energy.asym_term, asym_term_reference),
+        ("normal_form", _normal_form, normal_form_term_reference),
+        ("asym", _asym, asym_term_reference),
     ):
         fn(big, N1, 0.25)  # warm up
         t0 = time.perf_counter()
@@ -109,7 +132,7 @@ def test_criterion_03_second_order_derivative_identity():
     for dt in (4e-4, 2e-4, 1e-4):
         traj = evolve(st, N1, 20 * dt, dt, stride=1)
         resid = analysis.second_order_identity_check(traj, 1.0, 0.25)
-        rels.append(resid / abs(energy.second_order_model(st, 1.0, 0.25)))
+        rels.append(resid / abs(energy.second_order_model(*amps(st), 1.0, 0.25)))
     orders = [np.log2(a / b) for a, b in zip(rels, rels[1:])]
     order_ok = all(1.7 <= o <= 2.3 for o in orders)
     tol_ok = rels[-1] <= 1e-7

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from scalar_oracles import amps
+
 import kirchlab.analysis as analysis
 from kirchlab.analysis import (
     DIAGONAL_TOL,
@@ -67,9 +69,8 @@ class TestDerivativeFd:
         N0 = model_nonlinearity(0.0)
         st = small_state()
         traj = evolve(st, N0, 0.1, 1e-3, stride=10)
-        from kirchlab.energy import modified_energy
-
-        series = [(t, modified_energy(x, N0, 0.0).e_total) for t, x in zip(traj.times, traj.states)]
+        series = [(t, modified_energy(*amps(x), N0, 0.0).e_total)
+                  for t, x in zip(traj.times, traj.states)]
         assert abs(derivative_fd(series, 3)) < 1e-12
 
 
@@ -190,14 +191,15 @@ class TestSecondOrderIdentity:
         st = rescale_to(build_random_decay(30, 1.0, 8.0, 0.25, 0.4, seed=5), 0.05, 0.0)
         traj = evolve(st, N1, 20e-4, 1e-4, stride=1)
         resid = second_order_identity_check(traj, 1.0, 0.25)
-        scale = abs(second_order_model(st, 1.0, 0.25))
+        scale = abs(second_order_model(*amps(st), 1.0, 0.25))
         assert resid <= 1e-7 * scale
 
     def test_nan_rate_gives_nan_residual(self, monkeypatch):
-        monkeypatch.setattr(analysis, "second_order_rate_model", lambda st, A, s: np.nan)
+        monkeypatch.setattr(analysis, "second_order_rate_model", lambda grid, u, v, A, s: np.nan)
         st = rescale_to(build_random_decay(30, 1.0, 8.0, 0.25, 0.4, seed=5), 0.05, 0.0)
         traj = evolve(st, N1, 4e-4, 1e-4, stride=1)
-        rel = second_order_identity_check(traj, 1.0, 0.25) / abs(second_order_model(st, 1.0, 0.25))
+        scale = abs(second_order_model(*amps(st), 1.0, 0.25))
+        rel = second_order_identity_check(traj, 1.0, 0.25) / scale
         # the verify scenario passes the suite only when rel <= 1e-7
         assert np.isnan(rel) and not rel <= 1e-7
 
@@ -338,10 +340,10 @@ class TestFBounds:
     def test_nan_f_value_fails(self, monkeypatch):
         real = analysis.build_profile
 
-        def with_nan(state, N):
-            prof = real(state, N)
+        def with_nan(grid, u, N):
+            prof = real(grid, u, N)
             f = prof.f_values.copy()
-            f[0] = np.nan
+            f[..., 0] = np.nan  # the first mode of every sample
             return FilteredProfile(prof.c_prefix, prof.a_values, f)
 
         monkeypatch.setattr(analysis, "build_profile", with_nan)
@@ -465,18 +467,18 @@ class TestTruncation:
 def _ref_identity_check(traj, A, s):
     """Frozen copy of the per-sample second-order identity check."""
     h = traj.times[1] - traj.times[0]
-    e2 = [second_order_model(st, A, s) for st in traj.states]
+    e2 = [second_order_model(*amps(st), A, s) for st in traj.states]
     worst = 0.0
     for i in range(1, len(traj) - 1):
         fd = (e2[i + 1] - e2[i - 1]) / (2 * h)
-        worst = max(worst, abs(fd - second_order_rate_model(traj.states[i], A, s)))
+        worst = max(worst, abs(fd - second_order_rate_model(*amps(traj.states[i]), A, s)))
     return worst
 
 
 def _ref_f_bounds_suite(traj, N):
     """Frozen copy of the per-sample correction-function suite."""
     h = traj.times[1] - traj.times[0] if len(traj) > 1 else 0.0
-    profiles = [build_profile(st, N) for st in traj.states]
+    profiles = [build_profile(st.grid, st.u_hat, N) for st in traj.states]
     range_ok, worst_range, nprime_max = True, 0.0, 0.0
     for prof in profiles:
         base = 1.0 + np.asarray(N.eval(prof.c_prefix))
@@ -537,7 +539,7 @@ def _ref_comparability_sweep(states, N, s_list):
                 report["excluded"] += 1
                 continue
             nrm = pair_norm(st, s)
-            ratios.append(modified_energy(st, N, s).e_total / (nrm.pos**2 + nrm.vel**2))
+            ratios.append(modified_energy(*amps(st), N, s).e_total / (nrm.pos**2 + nrm.vel**2))
         report["per_s"][float(s)] = {"min": min(ratios), "max": max(ratios), "count": len(ratios)}
     return report
 
@@ -545,8 +547,8 @@ def _ref_comparability_sweep(states, N, s_list):
 def _ref_quintic_ratio_series(traj, N, s):
     """Frozen copy of the per-sample quintic ratio series."""
     gate = delta_gate(N)
-    e_s = [(t, modified_energy(st, N, s).e_total) for t, st in zip(traj.times, traj.states)]
-    e_q = [modified_energy(st, N, 0.25).e_total for st in traj.states]
+    e_s = [(t, modified_energy(*amps(st), N, s).e_total) for t, st in zip(traj.times, traj.states)]
+    e_q = [modified_energy(*amps(st), N, 0.25).e_total for st in traj.states]
     out = []
     for i in range(2, len(traj) - 2):
         d = derivative_fd(e_s, i)
@@ -579,14 +581,15 @@ class TestSampledSuitesFrozenReference:
         base = build_random_decay(32, 1.0, 16.0, 0.25, 0.55, seed=21)
         st = rescale_to(base, 0.02, 0.25)
         traj = evolve(st, N1, 0.04, 1e-3, stride=10)
-        series = [(t, modified_energy(x, N1, 0.25).e_total) for t, x in zip(traj.times, traj.states)]
+        series = [(t, modified_energy(*amps(x), N1, 0.25).e_total)
+                  for t, x in zip(traj.times, traj.states)]
         want = abs(derivative_fd(series, 2)) / series[2][1]
         assert scaling_point(base, N1, 0.25, 0.02)[1] == want
 
     def test_truncation_energy_sup(self):
         rough = rescale_to(build_random_decay(64, 1.0, 64.0, 0.25, 0.55, seed=31), 0.05, 0.25)
         tab = truncation_convergence(rough, [4.0, 64.0], N1, 0.05, dt=1e-3, stride=10)
-        want = [max(modified_energy(st, N1, 0.25).e_total
+        want = [max(modified_energy(*amps(st), N1, 0.25).e_total
                     for st in evolve(truncate(rough, c), N1, 0.05, 1e-3, stride=10).states)
                 for c in (4.0, 64.0)]
         assert tab["energy_sup"] == want

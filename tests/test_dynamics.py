@@ -507,3 +507,12 @@ class TestStepFailures:
             ValueError, match=r"^step 2 failed at t=0\.1: amplitudes must be finite: v_hat\[5\]"
         ):
             _march(small_state(), 1.0, 0.1, 1, step)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan")])
+    def test_non_positive_dt_rejected(self, dt):
+        st = small_state()
+        z = np.zeros(len(st.grid), complex)
+        with pytest.raises(ValueError, match="^dt must be positive$"):
+            evolve(st, N1, 0.05, dt)
+        with pytest.raises(ValueError, match="^dt must be positive$"):
+            evolve_pair(st, LinearizedState(z, z), N1, 0.05, dt)

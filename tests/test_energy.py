@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scalar_oracles import correction_F, filtered_A, pair_coefficients
+from scalar_oracles import amps, correction_F, filtered_A, pair_coefficients
 
+from kirchlab import energy
 from kirchlab.analysis import divided_difference
 from kirchlab.energy import (
     _STEP,
@@ -13,13 +14,9 @@ from kirchlab.energy import (
     EnergyBreakdown,
     _balakrishnan_nodes,
     _divided_difference_sum,
-    asym_term,
     modified_energy,
-    modified_energy_stack,
-    normal_form_term,
     second_order_rate_model,
     second_order_model,
-    second_order_model_stack,
     second_order_term,
     unmodified_derivative_analytic,
     unmodified_energy,
@@ -184,7 +181,7 @@ def mode_arrays(state, s):
 
 def second_order_term_reference(state, N, s, profile=None):
     if profile is None:
-        profile = build_profile(state, N)
+        profile = build_profile(state.grid, state.u_hat, N)
     lam = state.grid.lambdas
     p, q, V, r = mode_arrays(state, s)
     K = (profile.a_values * profile.f_values)[
@@ -200,7 +197,7 @@ def second_order_term_reference(state, N, s, profile=None):
 def normal_form_term_reference(state, N, s, profile=None):
     """The inner index pre-summed, the outer pair as a matrix."""
     if profile is None:
-        profile = build_profile(state, N)
+        profile = build_profile(state.grid, state.u_hat, N)
     p, q, V, r = mode_arrays(state, s)
     g = profile.a_values * p
     AF = profile.a_values * profile.f_values
@@ -222,7 +219,7 @@ def normal_form_term_reference(state, N, s, profile=None):
 
 def asym_term_reference(state, N, s, profile=None):
     if profile is None:
-        profile = build_profile(state, N)
+        profile = build_profile(state.grid, state.u_hat, N)
     p, q, V, r = mode_arrays(state, s)
     A = profile.a_values
     idx = np.arange(len(p))
@@ -306,14 +303,14 @@ class TestUnmodified:
     def test_zero_state(self):
         g = FrequencyGrid([1.0, 2.0], [1.0, 1.0])
         z = np.zeros(2, complex)
-        assert unmodified_energy(SpectralState(g, z, z), N_QUAD, 0.25) == 0.0
+        assert unmodified_energy(g, z, z, N_QUAD, 0.25) == 0.0
 
     def test_single_mode_substitution(self):
         rho = 0.04
         g = FrequencyGrid([1.0], [1.0])
         u = np.array([np.sqrt(rho) + 0j])
         st_ = SpectralState(g, u, np.zeros(1, complex))
-        got = unmodified_energy(st_, N_QUAD, 0.0)
+        got = unmodified_energy(*amps(st_), N_QUAD, 0.0)
         assert np.isclose(got, 0.5 * (1 + N_QUAD.eval(rho)) * rho, rtol=1e-14)
 
     def test_norm_identity(self):
@@ -321,7 +318,7 @@ class TestUnmodified:
         for s in (0.0, 0.25, 0.5):
             n = pair_norm(st_, s)
             expect = 0.5 * (1 + N_QUAD.eval(sobolev_norm_sq(st_, 1.0))) * n.pos**2 + 0.5 * n.vel**2
-            assert np.isclose(unmodified_energy(st_, N_QUAD, s), expect, rtol=1e-13)
+            assert np.isclose(unmodified_energy(*amps(st_), N_QUAD, s), expect, rtol=1e-13)
 
 
 class TestOracleEquivalence:
@@ -332,7 +329,7 @@ class TestOracleEquivalence:
     def test_second_order(self, s):
         st_ = small_state(M=200, seed=7, lam_max=20.0)
         brute = brute_second_order(st_, N_QUAD, s)
-        fast = second_order_term(st_, N_QUAD, s)
+        fast = second_order_term(*amps(st_), N_QUAD, s)
         assert abs(fast - brute) <= 1e-11 * abs(brute)
         ref = second_order_term_reference(st_, N_QUAD, s)
         assert abs(ref - brute) <= 1e-11 * abs(brute)
@@ -341,7 +338,7 @@ class TestOracleEquivalence:
     def test_normal_form(self, s):
         st_ = small_state(M=40, seed=3)
         brute = brute_normal_form(st_, N_QUAD, s)
-        fast = normal_form_term(st_, N_QUAD, s)
+        fast = modified_energy(*amps(st_), N_QUAD, s).e_normal_form
         assert abs(fast - brute) <= 1e-11 * abs(brute)
         ref = normal_form_term_reference(st_, N_QUAD, s)
         assert abs(ref - brute) <= 1e-11 * abs(brute)
@@ -351,28 +348,27 @@ class TestOracleEquivalence:
         st_ = rescale_to(small_state(M=40, seed=5), 0.2, 0.0)
         N = model_nonlinearity(A)
         hand = brute_normal_form_model(st_, A, s)
-        fast = normal_form_term(st_, N, s)
+        fast = modified_energy(*amps(st_), N, s).e_normal_form
         assert abs(fast - hand) <= 1e-12 * abs(hand)
 
     def test_asym(self):
         st_ = small_state(M=100, seed=9)
         brute = brute_asym(st_, N_QUAD, 0.25)
-        fast = asym_term(st_, N_QUAD, 0.25)
+        fast = modified_energy(*amps(st_), N_QUAD, 0.25).e_asym
         assert abs(fast - brute) <= 1e-12 * abs(brute)
         ref = asym_term_reference(st_, N_QUAD, 0.25)
         assert abs(ref - brute) <= 1e-12 * abs(brute)
 
     def test_asym_vanishes_in_model_case(self):
         st_ = small_state(M=60, seed=2)
-        assert asym_term(st_, model_nonlinearity(1.7), 0.25) == 0.0
+        assert modified_energy(*amps(st_), model_nonlinearity(1.7), 0.25).e_asym == 0.0
 
     def test_zero_state_all_terms(self):
         g = FrequencyGrid([1.0, 2.0, 3.0], np.ones(3))
         z = np.zeros(3, complex)
-        st_ = SpectralState(g, z, z)
-        assert second_order_term(st_, N_QUAD, 0.25) == 0.0
-        assert normal_form_term(st_, N_QUAD, 0.25) == 0.0
-        assert asym_term(st_, N_QUAD, 0.25) == 0.0
+        assert second_order_term(g, z, z, N_QUAD, 0.25) == 0.0
+        e = modified_energy(g, z, z, N_QUAD, 0.25)
+        assert e.e_second_order == e.e_normal_form == e.e_asym == 0.0
 
 
 def _grid_draw(M, lam_min, log_ratio, near_gap, seed):
@@ -429,7 +425,7 @@ class TestDividedDifferenceSum:
         bc, bc_scale = dense_divided_difference_sum(K, lam**2, s, r, p, V)
         want = float(np.sum(a_terms)) + 0.25 * bc
         scale = float(np.sum(np.abs(a_terms))) + 0.25 * bc_scale
-        assert abs(second_order_model(st_, A, s) - want) <= 1e-11 * scale
+        assert abs(second_order_model(*amps(st_), A, s) - want) <= 1e-11 * scale
 
     def test_rejects_negative_regularity(self):
         x = np.array([1.0, 4.0])
@@ -506,7 +502,7 @@ class TestModifiedEnergy:
     def test_zero_nonlinearity_reduces_to_unmodified(self):
         st_ = small_state(seed=21)
         N0 = model_nonlinearity(0.0)
-        bd = modified_energy(st_, N0, 0.25)
+        bd = modified_energy(*amps(st_), N0, 0.25)
         assert bd.e_second_order == 0.0
         assert bd.e_normal_form == 0.0
         assert bd.e_asym == 0.0
@@ -514,13 +510,13 @@ class TestModifiedEnergy:
 
     def test_total_is_sum(self):
         st_ = small_state(seed=22)
-        bd = modified_energy(st_, N_QUAD, 0.5)
+        bd = modified_energy(*amps(st_), N_QUAD, 0.5)
         assert bd.e_total == bd.e_unmodified + bd.e_second_order + bd.e_normal_form + bd.e_asym
 
     def test_two_mode_assembly_against_oracles(self):
         st_ = build_two_mode(1.0, 2.0, [0.05 + 0.02j, 0.01j], [0.03, -0.02 + 0.01j])
         N = model_nonlinearity(1.0)
-        bd = modified_energy(st_, N, 0.25)
+        bd = modified_energy(*amps(st_), N, 0.25)
         assert abs(bd.e_second_order - brute_second_order(st_, N, 0.25)) <= 1e-12 * max(
             abs(bd.e_second_order), 1e-30
         )
@@ -537,7 +533,7 @@ class TestModifiedEnergy:
                 st_ = rescale_to(small_state(M=50, seed=seed), min(gate / 10, 1e-2), 0.0)
                 for s in (0.0, 0.25, 0.5):
                     n = pair_norm(st_, s)
-                    ratio = modified_energy(st_, N, s).e_total / (n.pos**2 + n.vel**2)
+                    ratio = modified_energy(*amps(st_), N, s).e_total / (n.pos**2 + n.vel**2)
                     assert 0.4 <= ratio <= 0.6
 
     def test_mode_permutation_invariance(self):
@@ -547,8 +543,8 @@ class TestModifiedEnergy:
         g = FrequencyGrid.from_unsorted(st_.grid.lambdas[order], st_.grid.weights[order])
         st2 = SpectralState(g, st_.u_hat, st_.v_hat)  # grid sorts back to same order
         assert np.isclose(
-            modified_energy(st_, N_QUAD, 0.25).e_total,
-            modified_energy(st2, N_QUAD, 0.25).e_total,
+            modified_energy(*amps(st_), N_QUAD, 0.25).e_total,
+            modified_energy(*amps(st2), N_QUAD, 0.25).e_total,
             rtol=1e-14,
         )
 
@@ -557,16 +553,15 @@ class TestUnmodifiedDerivative:
     def test_zero_velocity(self):
         st_ = small_state(seed=31)
         st0 = st_.replace_amplitudes(st_.u_hat, np.zeros_like(st_.v_hat))
-        assert unmodified_derivative_analytic(st0, N_QUAD, 0.25) == 0.0
+        assert unmodified_derivative_analytic(*amps(st0), N_QUAD, 0.25) == 0.0
 
     def test_model_single_mode_hand_formula(self):
         g = FrequencyGrid([2.0], [1.5])
         u = np.array([0.1 + 0.05j])
         v = np.array([0.02 - 0.03j])
-        st_ = SpectralState(g, u, v)
         A, s, lam, w = 1.0, 0.25, 2.0, 1.5
         expect = A * lam ** (4 + 2 * s) * w**2 * abs(u[0]) ** 2 * (u[0] * np.conj(v[0])).real
-        got = unmodified_derivative_analytic(st_, model_nonlinearity(A), s)
+        got = unmodified_derivative_analytic(g, u, v, model_nonlinearity(A), s)
         assert np.isclose(got, expect, rtol=1e-14)
 
     def test_matches_finite_difference_model_case(self):
@@ -576,9 +571,9 @@ class TestUnmodifiedDerivative:
         N = model_nonlinearity(1.0)
         st_ = rescale_to(small_state(seed=5), 0.05, 0.0)
         tr = evolve(st_, N, 8e-4, 1e-4, stride=1)
-        series = [(t, unmodified_energy(x, N, 0.25)) for t, x in zip(tr.times, tr.states)]
+        series = [(t, unmodified_energy(*amps(x), N, 0.25)) for t, x in zip(tr.times, tr.states)]
         fd = derivative_fd(series, 3)
-        an = unmodified_derivative_analytic(tr.states[3], N, 0.25)
+        an = unmodified_derivative_analytic(*amps(tr.states[3]), N, 0.25)
         assert abs(fd - an) <= 1e-6 * abs(an)
 
 
@@ -590,16 +585,17 @@ class TestSecondOrderModelIdentity:
         st_ = rescale_to(small_state(seed=5), 0.05, 0.0)
         h = 1e-4
         tr = evolve(st_, N, 4 * h, h, stride=1)
-        e2 = [second_order_model(x, 1.0, 0.25) for x in tr.states]
+        e2 = [second_order_model(*amps(x), 1.0, 0.25) for x in tr.states]
         fd = (e2[3] - e2[1]) / (2 * h)
-        rhs = second_order_rate_model(tr.states[2], 1.0, 0.25)
+        rhs = second_order_rate_model(*amps(tr.states[2]), 1.0, 0.25)
         assert abs(fd - rhs) <= 1e-7 * abs(rhs)
 
 
 class TestStack:
-    """The stacked kernels give bitwise the per-state public calls: the
-    same elementwise arithmetic, reductions along axis -1 and one matrix
-    product per sample, over stacks that span several sample blocks."""
+    """Each public energy function gives on an (S, M) stack bitwise its own
+    (M,) calls on the rows: the same elementwise arithmetic, reductions
+    along axis -1 and one matrix product per sample, over stacks that span
+    several sample blocks."""
 
     NONLINEARITIES = {
         "model": model_nonlinearity(1.0),
@@ -632,31 +628,58 @@ class TestStack:
         scale = size / np.sqrt(np.sum(grid.weights * (lam**2 * abs(u) ** 2 + abs(v) ** 2), axis=1))
         u, v = u * scale[:, None], v * scale[:, None]
         states = [SpectralState(grid, a, b) for a, b in zip(u, v)]
+        stack = stack_states(states)
 
-        stacked = modified_energy_stack(*stack_states(states), N, s)
-        model = second_order_model_stack(grid, u, v, 0.7, s)
-        pos, vel = pair_norm_stack(grid, u, v, s)
+        functions = {
+            "unmodified_energy": lambda *amp: unmodified_energy(*amp, N, s),
+            "second_order_term": lambda *amp: second_order_term(*amp, N, s),
+            "second_order_model": lambda *amp: second_order_model(*amp, 0.7, s),
+            "second_order_rate_model": lambda *amp: second_order_rate_model(*amp, 0.7, s),
+            "unmodified_derivative_analytic":
+                lambda *amp: unmodified_derivative_analytic(*amp, N, s),
+        }
+        for fname, f in functions.items():
+            assert f(*stack).tolist() == [f(*amps(st_)) for st_ in states], fname
+        stacked = modified_energy(*stack, N, s)
+        rows = [modified_energy(*amps(st_), N, s) for st_ in states]
+        for field in ("e_unmodified", "e_second_order", "e_normal_form", "e_asym", "e_total"):
+            assert getattr(stacked, field).tolist() == [getattr(e, field) for e in rows], field
+        assert stacked.e_unmodified.tolist() == functions["unmodified_energy"](*stack).tolist()
+        assert stacked.e_second_order.tolist() == functions["second_order_term"](*stack).tolist()
+        profile = build_profile(grid, u, N)
         for i, st_ in enumerate(states):
-            e = modified_energy(st_, N, s)
-            assert e.e_unmodified == stacked.e_unmodified[i] == unmodified_energy(st_, N, s)
-            assert e.e_second_order == stacked.e_second_order[i] == second_order_term(st_, N, s)
-            assert e.e_normal_form == stacked.e_normal_form[i] == normal_form_term(st_, N, s)
-            assert e.e_asym == stacked.e_asym[i] == asym_term(st_, N, s)
-            assert e.e_total == stacked.e_total[i]
-            assert model[i] == second_order_model(st_, 0.7, s)
-            n = pair_norm(st_, s)
-            assert (pos[i], vel[i]) == (n.pos, n.vel)
+            row = build_profile(st_.grid, st_.u_hat, N)
+            for field in ("c_prefix", "a_values", "f_values"):
+                assert np.array_equal(getattr(profile, field)[i], getattr(row, field)), field
+        pos, vel = pair_norm_stack(*stack, s)
+        assert list(zip(pos, vel)) == [(n.pos, n.vel) for n in (pair_norm(x, s) for x in states)]
         # the kernel alone, where a last-bit change is not rounded away
         K, r, f, g = rng.normal(size=(4, S, M))
         got = _divided_difference_sum(K, lam**2, s, r, f, g)
         want = [_divided_difference_sum(K[i], lam**2, s, r[i], f[i], g[i]) for i in range(S)]
         assert got.tolist() == [float(w) for w in want]
 
+    @pytest.mark.parametrize("sigma", [0.25, 0.5, 0.99])
+    def test_kernel_across_node_blocks(self, monkeypatch, sigma):
+        # 256 elements per block: the 29 nodes of the band x in [1, 256] go
+        # 4 at a time against 64 modes, and each sample block holds one sample
+        monkeypatch.setattr(energy, "_CHUNK", 256)
+        lam = np.geomspace(1.0, 16.0, 64)
+        x = lam**2
+        assert len(_balakrishnan_nodes(x[0], x[-1], sigma)[1]) > 2 * (256 // len(x))
+        K, r, f, g = np.random.default_rng(4).normal(size=(4, 3, len(x)))
+        got = _divided_difference_sum(K, x, sigma, r, f, g)
+        rows = [_divided_difference_sum(K[i], x, sigma, r[i], f[i], g[i]) for i in range(3)]
+        assert got.tolist() == [float(w) for w in rows]
+        for i, row in enumerate(rows):
+            want, scale = dense_divided_difference_sum(K[i], x, sigma, r[i], f[i], g[i])
+            assert abs(row - want) <= 1e-11 * scale
+
     def test_degenerate_sample_is_named(self):
         states = [small_state(seed=i) for i in range(3)]
         big = states[1].replace_amplitudes(100 * states[1].u_hat, states[1].v_hat)
         stack = stack_states([states[0], big, states[2]])
         with pytest.raises(DegenerateNonlinearityError, match=r"\(sample 1, mode index \d+\)"):
-            modified_energy_stack(*stack, model_nonlinearity(-1.0), 0.25)
+            modified_energy(*stack, model_nonlinearity(-1.0), 0.25)
         with pytest.raises(DegenerateNonlinearityError, match=r"\(mode index \d+\)"):
-            modified_energy(big, model_nonlinearity(-1.0), 0.25)
+            modified_energy(*amps(big), model_nonlinearity(-1.0), 0.25)

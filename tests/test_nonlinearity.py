@@ -117,13 +117,13 @@ class TestFilteredAandF:
         g = FrequencyGrid([1.0], [1.0])
         st = SpectralState(g, np.array([2.0 + 0j]), np.zeros(1, complex))
         with pytest.raises(DegenerateNonlinearityError):
-            build_profile(st, model_nonlinearity(-1.0))
+            build_profile(st.grid, st.u_hat, model_nonlinearity(-1.0))
 
     def test_thin_margin_warns(self):
         g = FrequencyGrid([1.0], [1.0])
         st = SpectralState(g, np.array([0.8 + 0j]), np.zeros(1, complex))
         with pytest.warns(UserWarning):
-            build_profile(st, model_nonlinearity(-1.0))
+            build_profile(st.grid, st.u_hat, model_nonlinearity(-1.0))
 
     def test_integral_equation_residual(self):
         # discrete residual of F = 1 - F int A p - 1/2 int F A p is bounded
@@ -131,7 +131,7 @@ class TestFilteredAandF:
         N = quadratic_nonlinearity(1.0, 0.5)
         for M, tol_scale in ((64, 1.0), (512, 1.0)):
             st = build_random_decay(M, 1.0, 16.0, 0.25, 0.55, seed=3)
-            prof = build_profile(st, N)
+            prof = build_profile(st.grid, st.u_hat, N)
             lam, w = st.grid.lambdas, st.grid.weights
             p = w * lam**2 * np.abs(st.u_hat) ** 2
             a = prof.a_values
@@ -150,7 +150,7 @@ class TestFilteredAandF:
             from kirchlab.spectral import rescale_to
 
             st = rescale_to(st, 0.3, 0.0)
-            prof = build_profile(st, N)
+            prof = build_profile(st.grid, st.u_hat, N)
             lam, w = st.grid.lambdas, st.grid.weights
             p = w * lam**2 * np.abs(st.u_hat) ** 2
             f = prof.f_values
@@ -166,7 +166,7 @@ class TestProfile:
     def test_zero_state(self):
         g = FrequencyGrid([1.0, 2.0], [1.0, 1.0])
         z = np.zeros(2, complex)
-        prof = build_profile(SpectralState(g, z, z), quadratic_nonlinearity(2.0, 1.0))
+        prof = build_profile(g, z, quadratic_nonlinearity(2.0, 1.0))
         assert np.all(prof.c_prefix == 0.0)
         assert np.all(prof.a_values == 2.0)
         assert np.all(prof.f_values == 1.0)
@@ -174,7 +174,7 @@ class TestProfile:
     def test_pointwise_agreement(self):
         st = random_state(M=80, seed=9)
         N = quadratic_nonlinearity(1.0, 1.0)
-        prof = build_profile(st, N)
+        prof = build_profile(st.grid, st.u_hat, N)
         for k in range(len(st.grid)):
             r = float(st.grid.lambdas[k])
             assert np.isclose(prof.c_prefix[k], cumulative_mass(st, r), rtol=1e-14)
@@ -183,7 +183,7 @@ class TestProfile:
 
     def test_prefix_monotone_and_total(self):
         st = random_state(M=50, seed=1)
-        prof = build_profile(st, model_nonlinearity(1.0))
+        prof = build_profile(st.grid, st.u_hat, model_nonlinearity(1.0))
         assert np.all(np.diff(prof.c_prefix) >= 0)
         assert np.isclose(prof.c_prefix[-1], sobolev_norm_sq(st, 1.0), rtol=1e-14)
 
@@ -193,14 +193,14 @@ class TestProfile:
         N = model_nonlinearity(1.0)
         st_small = build_random_decay(2**15, 1.0, 64.0, 0.25, 0.55, seed=0)
         st_big = build_random_decay(2**16, 1.0, 64.0, 0.25, 0.55, seed=0)
-        build_profile(st_small, N)  # warm up
+        build_profile(st_small.grid, st_small.u_hat, N)  # warm up
         t0 = time.perf_counter()
         for _ in range(5):
-            build_profile(st_small, N)
+            build_profile(st_small.grid, st_small.u_hat, N)
         t_small = (time.perf_counter() - t0) / 5
         t0 = time.perf_counter()
         for _ in range(5):
-            build_profile(st_big, N)
+            build_profile(st_big.grid, st_big.u_hat, N)
         t_big = (time.perf_counter() - t0) / 5
         assert t_big <= 4.0 * t_small + 1e-3
 
@@ -209,7 +209,7 @@ class TestTelescoping:
     def test_exact_telescope(self):
         st = random_state(M=120, seed=4)
         N = quadratic_nonlinearity(1.0, 2.0)
-        prof = build_profile(st, N)
+        prof = build_profile(st.grid, st.u_hat, N)
         vals = np.asarray(N.eval(prof.c_prefix))
         telescoped = vals[0] + float(np.add.reduce(np.diff(vals)))
         assert np.isclose(telescoped, float(N.eval(sobolev_norm_sq(st, 1.0))), rtol=1e-13)
@@ -217,7 +217,7 @@ class TestTelescoping:
     def test_midpoint_form_error_bound(self):
         st = random_state(M=120, seed=4)
         N = quadratic_nonlinearity(1.0, 2.0)
-        prof = build_profile(st, N)
+        prof = build_profile(st.grid, st.u_hat, N)
         lam, w = st.grid.lambdas, st.grid.weights
         p = w * lam**2 * np.abs(st.u_hat) ** 2
         midpoint_sum = float(np.add.reduce(prof.a_values * p))
