@@ -24,9 +24,9 @@ from .energy import (
 )
 from .nonlinearity import NonlinearitySpec, build_profile, delta_gate
 from .spectral import (
+    FrequencyGrid,
     SpectralState,
     pair_norm,
-    pair_norm_stack,
     rescale_to,
     sobolev_norm_sq,
     stack_states,
@@ -111,7 +111,7 @@ def quintic_ratio_series(traj: Trajectory, N: NonlinearitySpec, s: float):
     stack = stack_states(traj.states)
     e_s = modified_energy(*stack, N, s).e_total.tolist()
     e_q = e_s if s == 0.25 else modified_energy(*stack, N, 0.25).e_total.tolist()
-    over = (np.hypot(*pair_norm_stack(*stack, 0.0)) > delta_gate(N)).tolist()
+    over = (np.hypot(*pair_norm(*stack, 0.0)) > delta_gate(N)).tolist()
     series = list(zip(traj.times, e_s))
     out = []
     for i in range(2, len(traj) - 2):
@@ -133,10 +133,9 @@ def scaling_point(
     """Normalized derivative magnitudes (unmodified analytic, modified by
     finite differences) for the base data rescaled to one epsilon."""
     st = rescale_to(base_state, float(epsilon), 0.25)
-    gate = delta_gate(N)
-    if pair_norm(st, 0.0).combined > gate:
-        raise ValueError(f"epsilon {epsilon} puts the data above the smallness gate")
     amps = st.grid, st.u_hat, st.v_hat
+    if np.hypot(*pair_norm(*amps, 0.0)) > delta_gate(N):
+        raise ValueError(f"epsilon {epsilon} puts the data above the smallness gate")
     y_unmod = abs(unmodified_derivative_analytic(*amps, N, s)) / unmodified_energy(*amps, N, s)
     h = dt * stride
     traj = evolve(st, N, 4 * h, dt, stride=stride, method=method)
@@ -177,11 +176,11 @@ def comparability_sweep(states, N: NonlinearitySpec, s_list) -> dict:
     excluded = 0
     if states:
         grid, u, v = stack_states(states)
-        over = np.hypot(*pair_norm_stack(grid, u, v, 0.0)) > delta_gate(N)
+        over = np.hypot(*pair_norm(grid, u, v, 0.0)) > delta_gate(N)
         excluded = int(np.count_nonzero(over)) * len(s_list)
         u, v = u[~over], v[~over]
         for s in s_list:
-            pos, vel = pair_norm_stack(grid, u, v, s)
+            pos, vel = pair_norm(grid, u, v, s)
             # the per-state arithmetic: Python's float ** 2 may differ from
             # numpy's x * x in the last bit
             denom = np.array([a**2 + b**2 for a, b in zip(pos.tolist(), vel.tolist())])
@@ -321,22 +320,22 @@ class ObstructionCertificate:
 
 
 def _obstruction_system(x: float, y: float, sigma: float):
-    """The 8x8 system in [a, b, c12, c21, d12, d21, e, f]."""
+    """The 8x8 system A z = right in z = [a, b, c12, c21, d12, d21, e, f]."""
     A = np.zeros((8, 8))
-    rhs = np.zeros(8)
+    right = np.zeros(8)
     # rows for the pair (xi1, xi2) with x = xi1^2, y = xi2^2
     A[0] = [2, -2 * y, -y, 0, -x, 0, 0, 0]
-    rhs[0] = x ** (1 + sigma) * y
+    right[0] = x ** (1 + sigma) * y
     A[1] = [2, 0, 0, -y, -x, 0, -2 * y, 0]
     A[2] = [0, 0, 1, 0, 1, 0, 2, -2 * y]
     A[3] = [0, 2, 0, 1, 1, 0, 0, -2 * y]
     # rows for the swapped pair: x <-> y, c12 <-> c21, d12 <-> d21
     A[4] = [2, -2 * x, 0, -x, 0, -y, 0, 0]
-    rhs[4] = y ** (1 + sigma) * x
+    right[4] = y ** (1 + sigma) * x
     A[5] = [2, 0, -x, 0, 0, -y, -2 * x, 0]
     A[6] = [0, 0, 0, 1, 0, 1, 2, -2 * x]
     A[7] = [0, 2, 1, 0, 0, 1, 0, -2 * x]
-    return A, rhs
+    return A, right
 
 
 def obstruction_certificate(x: float, y: float, sigma: float) -> ObstructionCertificate:
@@ -351,9 +350,9 @@ def obstruction_certificate(x: float, y: float, sigma: float) -> ObstructionCert
         raise ValueError("squared frequencies must be non-negative")
     x, y, sigma = float(x), float(y), float(sigma)
     residual = x ** (1 + sigma) * y
-    A, rhs = _obstruction_system(x, y, sigma)
-    sol, _, _, _ = np.linalg.lstsq(A, rhs, rcond=None)
-    ls_res = float(np.linalg.norm(A @ sol - rhs))
+    A, right = _obstruction_system(x, y, sigma)
+    sol, _, _, _ = np.linalg.lstsq(A, right, rcond=None)
+    ls_res = float(np.linalg.norm(A @ sol - right))
     return ObstructionCertificate(
         x=x,
         y=y,
@@ -365,26 +364,24 @@ def obstruction_certificate(x: float, y: float, sigma: float) -> ObstructionCert
     )
 
 
-def linearized_energy(base: SpectralState, lin: LinearizedState, sigma: float) -> float:
-    """(1/2)|w'|_{H^sigma}^2 + (1/2)(1 + mass(u)) |w|_{H^{1+sigma}}^2."""
-    lam, w = base.grid.lambdas, base.grid.weights
-    m = sobolev_norm_sq(base, 1.0)
-    kin = float(np.add.reduce(w * lam ** (2 * sigma) * np.abs(lin.w_vel) ** 2))
-    pot = float(np.add.reduce(w * lam ** (2 + 2 * sigma) * np.abs(lin.w_hat) ** 2))
-    return 0.5 * kin + 0.5 * (1.0 + m) * pot
+def linearized_energy(grid: FrequencyGrid, u: np.ndarray, w_hat: np.ndarray,
+                      w_vel: np.ndarray, sigma: float):
+    """(1/2)|w'|_{H^sigma}^2 + (1/2)(1 + mass(u)) |w|_{H^{1+sigma}}^2 along
+    the last axis: a scalar for one base state's (M,) amplitudes u and
+    companion (w, w'), an (S,) array for (S, M) stacks of them."""
+    kin, pot = sobolev_norm_sq(grid, w_vel, sigma), sobolev_norm_sq(grid, w_hat, 1.0 + sigma)
+    return 0.5 * kin + 0.5 * (1.0 + sobolev_norm_sq(grid, u, 1.0)) * pot
 
 
-def _sep_mixed(base: SpectralState, lin: LinearizedState, sigma: float):
-    lam, w = base.grid.lambdas, base.grid.weights
-    sep = float(
-        np.add.reduce(w * lam**2 * np.real(base.v_hat * np.conj(base.u_hat)))
-    ) * float(np.add.reduce(w * lam ** (2 + 2 * sigma) * np.abs(lin.w_hat) ** 2))
-    mixed = -2.0 * float(
-        np.add.reduce(w * lam**2 * np.real(base.u_hat * np.conj(lin.w_hat)))
-    ) * float(
-        np.add.reduce(w * lam ** (2 + 2 * sigma) * np.real(base.u_hat * np.conj(lin.w_vel)))
-    )
-    return sep, mixed
+def _sep_mixed(grid: FrequencyGrid, u, v, w_hat, w_vel, sigma: float):
+    """The separable and the mixed piece of d/dt linearized_energy, along
+    the last axis as there."""
+
+    def inner(e, a, b):  # sum_k w_k l_k^e Re(a_k conj(b_k))
+        return np.add.reduce(grid.weights * grid.lambdas**e * np.real(a * np.conj(b)), axis=-1)
+
+    sep = inner(2, v, u) * sobolev_norm_sq(grid, w_hat, 1.0 + sigma)
+    return sep, -2.0 * inner(2, u, w_hat) * inner(2 + 2 * sigma, u, w_vel)
 
 
 def resonance_report(
@@ -400,16 +397,14 @@ def resonance_report(
     the separable (time-derivative-factoring) piece and the mixed piece,
     with running time averages.  Non-asserting experiment artifact."""
     traj = evolve_pair(u0, w0, N, T, dt, stride=stride)
-    times = np.asarray(traj.times)
-    sep = np.empty(len(traj))
-    mixed = np.empty(len(traj))
-    energy = np.empty(len(traj))
-    for i, (st, ln) in enumerate(zip(traj.states, traj.companions)):
-        sep[i], mixed[i] = _sep_mixed(st, ln, sigma)
-        energy[i] = linearized_energy(st, ln, sigma)
+    grid, u, v = stack_states(traj.states)
+    w_hat = np.array([c.w_hat for c in traj.companions])
+    w_vel = np.array([c.w_vel for c in traj.companions])
+    sep, mixed = _sep_mixed(grid, u, v, w_hat, w_vel, sigma)
+    energy = linearized_energy(grid, u, w_hat, w_vel, sigma)
     k = np.arange(1, len(traj) + 1)
     return {
-        "times": times,
+        "times": np.asarray(traj.times),
         "sep": sep,
         "mixed": mixed,
         "energy": energy,
@@ -433,7 +428,7 @@ def truncation_convergence(
     cutoffs = [float(c) for c in cutoffs]
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError("cutoffs must be strictly increasing")
-    w, lam = rough_state.grid.weights, rough_state.grid.lambdas
+    full = rough_state.grid
     us, vs, e_sup = [], [], []
     for c in cutoffs:
         traj = evolve(truncate(rough_state, c), N, T, dt, stride=stride, method="rotation")
@@ -441,12 +436,12 @@ def truncation_convergence(
         e_sup.append(float(np.max(modified_energy(grid, u, v, N, s_low).e_total)))
         # a truncation keeps a prefix of the ascending grid (an empty one keeps
         # lambdas[:1] at zero amplitude): zero padding embeds it in the full grid
-        pad = ((0, 0), (0, len(lam) - len(grid)))
+        pad = ((0, 0), (0, len(full) - len(grid)))
         us.append(np.pad(u, pad))
         vs.append(np.pad(v, pad))
     diffs = [
-        float(np.max(np.sqrt(np.add.reduce(w * lam**2 * np.abs(ua - ub) ** 2, axis=1)
-                             + np.add.reduce(w * np.abs(va - vb) ** 2, axis=1))))
+        float(np.max(np.sqrt(sobolev_norm_sq(full, ua - ub, 1.0)
+                             + sobolev_norm_sq(full, va - vb, 0.0))))
         for ua, va, ub, vb in zip(us, vs, us[1:], vs[1:])
     ]
     return {"cutoffs": cutoffs, "consecutive_diffs": diffs, "energy_sup": e_sup}

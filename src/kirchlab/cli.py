@@ -48,7 +48,7 @@ def build_state(config: RunConfig, seed: int) -> SpectralState:
 
 def _gate_check(state, N, config):
     gate = delta_gate(N)
-    size = pair_norm(state, 0.0).combined
+    size = np.hypot(*pair_norm(state.grid, state.u_hat, state.v_hat, 0.0))
     violated = bool(size > gate)
     if violated and not config.allow_gate_violation:
         raise RuntimeError(
@@ -73,11 +73,10 @@ def _traj_rows(traj, N, s_list):
         header += [f"{name}[{tag}]" for name in ("pos", "vel", *_ENERGY_COLUMNS)]
     rows = []
     for t, st in zip(traj.times, traj.states):
-        h1 = pair_norm(st, 0.0)
-        row = [float(t), hamiltonian(st, N), h1.pos, h1.vel]
+        amps = st.grid, st.u_hat, st.v_hat
+        row = [float(t), hamiltonian(st, N), *pair_norm(*amps, 0.0)]
         for s in s_list:
-            nrm = pair_norm(st, s)
-            row += [nrm.pos, nrm.vel, *astuple(modified_energy(st.grid, st.u_hat, st.v_hat, N, s))]
+            row += [*pair_norm(*amps, s), *astuple(modified_energy(*amps, N, s))]
         rows.append(row)
     return header, rows
 

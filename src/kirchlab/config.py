@@ -1,8 +1,8 @@
 """Run configuration: parsing, validation, canonical echo.
 
 Configs are JSON documents.  Validation accumulates *all* errors (with
-key paths) instead of stopping at the first, and the canonical form
-round-trips: parse(canonical(cfg)) == cfg.
+key paths) instead of stopping at the first, and the echo that run.json
+records round-trips: parse_config(json.dumps(cfg.as_dict())) == cfg.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "canonical_text"]
+__all__ = ["RunConfig", "ConfigError", "parse_config"]
 
 # The numeric keys of each section: key -> (kind, lower bound, default).  A
 # bound reads as its message; a default of None marks a required key, and one
@@ -74,10 +74,6 @@ class RunConfig:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def canonical_text(config: RunConfig) -> str:
-    return json.dumps(config.as_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _is_number(v) -> bool:

@@ -19,18 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nonlinearity import DegenerateNonlinearityError, NonlinearitySpec
-from .spectral import SpectralState, _norm_sq, _readonly, _shared_grid, sobolev_norm_sq
+from .spectral import SpectralState, _readonly, _shared_grid, sobolev_norm_sq
 
 __all__ = [
     "Trajectory",
     "LinearizedState",
-    "rhs",
     "step_rotation",
     "step_rk4",
     "rk4_dt_guard",
     "hamiltonian",
     "evolve",
-    "linearized_rhs",
     "evolve_pair",
 ]
 
@@ -76,7 +74,8 @@ class Trajectory:
 
 
 def _rhs(lam2, wl2, N, u):
-    """The acceleration dv/dt on raw arrays; lam2 = lambdas**2, wl2 = weights * lam2."""
+    """The acceleration dv_k/dt = -(1 + N(|u|_{H^1}^2)) l_k^2 u_k on raw
+    arrays; lam2 = lambdas**2, wl2 = weights * lam2."""
     speed = 1.0 + float(N.eval(float(np.add.reduce(wl2 * np.abs(u) ** 2))))
     return -speed * lam2 * u
 
@@ -91,12 +90,6 @@ def _rk4(accel, u, v, dt):
     k4u, k4v = v + dt * k3v, accel(2, u + dt * k3u)
     return (u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u),
             v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
-
-
-def rhs(state: SpectralState, N: NonlinearitySpec):
-    """du = v;  dv_k = -(1 + N(|u|_{H^1}^2)) l_k^2 u_k."""
-    lam2 = state.grid.lambdas**2
-    return state.v_hat.copy(), _rhs(lam2, state.grid.weights * lam2, N, state.u_hat)
 
 
 def _rotation_arrays(lam, wl2, u, v, N, dt, allow_halve):
@@ -136,7 +129,7 @@ def _rotation_arrays(lam, wl2, u, v, N, dt, allow_halve):
 def step_rotation(state: SpectralState, N: NonlinearitySpec, dt: float) -> SpectralState:
     """One exact-rotation step with the wave speed frozen at its midpoint
     value (fixed-point iterated); unconditionally stable in lambda_max."""
-    if dt <= 0:
+    if not dt > 0:  # NaN too
         raise ValueError("dt must be positive")
     lam = state.grid.lambdas
     u1, v1 = _rotation_arrays(
@@ -147,13 +140,13 @@ def step_rotation(state: SpectralState, N: NonlinearitySpec, dt: float) -> Spect
 
 def rk4_dt_guard(state: SpectralState, N: NonlinearitySpec) -> float:
     """Largest dt the RK4 stability guard allows for this state."""
-    mass = sobolev_norm_sq(state, 1.0)
+    mass = sobolev_norm_sq(state.grid, state.u_hat, 1.0)
     speed = 1.0 + max(float(N.eval(mass)), 0.0)
     return 2.8 / (float(state.grid.lambdas[-1]) * np.sqrt(speed))
 
 
 def step_rk4(state: SpectralState, N: NonlinearitySpec, dt: float) -> SpectralState:
-    if dt <= 0:
+    if not dt > 0:  # NaN too
         raise ValueError("dt must be positive")
     guard = rk4_dt_guard(state, N)
     if dt > guard:
@@ -167,8 +160,8 @@ def step_rk4(state: SpectralState, N: NonlinearitySpec, dt: float) -> SpectralSt
 def hamiltonian(state: SpectralState, N: NonlinearitySpec) -> float:
     """(1/2)|u'|^2 + (1/2)|u|_{H^1}^2 + (1/2) antiderivative(|u|_{H^1}^2);
     conserved exactly by the flow (chain rule against the equation)."""
-    kinetic = 0.5 * _norm_sq(state.grid, state.v_hat, 0.0)
-    mass = sobolev_norm_sq(state, 1.0)
+    kinetic = 0.5 * sobolev_norm_sq(state.grid, state.v_hat, 0.0)
+    mass = sobolev_norm_sq(state.grid, state.u_hat, 1.0)
     return kinetic + 0.5 * mass + 0.5 * float(N.antiderivative(mass))
 
 
@@ -195,8 +188,8 @@ def _march(state, T, dt, stride, step, on_sample=None):
     A failing step's exception is raised again with its type kept (a
     RuntimeError if that type takes no single message), naming the step
     and its start time.  Returns (times, states, nsteps)."""
-    if T < 0:
-        raise ValueError("T must be non-negative")
+    if not 0 <= T < np.inf:  # NaN too
+        raise ValueError(f"T must be finite and non-negative, got {T}")
     if not dt > 0:  # NaN too
         raise ValueError("dt must be positive")
     if stride < 1:
@@ -242,24 +235,13 @@ def evolve(
 
 
 def _linearized_rhs(lam2, wl2, A, u, m, w_hat):
-    """dw'/dt of the linearized equation at base amplitudes u of H^1 mass m."""
+    """dw'/dt of the linearized equation at base amplitudes u of H^1 mass m
+    (wave speed 1 + A m), on raw arrays as in _rhs:
+
+      dw'_k = -l_k^2 (1 + A m) w_k - 2 A l_k^2 u_k sum_j w_j l_j^2 Re(u_j conj(w_j)).
+    """
     inner = float(np.add.reduce(wl2 * np.real(u * np.conj(w_hat))))
     return -(1.0 + A * m) * lam2 * w_hat - 2.0 * A * lam2 * u * inner
-
-
-def linearized_rhs(base: SpectralState, lin: LinearizedState, A: float = 1.0):
-    """Right side of the linearized equation around a base solution
-    (wave speed 1 + A * mass):
-
-      dw = w';  dw'_k = -l_k^2 (1 + A m) w_k
-                        - 2 A l_k^2 u_k sum_j w_j l_j^2 Re(u_j conj(w_j)).
-    """
-    if lin.w_hat.shape != base.u_hat.shape:
-        raise ValueError("linearized state does not match the base grid")
-    lam2 = base.grid.lambdas**2
-    wl2 = base.grid.weights * lam2
-    m = float(np.add.reduce(wl2 * np.abs(base.u_hat) ** 2))
-    return lin.w_vel.copy(), _linearized_rhs(lam2, wl2, A, base.u_hat, m, lin.w_hat)
 
 
 def evolve_pair(

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nonlinearity import FilteredProfile, NonlinearitySpec, build_profile
-from .spectral import FrequencyGrid, _norm_sq
+from .spectral import FrequencyGrid, sobolev_norm_sq
 
 __all__ = [
     "EnergyBreakdown",
@@ -66,7 +66,7 @@ def unmodified_energy(
     lam, w = grid.lambdas, grid.weights
     pos = np.add.reduce(w * lam ** (2.0 + 2.0 * s) * np.abs(u) ** 2, axis=-1)
     vel = np.add.reduce(w * lam ** (2.0 * s) * np.abs(v) ** 2, axis=-1)
-    return 0.5 * (1.0 + N.eval(_norm_sq(grid, u, 1.0))) * pos + 0.5 * vel
+    return 0.5 * (1.0 + N.eval(sobolev_norm_sq(grid, u, 1.0))) * pos + 0.5 * vel
 
 
 # -- per-mode building blocks shared by the sums below ------------------------

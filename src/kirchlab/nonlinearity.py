@@ -24,8 +24,6 @@ __all__ = [
     "NonlinearitySpec",
     "FilteredProfile",
     "DegenerateNonlinearityError",
-    "model_nonlinearity",
-    "quadratic_nonlinearity",
     "polynomial_nonlinearity",
     "nonlinearity_from_config",
     "build_profile",
@@ -96,16 +94,6 @@ def polynomial_nonlinearity(coefficients) -> NonlinearitySpec:
         return total
 
     return NonlinearitySpec(cs, eval_, _shaped_horner(dcs), _shaped_horner(ddcs), antiderivative)
-
-
-def model_nonlinearity(A: float) -> NonlinearitySpec:
-    """N(r) = A r (constant wave-speed derivative; either sign allowed)."""
-    return polynomial_nonlinearity([A])
-
-
-def quadratic_nonlinearity(A: float, B: float) -> NonlinearitySpec:
-    """N(r) = A r + B r^2."""
-    return polynomial_nonlinearity([A, B])
 
 
 def nonlinearity_from_config(spec: dict) -> NonlinearitySpec:

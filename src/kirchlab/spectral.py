@@ -8,7 +8,6 @@ continuum integrals become exact finite sums.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,17 +15,13 @@ import numpy as np
 __all__ = [
     "FrequencyGrid",
     "SpectralState",
-    "NormPair",
     "sobolev_norm_sq",
     "pair_norm",
-    "pair_norm_stack",
     "stack_states",
     "rescale_to",
     "build_two_mode",
     "build_random_decay",
     "truncate",
-    "state_to_json",
-    "state_from_json",
 ]
 
 
@@ -103,31 +98,12 @@ class SpectralState:
         return SpectralState(self.grid, u_hat, v_hat, t)
 
 
-@dataclass(frozen=True)
-class NormPair:
-    pos: float
-    vel: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.pos) and np.isfinite(self.vel)):
-            raise ValueError("norms must be finite")
-        if self.pos < 0 or self.vel < 0:
-            raise ValueError("norms must be non-negative")
-
-    @property
-    def combined(self) -> float:
-        return float(np.hypot(self.pos, self.vel))
-
-
-def sobolev_norm_sq(state: SpectralState, sigma: float) -> float:
-    """sum_k w_k lambda_k^(2*sigma) |u_hat_k|^2, summed in ascending order."""
-    return _norm_sq(state.grid, state.u_hat, sigma)
-
-
-def _norm_sq(grid: FrequencyGrid, amps: np.ndarray, sigma: float):
-    """The squared H^sigma norm along the last axis: a float for one state's
-    (M,) amplitudes, an (S,) array for an (S, M) stack on the grid."""
-    terms = grid.weights * grid.lambdas ** (2.0 * sigma) * np.abs(amps) ** 2
+def sobolev_norm_sq(grid: FrequencyGrid, a: np.ndarray, sigma: float):
+    """sum_k w_k lambda_k^(2*sigma) |a_k|^2 along the last axis, summed in
+    ascending order: a float for one state's (M,) amplitudes, an (S,) array
+    for an (S, M) stack on the grid.  An overflow raises, naming the sample
+    of a stack, so the result is finite."""
+    terms = grid.weights * grid.lambdas ** (2.0 * sigma) * np.abs(a) ** 2
     out = np.add.reduce(terms, axis=-1)
     if out.ndim == 0:
         out = float(out)
@@ -139,18 +115,11 @@ def _norm_sq(grid: FrequencyGrid, amps: np.ndarray, sigma: float):
     return out
 
 
-def pair_norm(state: SpectralState, s: float) -> NormPair:
-    """(|u|_{H^{1+s}}, |u'|_{H^s}) as a pair."""
-    pos = np.sqrt(_norm_sq(state.grid, state.u_hat, 1.0 + s))
-    vel = np.sqrt(_norm_sq(state.grid, state.v_hat, s))
-    return NormPair(float(pos), float(vel))
-
-
-def pair_norm_stack(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, s: float):
-    """pair_norm of every state of an (S, M) stack on one grid, as the two
-    (S,) arrays (pos, vel), equal to the per-state norms.  An overflowing
-    norm raises as in pair_norm, so both arrays are finite."""
-    return np.sqrt(_norm_sq(grid, u, 1.0 + s)), np.sqrt(_norm_sq(grid, v, s))
+def pair_norm(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, s: float):
+    """(|u|_{H^{1+s}}, |u'|_{H^s}) along the last axis, as in sobolev_norm_sq:
+    two scalars for one state, two (S,) arrays for a stack.  Their
+    combination is np.hypot(*pair_norm(...))."""
+    return np.sqrt(sobolev_norm_sq(grid, u, 1.0 + s)), np.sqrt(sobolev_norm_sq(grid, v, s))
 
 
 def _shared_grid(states) -> FrequencyGrid:
@@ -168,7 +137,7 @@ def _shared_grid(states) -> FrequencyGrid:
 def stack_states(states):
     """(grid, u, v) for one or more states on one grid (ValueError naming
     the first state that is not): u and v are the (S, M) stacks of their
-    amplitudes, the input of the energy functions and pair_norm_stack."""
+    amplitudes, the input of the energy functions and pair_norm."""
     grid = _shared_grid(states)
     return grid, np.array([st.u_hat for st in states]), np.array([st.v_hat for st in states])
 
@@ -176,9 +145,9 @@ def stack_states(states):
 def rescale_to(state: SpectralState, target: float, space_exponent: float) -> SpectralState:
     """Scale amplitudes by one real factor so the pair norm at the given
     regularity equals target."""
-    if target <= 0:
+    if not target > 0:  # NaN too
         raise ValueError("target must be positive")
-    current = pair_norm(state, space_exponent).combined
+    current = np.hypot(*pair_norm(state.grid, state.u_hat, state.v_hat, space_exponent))
     if current == 0.0:
         raise ValueError("cannot rescale zero state")
     c = target / current
@@ -246,7 +215,7 @@ def build_random_decay(
 
 def truncate(state: SpectralState, cutoff: float) -> SpectralState:
     """Keep modes with lambda_k <= cutoff (possibly none)."""
-    if cutoff <= 0:
+    if not cutoff > 0:  # NaN too
         raise ValueError("cutoff must be positive")
     keep = state.grid.lambdas <= cutoff
     if np.all(keep):
@@ -259,29 +228,3 @@ def truncate(state: SpectralState, cutoff: float) -> SpectralState:
         return SpectralState(grid, z, z, state.time)
     grid = FrequencyGrid(state.grid.lambdas[keep], state.grid.weights[keep])
     return SpectralState(grid, state.u_hat[keep], state.v_hat[keep], state.time)
-
-
-def state_to_json(state: SpectralState) -> str:
-    modes = []
-    for k in range(len(state.grid)):
-        modes.append(
-            {
-                "lambda": float(state.grid.lambdas[k]),
-                "weight": float(state.grid.weights[k]),
-                "u_re": float(state.u_hat[k].real),
-                "u_im": float(state.u_hat[k].imag),
-                "v_re": float(state.v_hat[k].real),
-                "v_im": float(state.v_hat[k].imag),
-            }
-        )
-    return json.dumps({"time": state.time, "modes": modes})
-
-
-def state_from_json(text: str) -> SpectralState:
-    doc = json.loads(text)
-    modes = doc["modes"]
-    lam = np.array([m["lambda"] for m in modes], dtype=float)
-    w = np.array([m["weight"] for m in modes], dtype=float)
-    u = np.array([complex(m["u_re"], m["u_im"]) for m in modes])
-    v = np.array([complex(m["v_re"], m["v_im"]) for m in modes])
-    return SpectralState(FrequencyGrid(lam, w), u, v, float(doc["time"]))

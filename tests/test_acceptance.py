@@ -16,8 +16,7 @@ from kirchlab.dynamics import LinearizedState, evolve, evolve_pair, hamiltonian
 from kirchlab.nonlinearity import (
     build_profile,
     delta_gate,
-    model_nonlinearity,
-    quadratic_nonlinearity,
+    polynomial_nonlinearity,
 )
 from kirchlab.spectral import build_random_decay, rescale_to
 
@@ -32,7 +31,7 @@ from test_energy import (
     second_order_term_reference,
 )
 
-N1 = model_nonlinearity(1.0)
+N1 = polynomial_nonlinearity([1.0])
 
 
 def _report(num, name, ok, detail=""):
@@ -65,7 +64,7 @@ def _asym(st, N, s):
 
 
 def test_criterion_01_oracle_equivalence_and_speed():
-    NQ = quadratic_nonlinearity(1.0, 1.0)
+    NQ = polynomial_nonlinearity([1.0, 1.0])
     worst = 0.0
     st = rescale_to(_decaying(200, 5), 0.05, 0.0)
     for fn, ref in (
@@ -114,7 +113,7 @@ def test_criterion_01_oracle_equivalence_and_speed():
 def test_criterion_02_hamiltonian_conservation():
     worst = 0.0
     for A in (1.0, -1.0):
-        N = model_nonlinearity(A)
+        N = polynomial_nonlinearity([A])
         st = rescale_to(_decaying(64, 7), delta_gate(N) / 10, 0.0)
         H0 = hamiltonian(st, N)
         for method in ("rotation", "rk4"):
@@ -151,8 +150,8 @@ def test_criterion_04_kernel_bounds():
 
 
 def test_criterion_05_comparability():
-    cases = [("model A=+1", N1), ("model A=-1", model_nonlinearity(-1.0)),
-             ("N=r+r^2", quadratic_nonlinearity(1.0, 1.0))]
+    cases = [("model A=+1", N1), ("model A=-1", polynomial_nonlinearity([-1.0])),
+             ("N=r+r^2", polynomial_nonlinearity([1.0, 1.0]))]
     window_ok = True
     worst = (0.5, 0.5)
     for _, N in cases:
@@ -213,7 +212,7 @@ def test_criterion_07_linearization():
 
     from kirchlab.spectral import sobolev_norm_sq
 
-    m = sobolev_norm_sq(st, 1.0)
+    m = sobolev_norm_sq(st.grid, st.u_hat, 1.0)
     wt = LinearizedState(st.v_hat, -(1 + m) * st.grid.lambdas**2 * st.u_hat)
     tt = evolve_pair(st, wt, N1, 0.01, 1e-5, stride=1000)
     resid = float(np.max(np.abs(tt.companions[-1].w_hat - tt.states[-1].v_hat)))
@@ -240,9 +239,9 @@ def test_criterion_09_scaling_symmetry():
     st = rescale_to(_decaying(24, 11, lam_max=8.0), 0.05, 0.0)
     worst = 0.0
     for eps in (0.5, 2.0, 10.0):
-        t1 = evolve(st, model_nonlinearity(1.0), 0.5, 1e-3).states[-1]
+        t1 = evolve(st, polynomial_nonlinearity([1.0]), 0.5, 1e-3).states[-1]
         scaled = st.replace_amplitudes(eps * st.u_hat, eps * st.v_hat)
-        t2 = evolve(scaled, model_nonlinearity(1.0 / eps**2), 0.5, 1e-3).states[-1]
+        t2 = evolve(scaled, polynomial_nonlinearity([1.0 / eps**2]), 0.5, 1e-3).states[-1]
         worst = max(worst,
                     float(np.max(np.abs(t1.u_hat - t2.u_hat / eps))),
                     float(np.max(np.abs(t1.v_hat - t2.v_hat / eps))))

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from scalar_oracles import amps
 
 import kirchlab.analysis as analysis
 from kirchlab.analysis import (
     DIAGONAL_TOL,
+    _sep_mixed,
     comparability_sweep,
     derivative_fd,
     divided_difference,
@@ -28,8 +31,7 @@ from kirchlab.nonlinearity import (
     FilteredProfile,
     build_profile,
     delta_gate,
-    model_nonlinearity,
-    quadratic_nonlinearity,
+    polynomial_nonlinearity,
 )
 from kirchlab.spectral import (
     FrequencyGrid,
@@ -38,10 +40,11 @@ from kirchlab.spectral import (
     build_two_mode,
     pair_norm,
     rescale_to,
+    sobolev_norm_sq,
     truncate,
 )
 
-N1 = model_nonlinearity(1.0)
+N1 = polynomial_nonlinearity([1.0])
 
 
 def small_state(M=24, seed=11, size=0.03, lam_max=8.0):
@@ -66,7 +69,7 @@ class TestDerivativeFd:
             derivative_fd(series, 4)
 
     def test_conserved_energy_flat(self):
-        N0 = model_nonlinearity(0.0)
+        N0 = polynomial_nonlinearity([0.0])
         st = small_state()
         traj = evolve(st, N0, 0.1, 1e-3, stride=10)
         series = [(t, modified_energy(*amps(x), N0, 0.0).e_total)
@@ -76,7 +79,7 @@ class TestDerivativeFd:
 
 class TestQuinticRatio:
     def test_free_flow_ratio_vanishes(self):
-        N0 = model_nonlinearity(0.0)
+        N0 = polynomial_nonlinearity([0.0])
         st = small_state()
         traj = evolve(st, N0, 0.1, 1e-3, stride=10)
         series = quintic_ratio_series(traj, N0, 0.25)
@@ -109,7 +112,7 @@ class TestScalingSlopes:
 
     def test_free_flow_degenerate(self):
         base = build_random_decay(32, 1.0, 16.0, 0.25, 0.55, seed=21)
-        fu, fm = scaling_slope_experiment(base, model_nonlinearity(0.0), 0.25, self.EPS)
+        fu, fm = scaling_slope_experiment(base, polynomial_nonlinearity([0.0]), 0.25, self.EPS)
         assert fu.degenerate and fm.degenerate
 
     def test_stable_under_dt_halving_and_integrator_swap(self):
@@ -131,7 +134,7 @@ class TestScalingSlopes:
 
 class TestComparability:
     def test_free_flow_exact_half(self):
-        N0 = model_nonlinearity(0.0)
+        N0 = polynomial_nonlinearity([0.0])
         states = [small_state(seed=s) for s in range(3)]
         rep = comparability_sweep(states, N0, [0.0, 0.5])
         for v in rep["per_s"].values():
@@ -309,7 +312,7 @@ class TestKernelSuiteFrozenReference:
 
 class TestFBounds:
     def test_free_flow(self):
-        N0 = model_nonlinearity(0.0)
+        N0 = polynomial_nonlinearity([0.0])
         st = small_state()
         traj = evolve(st, N0, 0.05, 1e-3, stride=5)
         out = f_bounds_suite(traj, N0)
@@ -324,7 +327,7 @@ class TestFBounds:
         assert out["worst_F"] <= 1.0
 
     def test_negative_A_at_gate_bounded(self):
-        Nneg = model_nonlinearity(-1.0)
+        Nneg = polynomial_nonlinearity([-1.0])
         st = small_state(M=32, size=delta_gate(Nneg) * 0.999)
         traj = evolve(st, Nneg, 0.05, 1e-3, stride=5)
         out = f_bounds_suite(traj, Nneg)
@@ -397,13 +400,12 @@ class TestResonance:
         w0 = LinearizedState(wdir.u_hat, wdir.v_hat)
         traj = evolve_pair(st, w0, N1, 0.01, 1e-4, stride=10)
         series = [
-            (t, linearized_energy(b, l, 0.25))
+            (t, linearized_energy(b.grid, b.u_hat, l.w_hat, l.w_vel, 0.25))
             for t, (b, l) in zip(traj.times, zip(traj.states, traj.companions))
         ]
-        from kirchlab.analysis import _sep_mixed, derivative_fd
-
         fd = derivative_fd(series, 3)
-        sep, mixed = _sep_mixed(traj.states[3], traj.companions[3], 0.25)
+        b, l = traj.states[3], traj.companions[3]
+        sep, mixed = _sep_mixed(*amps(b), l.w_hat, l.w_vel, 0.25)
         assert abs(fd - (sep + mixed)) <= 1e-6 * abs(sep + mixed)
 
     def test_mixed_mean_dominates_documented_two_mode(self):
@@ -419,6 +421,36 @@ class TestResonance:
         final_sep = abs(rep["sep_running_mean"][-1])
         final_mixed = abs(rep["mixed_running_mean"][-1])
         assert final_mixed > 10 * final_sep
+
+
+class TestStackRows:
+    """The norms and the linearized energy of an (S, M) stack equal their
+    (M,) calls row by row, bit for bit."""
+
+    @given(
+        S=hst.integers(1, 20),
+        M=hst.integers(1, 200),
+        s=hst.sampled_from([0.0, 0.25, 0.5, 0.99, 1.0, 1.25, 2.0, 3.5]),
+        lam_min=hst.floats(0.1, 10.0),
+        log_ratio=hst.floats(0.1, 6.0),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_stack_equals_rows(self, S, M, s, lam_min, log_ratio, seed):
+        rng = np.random.default_rng(seed)
+        steps = rng.uniform(0.05, 1.0, M)
+        lam = lam_min * 10.0 ** (log_ratio * np.cumsum(steps) / steps.sum())
+        assume(np.all(np.diff(lam) > 0))
+        grid = FrequencyGrid(lam, rng.uniform(0.1, 1.0, M))
+        u, v, w, wv = 0.1 * (rng.normal(size=(4, S, M)) + 1j * rng.normal(size=(4, S, M)))
+        pos, vel = pair_norm(grid, u, v, s)
+        assert list(zip(pos, vel)) == [pair_norm(grid, a, b, s) for a, b in zip(u, v)]
+        assert sobolev_norm_sq(grid, w, s).tolist() == [sobolev_norm_sq(grid, a, s) for a in w]
+        energy = linearized_energy(grid, u, w, wv, s).tolist()
+        assert energy == [linearized_energy(grid, *row, s) for row in zip(u, w, wv)]
+        sep, mixed = _sep_mixed(grid, u, v, w, wv, s)
+        rows = [_sep_mixed(grid, *row, s) for row in zip(u, v, w, wv)]
+        assert list(zip(sep.tolist(), mixed.tolist())) == [(float(a), float(b)) for a, b in rows]
 
 
 class TestTruncation:
@@ -535,11 +567,11 @@ def _ref_comparability_sweep(states, N, s_list):
     for s in s_list:
         ratios = []
         for st in states:
-            if pair_norm(st, 0.0).combined > gate:
+            if np.hypot(*pair_norm(*amps(st), 0.0)) > gate:
                 report["excluded"] += 1
                 continue
-            nrm = pair_norm(st, s)
-            ratios.append(modified_energy(*amps(st), N, s).e_total / (nrm.pos**2 + nrm.vel**2))
+            pos, vel = map(float, pair_norm(*amps(st), s))
+            ratios.append(modified_energy(*amps(st), N, s).e_total / (pos**2 + vel**2))
         report["per_s"][float(s)] = {"min": min(ratios), "max": max(ratios), "count": len(ratios)}
     return report
 
@@ -553,7 +585,7 @@ def _ref_quintic_ratio_series(traj, N, s):
     for i in range(2, len(traj) - 2):
         d = derivative_fd(e_s, i)
         denom = e_s[i][1] * e_q[i] ** 2
-        flag = pair_norm(traj.states[i], 0.0).combined > gate
+        flag = np.hypot(*pair_norm(*amps(traj.states[i]), 0.0)) > gate
         out.append((traj.times[i], abs(d) / denom if denom != 0 else 0.0, flag))
     return out
 
@@ -561,7 +593,7 @@ def _ref_quintic_ratio_series(traj, N, s):
 class TestSampledSuitesFrozenReference:
     """The array passes give exactly the per-sample loops' results."""
 
-    @pytest.mark.parametrize("N", [N1, quadratic_nonlinearity(1.0, 2.0)], ids=["model", "quad"])
+    @pytest.mark.parametrize("N", [N1, polynomial_nonlinearity([1.0, 2.0])], ids=["model", "quad"])
     def test_comparability_sweep(self, N):
         # seeds 0-29 at a tenth of the gate, and two states above it
         states = [small_state(M=64, seed=i, size=delta_gate(N) / 10) for i in range(30)]
@@ -600,7 +632,8 @@ class TestSampledSuitesFrozenReference:
         traj = evolve(st, N1, 20 * dt, dt, stride=1)
         assert second_order_identity_check(traj, 1.0, 0.25) == _ref_identity_check(traj, 1.0, 0.25)
 
-    @pytest.mark.parametrize("N", [N1, quadratic_nonlinearity(1.0, 2.0), model_nonlinearity(-1.0)],
+    @pytest.mark.parametrize("N", [N1, polynomial_nonlinearity([1.0, 2.0]),
+                                   polynomial_nonlinearity([-1.0])],
                              ids=["model", "quad", "negative"])
     @pytest.mark.parametrize("T", [0.0, 0.005, 0.05])
     def test_f_bounds_suite(self, N, T):

@@ -6,12 +6,12 @@ import pytest
 from kirchlab.dynamics import (
     LinearizedState,
     Trajectory,
+    _linearized_rhs,
     _march,
+    _rhs,
     evolve,
     evolve_pair,
     hamiltonian,
-    linearized_rhs,
-    rhs,
     rk4_dt_guard,
     step_rk4,
     step_rotation,
@@ -19,8 +19,7 @@ from kirchlab.dynamics import (
 from kirchlab.nonlinearity import (
     DegenerateNonlinearityError,
     delta_gate,
-    model_nonlinearity,
-    quadratic_nonlinearity,
+    polynomial_nonlinearity,
 )
 from kirchlab.spectral import (
     FrequencyGrid,
@@ -32,8 +31,8 @@ from kirchlab.spectral import (
     sobolev_norm_sq,
 )
 
-N0 = model_nonlinearity(0.0)
-N1 = model_nonlinearity(1.0)
+N0 = polynomial_nonlinearity([0.0])
+N1 = polynomial_nonlinearity([1.0])
 
 
 def small_state(M=24, seed=11, size=0.03, lam_max=8.0):
@@ -41,25 +40,32 @@ def small_state(M=24, seed=11, size=0.03, lam_max=8.0):
     return rescale_to(st, size, 0.0)
 
 
+def h1_mass(st):
+    return sobolev_norm_sq(st.grid, st.u_hat, 1.0)
+
+
+def accel(st, N):
+    """dv/dt of the state, from the private kernel _rhs."""
+    lam2 = st.grid.lambdas**2
+    return _rhs(lam2, st.grid.weights * lam2, N, st.u_hat)
+
+
 class TestRhs:
     def test_zero_state(self):
         g = FrequencyGrid([1.0, 2.0], [1.0, 1.0])
         z = np.zeros(2, complex)
-        du, dv = rhs(SpectralState(g, z, z), N1)
-        assert np.all(du == 0) and np.all(dv == 0)
+        assert np.all(accel(SpectralState(g, z, z), N1) == 0)
 
     def test_free_single_mode(self):
         g = FrequencyGrid([2.0], [1.0])
         st = SpectralState(g, np.array([1.0 + 0j]), np.zeros(1, complex))
-        du, dv = rhs(st, N0)
-        assert dv[0] == -4.0
+        assert accel(st, N0)[0] == -4.0
 
     def test_model_wave_speed(self):
         g = FrequencyGrid([3.0], [1.0])
         u = np.array([0.1 / 3.0 + 0j])  # H^1 mass = 0.01
         st = SpectralState(g, u, np.zeros(1, complex))
-        _, dv = rhs(st, N1)
-        assert np.isclose(dv[0], -1.01 * 9.0 * u[0].real)
+        assert np.isclose(accel(st, N1)[0], -1.01 * 9.0 * u[0].real)
 
 
 class TestRotation:
@@ -100,7 +106,7 @@ class TestRotation:
         g = FrequencyGrid([1.0], [1.0])
         st = SpectralState(g, np.array([2.0 + 0j]), np.zeros(1, complex))
         with pytest.raises(Exception):
-            step_rotation(st, model_nonlinearity(-1.0), 1e-3)
+            step_rotation(st, polynomial_nonlinearity([-1.0]), 1e-3)
 
 
 class TestRK4:
@@ -140,7 +146,7 @@ class TestRK4:
 class TestHamiltonian:
     def test_free_is_wave_energy(self):
         st = small_state()
-        expect = 0.5 * pair_norm(st, 0.0).vel ** 2 + 0.5 * sobolev_norm_sq(st, 1.0)
+        expect = 0.5 * pair_norm(st.grid, st.u_hat, st.v_hat, 0.0)[1] ** 2 + 0.5 * h1_mass(st)
         assert np.isclose(hamiltonian(st, N0), expect, rtol=1e-14)
 
     def test_model_single_mode_substitution(self):
@@ -149,7 +155,7 @@ class TestHamiltonian:
         m = 4 * 0.01
         A = 2.0
         expect = 0.5 * 0.09 + 0.5 * m + 0.5 * A * m**2 / 2
-        assert np.isclose(hamiltonian(st, model_nonlinearity(A)), expect, rtol=1e-14)
+        assert np.isclose(hamiltonian(st, polynomial_nonlinearity([A])), expect, rtol=1e-14)
 
     def test_conservation_ten_thousand_steps(self):
         st = small_state(M=32)
@@ -195,9 +201,9 @@ class TestEvolve:
     @pytest.mark.parametrize("eps", [0.5, 2.0, 10.0])
     def test_model_scaling_symmetry(self, eps):
         st = small_state(M=24, size=0.05)
-        t1 = evolve(st, model_nonlinearity(1.0), 0.5, 1e-3).states[-1]
+        t1 = evolve(st, polynomial_nonlinearity([1.0]), 0.5, 1e-3).states[-1]
         scaled = st.replace_amplitudes(eps * st.u_hat, eps * st.v_hat)
-        t2 = evolve(scaled, model_nonlinearity(1.0 / eps**2), 0.5, 1e-3).states[-1]
+        t2 = evolve(scaled, polynomial_nonlinearity([1.0 / eps**2]), 0.5, 1e-3).states[-1]
         assert np.max(np.abs(t1.u_hat - t2.u_hat / eps)) <= 1e-12
         assert np.max(np.abs(t1.v_hat - t2.v_hat / eps)) <= 1e-12
 
@@ -235,14 +241,9 @@ class TestLinearized:
     def test_rhs_zero_direction(self):
         st = small_state()
         z = np.zeros(len(st.grid), complex)
-        dw, dwv = linearized_rhs(st, LinearizedState(z, z))
-        assert np.all(dw == 0) and np.all(dwv == 0)
-
-    def test_grid_mismatch_errors(self):
-        st = small_state(M=24)
-        z = np.zeros(7, complex)
-        with pytest.raises(ValueError):
-            linearized_rhs(st, LinearizedState(z, z))
+        lam2 = st.grid.lambdas**2
+        dwv = _linearized_rhs(lam2, st.grid.weights * lam2, 1.0, st.u_hat, h1_mass(st), z)
+        assert np.all(dwv == 0)
 
     def test_state_copies_caller_arrays(self):
         w, wv = np.array([1.0 + 0j, 2.0]), np.array([0j, 3.0])
@@ -262,12 +263,12 @@ class TestLinearized:
         st = small_state()
         z = np.zeros(len(st.grid), complex)
         with pytest.raises(ValueError, match="model case only"):
-            evolve_pair(st, LinearizedState(z, z), quadratic_nonlinearity(1.0, 1.0), 0.1, 1e-3)
+            evolve_pair(st, LinearizedState(z, z), polynomial_nonlinearity([1.0, 1.0]), 0.1, 1e-3)
 
     def test_time_translation_direction(self):
         # w = u' solves the linearized equation
         st = small_state(M=24)
-        m = sobolev_norm_sq(st, 1.0)
+        m = h1_mass(st)
         w0 = LinearizedState(st.v_hat, -(1 + m) * st.grid.lambdas**2 * st.u_hat)
         traj = evolve_pair(st, w0, N1, 0.01, 1e-5, stride=1000)
         end, comp = traj.states[-1], traj.companions[-1]
@@ -425,7 +426,7 @@ class TestFrozenReference:
             assert np.array_equal(a.w_hat, b.w_hat) and np.array_equal(a.w_vel, b.w_vel)
 
     @pytest.mark.parametrize("stride, T", CASES)
-    @pytest.mark.parametrize("N", [N1, quadratic_nonlinearity(1.0, 2.0)], ids=["model", "quad"])
+    @pytest.mark.parametrize("N", [N1, polynomial_nonlinearity([1.0, 2.0])], ids=["model", "quad"])
     def test_random_decay_evolve(self, stride, T, N):
         st = small_state(M=64, seed=3, size=0.05, lam_max=16.0)
         traj = evolve(st, N, T, 1e-3, stride=stride)
@@ -479,7 +480,7 @@ class TestMidpointHalving:
 class TestStepFailures:
     # raw decaying data (H^1 mass 0.60) with 1 + N(mass) = 0.05 at t = 0:
     # the mass grows and the wave speed is lost in the sixth step
-    N_DEGENERATE = model_nonlinearity(-1.58)
+    N_DEGENERATE = polynomial_nonlinearity([-1.58])
 
     def test_degenerate_run_keeps_type_and_names_step(self):
         st = build_random_decay(16, 1.0, 8.0, 0.25, 0.55, seed=0)
@@ -516,3 +517,16 @@ class TestStepFailures:
             evolve(st, N1, 0.05, dt)
         with pytest.raises(ValueError, match="^dt must be positive$"):
             evolve_pair(st, LinearizedState(z, z), N1, 0.05, dt)
+        with pytest.raises(ValueError, match="^dt must be positive$"):
+            step_rotation(st, N1, dt)
+        with pytest.raises(ValueError, match="^dt must be positive$"):
+            step_rk4(st, N1, dt)
+
+    @pytest.mark.parametrize("T", [float("inf"), float("nan"), -1.0])
+    def test_non_finite_or_negative_T_rejected(self, T):
+        st = small_state()
+        z = np.zeros(len(st.grid), complex)
+        with pytest.raises(ValueError, match="^T must be finite and non-negative, got "):
+            evolve(st, N1, T, 1e-3)
+        with pytest.raises(ValueError, match="^T must be finite and non-negative, got "):
+            evolve_pair(st, LinearizedState(z, z), N1, T, 1e-3)

@@ -24,9 +24,7 @@ from kirchlab.energy import (
 from kirchlab.nonlinearity import (
     DegenerateNonlinearityError,
     build_profile,
-    model_nonlinearity,
     polynomial_nonlinearity,
-    quadratic_nonlinearity,
 )
 from kirchlab.spectral import (
     FrequencyGrid,
@@ -34,13 +32,12 @@ from kirchlab.spectral import (
     build_random_decay,
     build_two_mode,
     pair_norm,
-    pair_norm_stack,
     rescale_to,
     sobolev_norm_sq,
     stack_states,
 )
 
-N_QUAD = quadratic_nonlinearity(1.0, 1.0)
+N_QUAD = polynomial_nonlinearity([1.0, 1.0])
 
 
 def small_state(M=30, seed=7, lam_max=8.0):
@@ -316,8 +313,9 @@ class TestUnmodified:
     def test_norm_identity(self):
         st_ = small_state(seed=12)
         for s in (0.0, 0.25, 0.5):
-            n = pair_norm(st_, s)
-            expect = 0.5 * (1 + N_QUAD.eval(sobolev_norm_sq(st_, 1.0))) * n.pos**2 + 0.5 * n.vel**2
+            pos, vel = pair_norm(*amps(st_), s)
+            mass = sobolev_norm_sq(st_.grid, st_.u_hat, 1.0)
+            expect = 0.5 * (1 + N_QUAD.eval(mass)) * pos**2 + 0.5 * vel**2
             assert np.isclose(unmodified_energy(*amps(st_), N_QUAD, s), expect, rtol=1e-13)
 
 
@@ -346,7 +344,7 @@ class TestOracleEquivalence:
     def test_normal_form_model_independent_implementation(self):
         A, s = 1.0, 0.25
         st_ = rescale_to(small_state(M=40, seed=5), 0.2, 0.0)
-        N = model_nonlinearity(A)
+        N = polynomial_nonlinearity([A])
         hand = brute_normal_form_model(st_, A, s)
         fast = modified_energy(*amps(st_), N, s).e_normal_form
         assert abs(fast - hand) <= 1e-12 * abs(hand)
@@ -361,7 +359,7 @@ class TestOracleEquivalence:
 
     def test_asym_vanishes_in_model_case(self):
         st_ = small_state(M=60, seed=2)
-        assert modified_energy(*amps(st_), model_nonlinearity(1.7), 0.25).e_asym == 0.0
+        assert modified_energy(*amps(st_), polynomial_nonlinearity([1.7]), 0.25).e_asym == 0.0
 
     def test_zero_state_all_terms(self):
         g = FrequencyGrid([1.0, 2.0, 3.0], np.ones(3))
@@ -501,7 +499,7 @@ class TestBalakrishnanRule:
 class TestModifiedEnergy:
     def test_zero_nonlinearity_reduces_to_unmodified(self):
         st_ = small_state(seed=21)
-        N0 = model_nonlinearity(0.0)
+        N0 = polynomial_nonlinearity([0.0])
         bd = modified_energy(*amps(st_), N0, 0.25)
         assert bd.e_second_order == 0.0
         assert bd.e_normal_form == 0.0
@@ -515,7 +513,7 @@ class TestModifiedEnergy:
 
     def test_two_mode_assembly_against_oracles(self):
         st_ = build_two_mode(1.0, 2.0, [0.05 + 0.02j, 0.01j], [0.03, -0.02 + 0.01j])
-        N = model_nonlinearity(1.0)
+        N = polynomial_nonlinearity([1.0])
         bd = modified_energy(*amps(st_), N, 0.25)
         assert abs(bd.e_second_order - brute_second_order(st_, N, 0.25)) <= 1e-12 * max(
             abs(bd.e_second_order), 1e-30
@@ -527,13 +525,13 @@ class TestModifiedEnergy:
     def test_comparability_at_small_size(self):
         from kirchlab.nonlinearity import delta_gate
 
-        for N in (model_nonlinearity(1.0), model_nonlinearity(-1.0), N_QUAD):
+        for N in (polynomial_nonlinearity([1.0]), polynomial_nonlinearity([-1.0]), N_QUAD):
             gate = min(delta_gate(N), 1e-2 * 10)
             for seed in range(5):
                 st_ = rescale_to(small_state(M=50, seed=seed), min(gate / 10, 1e-2), 0.0)
                 for s in (0.0, 0.25, 0.5):
-                    n = pair_norm(st_, s)
-                    ratio = modified_energy(*amps(st_), N, s).e_total / (n.pos**2 + n.vel**2)
+                    pos, vel = pair_norm(*amps(st_), s)
+                    ratio = modified_energy(*amps(st_), N, s).e_total / (pos**2 + vel**2)
                     assert 0.4 <= ratio <= 0.6
 
     def test_mode_permutation_invariance(self):
@@ -561,14 +559,14 @@ class TestUnmodifiedDerivative:
         v = np.array([0.02 - 0.03j])
         A, s, lam, w = 1.0, 0.25, 2.0, 1.5
         expect = A * lam ** (4 + 2 * s) * w**2 * abs(u[0]) ** 2 * (u[0] * np.conj(v[0])).real
-        got = unmodified_derivative_analytic(g, u, v, model_nonlinearity(A), s)
+        got = unmodified_derivative_analytic(g, u, v, polynomial_nonlinearity([A]), s)
         assert np.isclose(got, expect, rtol=1e-14)
 
     def test_matches_finite_difference_model_case(self):
         from kirchlab.analysis import derivative_fd
         from kirchlab.dynamics import evolve
 
-        N = model_nonlinearity(1.0)
+        N = polynomial_nonlinearity([1.0])
         st_ = rescale_to(small_state(seed=5), 0.05, 0.0)
         tr = evolve(st_, N, 8e-4, 1e-4, stride=1)
         series = [(t, unmodified_energy(*amps(x), N, 0.25)) for t, x in zip(tr.times, tr.states)]
@@ -581,7 +579,7 @@ class TestSecondOrderModelIdentity:
     def test_prop_rhs_matches_fd(self):
         from kirchlab.dynamics import evolve
 
-        N = model_nonlinearity(1.0)
+        N = polynomial_nonlinearity([1.0])
         st_ = rescale_to(small_state(seed=5), 0.05, 0.0)
         h = 1e-4
         tr = evolve(st_, N, 4 * h, h, stride=1)
@@ -598,7 +596,7 @@ class TestStack:
     several sample blocks."""
 
     NONLINEARITIES = {
-        "model": model_nonlinearity(1.0),
+        "model": polynomial_nonlinearity([1.0]),
         "quadratic": N_QUAD,
         "custom": polynomial_nonlinearity([0.5, -0.8, 1.5]),
     }
@@ -651,8 +649,8 @@ class TestStack:
             row = build_profile(st_.grid, st_.u_hat, N)
             for field in ("c_prefix", "a_values", "f_values"):
                 assert np.array_equal(getattr(profile, field)[i], getattr(row, field)), field
-        pos, vel = pair_norm_stack(*stack, s)
-        assert list(zip(pos, vel)) == [(n.pos, n.vel) for n in (pair_norm(x, s) for x in states)]
+        pos, vel = pair_norm(*stack, s)
+        assert list(zip(pos, vel)) == [pair_norm(*amps(x), s) for x in states]
         # the kernel alone, where a last-bit change is not rounded away
         K, r, f, g = rng.normal(size=(4, S, M))
         got = _divided_difference_sum(K, lam**2, s, r, f, g)
@@ -680,6 +678,6 @@ class TestStack:
         big = states[1].replace_amplitudes(100 * states[1].u_hat, states[1].v_hat)
         stack = stack_states([states[0], big, states[2]])
         with pytest.raises(DegenerateNonlinearityError, match=r"\(sample 1, mode index \d+\)"):
-            modified_energy(*stack, model_nonlinearity(-1.0), 0.25)
+            modified_energy(*stack, polynomial_nonlinearity([-1.0]), 0.25)
         with pytest.raises(DegenerateNonlinearityError, match=r"\(mode index \d+\)"):
-            modified_energy(*amps(big), model_nonlinearity(-1.0), 0.25)
+            modified_energy(*amps(big), polynomial_nonlinearity([-1.0]), 0.25)

@@ -7,10 +7,8 @@ from kirchlab.nonlinearity import (
     DegenerateNonlinearityError,
     build_profile,
     delta_gate,
-    model_nonlinearity,
     nonlinearity_from_config,
     polynomial_nonlinearity,
-    quadratic_nonlinearity,
 )
 from kirchlab.spectral import FrequencyGrid, SpectralState, build_random_decay, sobolev_norm_sq
 
@@ -26,24 +24,24 @@ def random_state(M=200, seed=0):
 
 class TestSpecs:
     def test_model_values(self):
-        N = model_nonlinearity(1.0)
+        N = polynomial_nonlinearity([1.0])
         assert N.eval(0.25) == 0.25
         assert N.d1(0.25) == 1.0
         assert N.d2(0.25) == 0.0
 
     def test_model_antiderivative(self):
-        N = model_nonlinearity(3.0)
+        N = polynomial_nonlinearity([3.0])
         assert N.antiderivative(2.0) == 6.0  # A r^2 / 2
 
     def test_zero_model_is_linear_wave(self):
-        N = model_nonlinearity(0.0)
+        N = polynomial_nonlinearity([0.0])
         assert N.eval(0.7) == 0.0 and N.d1(0.7) == 0.0
 
     @pytest.mark.parametrize(
         "N",
         [
-            model_nonlinearity(-2.0),
-            quadratic_nonlinearity(1.0, 0.5),
+            polynomial_nonlinearity([-2.0]),
+            polynomial_nonlinearity([1.0, 0.5]),
             polynomial_nonlinearity([1.0, -0.3, 0.1]),
         ],
     )
@@ -70,7 +68,7 @@ class TestCumulativeMass:
     def test_full_sum_is_h1(self):
         st = random_state()
         full = cumulative_mass(st, st.grid.lambdas[-1])
-        assert np.isclose(full, sobolev_norm_sq(st, 1.0), rtol=1e-14)
+        assert np.isclose(full, sobolev_norm_sq(st.grid, st.u_hat, 1.0), rtol=1e-14)
 
     def test_matches_filter_and_sum_oracle(self):
         st = random_state(M=200, seed=2)
@@ -86,24 +84,24 @@ class TestCumulativeMass:
 class TestFilteredAandF:
     def test_model_constant(self):
         st = random_state()
-        N = model_nonlinearity(1.5)
+        N = polynomial_nonlinearity([1.5])
         for r in (0.1, 5.0, 100.0):
             assert filtered_A(st, N, r) == 1.5
 
     def test_below_min_is_nprime_zero(self):
         st = random_state()
-        N = quadratic_nonlinearity(2.0, 3.0)
+        N = polynomial_nonlinearity([2.0, 3.0])
         assert filtered_A(st, N, st.grid.lambdas[0] / 2) == 2.0
 
     def test_quadratic_hand_formula(self):
         st = random_state(seed=5)
-        N = quadratic_nonlinearity(1.0, 1.0)  # N = r + r^2, N' = 1 + 2r
+        N = polynomial_nonlinearity([1.0, 1.0])  # N = r + r^2, N' = 1 + 2r
         for r in np.linspace(0.0, 35.0, 20):
             assert np.isclose(filtered_A(st, N, float(r)), 1.0 + 2.0 * cumulative_mass(st, float(r)))
 
     def test_F_no_mass_is_one(self):
         st = random_state()
-        N = model_nonlinearity(4.0)
+        N = polynomial_nonlinearity([4.0])
         assert correction_F(st, N, st.grid.lambdas[0] / 2) == 1.0
 
     def test_F_single_mode_closed_form(self):
@@ -111,24 +109,25 @@ class TestFilteredAandF:
         st = SpectralState(g, np.array([0.25 + 0j]), np.zeros(1, complex))
         rho = 2.0 * 0.25**2
         A = 3.0
-        assert np.isclose(correction_F(st, model_nonlinearity(A), 1.0), (1 + A * rho) ** -1.5)
+        N = polynomial_nonlinearity([A])
+        assert np.isclose(correction_F(st, N, 1.0), (1 + A * rho) ** -1.5)
 
     def test_degenerate_errors(self):
         g = FrequencyGrid([1.0], [1.0])
         st = SpectralState(g, np.array([2.0 + 0j]), np.zeros(1, complex))
         with pytest.raises(DegenerateNonlinearityError):
-            build_profile(st.grid, st.u_hat, model_nonlinearity(-1.0))
+            build_profile(st.grid, st.u_hat, polynomial_nonlinearity([-1.0]))
 
     def test_thin_margin_warns(self):
         g = FrequencyGrid([1.0], [1.0])
         st = SpectralState(g, np.array([0.8 + 0j]), np.zeros(1, complex))
         with pytest.warns(UserWarning):
-            build_profile(st.grid, st.u_hat, model_nonlinearity(-1.0))
+            build_profile(st.grid, st.u_hat, polynomial_nonlinearity([-1.0]))
 
     def test_integral_equation_residual(self):
         # discrete residual of F = 1 - F int A p - 1/2 int F A p is bounded
         # by the largest single-mode mass and shrinks under refinement
-        N = quadratic_nonlinearity(1.0, 0.5)
+        N = polynomial_nonlinearity([1.0, 0.5])
         for M, tol_scale in ((64, 1.0), (512, 1.0)):
             st = build_random_decay(M, 1.0, 16.0, 0.25, 0.55, seed=3)
             prof = build_profile(st.grid, st.u_hat, N)
@@ -143,7 +142,7 @@ class TestFilteredAandF:
             assert float(np.max(resid)) <= max(bound, 3.0 * float(np.max(p)))
 
     def test_residual_shrinks_under_refinement(self):
-        N = model_nonlinearity(1.0)
+        N = polynomial_nonlinearity([1.0])
 
         def worst(M):
             st = build_random_decay(M, 1.0, 16.0, 0.25, 0.55, seed=3)
@@ -166,14 +165,14 @@ class TestProfile:
     def test_zero_state(self):
         g = FrequencyGrid([1.0, 2.0], [1.0, 1.0])
         z = np.zeros(2, complex)
-        prof = build_profile(g, z, quadratic_nonlinearity(2.0, 1.0))
+        prof = build_profile(g, z, polynomial_nonlinearity([2.0, 1.0]))
         assert np.all(prof.c_prefix == 0.0)
         assert np.all(prof.a_values == 2.0)
         assert np.all(prof.f_values == 1.0)
 
     def test_pointwise_agreement(self):
         st = random_state(M=80, seed=9)
-        N = quadratic_nonlinearity(1.0, 1.0)
+        N = polynomial_nonlinearity([1.0, 1.0])
         prof = build_profile(st.grid, st.u_hat, N)
         for k in range(len(st.grid)):
             r = float(st.grid.lambdas[k])
@@ -183,14 +182,14 @@ class TestProfile:
 
     def test_prefix_monotone_and_total(self):
         st = random_state(M=50, seed=1)
-        prof = build_profile(st.grid, st.u_hat, model_nonlinearity(1.0))
+        prof = build_profile(st.grid, st.u_hat, polynomial_nonlinearity([1.0]))
         assert np.all(np.diff(prof.c_prefix) >= 0)
-        assert np.isclose(prof.c_prefix[-1], sobolev_norm_sq(st, 1.0), rtol=1e-14)
+        assert np.isclose(prof.c_prefix[-1], sobolev_norm_sq(st.grid, st.u_hat, 1.0), rtol=1e-14)
 
     def test_linear_cost_scaling(self):
         import time
 
-        N = model_nonlinearity(1.0)
+        N = polynomial_nonlinearity([1.0])
         st_small = build_random_decay(2**15, 1.0, 64.0, 0.25, 0.55, seed=0)
         st_big = build_random_decay(2**16, 1.0, 64.0, 0.25, 0.55, seed=0)
         build_profile(st_small.grid, st_small.u_hat, N)  # warm up
@@ -208,41 +207,42 @@ class TestProfile:
 class TestTelescoping:
     def test_exact_telescope(self):
         st = random_state(M=120, seed=4)
-        N = quadratic_nonlinearity(1.0, 2.0)
+        N = polynomial_nonlinearity([1.0, 2.0])
         prof = build_profile(st.grid, st.u_hat, N)
         vals = np.asarray(N.eval(prof.c_prefix))
         telescoped = vals[0] + float(np.add.reduce(np.diff(vals)))
-        assert np.isclose(telescoped, float(N.eval(sobolev_norm_sq(st, 1.0))), rtol=1e-13)
+        mass = sobolev_norm_sq(st.grid, st.u_hat, 1.0)
+        assert np.isclose(telescoped, float(N.eval(mass)), rtol=1e-13)
 
     def test_midpoint_form_error_bound(self):
         st = random_state(M=120, seed=4)
-        N = quadratic_nonlinearity(1.0, 2.0)
+        N = polynomial_nonlinearity([1.0, 2.0])
         prof = build_profile(st.grid, st.u_hat, N)
         lam, w = st.grid.lambdas, st.grid.weights
         p = w * lam**2 * np.abs(st.u_hat) ** 2
         midpoint_sum = float(np.add.reduce(prof.a_values * p))
-        exact = float(N.eval(sobolev_norm_sq(st, 1.0)))
-        h1 = sobolev_norm_sq(st, 1.0)
+        exact = float(N.eval(sobolev_norm_sq(st.grid, st.u_hat, 1.0)))
+        h1 = sobolev_norm_sq(st.grid, st.u_hat, 1.0)
         bound = float(np.max(np.abs(N.d2(prof.c_prefix)))) * float(np.max(p)) * h1
         assert abs(midpoint_sum - exact) <= bound + 1e-15
 
 
 class TestDeltaGate:
     def test_model_closed_form(self):
-        N = model_nonlinearity(2.0)
+        N = polynomial_nonlinearity([2.0])
         assert np.isclose(delta_gate(N), 1.0 / np.sqrt(8 * 1.25 * 2.0))
 
     def test_zero_nonlinearity_unbounded(self):
-        assert delta_gate(model_nonlinearity(0.0)) == np.inf
+        assert delta_gate(polynomial_nonlinearity([0.0])) == np.inf
 
     def test_general_bisection_brackets_model(self):
         # a quadratic with tiny B should land near the model value
-        d_model = delta_gate(model_nonlinearity(1.0))
-        d_general = delta_gate(quadratic_nonlinearity(1.0, 1e-12))
+        d_model = delta_gate(polynomial_nonlinearity([1.0]))
+        d_general = delta_gate(polynomial_nonlinearity([1.0, 1e-12]))
         assert abs(d_general - d_model) / d_model < 0.05
 
     def test_general_gate_conditions_hold(self):
-        N = quadratic_nonlinearity(-1.0, 2.0)
+        N = polynomial_nonlinearity([-1.0, 2.0])
         d = delta_gate(N)
         m = d * d
         rs = np.linspace(0, m, 50)
@@ -297,17 +297,17 @@ PROBES.append(_RNG.uniform(0.0, 3.0, 257))
 class TestPolynomialSpec:
     @pytest.mark.parametrize("A", [1.0, -1.58, 0.0])
     def test_model_bitwise_as_frozen(self, A):
-        assert _bitwise_equal(_callables(model_nonlinearity(A)), frozen_model(A), PROBES)
+        assert _bitwise_equal(_callables(polynomial_nonlinearity([A])), frozen_model(A), PROBES)
 
     @pytest.mark.parametrize("A, B", [(1.3, 0.7), (-1.0, 2.0), (1.0, 0.0)])
     def test_quadratic_bitwise_as_frozen(self, A, B):
-        N = quadratic_nonlinearity(A, B)
+        N = polynomial_nonlinearity([A, B])
         assert _bitwise_equal(_callables(N), frozen_quadratic(A, B), PROBES)
 
     @pytest.mark.parametrize(
         "N",
         [
-            quadratic_nonlinearity(1.7, 0.0),
+            polynomial_nonlinearity([1.7, 0.0]),
             polynomial_nonlinearity([1.7]),
             polynomial_nonlinearity([1.7, 0.0, 0.0]),
             nonlinearity_from_config({"name": "quadratic", "A": 1.7, "B": 0.0}),
@@ -316,7 +316,7 @@ class TestPolynomialSpec:
         ],
     )
     def test_linear_aliases_are_the_model(self, N):
-        M = model_nonlinearity(1.7)
+        M = polynomial_nonlinearity([1.7])
         assert N.is_linear and M.is_linear
         assert N.coefficients == M.coefficients == (1.7,)
         assert _bitwise_equal(_callables(N), _callables(M), PROBES)
@@ -324,7 +324,7 @@ class TestPolynomialSpec:
         assert delta_gate(N) == delta_gate(M) == 1.0 / np.sqrt(8 * 1.25 * 1.7)
 
     def test_nonlinear_specs(self):
-        assert not quadratic_nonlinearity(1.0, 1e-12).is_linear
+        assert not polynomial_nonlinearity([1.0, 1e-12]).is_linear
         assert not polynomial_nonlinearity([0.0, 1.0]).is_linear
         assert polynomial_nonlinearity([1.0, -0.3, 0.1]).coefficients == (1.0, -0.3, 0.1)
 
@@ -345,7 +345,9 @@ class TestPolynomialSpec:
         assert np.array_equal(N.d2(r), p.deriv(2)(r))
         assert np.allclose(N.antiderivative(r), p.integ()(r), rtol=1e-15, atol=0.0)
 
-    @pytest.mark.parametrize("N", [model_nonlinearity(2.0), quadratic_nonlinearity(1.0, 3.0)])
+    @pytest.mark.parametrize(
+        "N", [polynomial_nonlinearity([2.0]), polynomial_nonlinearity([1.0, 3.0])]
+    )
     def test_derivatives_shaped_like_argument(self, N):
         r = np.linspace(0.0, 1.0, 7).reshape(7, 1)
         for f in _callables(N):
@@ -356,5 +358,5 @@ class TestPolynomialSpec:
         # a wrapped eval keeps the coefficients and the linearity
         import dataclasses
 
-        N = dataclasses.replace(model_nonlinearity(2.0), eval=lambda r: 2.0 * r)
+        N = dataclasses.replace(polynomial_nonlinearity([2.0]), eval=lambda r: 2.0 * r)
         assert N.is_linear and N.coefficients == (2.0,)

@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module or
-listed in its __all__, and every module-level private function or class is
-referenced somewhere in the package outside its own definition.
-Standard-library scans of the source, so they run with the rest of the
-suite and need no linter."""
+listed in its __all__, and every module-level private function or class,
+and every public one a module lists in its __all__, is referenced
+somewhere in the package outside its own definition.  Standard-library
+scans of the source, so they run with the rest of the suite and need no
+linter."""
 
 import ast
 from collections import Counter
@@ -24,12 +25,7 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-        ):
-            used |= set(ast.literal_eval(node.value))
+    used |= _exported(tree)
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
@@ -55,6 +51,17 @@ def test_scan_finds_unused_and_accepts_exported_names():
     assert unused_imports(source) == ["field (line 4)", "json (line 2)"]
 
 
+def _exported(tree) -> set[str]:
+    """The names a module lists in its __all__."""
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 def _referenced_names(tree) -> list[str]:
     """Every name the tree reads, as a bare name, an attribute or an import."""
     out = []
@@ -68,8 +75,8 @@ def _referenced_names(tree) -> list[str]:
     return out
 
 
-def unreferenced_private_definitions(sources: dict) -> list[str]:
-    """Module-level private functions and classes (one leading underscore)
+def _unreferenced_definitions(sources: dict, chosen) -> list[str]:
+    """Module-level functions and classes for which chosen(tree, name) holds
     that no module names outside the definition itself; `sources` maps a
     module name to its text."""
     defined, counts = [], Counter()
@@ -79,9 +86,7 @@ def unreferenced_private_definitions(sources: dict) -> list[str]:
         defined += [
             (module, node)
             for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_")
-            and not node.name.startswith("__")
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and chosen(tree, node.name)
         ]
     # a definition that names only itself (recursion) is still dead
     return sorted(
@@ -89,6 +94,64 @@ def unreferenced_private_definitions(sources: dict) -> list[str]:
         for module, node in defined
         if counts[node.name] == _referenced_names(node).count(node.name)
     )
+
+
+def unreferenced_private_definitions(sources: dict) -> list[str]:
+    """Module-level private functions and classes (one leading underscore)
+    that no module names outside the definition itself."""
+    return _unreferenced_definitions(
+        sources, lambda tree, name: name.startswith("_") and not name.startswith("__")
+    )
+
+
+def unreferenced_public_definitions(sources: dict, exempt=()) -> list[str]:
+    """Module-level functions and classes that a module lists in its
+    __all__ and that no module names outside the definition itself,
+    leaving out the names in `exempt`."""
+    return _unreferenced_definitions(
+        sources, lambda tree, name: name in _exported(tree) and name not in exempt
+    )
+
+
+# The paper-estimate harnesses, which the tests call and no scenario does:
+# scaling_slope_experiment runs acceptance criterion 06 (quintic against
+# quadratic derivative scaling), and quintic_ratio_series measures the
+# quintic ratio R(t) of the paper's estimate (tests/test_analysis.py).
+HARNESSES = ("quintic_ratio_series", "scaling_slope_experiment")
+
+
+def test_no_unreferenced_public_definitions():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_public_definitions(sources, HARNESSES) == []
+
+
+def test_scan_finds_unreferenced_public_definitions():
+    sources = {
+        "a.py": (
+            "__all__ = ['used', 'Unused', 'only_recursive', 'harness']\n"
+            "from .b import helper\n"
+            "def used():\n"
+            "    return helper()\n"
+            "class Unused:\n"
+            "    pass\n"
+            "def only_recursive(n):\n"
+            "    return only_recursive(n - 1)\n"
+            "def harness():\n"
+            "    pass\n"
+            "def not_exported():\n"
+            "    pass\n"
+        ),
+        "b.py": (
+            "__all__ = ['helper']\n"
+            "from . import a\n"
+            "def helper():\n"
+            "    return a.used\n"
+        ),
+    }
+    assert unreferenced_public_definitions(sources, ("harness",)) == [
+        "a.py: Unused (line 5)",
+        "a.py: only_recursive (line 7)",
+    ]
 
 
 def test_no_unreferenced_private_definitions():
