@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from scalar_oracles import amps
+
 from kirchlab.dynamics import (
     LinearizedState,
     Trajectory,
@@ -146,7 +148,7 @@ class TestRK4:
 class TestHamiltonian:
     def test_free_is_wave_energy(self):
         st = small_state()
-        expect = 0.5 * pair_norm(st.grid, st.u_hat, st.v_hat, 0.0)[1] ** 2 + 0.5 * h1_mass(st)
+        expect = 0.5 * pair_norm(*amps(st), 0.0)[1] ** 2 + 0.5 * h1_mass(st)
         assert np.isclose(hamiltonian(st, N0), expect, rtol=1e-14)
 
     def test_model_single_mode_substitution(self):

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_oracles import amps
+
 from kirchlab.spectral import (
     FrequencyGrid,
     SpectralState,
@@ -23,10 +25,6 @@ def random_state(M=100, seed=0, lam_max=50.0):
     u = rng.normal(size=M) + 1j * rng.normal(size=M)
     v = rng.normal(size=M) + 1j * rng.normal(size=M)
     return SpectralState(FrequencyGrid(lam, w), u, v)
-
-
-def amps(state):
-    return state.grid, state.u_hat, state.v_hat
 
 
 def combined(state, s):
