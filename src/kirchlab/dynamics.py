@@ -192,8 +192,8 @@ def _march(state, T, dt, stride, step, on_sample=None):
         raise ValueError(f"T must be finite and non-negative, got {T}")
     if not dt > 0:  # NaN too
         raise ValueError("dt must be positive")
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
+    if not (stride >= 1 and stride % 1 == 0):  # NaN too
+        raise ValueError(f"stride must be a positive integer, got {stride}")
     t0 = state.time
     if T == 0:
         return [t0], [state], 0

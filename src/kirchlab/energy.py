@@ -8,11 +8,12 @@ giving O(M) fast paths.  The one non-separable kernel is the divided
 difference D_s(x, y) = (x^s - y^s)/(x - y), x = l^2, in the b/c parts of
 the second-order term.  Its integer part is a finite separable sum; its
 fractional part is a Gauss-Jacobi rule on the Balakrishnan integral, one
-separable term per node, so the b/c parts cost O(R*M): R = 21 nodes for
-one frequency, 29 on the shipped band l in [1, 16] and 75 for
-l_max/l_min = 1e3 (see _balakrishnan_nodes).  The pointwise divided
-difference that the kernel-bounds suite samples is
-`analysis.divided_difference`.
+separable term per node (R = 29 nodes on the shipped band l in [1, 16];
+see _balakrishnan_nodes), mixed down to the kernel's numerical rank k
+(_rank_rows), so the b/c parts cost O(k*M): k = 14-16 rows on the
+shipped band and 26 at most, at l_max/l_min = 316.  On wider bands the
+rule's R rows are used as they are.  The pointwise divided difference
+that the kernel-bounds suite samples is `analysis.divided_difference`.
 
 Every function takes a grid and amplitudes u, v along its last axis:
 one state's (M,) amplitudes give scalars, and an (S, M) stack of states
@@ -62,10 +63,9 @@ class EnergyBreakdown:
 def unmodified_energy(
     grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: NonlinearitySpec, s: float
 ):
-    """(1/2)(1 + N(|u|_{H1}^2)) |u|_{H^{1+s}}^2 + (1/2)|u'|_{H^s}^2."""
-    lam, w = grid.lambdas, grid.weights
-    pos = np.add.reduce(w * lam ** (2.0 + 2.0 * s) * np.abs(u) ** 2, axis=-1)
-    vel = np.add.reduce(w * lam ** (2.0 * s) * np.abs(v) ** 2, axis=-1)
+    """(1/2)(1 + N(|u|_{H1}^2)) |u|_{H^{1+s}}^2 + (1/2)|u'|_{H^s}^2; a norm
+    that overflows raises (sobolev_norm_sq)."""
+    pos, vel = sobolev_norm_sq(grid, u, 1.0 + s), sobolev_norm_sq(grid, v, s)
     return 0.5 * (1.0 + N.eval(sobolev_norm_sq(grid, u, 1.0))) * pos + 0.5 * vel
 
 
@@ -105,8 +105,8 @@ def _min_kernel_pair_sum(K: np.ndarray, x: np.ndarray, y: np.ndarray):
 # The rules for the Balakrishnan integral (see _balakrishnan_nodes): the
 # Gauss-Jacobi rule is sized for a truncation error of _EPS; the exp-sinh
 # rule spaces its nodes _STEP apart in log t across [log x_min, log x_max]
-# and cuts its tails at the factor e^-_TAIL.  _CHUNK is the array elements
-# per block of nodes.
+# and cuts its tails at the factor e^-_TAIL.  _CHUNK bounds the array
+# elements of a block of the rows P_i(x_j) and of the kernel's passes.
 _EPS = 1e-16
 _STEP = 0.5
 _TAIL = 36.0
@@ -181,6 +181,74 @@ def _balakrishnan_nodes(x_min: float, x_max: float, sigma: float):
     return inv_t, weights
 
 
+# The rank-sized rows (_rank_rows): the directions kept are those above
+# _RANK_TOL of the largest, on bands up to x_max/x_min = _RANK_KAPPA.
+_RANK_TOL = 1e-15
+_RANK_KAPPA = 1e5
+
+
+@functools.lru_cache(maxsize=64)
+def _rank_rows(x_min: float, x_max: float, sigma: float):
+    """The rule of _balakrishnan_nodes with its R rows mixed down to the
+    kernel's numerical rank k: D_sigma(x, y) = sum_a L_a(x) L_a(y) with
+    L = mix @ P, P_i(x) = t_i / (t_i + x).
+
+    The weighted rows sqrt(w_i) P_i, sampled at 2R Chebyshev points in
+    log x on the band and scaled to unit D(x, x) there, are rotated onto
+    the eigenvectors of their R x R Gram matrix; the k directions above
+    _RANK_TOL of the largest eigenvalue are kept.  The rotation is
+    orthogonal, so the dropped rows enter D only through their products
+    with each other (second order).  On x in [1, 256] that is 14-16 rows
+    instead of 29, at 3e-15 per pair.  The kept rows have mixed signs,
+    and their cancellation costs accuracy as the band widens (per pair at
+    worst 4e-14 at kappa = 1e5, 8e-14 at 1e6 and 2e-13 at 1e7), so beyond
+    _RANK_KAPPA mix is the plain rule's sqrt(w_i), one row per node.
+
+    Returns (1/t_i, mix) as read-only arrays, memoized on the arguments;
+    mix is (k, R), or (R,) for the plain rule.
+    """
+    inv_t, weights = _balakrishnan_nodes(x_min, x_max, sigma)
+    root = np.sqrt(weights)
+    if x_max > _RANK_KAPPA * x_min:
+        mix = root
+    else:
+        n = 2 * len(root)
+        lo, hi = math.log(x_min), math.log(x_max)
+        x = np.exp(0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * (np.arange(n) + 0.5) / n))
+        A = root[:, None] * _node_rows(inv_t, x)
+        A /= np.sqrt(np.add.reduce(A * A, axis=0))
+        lam, vec = np.linalg.eigh(A @ A.T)
+        mix = vec[:, lam > _RANK_TOL * lam[-1]].T * root
+    mix.flags.writeable = False
+    return inv_t, mix
+
+
+def _fractional_rows(x, sigma: float):
+    """Blocks of rows L_a(x_j) on descending x, with D_sigma(x_j, x_k) =
+    sum_a L_a(x_j) L_a(x_k) summed over all blocks: the k rows of _rank_rows
+    as one (k, M) block, mixed from P in blocks of modes, or the plain
+    rule's rows sqrt(w_i) P_i in blocks of nodes.  Each block of P holds
+    at most _CHUNK elements."""
+    inv_t, mix = _rank_rows(x[-1], x[0], sigma)
+    if mix.ndim == 1:
+        step = max(1, _CHUNK // len(x))
+        for lo in range(0, len(inv_t), step):
+            yield mix[lo : lo + step, None] * _node_rows(inv_t[lo : lo + step], x)
+        return
+    L = np.empty((len(mix), len(x)))
+    step = max(1, _CHUNK // len(inv_t))
+    for lo in range(0, len(x), step):
+        np.matmul(mix, _node_rows(inv_t, x[lo : lo + step]), out=L[:, lo : lo + step])
+    yield L
+
+
+def _node_rows(inv_t, x):
+    """The rows P_i(x_j) = 1 / (1 + x_j / t_i) of the nodes 1/t_i."""
+    P = np.multiply.outer(inv_t, x)
+    P += 1.0
+    return np.reciprocal(P, out=P)
+
+
 def _sample_blocks(a: np.ndarray, size: int):
     """Index blocks over the samples of an (S, M) stack a, for block arrays
     of `size` elements per sample; for one state's (M,) array, the one
@@ -195,19 +263,19 @@ def _sample_blocks(a: np.ndarray, size: int):
 
 def _divided_difference_sum(K, x, s: float, r, f, g):
     """sum_{j,k} K[min(j,k)] D_s(x_j, x_k) (r_j r_k - f_j g_k) for ascending
-    x, in O(R*M) time and O(M + _CHUNK) memory, R the node count of
-    _balakrishnan_nodes.  K, r, f and g are (M,) arrays, or (S, M) stacks
-    with one sum per sample; x is shared.
+    x, in O(k*M) time and O(k*M + _CHUNK) memory, k the row count of
+    _rank_rows.  K, r, f and g are (M,) arrays, or (S, M) stacks with one
+    sum per sample; x is shared.
 
     With s = n + sigma, pointwise
       D_s(x, y) = x^n D_sigma(x, y) + y^sigma sum_{i<n} x^i y^(n-1-i),
-    so the kernel is a sum of rows L(x_j) R(x_k): n exact rows, plus one
-    row per quadrature node of D_sigma when sigma > 0.  Each row's
-    min-kernel sum telescopes: sum_{j,k} K[min] X_j Y_k = sum_m dK_m SX_m SY_m,
+    so the kernel is a sum of rows L(x_j) R(x_k): n exact rows, plus the
+    rows of _fractional_rows when sigma > 0.  Each row's min-kernel sum
+    telescopes: sum_{j,k} K[min] X_j Y_k = sum_m dK_m SX_m SY_m,
     dK_m = K_m - K_{m-1}, SX the suffix sums of X.  Everything is reversed
-    so the suffix sums are cumsums along the last axis.  The nodes and the
-    rows P_i are built once for all samples; samples go through in blocks
-    (_sample_blocks), and the node blocks are the same for any S.
+    so the suffix sums are cumsums along the last axis.  The rows are built
+    once for all samples; samples go through in blocks (_sample_blocks),
+    and the row blocks are the same for any S.
     """
     if s < 0:
         raise ValueError("regularity s must be non-negative")
@@ -219,32 +287,38 @@ def _divided_difference_sum(K, x, s: float, r, f, g):
     # reversed, with an axis for the rows: (..., 1, M)
     x, r, f, g = x[::-1], r[..., None, ::-1], f[..., None, ::-1], g[..., None, ::-1]
 
+    # The passes go in blocks of at most span rows per sample; _sample_blocks
+    # keeps the four sums of such a block within _CHUNK.
+    span = max(1, _CHUNK // (4 * len(x)))
+
+    def sums(row, a, b):
+        out = np.multiply(row, a[b])
+        return np.cumsum(out, -1, out=out)
+
     def rows(left, right, b):
         # the (k, M) rows against the samples b: their (..., k) min-kernel sums
-        sr = (left * r[b]).cumsum(-1)
-        sr2 = sr if right is left else (right * r[b]).cumsum(-1)
-        sf = (left * f[b]).cumsum(-1)
-        sg = (right * g[b]).cumsum(-1)
-        X, d = sr * sr2 - sf * sg, dK[b]
+        sr, sf, d = sums(left, r, b), sums(left, f, b), dK[b]
+        X = np.multiply(sr, sr if right is left else sums(right, r, b), out=sr)
+        sf *= sums(right, g, b)
+        X -= sf
         # one product per sample: a product over the stack sums in another order
         return X @ d if d.ndim == 1 else np.array([a @ c for a, c in zip(X, d)])
 
+    def pairs():
+        if n:
+            i = np.arange(n)[:, None]
+            yield x**i, x ** (n - 1 - i + sigma)
+        if sigma > 0.0:
+            for L in _fractional_rows(x, sigma):
+                yield (x**n * L if n else L), L
+
     total = np.zeros(dK.shape[:-1])
-    if n:
-        i = np.arange(n)[:, None]
-        left, right = x**i, x ** (n - 1 - i + sigma)
-        for b in _sample_blocks(dK, left.size):
-            total[b] += np.add.reduce(rows(left, right, b), axis=-1)
-    if sigma > 0.0:
-        inv_t, weights = _balakrishnan_nodes(x[-1], x[0], sigma)
-        xn = x**n
-        step = max(1, _CHUNK // len(x))
-        for lo in range(0, len(weights), step):
-            P = 1.0 / (1.0 + np.multiply.outer(inv_t[lo : lo + step], x))
-            left, w = (xn * P if n else P), weights[lo : lo + step]
-            for b in _sample_blocks(dK, P.size):
-                Y = rows(left, P, b)
-                total[b] += Y @ w if Y.ndim == 1 else [y @ w for y in Y]
+    for left, right in pairs():
+        for lo in range(0, len(left), span):
+            a = left[lo : lo + span]
+            c = a if right is left else right[lo : lo + span]
+            for b in _sample_blocks(dK, a.size):
+                total[b] += np.add.reduce(rows(a, c, b), axis=-1)
     return total
 
 
@@ -269,7 +343,7 @@ def second_order_term(
     + c Re(u_j v_j) Re(u_k v_k)], m = min(l_j, l_k).
 
     The a-part is a min-kernel sum (O(M)); the b/c parts carry the
-    divided-difference kernel and cost O(R*M) through
+    divided-difference kernel and cost O(k*M) through
     _divided_difference_sum (exact for integer s, zero for s = 0).
     A caller that already holds the profile of u or its (p, q, V, r)
     mode arrays at this s may hand them in.

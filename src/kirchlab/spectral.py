@@ -198,8 +198,10 @@ def build_random_decay(
         raise ValueError("need at least two modes")
     if not (0 < lambda_min < lambda_max):
         raise ValueError("require 0 < lambda_min < lambda_max")
-    if margin < 0:
-        raise ValueError("margin must be non-negative")
+    if not margin >= 0:  # NaN too
+        raise ValueError(f"margin must be non-negative, got {margin}")
+    if not np.isfinite(regularity):
+        raise ValueError(f"regularity must be finite, got {regularity}")
     span = np.log(lambda_max / lambda_min)
     # midpoints of M equal cells in log space
     cells = (np.arange(M) + 0.5) / M

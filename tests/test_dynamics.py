@@ -524,6 +524,23 @@ class TestStepFailures:
         with pytest.raises(ValueError, match="^dt must be positive$"):
             step_rk4(st, N1, dt)
 
+    @pytest.mark.parametrize("stride", [float("nan"), 2.5, 0, -1])
+    def test_nan_fractional_or_non_positive_stride_rejected(self, stride):
+        st = small_state()
+        z = np.zeros(len(st.grid), complex)
+        with pytest.raises(ValueError, match="^stride must be a positive integer, got "):
+            evolve(st, N1, 0.01, 1e-3, stride=stride)
+        with pytest.raises(ValueError, match="^stride must be a positive integer, got "):
+            evolve_pair(st, LinearizedState(z, z), N1, 0.01, 1e-3, stride=stride)
+
+    @pytest.mark.parametrize("stride", [5, np.int64(5), np.int32(5)])
+    def test_integer_strides_kept(self, stride):
+        st = small_state()
+        z = np.zeros(len(st.grid), complex)
+        assert evolve(st, N1, 0.01, 1e-3, stride=stride).times == pytest.approx([0.0, 0.005, 0.01])
+        pair = evolve_pair(st, LinearizedState(z, z), N1, 0.01, 1e-3, stride=stride)
+        assert pair.times == pytest.approx([0.0, 0.005, 0.01])
+
     @pytest.mark.parametrize("T", [float("inf"), float("nan"), -1.0])
     def test_non_finite_or_negative_T_rejected(self, T):
         st = small_state()

@@ -9,11 +9,14 @@ from scalar_oracles import amps, correction_F, filtered_A, pair_coefficients
 from kirchlab import energy
 from kirchlab.analysis import divided_difference
 from kirchlab.energy import (
+    _RANK_KAPPA,
     _STEP,
     _TAIL,
     EnergyBreakdown,
     _balakrishnan_nodes,
     _divided_difference_sum,
+    _fractional_rows,
+    _rank_rows,
     modified_energy,
     second_order_rate_model,
     second_order_model,
@@ -318,6 +321,20 @@ class TestUnmodified:
             expect = 0.5 * (1 + N_QUAD.eval(mass)) * pos**2 + 0.5 * vel**2
             assert np.isclose(unmodified_energy(*amps(st_), N_QUAD, s), expect, rtol=1e-13)
 
+    def test_overflow_raises_per_state_and_in_stack(self):
+        # |u|_{H^3}^2 overflows at s = 2 (lambda^6 |u|^2 = 1e420), not the H^1 mass
+        g = FrequencyGrid([1.0, 1e100], [1.0, 1.0])
+        u, v = np.array([0.01, 1e-90 + 0j]), np.array([0.01, 0j])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="^Sobolev norm overflowed at sigma=3.0$"):
+                unmodified_energy(g, u, v, N_QUAD, 2.0)
+            with pytest.raises(ValueError, match="^Sobolev norm overflowed at sigma=3.0$"):
+                modified_energy(g, u, v, N_QUAD, 2.0)
+            g = FrequencyGrid([1.0, 1e50], [1.0, 1.0])
+            u = np.array([[0.01, 0j], [0.01, 1e10 + 0j], [0.01, 0j]])
+            with pytest.raises(ValueError, match="overflowed at sigma=3.0 in sample 1$"):
+                unmodified_energy(g, u, u, N_QUAD, 2.0)
+
 
 class TestOracleEquivalence:
     """Fast paths against plain-python brute force -- the central
@@ -494,6 +511,52 @@ class TestBalakrishnanRule:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+
+class TestRankRows:
+    """The rule of _balakrishnan_nodes mixed down to the kernel's numerical
+    rank (_rank_rows), as _divided_difference_sum uses it: per pair,
+    sum_a L_a(x) L_a(y) over the blocks of _fractional_rows against the
+    exact D_sigma(x, y), over the ranges of TestBalakrishnanRule.  Over
+    7,000 random draws the worst relative error is 4.2e-14, at kappa near
+    _RANK_KAPPA and sigma near 0; on the band x in [1, 256] it is 5.5e-15."""
+
+    @given(sigma=SIGMAS, x_min=st.floats(1e-2, 1e3), log_kappa=st.floats(0.0, 12.0),
+           near=st.floats(1e-15, 1e-3))
+    @example(sigma=0.25, x_min=1.0, log_kappa=math.log10(256.0), near=1e-15)
+    @example(sigma=1e-9, x_min=75.0, log_kappa=math.log10(_RANK_KAPPA), near=1e-7)
+    @example(sigma=0.9999999999999999, x_min=1.0, log_kappa=12.0, near=1e-15)
+    @settings(max_examples=200)
+    def test_pairs_match_exact(self, sigma, x_min, log_kappa, near):
+        x_max = x_min * 10.0**log_kappa
+        x = np.geomspace(x_min, x_max, 40)  # both ends of the band exactly
+        x = np.sort(np.concatenate((x, np.minimum(x * (1.0 + near), x_max))))[::-1]
+        got = sum(L.T @ L for L in _fractional_rows(x, sigma))
+        want = exact_divided_difference(x[:, None], x[None, :], sigma)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.25, 0.5, 0.99])
+    def test_shipped_band_needs_at_most_17_rows(self, sigma):
+        inv_t, mix = _rank_rows(1.0, 256.0, sigma)
+        assert mix.shape == (len(mix), len(inv_t)) and len(mix) <= 17
+
+    def test_plain_rule_on_wide_bands(self):
+        assert _rank_rows(1.0, _RANK_KAPPA, 0.5)[1].ndim == 2
+        for x_max in (1.01 * _RANK_KAPPA, 1e12):
+            inv_t, mix = _rank_rows(1.0, x_max, 0.5)
+            nodes, weights = _balakrishnan_nodes(1.0, x_max, 0.5)
+            assert inv_t is nodes
+            assert mix.shape == weights.shape and mix.tolist() == np.sqrt(weights).tolist()
+
+    def test_cached_arrays_are_read_only(self):
+        for x_max in (256.0, 1e12):
+            first = _rank_rows(1.0, x_max, 0.25)
+            again = _rank_rows(1.0, x_max, 0.25)
+            for a, b in zip(first, again):
+                assert a is b
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
 
 
 class TestModifiedEnergy:

@@ -193,15 +193,19 @@ class TestProfile:
         st_small = build_random_decay(2**15, 1.0, 64.0, 0.25, 0.55, seed=0)
         st_big = build_random_decay(2**16, 1.0, 64.0, 0.25, 0.55, seed=0)
         build_profile(st_small.grid, st_small.u_hat, N)  # warm up
-        t0 = time.perf_counter()
-        for _ in range(5):
-            build_profile(st_small.grid, st_small.u_hat, N)
-        t_small = (time.perf_counter() - t0) / 5
-        t0 = time.perf_counter()
-        for _ in range(5):
-            build_profile(st_big.grid, st_big.u_hat, N)
-        t_big = (time.perf_counter() - t0) / 5
-        assert t_big <= 4.0 * t_small + 1e-3
+
+        def best(st_):
+            # the fastest of several calls: a pause of the host (another
+            # process, a CPU clock change) lengthens single calls, and a
+            # mean would carry it
+            times = []
+            for _ in range(9):
+                t0 = time.perf_counter()
+                build_profile(st_.grid, st_.u_hat, N)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        assert best(st_big) <= 4.0 * best(st_small) + 1e-3
 
 
 class TestTelescoping:

@@ -231,6 +231,16 @@ class TestRandomDecay:
         with pytest.raises(ValueError):
             build_random_decay(8, 2.0, 1.0, 0.25, 0.1, seed=0)
 
+    @pytest.mark.parametrize("margin", [-0.1, float("nan")])
+    def test_negative_or_nan_margin_rejected(self, margin):
+        with pytest.raises(ValueError, match="^margin must be non-negative, got "):
+            build_random_decay(8, 1.0, 4.0, 0.25, margin, seed=0)
+
+    @pytest.mark.parametrize("regularity", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_regularity_rejected(self, regularity):
+        with pytest.raises(ValueError, match="^regularity must be finite, got "):
+            build_random_decay(8, 1.0, 4.0, regularity, 0.1, seed=0)
+
 
 class TestTruncate:
     def test_identity_above_lambda_max(self):
