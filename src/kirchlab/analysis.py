@@ -108,7 +108,7 @@ def quintic_ratio_series(traj: Trajectory, N: NonlinearitySpec, s: float):
     interior samples, with a per-sample smallness-gate flag."""
     if len(traj) < 7:
         raise ValueError("need at least 7 uniform samples")
-    stack = stack_states(traj.states)
+    stack = traj.grid, traj.u, traj.v
     e_s = modified_energy(*stack, N, s).e_total.tolist()
     e_q = e_s if s == 0.25 else modified_energy(*stack, N, 0.25).e_total.tolist()
     over = (np.hypot(*pair_norm(*stack, 0.0)) > delta_gate(N)).tolist()
@@ -139,7 +139,7 @@ def scaling_point(
     y_unmod = abs(unmodified_derivative_analytic(*amps, N, s)) / unmodified_energy(*amps, N, s)
     h = dt * stride
     traj = evolve(st, N, 4 * h, dt, stride=stride, method=method)
-    e = modified_energy(*stack_states(traj.states), N, s).e_total.tolist()
+    e = modified_energy(traj.grid, traj.u, traj.v, N, s).e_total.tolist()
     d, e_mid = derivative_fd(list(zip(traj.times, e)), 2), e[2]
     return y_unmod, abs(d) / e_mid
 
@@ -203,7 +203,7 @@ def second_order_identity_check(traj: Trajectory, A: float, s: float) -> float:
     if len(traj) < 3:
         raise ValueError("need at least three samples")
     h = _uniform_step(traj.times)
-    grid, u, v = stack_states(traj.states)
+    grid, u, v = traj.grid, traj.u, traj.v
     e2 = second_order_model(grid, u, v, A, s)
     rate = second_order_rate_model(grid, u[1:-1], v[1:-1], A, s)
     return float(np.max(np.abs((e2[2:] - e2[:-2]) / (2 * h) - rate)))  # NaN propagates
@@ -278,7 +278,7 @@ def f_bounds_suite(traj: Trajectory, N: NonlinearitySpec) -> dict:
     (ValueError otherwise); the derivative bound allows 100 h^2 for the
     O(h^2) difference error."""
     h = _uniform_step(traj.times) if len(traj) > 1 else 0.0
-    grid, u, v = stack_states(traj.states)
+    grid, u, v = traj.grid, traj.u, traj.v
     profile = build_profile(grid, u, N)  # one row per sample
     c, F = profile.c_prefix, profile.f_values
     base = 1.0 + np.asarray(N.eval(c))
@@ -397,14 +397,11 @@ def resonance_report(
     the separable (time-derivative-factoring) piece and the mixed piece,
     with running time averages.  Non-asserting experiment artifact."""
     traj = evolve_pair(u0, w0, N, T, dt, stride=stride)
-    grid, u, v = stack_states(traj.states)
-    w_hat = np.array([c.w_hat for c in traj.companions])
-    w_vel = np.array([c.w_vel for c in traj.companions])
-    sep, mixed = _sep_mixed(grid, u, v, w_hat, w_vel, sigma)
-    energy = linearized_energy(grid, u, w_hat, w_vel, sigma)
+    sep, mixed = _sep_mixed(traj.grid, traj.u, traj.v, traj.w_hat, traj.w_vel, sigma)
+    energy = linearized_energy(traj.grid, traj.u, traj.w_hat, traj.w_vel, sigma)
     k = np.arange(1, len(traj) + 1)
     return {
-        "times": np.asarray(traj.times),
+        "times": traj.times,
         "sep": sep,
         "mixed": mixed,
         "energy": energy,
@@ -432,7 +429,7 @@ def truncation_convergence(
     us, vs, e_sup = [], [], []
     for c in cutoffs:
         traj = evolve(truncate(rough_state, c), N, T, dt, stride=stride, method="rotation")
-        grid, u, v = stack_states(traj.states)
+        grid, u, v = traj.grid, traj.u, traj.v
         e_sup.append(float(np.max(modified_energy(grid, u, v, N, s_low).e_total)))
         # a truncation keeps a prefix of the ascending grid (an empty one keeps
         # lambdas[:1] at zero amplitude): zero padding embeds it in the full grid

@@ -9,7 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = ["main", "run", "build_state"]
 
 # the energy columns of every artifact, in EnergyBreakdown's field order
 _ENERGY_COLUMNS = [f.name for f in fields(EnergyBreakdown)]
+_energy_cells = attrgetter(*_ENERGY_COLUMNS)
 
 
 def build_state(config: RunConfig, seed: int) -> SpectralState:
@@ -71,12 +73,12 @@ def _traj_rows(traj, N, s_list):
     for s in s_list:
         tag = output.fmt(float(s))
         header += [f"{name}[{tag}]" for name in ("pos", "vel", *_ENERGY_COLUMNS)]
-    rows = []
-    for t, st in zip(traj.times, traj.states):
-        amps = st.grid, st.u_hat, st.v_hat
-        row = [float(t), hamiltonian(st, N), *pair_norm(*amps, 0.0)]
+    grid, rows = traj.grid, []
+    ham = hamiltonian(grid, traj.u, traj.v, N).tolist()
+    for t, h, u, v in zip(traj.times.tolist(), ham, traj.u, traj.v):
+        row = [t, h, *pair_norm(grid, u, v, 0.0)]
         for s in s_list:
-            row += [*pair_norm(*amps, s), *astuple(modified_energy(*amps, N, s))]
+            row += [*pair_norm(grid, u, v, s), *_energy_cells(modified_energy(grid, u, v, N, s))]
         rows.append(row)
     return header, rows
 
@@ -95,8 +97,10 @@ def _emit(out_dir, name, header, rows, fmt, plots=False, plot_series=None, plot_
 
 def _scenario_simulate(config, N, state, out_dir, seed):
     integ = config.integrator
+    # the samples are dropped once they are rows, before the writers run
     traj = evolve(state, N, integ["T"], integ["dt"], stride=integ["stride"], method=integ["method"])
     header, rows = _traj_rows(traj, N, config.s_list)
+    del traj
     times = [r[0] for r in rows]
     series = {"hamiltonian": (times, [r[1] for r in rows]), "h1_norm": (times, [r[2] for r in rows])}
     artifacts = _emit(
@@ -109,7 +113,7 @@ def _scenario_simulate(config, N, state, out_dir, seed):
 def _scenario_energies(config, N, state, out_dir, seed):
     header = ["t", "s", *_ENERGY_COLUMNS]
     amps = state.grid, state.u_hat, state.v_hat
-    rows = [[float(state.time), float(s), *astuple(modified_energy(*amps, N, s))]
+    rows = [[float(state.time), float(s), *_energy_cells(modified_energy(*amps, N, s))]
             for s in config.s_list]
     artifacts = _emit(out_dir, "energies", header, rows, config.output["format"])
     return {"pass": True, "artifacts": artifacts}
@@ -215,11 +219,10 @@ def _scenario_linearized(config, N, state, out_dir, seed):
     for e in (1e-3, 1e-4):
         pert = state.replace_amplitudes(state.u_hat + e * w0.w_hat, state.v_hat + e * w0.w_vel)
         tp = evolve(pert, N, T, dt, stride=max(1, traj.steps))
-        du = (tp.states[-1].u_hat - traj.states[-1].u_hat) / e
-        dv = (tp.states[-1].v_hat - traj.states[-1].v_hat) / e
-        wT = traj.companions[-1]
-        errs.append(float(np.sqrt(np.max(np.abs(du - wT.w_hat)) ** 2
-                                  + np.max(np.abs(dv - wT.w_vel)) ** 2)))
+        du = (tp.u[-1] - traj.u[-1]) / e
+        dv = (tp.v[-1] - traj.v[-1]) / e
+        errs.append(float(np.sqrt(np.max(np.abs(du - traj.w_hat[-1])) ** 2
+                                  + np.max(np.abs(dv - traj.w_vel[-1])) ** 2)))
     ratio = errs[0] / errs[1] if errs[1] > 0 else float("inf")
     doc = {"fd_errors": errs, "fd_ratio": ratio, "T": T, "dt": dt,
            "pass": bool(8.0 <= ratio <= 12.0)}

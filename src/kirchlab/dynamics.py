@@ -8,8 +8,9 @@ dynamical claim in the test suite is cross-validated between them.
 
 The rotation step and the linearized companion run on raw arrays.  One
 marching loop serves `evolve` and `evolve_pair`; it validates one new
-`SpectralState` per step and builds a `LinearizedState` only at samples.
-One RK4 tableau serves `step_rk4` and the companion.
+`SpectralState` per step and writes each sample into the (S, M) arrays
+of the `Trajectory` it returns.  One RK4 tableau serves `step_rk4` and
+the companion.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nonlinearity import DegenerateNonlinearityError, NonlinearitySpec
-from .spectral import SpectralState, _readonly, _shared_grid, sobolev_norm_sq
+from .spectral import FrequencyGrid, SpectralState, _readonly, sobolev_norm_sq
 
 __all__ = [
     "Trajectory",
@@ -51,23 +52,33 @@ class LinearizedState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered samples of a run, optionally with linearized companions."""
+    """The samples of a run on one grid: strictly increasing times (S,),
+    amplitudes u and v (S, M), and for `evolve_pair` the linearized
+    companion w_hat and w_vel (S, M).  The arrays are read-only."""
 
-    times: tuple
-    states: tuple
-    companions: tuple | None
+    grid: FrequencyGrid
+    times: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
     steps: int
+    w_hat: np.ndarray | None = None
+    w_vel: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise ValueError("times and states must have equal length")
-        if len(self.times) == 0:
-            raise ValueError("trajectory must contain at least one sample")
-        if np.any(np.diff(np.asarray(self.times)) <= 0):
-            raise ValueError("sample times must be strictly increasing")
-        _shared_grid(self.states)
-        if self.companions is not None and len(self.companions) != len(self.states):
-            raise ValueError("companions must align with samples")
+        times = _readonly(self.times, float)
+        if times.ndim != 1 or times.size == 0 or not np.all(np.diff(times) > 0):  # NaN too
+            raise ValueError("times must be a non-empty, strictly increasing 1-d array")
+        object.__setattr__(self, "times", times)
+        shape = (times.size, len(self.grid))
+        for name in ("u", "v", "w_hat", "w_vel"):
+            a = getattr(self, name)
+            if a is None:
+                continue
+            a = np.asarray(a, dtype=complex).view()  # no copy of the samples
+            if a.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -157,12 +168,13 @@ def step_rk4(state: SpectralState, N: NonlinearitySpec, dt: float) -> SpectralSt
     return state.replace_amplitudes(u1, v1, state.time + dt)
 
 
-def hamiltonian(state: SpectralState, N: NonlinearitySpec) -> float:
-    """(1/2)|u'|^2 + (1/2)|u|_{H^1}^2 + (1/2) antiderivative(|u|_{H^1}^2);
-    conserved exactly by the flow (chain rule against the equation)."""
-    kinetic = 0.5 * sobolev_norm_sq(state.grid, state.v_hat, 0.0)
-    mass = sobolev_norm_sq(state.grid, state.u_hat, 1.0)
-    return kinetic + 0.5 * mass + 0.5 * float(N.antiderivative(mass))
+def hamiltonian(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: NonlinearitySpec):
+    """(1/2)|u'|^2 + (1/2)|u|_{H^1}^2 + (1/2) antiderivative(|u|_{H^1}^2)
+    along the last axis, as in sobolev_norm_sq; conserved exactly by the
+    flow (chain rule against the equation)."""
+    kinetic = 0.5 * sobolev_norm_sq(grid, v, 0.0)
+    mass = sobolev_norm_sq(grid, u, 1.0)
+    return kinetic + 0.5 * mass + 0.5 * N.antiderivative(mass)
 
 
 def _stepper(method: str):
@@ -174,49 +186,45 @@ def _stepper(method: str):
     raise ValueError(f"unknown integrator {method!r}")
 
 
-def _at_time(state: SpectralState, t: float) -> SpectralState:
-    """`state` re-timed to t; shares the read-only arrays it already validated."""
-    out = object.__new__(SpectralState)
-    out.__dict__.update(state.__dict__, time=float(t))
-    return out
-
-
-def _march(state, T, dt, stride, step, on_sample=None):
+def _march(state, T, dt, stride, step, w=None):
     """The marching loop of `evolve` and `evolve_pair`: nsteps = round(T/dt)
-    uniform steps of T/nsteps, where step(cur, dt) gives the next state.
-    Samples every `stride` steps and the last; on_sample() runs at each.
+    uniform steps of T/nsteps, where step(cur, w, dt) gives the next state
+    and the next companion pair w = (w_hat, w_vel), or None without one.
+    Samples every `stride` steps and the last into the returned Trajectory.
     A failing step's exception is raised again with its type kept (a
     RuntimeError if that type takes no single message), naming the step
-    and its start time.  Returns (times, states, nsteps)."""
+    and its start time."""
     if not 0 <= T < np.inf:  # NaN too
         raise ValueError(f"T must be finite and non-negative, got {T}")
     if not dt > 0:  # NaN too
         raise ValueError("dt must be positive")
     if not (stride >= 1 and stride % 1 == 0):  # NaN too
         raise ValueError(f"stride must be a positive integer, got {stride}")
-    t0 = state.time
-    if T == 0:
-        return [t0], [state], 0
-    nsteps = max(1, int(round(T / dt)))
-    dt = T / nsteps
-    times, states = [t0], [state]
-    cur = state
-    for n in range(1, nsteps + 1):
-        try:
-            cur = _at_time(step(cur, dt), t0 + n * dt)
-        except Exception as exc:
-            msg = f"step {n} failed at t={t0 + (n - 1) * dt}: {exc}"
+    nsteps = max(1, int(round(T / dt))) if T > 0 else 0
+    shape = (1 + -(-nsteps // int(stride)), len(state.grid))
+    times = np.empty(shape[0])
+    out = [np.empty(shape, complex) for _ in range(2 if w is None else 4)]
+    if nsteps:
+        dt = T / nsteps
+    t0, cur, k = state.time, state, 0
+    for n in range(nsteps + 1):  # n = 0 samples the initial state
+        if n:
             try:
-                located = type(exc)(msg)
-            except TypeError:
-                located = RuntimeError(msg)
-            raise located from exc
+                cur, w = step(cur, w, dt)
+            except Exception as exc:
+                msg = f"step {n} failed at t={t0 + (n - 1) * dt}: {exc}"
+                try:
+                    located = type(exc)(msg)
+                except TypeError:
+                    located = RuntimeError(msg)
+                raise located from exc
         if n % stride == 0 or n == nsteps:
-            times.append(t0 + n * dt)
-            states.append(cur)
-            if on_sample is not None:
-                on_sample()
-    return times, states, nsteps
+            times[k] = t0 + n * dt
+            for a, x in zip(out, (cur.u_hat, cur.v_hat, *(w or ()))):
+                a[k] = x
+            k += 1
+    u, v, *comp = out
+    return Trajectory(state.grid, times, u, v, nsteps, *comp)
 
 
 def evolve(
@@ -230,8 +238,7 @@ def evolve(
     """March to time T in uniform steps, sampling every `stride` steps
     (first and last samples always included)."""
     step = _stepper(method)
-    times, states, nsteps = _march(state, T, dt, stride, lambda cur, h: step(cur, N, h))
-    return Trajectory(tuple(times), tuple(states), None, nsteps)
+    return _march(state, T, dt, stride, lambda cur, w, h: (step(cur, N, h), None))
 
 
 def _linearized_rhs(lam2, wl2, A, u, m, w_hat):
@@ -262,13 +269,11 @@ def evolve_pair(
     A = N.coefficients[0]
     lam2 = base.grid.lambdas**2
     wl2 = base.grid.weights * lam2
-    # companion (w, w') and the H^1 mass of the current base amplitudes
-    wh, wv = lin.w_hat, lin.w_vel
+    # the H^1 mass of the current base amplitudes
     m0 = float(np.add.reduce(wl2 * np.abs(base.u_hat) ** 2))
-    comps = [lin]
 
-    def step(cur, dt):
-        nonlocal wh, wv, m0
+    def step(cur, w, dt):
+        nonlocal m0
         nxt = step_rotation(cur, N, dt)
         u0, u1 = cur.u_hat, nxt.u_hat
         # cubic Hermite weights at tau = 1/2: 1/2, 1/8, 1/2, -1/8
@@ -276,12 +281,8 @@ def evolve_pair(
         mm = float(np.add.reduce(wl2 * np.abs(um) ** 2))
         m1 = float(np.add.reduce(wl2 * np.abs(u1) ** 2))
         bases, masses = (u0, um, u1), (m0, mm, m1)
-        wh, wv = _rk4(lambda i, w: _linearized_rhs(lam2, wl2, A, bases[i], masses[i], w),
-                      wh, wv, dt)
+        w = _rk4(lambda i, x: _linearized_rhs(lam2, wl2, A, bases[i], masses[i], x), *w, dt)
         m0 = m1
-        return nxt
+        return nxt, w
 
-    times, states, nsteps = _march(
-        base, T, dt, stride, step, lambda: comps.append(LinearizedState(wh, wv))
-    )
-    return Trajectory(tuple(times), tuple(states), tuple(comps), nsteps)
+    return _march(base, T, dt, stride, step, (lin.w_hat, lin.w_vel))

@@ -16,8 +16,8 @@ rule's R rows are used as they are.  The pointwise divided difference
 that the kernel-bounds suite samples is `analysis.divided_difference`.
 
 Every function takes a grid and amplitudes u, v along its last axis:
-one state's (M,) amplitudes give scalars, and an (S, M) stack of states
-that share the grid (spectral.stack_states) gives (S,) arrays, equal
+one state's (M,) amplitudes give scalars, and an (S, M) stack of samples
+on the grid (a Trajectory's u and v) gives (S,) arrays, equal
 bitwise to the per-state values: the reductions and prefix sums run
 along axis -1 (which matches the 1-d calls row by row), and every matrix
 product runs one sample at a time.

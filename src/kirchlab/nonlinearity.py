@@ -76,6 +76,8 @@ def polynomial_nonlinearity(coefficients) -> NonlinearitySpec:
     cs = [float(c) for c in coefficients]
     if not cs:
         raise ValueError("need at least one coefficient")
+    if not np.all(np.isfinite(cs)):
+        raise ValueError(f"coefficients must be finite, got {cs}")
     while len(cs) > 1 and cs[-1] == 0.0:
         cs.pop()
     cs = tuple(cs)

@@ -122,24 +122,18 @@ def pair_norm(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, s: float):
     return np.sqrt(sobolev_norm_sq(grid, u, 1.0 + s)), np.sqrt(sobolev_norm_sq(grid, v, s))
 
 
-def _shared_grid(states) -> FrequencyGrid:
-    """The grid of states[0]; ValueError naming the first state whose grid
-    differs from it in lambdas or weights."""
+def stack_states(states):
+    """(grid, u, v) for one or more states on one grid: u and v are the
+    (S, M) stacks of their amplitudes, the input of the energy functions
+    and pair_norm.  ValueError names the first state whose grid differs
+    from the first one's in lambdas or weights."""
     g0 = states[0].grid
     for i, st in enumerate(states):
         g = st.grid
         if g is not g0 and not (np.array_equal(g.lambdas, g0.lambdas)
                                 and np.array_equal(g.weights, g0.weights)):
             raise ValueError(f"all states must share one grid: state {i} differs from state 0")
-    return g0
-
-
-def stack_states(states):
-    """(grid, u, v) for one or more states on one grid (ValueError naming
-    the first state that is not): u and v are the (S, M) stacks of their
-    amplitudes, the input of the energy functions and pair_norm."""
-    grid = _shared_grid(states)
-    return grid, np.array([st.u_hat for st in states]), np.array([st.v_hat for st in states])
+    return g0, np.array([st.u_hat for st in states]), np.array([st.v_hat for st in states])
 
 
 def rescale_to(state: SpectralState, target: float, space_exponent: float) -> SpectralState:
@@ -160,8 +154,9 @@ def build_two_mode(lambda1: float, lambda2: float, c_plus, c_minus) -> SpectralS
     u_hat = c+ + c-,  v_hat = i*lambda*(c+ - c-), so that the free flow
     (N = 0) is exactly c+ e^{i lam t} + c- e^{-i lam t}.
     """
-    if lambda1 <= 0 or lambda2 <= 0:
-        raise ValueError("frequencies must be positive")
+    for name, lam in (("lambda1", lambda1), ("lambda2", lambda2)):
+        if not 0 < lam < np.inf:  # NaN too
+            raise ValueError(f"{name} must be positive and finite, got {lam}")
     if lambda1 == lambda2:
         raise ValueError("frequencies must be distinct")
     cp = np.asarray(c_plus, dtype=complex)
@@ -198,8 +193,8 @@ def build_random_decay(
         raise ValueError("need at least two modes")
     if not (0 < lambda_min < lambda_max):
         raise ValueError("require 0 < lambda_min < lambda_max")
-    if not margin >= 0:  # NaN too
-        raise ValueError(f"margin must be non-negative, got {margin}")
+    if not 0 <= margin < np.inf:  # NaN too
+        raise ValueError(f"margin must be finite and non-negative, got {margin}")
     if not np.isfinite(regularity):
         raise ValueError(f"regularity must be finite, got {regularity}")
     span = np.log(lambda_max / lambda_min)

@@ -4,7 +4,8 @@ coefficient A(r) and correction F(r) at one frequency, the pair
 coefficients of the second-order density, and a finite-difference check
 of a nonlinearity's derivatives.  They are the building blocks of the
 dense oracles in the test suite.  `amps` unpacks a state into the
-(grid, u, v) arguments of the energy functions.
+(grid, u, v) arguments of the energy functions, and `state_at` gives one
+sample of a trajectory as a state.
 """
 
 from dataclasses import dataclass
@@ -12,11 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from kirchlab.analysis import DIAGONAL_TOL, divided_difference
+from kirchlab.spectral import SpectralState
 
 
 def amps(state):
     """(grid, u_hat, v_hat) of one state."""
     return state.grid, state.u_hat, state.v_hat
+
+
+def state_at(traj, i):
+    """Sample i of a trajectory as one state."""
+    return SpectralState(traj.grid, traj.u[i], traj.v[i], float(traj.times[i]))
 
 
 def cumulative_mass(state, r):

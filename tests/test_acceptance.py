@@ -21,7 +21,7 @@ from kirchlab.nonlinearity import (
 from kirchlab.spectral import build_random_decay, rescale_to
 
 from conftest import ACCEPTANCE_VERDICTS
-from scalar_oracles import amps
+from scalar_oracles import amps, state_at
 from test_energy import (
     asym_term_reference,
     brute_asym,
@@ -115,11 +115,12 @@ def test_criterion_02_hamiltonian_conservation():
     for A in (1.0, -1.0):
         N = polynomial_nonlinearity([A])
         st = rescale_to(_decaying(64, 7), delta_gate(N) / 10, 0.0)
-        H0 = hamiltonian(st, N)
+        H0 = hamiltonian(*amps(st), N)
         for method in ("rotation", "rk4"):
             # dt = 1e-3 sits well inside the rk4 stability guard
             traj = evolve(st, N, 1.0, 1e-3, stride=100, method=method)
-            drift = max(abs(hamiltonian(x, N) - H0) for x in traj.states) / abs(H0)
+            H = hamiltonian(traj.grid, traj.u, traj.v, N)
+            drift = float(np.max(np.abs(H - H0))) / abs(H0)
             worst = max(worst, drift)
     _report(2, "Hamiltonian drift <= 1e-9 over T=1", worst <= 1e-9,
             f"worst rel drift {worst:.2e}")
@@ -203,11 +204,11 @@ def test_criterion_07_linearization():
     errs = []
     for e in (1e-3, 1e-4):
         pert = st.replace_amplitudes(st.u_hat + e * w0.w_hat, st.v_hat + e * w0.w_vel)
-        pT = evolve(pert, N1, T, dt, stride=100).states[-1]
-        du = (pT.u_hat - traj.states[-1].u_hat) / e
-        dv = (pT.v_hat - traj.states[-1].v_hat) / e
-        errs.append(float(np.hypot(np.max(np.abs(du - traj.companions[-1].w_hat)),
-                                   np.max(np.abs(dv - traj.companions[-1].w_vel)))))
+        pT = evolve(pert, N1, T, dt, stride=100)
+        du = (pT.u[-1] - traj.u[-1]) / e
+        dv = (pT.v[-1] - traj.v[-1]) / e
+        errs.append(float(np.hypot(np.max(np.abs(du - traj.w_hat[-1])),
+                                   np.max(np.abs(dv - traj.w_vel[-1])))))
     ratio = errs[0] / errs[1]
 
     from kirchlab.spectral import sobolev_norm_sq
@@ -215,7 +216,7 @@ def test_criterion_07_linearization():
     m = sobolev_norm_sq(st.grid, st.u_hat, 1.0)
     wt = LinearizedState(st.v_hat, -(1 + m) * st.grid.lambdas**2 * st.u_hat)
     tt = evolve_pair(st, wt, N1, 0.01, 1e-5, stride=1000)
-    resid = float(np.max(np.abs(tt.companions[-1].w_hat - tt.states[-1].v_hat)))
+    resid = float(np.max(np.abs(tt.w_hat[-1] - tt.v[-1])))
     _report(7, "linearized flow: FD ratio 10+-2, w=u' residual <=1e-10",
             8.0 <= ratio <= 12.0 and resid <= 1e-10,
             f"fd ratio {ratio:.2f}, residual {resid:.2e}")
@@ -239,9 +240,9 @@ def test_criterion_09_scaling_symmetry():
     st = rescale_to(_decaying(24, 11, lam_max=8.0), 0.05, 0.0)
     worst = 0.0
     for eps in (0.5, 2.0, 10.0):
-        t1 = evolve(st, polynomial_nonlinearity([1.0]), 0.5, 1e-3).states[-1]
+        t1 = state_at(evolve(st, polynomial_nonlinearity([1.0]), 0.5, 1e-3), -1)
         scaled = st.replace_amplitudes(eps * st.u_hat, eps * st.v_hat)
-        t2 = evolve(scaled, polynomial_nonlinearity([1.0 / eps**2]), 0.5, 1e-3).states[-1]
+        t2 = state_at(evolve(scaled, polynomial_nonlinearity([1.0 / eps**2]), 0.5, 1e-3), -1)
         worst = max(worst,
                     float(np.max(np.abs(t1.u_hat - t2.u_hat / eps))),
                     float(np.max(np.abs(t1.v_hat - t2.v_hat / eps))))

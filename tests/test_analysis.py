@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from scalar_oracles import amps
+from scalar_oracles import amps, state_at
 
 import kirchlab.analysis as analysis
 from kirchlab.analysis import (
@@ -72,8 +72,8 @@ class TestDerivativeFd:
         N0 = polynomial_nonlinearity([0.0])
         st = small_state()
         traj = evolve(st, N0, 0.1, 1e-3, stride=10)
-        series = [(t, modified_energy(*amps(x), N0, 0.0).e_total)
-                  for t, x in zip(traj.times, traj.states)]
+        series = [(t, modified_energy(traj.grid, u, v, N0, 0.0).e_total)
+                  for t, u, v in zip(traj.times, traj.u, traj.v)]
         assert abs(derivative_fd(series, 3)) < 1e-12
 
 
@@ -400,12 +400,11 @@ class TestResonance:
         w0 = LinearizedState(wdir.u_hat, wdir.v_hat)
         traj = evolve_pair(st, w0, N1, 0.01, 1e-4, stride=10)
         series = [
-            (t, linearized_energy(b.grid, b.u_hat, l.w_hat, l.w_vel, 0.25))
-            for t, (b, l) in zip(traj.times, zip(traj.states, traj.companions))
+            (t, linearized_energy(traj.grid, u, wh, wv, 0.25))
+            for t, u, wh, wv in zip(traj.times, traj.u, traj.w_hat, traj.w_vel)
         ]
         fd = derivative_fd(series, 3)
-        b, l = traj.states[3], traj.companions[3]
-        sep, mixed = _sep_mixed(*amps(b), l.w_hat, l.w_vel, 0.25)
+        sep, mixed = _sep_mixed(*amps(state_at(traj, 3)), traj.w_hat[3], traj.w_vel[3], 0.25)
         assert abs(fd - (sep + mixed)) <= 1e-6 * abs(sep + mixed)
 
     def test_mixed_mean_dominates_documented_two_mode(self):
@@ -464,9 +463,10 @@ class TestTruncation:
         st = small_state(M=16, lam_max=8.0)
         tab = truncation_convergence(st, [0.5, 10.0], N1, 0.05, dt=1e-3, stride=10)
         lam, w = st.grid.lambdas, st.grid.weights
+        traj = evolve(st, N1, 0.05, 1e-3, stride=10)
         sup = max(
-            np.sqrt(np.sum(w * lam**2 * np.abs(x.u_hat) ** 2) + np.sum(w * np.abs(x.v_hat) ** 2))
-            for x in evolve(st, N1, 0.05, 1e-3, stride=10).states
+            np.sqrt(np.sum(w * lam**2 * np.abs(u) ** 2) + np.sum(w * np.abs(v) ** 2))
+            for u, v in zip(traj.u, traj.v)
         )
         assert tab["consecutive_diffs"][0] == pytest.approx(sup, rel=1e-12)
 
@@ -499,18 +499,18 @@ class TestTruncation:
 def _ref_identity_check(traj, A, s):
     """Frozen copy of the per-sample second-order identity check."""
     h = traj.times[1] - traj.times[0]
-    e2 = [second_order_model(*amps(st), A, s) for st in traj.states]
+    e2 = [second_order_model(traj.grid, u, v, A, s) for u, v in zip(traj.u, traj.v)]
     worst = 0.0
     for i in range(1, len(traj) - 1):
         fd = (e2[i + 1] - e2[i - 1]) / (2 * h)
-        worst = max(worst, abs(fd - second_order_rate_model(*amps(traj.states[i]), A, s)))
+        worst = max(worst, abs(fd - second_order_rate_model(*amps(state_at(traj, i)), A, s)))
     return worst
 
 
 def _ref_f_bounds_suite(traj, N):
     """Frozen copy of the per-sample correction-function suite."""
     h = traj.times[1] - traj.times[0] if len(traj) > 1 else 0.0
-    profiles = [build_profile(st.grid, st.u_hat, N) for st in traj.states]
+    profiles = [build_profile(traj.grid, u, N) for u in traj.u]
     range_ok, worst_range, nprime_max = True, 0.0, 0.0
     for prof in profiles:
         base = 1.0 + np.asarray(N.eval(prof.c_prefix))
@@ -525,7 +525,7 @@ def _ref_f_bounds_suite(traj, N):
     fd_ok, worst_excess = True, 0.0
     for i in range(1, len(traj) - 1):
         dF = (profiles[i + 1].f_values - profiles[i - 1].f_values) / (2 * h)
-        st = traj.states[i]
+        st = state_at(traj, i)
         lam, w = st.grid.lambdas, st.grid.weights
         flux = np.abs(np.cumsum(w * lam**2 * np.real(st.u_hat * np.conj(st.v_hat))))
         excess = float(np.max(np.abs(dF) - (3.0 * nprime_max * 2.0**2.5 * flux + 100.0 * h * h)))
@@ -542,7 +542,9 @@ def _ref_truncation_diffs(rough, cutoffs, N, T, dt, stride):
     runs = []
     for c in cutoffs:
         emb = []
-        for st in evolve(truncate(rough, c), N, T, dt, stride=stride).states:
+        traj = evolve(truncate(rough, c), N, T, dt, stride=stride)
+        for i in range(len(traj)):
+            st = state_at(traj, i)
             u, v = np.zeros(len(lam), complex), np.zeros(len(lam), complex)
             idx = np.searchsorted(lam, st.grid.lambdas)
             u[idx], v[idx] = st.u_hat, st.v_hat
@@ -579,13 +581,14 @@ def _ref_comparability_sweep(states, N, s_list):
 def _ref_quintic_ratio_series(traj, N, s):
     """Frozen copy of the per-sample quintic ratio series."""
     gate = delta_gate(N)
-    e_s = [(t, modified_energy(*amps(st), N, s).e_total) for t, st in zip(traj.times, traj.states)]
-    e_q = [modified_energy(*amps(st), N, 0.25).e_total for st in traj.states]
+    e_s = [(t, modified_energy(traj.grid, u, v, N, s).e_total)
+           for t, u, v in zip(traj.times, traj.u, traj.v)]
+    e_q = [modified_energy(traj.grid, u, v, N, 0.25).e_total for u, v in zip(traj.u, traj.v)]
     out = []
     for i in range(2, len(traj) - 2):
         d = derivative_fd(e_s, i)
         denom = e_s[i][1] * e_q[i] ** 2
-        flag = np.hypot(*pair_norm(*amps(traj.states[i]), 0.0)) > gate
+        flag = np.hypot(*pair_norm(*amps(state_at(traj, i)), 0.0)) > gate
         out.append((traj.times[i], abs(d) / denom if denom != 0 else 0.0, flag))
     return out
 
@@ -613,17 +616,17 @@ class TestSampledSuitesFrozenReference:
         base = build_random_decay(32, 1.0, 16.0, 0.25, 0.55, seed=21)
         st = rescale_to(base, 0.02, 0.25)
         traj = evolve(st, N1, 0.04, 1e-3, stride=10)
-        series = [(t, modified_energy(*amps(x), N1, 0.25).e_total)
-                  for t, x in zip(traj.times, traj.states)]
+        series = [(t, modified_energy(traj.grid, u, v, N1, 0.25).e_total)
+                  for t, u, v in zip(traj.times, traj.u, traj.v)]
         want = abs(derivative_fd(series, 2)) / series[2][1]
         assert scaling_point(base, N1, 0.25, 0.02)[1] == want
 
     def test_truncation_energy_sup(self):
         rough = rescale_to(build_random_decay(64, 1.0, 64.0, 0.25, 0.55, seed=31), 0.05, 0.25)
         tab = truncation_convergence(rough, [4.0, 64.0], N1, 0.05, dt=1e-3, stride=10)
-        want = [max(modified_energy(*amps(st), N1, 0.25).e_total
-                    for st in evolve(truncate(rough, c), N1, 0.05, 1e-3, stride=10).states)
-                for c in (4.0, 64.0)]
+        trajs = [evolve(truncate(rough, c), N1, 0.05, 1e-3, stride=10) for c in (4.0, 64.0)]
+        want = [max(modified_energy(tr.grid, u, v, N1, 0.25).e_total for u, v in zip(tr.u, tr.v))
+                for tr in trajs]
         assert tab["energy_sup"] == want
 
     @pytest.mark.parametrize("dt", [4e-4, 1e-4])

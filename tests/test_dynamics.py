@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from scalar_oracles import amps
+from scalar_oracles import amps, state_at
 
 from kirchlab.dynamics import (
     LinearizedState,
@@ -80,26 +80,26 @@ class TestRotation:
 
     def test_hamiltonian_drift_small(self):
         st = small_state(M=64, size=delta_gate(N1) / 10)
-        H0 = hamiltonian(st, N1)
+        H0 = hamiltonian(*amps(st), N1)
         traj = evolve(st, N1, 1.0, 1e-3, stride=100)
-        drift = max(abs(hamiltonian(x, N1) - H0) for x in traj.states)
+        drift = np.max(np.abs(hamiltonian(traj.grid, traj.u, traj.v, N1) - H0))
         assert drift <= 1e-8 * abs(H0)
 
     def test_single_mode_exact_any_dt(self):
         g = FrequencyGrid([2.0], [1.0])
         st = SpectralState(g, np.array([0.05 + 0.01j]), np.array([0.02j]))
-        H0 = hamiltonian(st, N1)
+        H0 = hamiltonian(*amps(st), N1)
         cur = st
         for _ in range(50):
             cur = step_rotation(cur, N1, 0.37)
-        assert abs(hamiltonian(cur, N1) - H0) <= 1e-13 * abs(H0)
+        assert abs(hamiltonian(*amps(cur), N1) - H0) <= 1e-13 * abs(H0)
 
     def test_cross_integrator_second_order(self):
         st = small_state(M=16, lam_max=4.0)
         errs = []
         for dt in (2e-3, 1e-3):
-            a = evolve(st, N1, 0.2, dt).states[-1]
-            b = evolve(st, N1, 0.2, dt / 16, method="rk4").states[-1]
+            a = state_at(evolve(st, N1, 0.2, dt), -1)
+            b = state_at(evolve(st, N1, 0.2, dt / 16, method="rk4"), -1)
             errs.append(np.max(np.abs(a.u_hat - b.u_hat)))
         slope = np.log2(errs[0] / errs[1])
         assert 1.7 <= slope <= 2.3
@@ -140,8 +140,8 @@ class TestRK4:
 
     def test_final_state_agreement_with_rotation(self):
         st = small_state(M=64)
-        a = evolve(st, N1, 0.5, 1e-4, method="rotation").states[-1]
-        b = evolve(st, N1, 0.5, 1e-4, method="rk4").states[-1]
+        a = state_at(evolve(st, N1, 0.5, 1e-4, method="rotation"), -1)
+        b = state_at(evolve(st, N1, 0.5, 1e-4, method="rk4"), -1)
         assert np.max(np.abs(a.u_hat - b.u_hat)) <= 1e-8
 
 
@@ -149,7 +149,7 @@ class TestHamiltonian:
     def test_free_is_wave_energy(self):
         st = small_state()
         expect = 0.5 * pair_norm(*amps(st), 0.0)[1] ** 2 + 0.5 * h1_mass(st)
-        assert np.isclose(hamiltonian(st, N0), expect, rtol=1e-14)
+        assert np.isclose(hamiltonian(*amps(st), N0), expect, rtol=1e-14)
 
     def test_model_single_mode_substitution(self):
         g = FrequencyGrid([2.0], [1.0])
@@ -157,55 +157,77 @@ class TestHamiltonian:
         m = 4 * 0.01
         A = 2.0
         expect = 0.5 * 0.09 + 0.5 * m + 0.5 * A * m**2 / 2
-        assert np.isclose(hamiltonian(st, polynomial_nonlinearity([A])), expect, rtol=1e-14)
+        assert np.isclose(hamiltonian(*amps(st), polynomial_nonlinearity([A])), expect, rtol=1e-14)
+
+    @pytest.mark.parametrize("N", [N1, polynomial_nonlinearity([1.0, 2.0])], ids=["model", "quad"])
+    def test_stacked_equals_per_sample_bitwise(self, N):
+        traj = evolve(small_state(M=64, size=0.05, lam_max=16.0), N, 0.2, 1e-3, stride=10)
+        got = hamiltonian(traj.grid, traj.u, traj.v, N)
+        assert got.shape == (len(traj),)
+        assert got.tolist() == [hamiltonian(*amps(state_at(traj, i)), N) for i in range(len(traj))]
 
     def test_conservation_ten_thousand_steps(self):
         st = small_state(M=32)
-        H0 = hamiltonian(st, N1)
+        H0 = hamiltonian(*amps(st), N1)
         cur = st
         for _ in range(10_000):
             cur = step_rotation(cur, N1, 1e-4)
-        assert abs(hamiltonian(cur, N1) - H0) <= 1e-9 * abs(H0)
+        assert abs(hamiltonian(*amps(cur), N1) - H0) <= 1e-9 * abs(H0)
 
 
 class TestTrajectory:
-    @pytest.mark.parametrize("field", ["lambdas", "weights"])
-    def test_states_on_different_grids_rejected(self, field):
-        st = small_state()
-        arrays = {"lambdas": st.grid.lambdas, "weights": st.grid.weights}
-        arrays[field] = arrays[field] * (1 + 1e-12)
-        other = SpectralState(FrequencyGrid(**arrays), st.u_hat, st.v_hat, 0.1)
-        with pytest.raises(ValueError, match="share one grid: state 1 differs"):
-            Trajectory((0.0, 0.1), (st, other), None, 1)
+    @staticmethod
+    def arrays(S=3, M=24):
+        z = np.zeros((S, M), complex)
+        return {"times": np.arange(S) * 0.1, "u": z, "v": z, "w_hat": z, "w_vel": z}
 
-    def test_equal_grids_accepted(self):
+    @pytest.mark.parametrize("name", ["u", "v", "w_hat", "w_vel"])
+    @pytest.mark.parametrize("shape", [(2, 24), (3, 23), (72,)])
+    def test_mismatched_shapes_rejected(self, name, shape):
         st = small_state()
-        twin = FrequencyGrid(st.grid.lambdas.copy(), st.grid.weights.copy())
-        other = SpectralState(twin, st.u_hat, st.v_hat, 0.1)
-        assert len(Trajectory((0.0, 0.1), (st, other), None, 1)) == 2
+        arrays = self.arrays()
+        arrays[name] = np.zeros(shape, complex)
+        with pytest.raises(ValueError, match=rf"^{name} must have shape \(3, 24\), got "):
+            Trajectory(st.grid, steps=2, **arrays)
+
+    @pytest.mark.parametrize(
+        "times", [[0.0, 0.1, 0.1], [0.0, 0.2, 0.1], [0.0, np.nan, 0.2], [], [[0.0, 0.1, 0.2]]]
+    )
+    def test_non_increasing_times_rejected(self, times):
+        arrays = self.arrays()
+        arrays["times"] = times
+        with pytest.raises(ValueError, match="^times must be a non-empty, strictly increasing 1-d"):
+            Trajectory(small_state().grid, steps=2, **arrays)
+
+    def test_arrays_read_only_and_caller_arrays_untouched(self):
+        arrays = self.arrays()
+        traj = Trajectory(small_state().grid, steps=2, **arrays)
+        for name, a in arrays.items():
+            assert not getattr(traj, name).flags.writeable and a.flags.writeable
 
 
 class TestEvolve:
     def test_time_zero_single_sample(self):
         st = small_state()
         traj = evolve(st, N1, 0.0, 1e-3)
-        assert len(traj) == 1
-        assert traj.states[0] is st
+        assert len(traj) == 1 and traj.steps == 0
+        assert traj.grid is st.grid and list(traj.times) == [st.time]
+        assert np.array_equal(traj.u[0], st.u_hat) and np.array_equal(traj.v[0], st.v_hat)
 
     def test_time_reversal(self):
         st = small_state(M=24)
-        fwd = evolve(st, N1, 0.3, 1e-3).states[-1]
+        fwd = state_at(evolve(st, N1, 0.3, 1e-3), -1)
         flipped = fwd.replace_amplitudes(fwd.u_hat, -fwd.v_hat)
-        back = evolve(flipped, N1, 0.3, 1e-3).states[-1]
+        back = state_at(evolve(flipped, N1, 0.3, 1e-3), -1)
         assert np.max(np.abs(back.u_hat - st.u_hat)) <= 1e-8
         assert np.max(np.abs(back.v_hat + st.v_hat)) <= 1e-8
 
     @pytest.mark.parametrize("eps", [0.5, 2.0, 10.0])
     def test_model_scaling_symmetry(self, eps):
         st = small_state(M=24, size=0.05)
-        t1 = evolve(st, polynomial_nonlinearity([1.0]), 0.5, 1e-3).states[-1]
+        t1 = state_at(evolve(st, polynomial_nonlinearity([1.0]), 0.5, 1e-3), -1)
         scaled = st.replace_amplitudes(eps * st.u_hat, eps * st.v_hat)
-        t2 = evolve(scaled, polynomial_nonlinearity([1.0 / eps**2]), 0.5, 1e-3).states[-1]
+        t2 = state_at(evolve(scaled, polynomial_nonlinearity([1.0 / eps**2]), 0.5, 1e-3), -1)
         assert np.max(np.abs(t1.u_hat - t2.u_hat / eps)) <= 1e-12
         assert np.max(np.abs(t1.v_hat - t2.v_hat / eps)) <= 1e-12
 
@@ -216,9 +238,9 @@ class TestEvolve:
             2.0 * a.u_hat - 0.5 * b.u_hat, 2.0 * a.v_hat - 0.5 * b.v_hat
         )
         T, dt = 0.4, 1e-3
-        fa = evolve(a, N0, T, dt).states[-1]
-        fb = evolve(b, N0, T, dt).states[-1]
-        fc = evolve(combo, N0, T, dt).states[-1]
+        fa = state_at(evolve(a, N0, T, dt), -1)
+        fb = state_at(evolve(b, N0, T, dt), -1)
+        fc = state_at(evolve(combo, N0, T, dt), -1)
         assert np.max(np.abs(fc.u_hat - (2.0 * fa.u_hat - 0.5 * fb.u_hat))) < 1e-13
 
     def test_superposition_fails_with_nonlinearity(self):
@@ -226,9 +248,9 @@ class TestEvolve:
         b = small_state(seed=2)
         combo = a.replace_amplitudes(a.u_hat + b.u_hat, a.v_hat + b.v_hat)
         T, dt = 0.5, 1e-3
-        fa = evolve(a, N1, T, dt).states[-1]
-        fb = evolve(b, N1, T, dt).states[-1]
-        fc = evolve(combo, N1, T, dt).states[-1]
+        fa = state_at(evolve(a, N1, T, dt), -1)
+        fb = state_at(evolve(b, N1, T, dt), -1)
+        fc = state_at(evolve(combo, N1, T, dt), -1)
         resid = np.max(np.abs(fc.u_hat - (fa.u_hat + fb.u_hat)))
         assert resid > 1e-7
 
@@ -238,7 +260,7 @@ class TestLinearized:
         st = small_state()
         z = np.zeros(len(st.grid), complex)
         traj = evolve_pair(st, LinearizedState(z, z), N1, 0.1, 1e-3)
-        assert np.all(traj.companions[-1].w_hat == 0)
+        assert np.all(traj.w_hat[-1] == 0)
 
     def test_rhs_zero_direction(self):
         st = small_state()
@@ -273,8 +295,7 @@ class TestLinearized:
         m = h1_mass(st)
         w0 = LinearizedState(st.v_hat, -(1 + m) * st.grid.lambdas**2 * st.u_hat)
         traj = evolve_pair(st, w0, N1, 0.01, 1e-5, stride=1000)
-        end, comp = traj.states[-1], traj.companions[-1]
-        assert np.max(np.abs(comp.w_hat - end.v_hat)) <= 1e-10
+        assert np.max(np.abs(traj.w_hat[-1] - traj.v[-1])) <= 1e-10
 
     def test_flow_map_directional_derivative(self):
         st = small_state(M=24)
@@ -282,16 +303,16 @@ class TestLinearized:
         w0 = LinearizedState(wdir.u_hat, wdir.v_hat)
         T, dt = 0.5, 1e-3
         traj = evolve_pair(st, w0, N1, T, dt, stride=100)
-        wT = traj.companions[-1]
-        baseT = traj.states[-1]
+        baseT = state_at(traj, -1)
         errs = []
         for eps in (1e-3, 1e-4):
             pert = st.replace_amplitudes(st.u_hat + eps * w0.w_hat, st.v_hat + eps * w0.w_vel)
-            pT = evolve(pert, N1, T, dt, stride=100).states[-1]
+            pT = state_at(evolve(pert, N1, T, dt, stride=100), -1)
             du = (pT.u_hat - baseT.u_hat) / eps
             dv = (pT.v_hat - baseT.v_hat) / eps
             errs.append(
-                float(np.hypot(np.max(np.abs(du - wT.w_hat)), np.max(np.abs(dv - wT.w_vel))))
+                float(np.hypot(np.max(np.abs(du - traj.w_hat[-1])),
+                               np.max(np.abs(dv - traj.w_vel[-1]))))
             )
         ratio = errs[0] / errs[1]
         assert 8.0 <= ratio <= 12.0
@@ -404,9 +425,10 @@ def _two_mode_resonance_data():
     return st, LinearizedState(wdir.u_hat, wdir.v_hat)
 
 
-def _assert_same_states(got, ref):
-    assert len(got) == len(ref)
-    for a, b in zip(got, ref):
+def _assert_same_states(traj, ref):
+    assert len(traj) == len(ref)
+    for i, b in enumerate(ref):
+        a = state_at(traj, i)
         assert np.array_equal(a.u_hat, b.u_hat) and np.array_equal(a.v_hat, b.v_hat)
 
 
@@ -423,9 +445,9 @@ class TestFrozenReference:
         traj = evolve_pair(st, w0, N1, T, 0.02, stride=stride)
         times, states, comps = _ref_evolve_pair(st, w0, N1, T, 0.02, stride)
         assert list(traj.times) == times
-        _assert_same_states(traj.states, states)
-        for a, b in zip(traj.companions, comps):
-            assert np.array_equal(a.w_hat, b.w_hat) and np.array_equal(a.w_vel, b.w_vel)
+        _assert_same_states(traj, states)
+        for wh, wv, b in zip(traj.w_hat, traj.w_vel, comps):
+            assert np.array_equal(wh, b.w_hat) and np.array_equal(wv, b.w_vel)
 
     @pytest.mark.parametrize("stride, T", CASES)
     @pytest.mark.parametrize("N", [N1, polynomial_nonlinearity([1.0, 2.0])], ids=["model", "quad"])
@@ -434,7 +456,7 @@ class TestFrozenReference:
         traj = evolve(st, N, T, 1e-3, stride=stride)
         times, states = _ref_evolve(st, N, T, 1e-3, stride)
         assert list(traj.times) == times
-        _assert_same_states(traj.states, states)
+        _assert_same_states(traj, states)
 
     @pytest.mark.parametrize("stride, T", CASES)
     def test_random_decay_pair(self, stride, T):
@@ -444,9 +466,9 @@ class TestFrozenReference:
         traj = evolve_pair(st, w0, N1, T, 1e-3, stride=stride)
         times, states, comps = _ref_evolve_pair(st, w0, N1, T, 1e-3, stride)
         assert list(traj.times) == times
-        _assert_same_states(traj.states, states)
-        for a, b in zip(traj.companions, comps):
-            assert np.array_equal(a.w_hat, b.w_hat) and np.array_equal(a.w_vel, b.w_vel)
+        _assert_same_states(traj, states)
+        for wh, wv, b in zip(traj.w_hat, traj.w_vel, comps):
+            assert np.array_equal(wh, b.w_hat) and np.array_equal(wv, b.w_vel)
 
 
 class TestMidpointHalving:
@@ -500,11 +522,11 @@ class TestStepFailures:
             evolve(TestMidpointHalving.large_state(), N1, 1.0, 0.5)
 
     def test_nonfinite_step_names_array_and_mode(self):
-        def step(cur, dt):
+        def step(cur, w, dt):
             v = cur.v_hat.copy()
             if cur.time > 0:
                 v[5] = np.nan
-            return cur.replace_amplitudes(cur.u_hat, v, cur.time + dt)
+            return cur.replace_amplitudes(cur.u_hat, v, cur.time + dt), w
 
         with pytest.raises(
             ValueError, match=r"^step 2 failed at t=0\.1: amplitudes must be finite: v_hat\[5\]"

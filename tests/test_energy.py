@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scalar_oracles import amps, correction_F, filtered_A, pair_coefficients
+from scalar_oracles import amps, correction_F, filtered_A, pair_coefficients, state_at
 
 from kirchlab import energy
 from kirchlab.analysis import divided_difference
@@ -632,9 +632,10 @@ class TestUnmodifiedDerivative:
         N = polynomial_nonlinearity([1.0])
         st_ = rescale_to(small_state(seed=5), 0.05, 0.0)
         tr = evolve(st_, N, 8e-4, 1e-4, stride=1)
-        series = [(t, unmodified_energy(*amps(x), N, 0.25)) for t, x in zip(tr.times, tr.states)]
+        series = [(t, unmodified_energy(tr.grid, u, v, N, 0.25))
+                  for t, u, v in zip(tr.times, tr.u, tr.v)]
         fd = derivative_fd(series, 3)
-        an = unmodified_derivative_analytic(*amps(tr.states[3]), N, 0.25)
+        an = unmodified_derivative_analytic(*amps(state_at(tr, 3)), N, 0.25)
         assert abs(fd - an) <= 1e-6 * abs(an)
 
 
@@ -646,9 +647,9 @@ class TestSecondOrderModelIdentity:
         st_ = rescale_to(small_state(seed=5), 0.05, 0.0)
         h = 1e-4
         tr = evolve(st_, N, 4 * h, h, stride=1)
-        e2 = [second_order_model(*amps(x), 1.0, 0.25) for x in tr.states]
+        e2 = [second_order_model(tr.grid, u, v, 1.0, 0.25) for u, v in zip(tr.u, tr.v)]
         fd = (e2[3] - e2[1]) / (2 * h)
-        rhs = second_order_rate_model(*amps(tr.states[2]), 1.0, 0.25)
+        rhs = second_order_rate_model(*amps(state_at(tr, 2)), 1.0, 0.25)
         assert abs(fd - rhs) <= 1e-7 * abs(rhs)
 
 
@@ -722,8 +723,9 @@ class TestStack:
 
     @pytest.mark.parametrize("sigma", [0.25, 0.5, 0.99])
     def test_kernel_across_node_blocks(self, monkeypatch, sigma):
-        # 256 elements per block: the 29 nodes of the band x in [1, 256] go
-        # 4 at a time against 64 modes, and each sample block holds one sample
+        # 256 elements per block: on the band x in [1, 256] the rows of the
+        # 29 nodes are built 8 modes at a time, the 14-16 mixed rows pass one
+        # at a time against the 64 modes, and each sample block holds one sample
         monkeypatch.setattr(energy, "_CHUNK", 256)
         lam = np.geomspace(1.0, 16.0, 64)
         x = lam**2

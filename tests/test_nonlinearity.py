@@ -59,6 +59,11 @@ class TestSpecs:
         with pytest.raises(ValueError):
             nonlinearity_from_config({"name": "cubic-root"})
 
+    @pytest.mark.parametrize("cs", [[float("nan")], [1.0, float("inf")], [-float("inf"), 0.0]])
+    def test_non_finite_coefficients_rejected(self, cs):
+        with pytest.raises(ValueError, match="^coefficients must be finite, got "):
+            polynomial_nonlinearity(cs)
+
 
 class TestCumulativeMass:
     def test_below_min_is_zero(self):

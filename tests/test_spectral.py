@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalar_oracles import amps
+from scalar_oracles import amps, state_at
 
 from kirchlab.spectral import (
     FrequencyGrid,
@@ -175,7 +175,7 @@ class TestTwoMode:
         from kirchlab.nonlinearity import polynomial_nonlinearity
 
         N0 = polynomial_nonlinearity([0.0])
-        end = evolve(st_, N0, np.pi / 2, 1e-3).states[-1]
+        end = state_at(evolve(st_, N0, np.pi / 2, 1e-3), -1)
         assert abs(end.u_hat[0] - 1j) < 1e-12
 
     def test_plus_equals_minus(self):
@@ -191,7 +191,7 @@ class TestTwoMode:
 
         N0 = polynomial_nonlinearity([0.0])
         for t in np.linspace(0.1, 3.0, 10):
-            end = evolve(st_, N0, float(t), 1e-3).states[-1]
+            end = state_at(evolve(st_, N0, float(t), 1e-3), -1)
             expect = abs(cp) ** 2 + abs(cm) ** 2 + 2 * (cp * np.conj(cm) * np.exp(2j * t)).real
             assert abs(abs(end.u_hat[0]) ** 2 - expect) < 1e-9
 
@@ -200,6 +200,14 @@ class TestTwoMode:
             build_two_mode(1.0, 1.0, [1.0, 0.0], [0.0, 0.0])
         with pytest.raises(ValueError):
             build_two_mode(-1.0, 1.0, [1.0, 0.0], [0.0, 0.0])
+
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("which", ["lambda1", "lambda2"])
+    def test_non_finite_frequency_named(self, bad, which):
+        lams = {"lambda1": 1.0, "lambda2": 2.0, which: bad}
+        with pytest.raises(ValueError, match=f"^{which} must be positive and finite, got "):
+            build_two_mode(lams["lambda1"], lams["lambda2"], [1.0, 0.0], [0.0, 0.0])
 
 
 class TestRandomDecay:
@@ -231,9 +239,9 @@ class TestRandomDecay:
         with pytest.raises(ValueError):
             build_random_decay(8, 2.0, 1.0, 0.25, 0.1, seed=0)
 
-    @pytest.mark.parametrize("margin", [-0.1, float("nan")])
+    @pytest.mark.parametrize("margin", [-0.1, float("nan"), float("inf")])
     def test_negative_or_nan_margin_rejected(self, margin):
-        with pytest.raises(ValueError, match="^margin must be non-negative, got "):
+        with pytest.raises(ValueError, match="^margin must be finite and non-negative, got "):
             build_random_decay(8, 1.0, 4.0, 0.25, margin, seed=0)
 
     @pytest.mark.parametrize("regularity", [float("nan"), float("inf"), -float("inf")])
