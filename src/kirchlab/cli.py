@@ -75,10 +75,13 @@ def _traj_rows(traj, N, s_list):
         header += [f"{name}[{tag}]" for name in ("pos", "vel", *_ENERGY_COLUMNS)]
     grid, rows = traj.grid, []
     ham = hamiltonian(grid, traj.u, traj.v, N).tolist()
-    for t, h, u, v in zip(traj.times.tolist(), ham, traj.u, traj.v):
-        row = [t, h, *pair_norm(grid, u, v, 0.0)]
-        for s in s_list:
-            row += [*pair_norm(grid, u, v, s), *_energy_cells(modified_energy(grid, u, v, N, s))]
+    # the norms of the whole trajectory at each s, bitwise the per-sample calls
+    (pos0, vel0), *norms = [[a.tolist() for a in pair_norm(grid, traj.u, traj.v, s)]
+                            for s in (0.0, *s_list)]
+    for i, (t, h, u, v) in enumerate(zip(traj.times.tolist(), ham, traj.u, traj.v)):
+        row = [t, h, pos0[i], vel0[i]]
+        for s, (pos, vel) in zip(s_list, norms):
+            row += [pos[i], vel[i], *_energy_cells(modified_energy(grid, u, v, N, s))]
         rows.append(row)
     return header, rows
 

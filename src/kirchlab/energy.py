@@ -11,8 +11,11 @@ fractional part is a Gauss-Jacobi rule on the Balakrishnan integral, one
 separable term per node (R = 29 nodes on the shipped band l in [1, 16];
 see _balakrishnan_nodes), mixed down to the kernel's numerical rank k
 (_rank_rows), so the b/c parts cost O(k*M): k = 14-16 rows on the
-shipped band and 26 at most, at l_max/l_min = 316.  On wider bands the
-rule's R rows are used as they are.  The pointwise divided difference
+shipped band and 26 at most, at l_max/l_min = 316.  Those k rows depend
+on the grid and sigma alone, so they are built once per grid and sigma
+and memoized (_mixed_rows, at most 4 x (k + 1) x M doubles).  On wider
+bands the rule's R rows are used as they are, built per call in blocks
+of nodes.  The pointwise divided difference
 that the kernel-bounds suite samples is `analysis.divided_difference`.
 
 Every function takes a grid and amplitudes u, v along its last axis:
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nonlinearity import FilteredProfile, NonlinearitySpec, build_profile
-from .spectral import FrequencyGrid, sobolev_norm_sq
+from .spectral import FrequencyGrid, _check_finite, sobolev_norm_sq
 
 __all__ = [
     "EnergyBreakdown",
@@ -65,6 +68,7 @@ def unmodified_energy(
 ):
     """(1/2)(1 + N(|u|_{H1}^2)) |u|_{H^{1+s}}^2 + (1/2)|u'|_{H^s}^2; a norm
     that overflows raises (sobolev_norm_sq)."""
+    _check_finite("s", s)
     pos, vel = sobolev_norm_sq(grid, u, 1.0 + s), sobolev_norm_sq(grid, v, s)
     return 0.5 * (1.0 + N.eval(sobolev_norm_sq(grid, u, 1.0))) * pos + 0.5 * vel
 
@@ -75,6 +79,7 @@ def unmodified_energy(
 #   V_j = w_j l_j^2      |v_j|^2
 #   r_j = w_j l_j^2      Re(u_j conj(v_j))
 def _mode_arrays(grid: FrequencyGrid, u, v, s: float):
+    _check_finite("s", s)
     lam, w = grid.lambdas, grid.weights
     u2 = np.abs(u) ** 2
     p = w * lam**2 * u2
@@ -226,20 +231,34 @@ def _rank_rows(x_min: float, x_max: float, sigma: float):
 def _fractional_rows(x, sigma: float):
     """Blocks of rows L_a(x_j) on descending x, with D_sigma(x_j, x_k) =
     sum_a L_a(x_j) L_a(x_k) summed over all blocks: the k rows of _rank_rows
-    as one (k, M) block, mixed from P in blocks of modes, or the plain
-    rule's rows sqrt(w_i) P_i in blocks of nodes.  Each block of P holds
-    at most _CHUNK elements."""
+    as one (k, M) block (_mixed_rows), or the plain rule's rows
+    sqrt(w_i) P_i in blocks of nodes, each of at most _CHUNK elements."""
     inv_t, mix = _rank_rows(x[-1], x[0], sigma)
     if mix.ndim == 1:
         step = max(1, _CHUNK // len(x))
         for lo in range(0, len(inv_t), step):
             yield mix[lo : lo + step, None] * _node_rows(inv_t[lo : lo + step], x)
         return
+    yield _mixed_rows(x.tobytes(), sigma)
+
+
+@functools.lru_cache(maxsize=4)
+def _mixed_rows(x_bytes: bytes, sigma: float):
+    """The (k, M) rows L = mix @ P of _rank_rows on the descending x whose
+    bytes are x_bytes, built from P in blocks of modes of at most _CHUNK
+    elements.  They depend on the grid and sigma alone, so they are
+    memoized on the whole grid (two grids with the same band but other
+    interior points get their own rows) and returned read-only.  The memo
+    holds at most 4 x (k + 1) x M x 8 bytes, rows and keys, k <= 26:
+    3.4 MiB at M = 4096."""
+    x = np.frombuffer(x_bytes)
+    inv_t, mix = _rank_rows(x[-1], x[0], sigma)
     L = np.empty((len(mix), len(x)))
     step = max(1, _CHUNK // len(inv_t))
     for lo in range(0, len(x), step):
         np.matmul(mix, _node_rows(inv_t, x[lo : lo + step]), out=L[:, lo : lo + step])
-    yield L
+    L.flags.writeable = False
+    return L
 
 
 def _node_rows(inv_t, x):
@@ -273,12 +292,13 @@ def _divided_difference_sum(K, x, s: float, r, f, g):
     rows of _fractional_rows when sigma > 0.  Each row's min-kernel sum
     telescopes: sum_{j,k} K[min] X_j Y_k = sum_m dK_m SX_m SY_m,
     dK_m = K_m - K_{m-1}, SX the suffix sums of X.  Everything is reversed
-    so the suffix sums are cumsums along the last axis.  The rows are built
-    once for all samples; samples go through in blocks (_sample_blocks),
-    and the row blocks are the same for any S.
+    so the suffix sums are cumsums along the last axis.  The rank-sized
+    rows are built once per grid and sigma (memoized, _mixed_rows); the
+    plain rule's node blocks are built per call.  Samples go through in
+    blocks (_sample_blocks), and the row blocks are the same for any S.
     """
-    if s < 0:
-        raise ValueError("regularity s must be non-negative")
+    if not 0 <= s < math.inf:  # NaN too, before any memo sees it
+        raise ValueError(f"regularity s must be finite and non-negative, got {s}")
     n = int(s)
     sigma = s - n
     dK = K.copy()

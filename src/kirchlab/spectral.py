@@ -8,6 +8,7 @@ continuum integrals become exact finite sums.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,12 @@ __all__ = [
     "build_random_decay",
     "truncate",
 ]
+
+
+def _check_finite(name: str, value) -> None:
+    """A NaN or infinite scalar parameter raises, naming it."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _readonly(a, dtype) -> np.ndarray:
@@ -119,6 +126,7 @@ def pair_norm(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, s: float):
     """(|u|_{H^{1+s}}, |u'|_{H^s}) along the last axis, as in sobolev_norm_sq:
     two scalars for one state, two (S,) arrays for a stack.  Their
     combination is np.hypot(*pair_norm(...))."""
+    _check_finite("s", s)
     return np.sqrt(sobolev_norm_sq(grid, u, 1.0 + s)), np.sqrt(sobolev_norm_sq(grid, v, s))
 
 
@@ -141,6 +149,7 @@ def rescale_to(state: SpectralState, target: float, space_exponent: float) -> Sp
     regularity equals target."""
     if not target > 0:  # NaN too
         raise ValueError("target must be positive")
+    _check_finite("space_exponent", space_exponent)
     current = np.hypot(*pair_norm(state.grid, state.u_hat, state.v_hat, space_exponent))
     if current == 0.0:
         raise ValueError("cannot rescale zero state")
@@ -189,14 +198,13 @@ def build_random_decay(
     H^{1+regularity} x H^{regularity} with margin to spare (margin = 0 is
     the borderline log-divergent case).
     """
-    if M < 2:
-        raise ValueError("need at least two modes")
+    if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 2:
+        raise ValueError(f"M must be an integer of at least 2, got {M!r}")
     if not (0 < lambda_min < lambda_max):
         raise ValueError("require 0 < lambda_min < lambda_max")
     if not 0 <= margin < np.inf:  # NaN too
         raise ValueError(f"margin must be finite and non-negative, got {margin}")
-    if not np.isfinite(regularity):
-        raise ValueError(f"regularity must be finite, got {regularity}")
+    _check_finite("regularity", regularity)
     span = np.log(lambda_max / lambda_min)
     # midpoints of M equal cells in log space
     cells = (np.arange(M) + 0.5) / M

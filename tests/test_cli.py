@@ -1,4 +1,5 @@
 import json
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,10 @@ import pytest
 from kirchlab import cli, config
 from kirchlab.cli import main
 from kirchlab.config import ConfigError, parse_config
+from kirchlab.dynamics import evolve, hamiltonian
+from kirchlab.energy import modified_energy
+from kirchlab.nonlinearity import polynomial_nonlinearity
+from kirchlab.spectral import build_random_decay, pair_norm
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -267,6 +272,20 @@ class TestExitCodes:
 
 
 class TestScenarioOutputs:
+    def test_trajectory_rows_equal_per_sample_calls(self):
+        # the norm columns come from one stacked pair_norm call per s
+        N = polynomial_nonlinearity([1.0])
+        traj = evolve(build_random_decay(16, 1.0, 8.0, 0.25, 0.55, seed=0), N, 0.05, 1e-3, stride=10)
+        s_list = [0.0, 0.25, 1.25]
+        header, rows = cli._traj_rows(traj, N, s_list)
+        assert len(rows) == len(traj.times) == 6
+        for t, u, v, row in zip(traj.times.tolist(), traj.u, traj.v, rows):
+            want = [t, hamiltonian(traj.grid, u, v, N), *pair_norm(traj.grid, u, v, 0.0)]
+            for s in s_list:
+                want += [*pair_norm(traj.grid, u, v, s),
+                         *astuple(modified_energy(traj.grid, u, v, N, s))]
+            assert len(row) == len(header) and row == want
+
     def test_time_zero_single_row(self, tmp_path):
         doc = small_doc()
         doc["integrator"]["T"] = 0.0

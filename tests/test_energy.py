@@ -16,6 +16,7 @@ from kirchlab.energy import (
     _balakrishnan_nodes,
     _divided_difference_sum,
     _fractional_rows,
+    _mixed_rows,
     _rank_rows,
     modified_energy,
     second_order_rate_model,
@@ -559,6 +560,57 @@ class TestRankRows:
                     a[0] = 0.0
 
 
+class TestMixedRowsMemo:
+    """The rank-sized rows of _fractional_rows are memoized on the whole
+    grid and sigma (_mixed_rows)."""
+
+    def test_same_band_other_interior_point_gets_own_rows(self):
+        lam = np.geomspace(1.0, 16.0, 64)
+        moved = lam.copy()
+        moved[30] = 0.5 * (lam[30] + lam[31])  # same band ends and M
+        K, r, f, g = np.random.default_rng(11).normal(size=(4, len(lam)))
+        rows = []
+        for grid_lam in (lam, moved):
+            x = grid_lam**2
+            (L,) = _fractional_rows(x[::-1], 0.25)
+            rows.append(L)
+            got = _divided_difference_sum(K, x, 0.25, r, f, g)
+            want, scale = dense_divided_difference_sum(K, x, 0.25, r, f, g)
+            assert abs(got - want) <= 1e-11 * scale
+        assert rows[0] is not rows[1] and not np.array_equal(rows[0], rows[1])
+
+    def test_repeat_call_returns_same_read_only_rows(self):
+        x = np.geomspace(256.0, 1.0, 40)
+        (first,) = _fractional_rows(x, 0.5)
+        (again,) = _fractional_rows(x.copy(), 0.5)
+        assert again is first
+        assert first.shape == (len(_rank_rows(1.0, 256.0, 0.5)[1]), len(x))
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.0
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_regularity_named_before_any_memo(self, s):
+        st_ = small_state(seed=3)
+        amp = amps(st_)
+        calls = [
+            lambda: unmodified_energy(*amp, N_QUAD, s),
+            lambda: second_order_term(*amp, N_QUAD, s),
+            lambda: modified_energy(*amp, N_QUAD, s),
+            lambda: unmodified_derivative_analytic(*amp, N_QUAD, s),
+            lambda: second_order_model(*amp, 0.5, s),
+            lambda: second_order_rate_model(*amp, 0.5, s),
+        ]
+        before = _rank_rows.cache_info(), _mixed_rows.cache_info()
+        for call in calls:
+            with pytest.raises(ValueError, match="^s must be finite, got "):
+                call()
+        x = np.array([1.0, 4.0])
+        with pytest.raises(ValueError, match="^regularity s must be finite and non-negative"):
+            _divided_difference_sum(np.ones(2), x, s, x, x, x)
+        assert (_rank_rows.cache_info(), _mixed_rows.cache_info()) == before
+
+
 class TestModifiedEnergy:
     def test_zero_nonlinearity_reduces_to_unmodified(self):
         st_ = small_state(seed=21)
@@ -722,10 +774,14 @@ class TestStack:
         assert got.tolist() == [float(w) for w in want]
 
     @pytest.mark.parametrize("sigma", [0.25, 0.5, 0.99])
-    def test_kernel_across_node_blocks(self, monkeypatch, sigma):
+    def test_kernel_across_node_blocks(self, monkeypatch, request, sigma):
         # 256 elements per block: on the band x in [1, 256] the rows of the
         # 29 nodes are built 8 modes at a time, the 14-16 mixed rows pass one
-        # at a time against the 64 modes, and each sample block holds one sample
+        # at a time against the 64 modes, and each sample block holds one sample.
+        # The memo is cleared on both sides of the patch, so the rows are
+        # built in blocks here and no rows built so stay for later tests.
+        _mixed_rows.cache_clear()
+        request.addfinalizer(_mixed_rows.cache_clear)
         monkeypatch.setattr(energy, "_CHUNK", 256)
         lam = np.geomspace(1.0, 16.0, 64)
         x = lam**2

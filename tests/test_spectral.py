@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,11 @@ class TestNorms:
             with pytest.raises(ValueError, match="overflowed at sigma=1.5 in sample 1"):
                 pair_norm(*stack_states([ok, big, ok]), 0.5)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_regularity_named(self, s):
+        with pytest.raises(ValueError, match="^s must be finite, got "):
+            pair_norm(*amps(random_state(M=10, seed=1)), s)
+
     def test_interpolation_monotone_above_one(self):
         rng = np.random.default_rng(5)
         lam = np.sort(rng.uniform(1.0, 40.0, 50))
@@ -165,6 +172,11 @@ class TestRescale:
     def test_non_positive_target_rejected(self, target):
         with pytest.raises(ValueError, match="^target must be positive$"):
             rescale_to(random_state(M=10, seed=1), target, 0.25)
+
+    @pytest.mark.parametrize("space_exponent", [math.nan, math.inf, -math.inf])
+    def test_non_finite_space_exponent_named(self, space_exponent):
+        with pytest.raises(ValueError, match="^space_exponent must be finite, got "):
+            rescale_to(random_state(M=10, seed=1), 1.0, space_exponent)
 
 
 class TestTwoMode:
@@ -238,6 +250,11 @@ class TestRandomDecay:
             build_random_decay(1, 1.0, 2.0, 0.25, 0.1, seed=0)
         with pytest.raises(ValueError):
             build_random_decay(8, 2.0, 1.0, 0.25, 0.1, seed=0)
+
+    @pytest.mark.parametrize("M", [2.5, 8.0, True])
+    def test_non_integer_mode_count_named(self, M):
+        with pytest.raises(ValueError, match="^M must be an integer of at least 2, got "):
+            build_random_decay(M, 1.0, 4.0, 0.25, 0.1, seed=0)
 
     @pytest.mark.parametrize("margin", [-0.1, float("nan"), float("inf")])
     def test_negative_or_nan_margin_rejected(self, margin):
