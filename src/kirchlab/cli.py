@@ -17,7 +17,7 @@ import numpy as np
 
 from . import analysis, energy, output
 from .config import DECAY_DEFAULTS, SCENARIOS, ConfigError, RunConfig, parse_config
-from .dynamics import LinearizedState, evolve, evolve_pair, hamiltonian
+from .dynamics import LinearizedState, evolve, evolve_blocks, evolve_pair, hamiltonian
 from .energy import EnergyBreakdown, modified_energy
 from .nonlinearity import delta_gate, nonlinearity_from_config
 from .spectral import (
@@ -68,48 +68,56 @@ def _random_decay(config, seed, M=None):
                               d["margin"], seed)
 
 
-def _traj_rows(traj, N, s_list):
-    header = ["t", "hamiltonian", "h1_norm", "l2_vel"]
-    for s in s_list:
-        tag = output.fmt(float(s))
-        header += [f"{name}[{tag}]" for name in ("pos", "vel", *_ENERGY_COLUMNS)]
-    grid, rows = traj.grid, []
-    ham = hamiltonian(grid, traj.u, traj.v, N).tolist()
-    # the norms of the whole trajectory at each s, bitwise the per-sample calls
-    (pos0, vel0), *norms = [[a.tolist() for a in pair_norm(grid, traj.u, traj.v, s)]
+def _block_rows(block, N, s_list):
+    """The trajectory rows of one block of samples: one stacked hamiltonian
+    and pair_norm call per s, one modified_energy call per sample and s."""
+    grid = block.grid
+    ham = hamiltonian(grid, block.u, block.v, N).tolist()
+    (pos0, vel0), *norms = [[a.tolist() for a in pair_norm(grid, block.u, block.v, s)]
                             for s in (0.0, *s_list)]
-    for i, (t, h, u, v) in enumerate(zip(traj.times.tolist(), ham, traj.u, traj.v)):
+    rows = []
+    for i, (t, h, u, v) in enumerate(zip(block.times.tolist(), ham, block.u, block.v)):
         row = [t, h, pos0[i], vel0[i]]
         for s, (pos, vel) in zip(s_list, norms):
             row += [pos[i], vel[i], *_energy_cells(modified_energy(grid, u, v, N, s))]
         rows.append(row)
-    return header, rows
+    return rows
 
 
-def _emit(out_dir, name, header, rows, fmt, plots=False, plot_series=None, plot_title=""):
+def _emit(out_dir, name, header, rows, fmt, plots=False, plot_series=None, plot_title="",
+          append=False):
     paths = []
     if fmt in ("csv", "both"):
-        paths.append(str(output.write_csv(out_dir / f"{name}.csv", header, rows)))
+        paths.append(str(output.write_csv(out_dir / f"{name}.csv", header, rows, append)))
     if fmt in ("json", "both"):
         doc = [dict(zip(header, row)) for row in rows]
-        paths.append(str(output.write_json(out_dir / f"{name}.json", doc)))
+        paths.append(str(output.write_json(out_dir / f"{name}.json", doc, append)))
     if plots and plot_series:
         paths.append(str(output.write_svg_lines(out_dir / f"{name}.svg", plot_series, plot_title)))
     return paths
 
 
 def _scenario_simulate(config, N, state, out_dir, seed):
-    integ = config.integrator
-    # the samples are dropped once they are rows, before the writers run
-    traj = evolve(state, N, integ["T"], integ["dt"], stride=integ["stride"], method=integ["method"])
-    header, rows = _traj_rows(traj, N, config.s_list)
-    del traj
-    times = [r[0] for r in rows]
-    series = {"hamiltonian": (times, [r[1] for r in rows]), "h1_norm": (times, [r[2] for r in rows])}
-    artifacts = _emit(
-        out_dir, "trajectory", header, rows, config.output["format"],
-        config.output["plots"], series, "trajectory diagnostics",
-    )
+    integ, fmt = config.integrator, config.output["format"]
+    header = ["t", "hamiltonian", "h1_norm", "l2_vel"]
+    for s in config.s_list:
+        tag = output.fmt(float(s))
+        header += [f"{name}[{tag}]" for name in ("pos", "vel", *_ENERGY_COLUMNS)]
+    # each block of samples becomes rows, is written and is dropped; with
+    # plots, the plotted columns t, hamiltonian and h1_norm are kept
+    series = [[], [], []] if config.output["plots"] else []
+    blocks = evolve_blocks(state, N, integ["T"], integ["dt"], stride=integ["stride"],
+                           method=integ["method"])
+    for i, block in enumerate(blocks):
+        rows = _block_rows(block, N, config.s_list)
+        artifacts = _emit(out_dir, "trajectory", header, rows, fmt, append=i > 0)
+        for col, xs in enumerate(series):
+            xs.extend(r[col] for r in rows)
+    if config.output["plots"]:
+        times, ham, h1 = series
+        artifacts.append(str(output.write_svg_lines(
+            out_dir / "trajectory.svg", {"hamiltonian": (times, ham), "h1_norm": (times, h1)},
+            "trajectory diagnostics")))
     return {"pass": True, "artifacts": artifacts}
 
 

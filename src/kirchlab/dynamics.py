@@ -7,10 +7,12 @@ rotate every mode analytically) and a classical RK4 step.  Every
 dynamical claim in the test suite is cross-validated between them.
 
 The rotation step and the linearized companion run on raw arrays.  One
-marching loop serves `evolve` and `evolve_pair`; it validates one new
-`SpectralState` per step and writes each sample into the (S, M) arrays
-of the `Trajectory` it returns.  One RK4 tableau serves `step_rk4` and
-the companion.
+marching loop serves `evolve`, `evolve_blocks` and `evolve_pair`; it
+validates one new `SpectralState` per step and writes each sample into
+the (S, M) arrays of a `Trajectory` block: all samples for `evolve` and
+`evolve_pair`, at most max(1, _BLOCK // M) for `evolve_blocks`, whose
+consumer keeps flat memory however long the run.  One RK4 tableau serves
+`step_rk4` and the companion.
 """
 
 from __future__ import annotations
@@ -30,8 +32,13 @@ __all__ = [
     "rk4_dt_guard",
     "hamiltonian",
     "evolve",
+    "evolve_blocks",
     "evolve_pair",
 ]
+
+# The sample budget of one evolve_blocks block: its u and v hold at most
+# max(1, _BLOCK // M) samples each, 32 * max(_BLOCK, M) bytes together.
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -54,7 +61,8 @@ class LinearizedState:
 class Trajectory:
     """The samples of a run on one grid: strictly increasing times (S,),
     amplitudes u and v (S, M), and for `evolve_pair` the linearized
-    companion w_hat and w_vel (S, M).  The arrays are read-only."""
+    companion w_hat and w_vel (S, M); `steps` is the step count at the
+    last sample.  The arrays are read-only."""
 
     grid: FrequencyGrid
     times: np.ndarray
@@ -137,11 +145,17 @@ def _rotation_arrays(lam, wl2, u, v, N, dt, allow_halve):
     return u1, -omega * s * u + c * v
 
 
+def _check_dt(dt) -> None:
+    if not dt > 0:  # NaN too
+        raise ValueError("dt must be positive")
+    if dt == np.inf:
+        raise ValueError(f"dt must be finite, got {dt}")
+
+
 def step_rotation(state: SpectralState, N: NonlinearitySpec, dt: float) -> SpectralState:
     """One exact-rotation step with the wave speed frozen at its midpoint
     value (fixed-point iterated); unconditionally stable in lambda_max."""
-    if not dt > 0:  # NaN too
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     lam = state.grid.lambdas
     u1, v1 = _rotation_arrays(
         lam, state.grid.weights * lam**2, state.u_hat, state.v_hat, N, dt, allow_halve=True
@@ -157,8 +171,7 @@ def rk4_dt_guard(state: SpectralState, N: NonlinearitySpec) -> float:
 
 
 def step_rk4(state: SpectralState, N: NonlinearitySpec, dt: float) -> SpectralState:
-    if not dt > 0:  # NaN too
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     guard = rk4_dt_guard(state, N)
     if dt > guard:
         raise ValueError(f"RK4 stability guard requires dt <= {guard:.6g}, got {dt}")
@@ -177,35 +190,38 @@ def hamiltonian(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: Nonlineari
     return kinetic + 0.5 * mass + 0.5 * N.antiderivative(mass)
 
 
-def _stepper(method: str):
+def _stepper(method: str, N: NonlinearitySpec):
+    """The `_march` step of an `evolve` run, which has no companion."""
     # resolved at call time, so a tracer that rebinds step_rotation sees its calls
-    if method == "rotation":
-        return step_rotation
-    if method == "rk4":
-        return step_rk4
-    raise ValueError(f"unknown integrator {method!r}")
+    step = {"rotation": step_rotation, "rk4": step_rk4}.get(method)
+    if step is None:
+        raise ValueError(f"unknown integrator {method!r}")
+    return lambda cur, w, dt: (step(cur, N, dt), None)
 
 
-def _march(state, T, dt, stride, step, w=None):
-    """The marching loop of `evolve` and `evolve_pair`: nsteps = round(T/dt)
-    uniform steps of T/nsteps, where step(cur, w, dt) gives the next state
-    and the next companion pair w = (w_hat, w_vel), or None without one.
-    Samples every `stride` steps and the last into the returned Trajectory.
-    A failing step's exception is raised again with its type kept (a
-    RuntimeError if that type takes no single message), naming the step
-    and its start time."""
+def _march(state, T, dt, stride, step, w=None, block=None):
+    """The marching loop of `evolve`, `evolve_blocks` and `evolve_pair`:
+    nsteps = round(T/dt) uniform steps of T/nsteps, where step(cur, w, dt)
+    gives the next state and the next companion pair w = (w_hat, w_vel),
+    or None without one.  The arguments are checked at once; the returned
+    iterator takes the steps as it is read and yields the samples (every
+    `stride` steps and the last) as Trajectory blocks of at most `block`
+    samples, all of them in one block if block is None.  A failing step's
+    exception is raised again with its type kept (a RuntimeError if that
+    type takes no single message), naming the step and its start time."""
     if not 0 <= T < np.inf:  # NaN too
         raise ValueError(f"T must be finite and non-negative, got {T}")
-    if not dt > 0:  # NaN too
-        raise ValueError("dt must be positive")
-    if not (stride >= 1 and stride % 1 == 0):  # NaN too
+    _check_dt(dt)
+    if isinstance(stride, bool) or not (stride >= 1 and stride % 1 == 0):  # NaN too
         raise ValueError(f"stride must be a positive integer, got {stride}")
     nsteps = max(1, int(round(T / dt))) if T > 0 else 0
-    shape = (1 + -(-nsteps // int(stride)), len(state.grid))
-    times = np.empty(shape[0])
-    out = [np.empty(shape, complex) for _ in range(2 if w is None else 4)]
-    if nsteps:
-        dt = T / nsteps
+    return _blocks(state, nsteps, T / nsteps if nsteps else dt, int(stride), step, w, block)
+
+
+def _blocks(state, nsteps, dt, stride, step, w, block):
+    """`_march`'s iterator, on checked arguments and the uniform dt."""
+    left = 1 + -(-nsteps // stride)  # samples not yet written
+    block = block or left
     t0, cur, k = state.time, state, 0
     for n in range(nsteps + 1):  # n = 0 samples the initial state
         if n:
@@ -219,12 +235,18 @@ def _march(state, T, dt, stride, step, w=None):
                     located = RuntimeError(msg)
                 raise located from exc
         if n % stride == 0 or n == nsteps:
+            if k == 0:
+                shape = (min(block, left), len(state.grid))
+                times = np.empty(shape[0])
+                out = [np.empty(shape, complex) for _ in range(2 if w is None else 4)]
             times[k] = t0 + n * dt
             for a, x in zip(out, (cur.u_hat, cur.v_hat, *(w or ()))):
                 a[k] = x
             k += 1
-    u, v, *comp = out
-    return Trajectory(state.grid, times, u, v, nsteps, *comp)
+            if k == shape[0]:
+                left -= k
+                k = 0
+                yield Trajectory(state.grid, times, *out[:2], n, *out[2:])
 
 
 def evolve(
@@ -237,8 +259,16 @@ def evolve(
 ) -> Trajectory:
     """March to time T in uniform steps, sampling every `stride` steps
     (first and last samples always included)."""
-    step = _stepper(method)
-    return _march(state, T, dt, stride, lambda cur, w, h: (step(cur, N, h), None))
+    (traj,) = _march(state, T, dt, stride, _stepper(method, N))
+    return traj
+
+
+def evolve_blocks(state: SpectralState, N: NonlinearitySpec, T: float, dt: float,
+                  stride: int = 1, method: str = "rotation"):
+    """`evolve`'s samples as consecutive Trajectory blocks of at most
+    max(1, _BLOCK // M) samples, stepped as they are read."""
+    block = max(1, _BLOCK // len(state.grid))
+    return _march(state, T, dt, stride, _stepper(method, N), None, block)
 
 
 def _linearized_rhs(lam2, wl2, A, u, m, w_hat):
@@ -285,4 +315,5 @@ def evolve_pair(
         m0 = m1
         return nxt, w
 
-    return _march(base, T, dt, stride, step, (lin.w_hat, lin.w_vel))
+    (traj,) = _march(base, T, dt, stride, step, (lin.w_hat, lin.w_vel))
+    return traj

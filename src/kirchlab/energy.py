@@ -448,6 +448,7 @@ def unmodified_derivative_analytic(
 def second_order_model(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, A: float, s: float):
     """The model-case second-order correction A * sum_{j,k} w_j w_k E^s_{jk}
     (constant filter A, no resummation factor)."""
+    _check_finite("A", A)
     K = np.full(u.shape, float(A))
     return _second_order(K, grid.lambdas, s, *_mode_arrays(grid, u, v, s))
 
@@ -460,6 +461,7 @@ def second_order_rate_model(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, A
       R2 = -A^2/2 [ (sum q)(sum w l^2 Re(u v)) - (sum p)(sum w l^{2s+2} Re(u v)) ]
            * (sum p)
     """
+    _check_finite("A", A)
     p, q, V, r = _mode_arrays(grid, u, v, s)
     rs = grid.weights * grid.lambdas ** (2.0 + 2.0 * s) * np.real(u * np.conj(v))
     P, Q, R, Rs = (np.add.reduce(a, axis=-1) for a in (p, q, r, rs))

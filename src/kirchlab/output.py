@@ -24,12 +24,14 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows) -> Path:
+def write_csv(path, header, rows, append=False) -> Path:
+    """The header line, then one line per row; with `append`, the rows are
+    added to the end of the file instead, without the header."""
     path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("a" if append else "w") as f:
+        if not append:
+            f.write(",".join(header) + "\n")
+        f.writelines(",".join(fmt(v) for v in row) + "\n" for row in rows)
     return path
 
 
@@ -43,9 +45,18 @@ def _jsonable(obj):
     return obj
 
 
-def write_json(path, doc) -> Path:
+def write_json(path, doc, append=False) -> Path:
+    """doc as indented JSON with sorted keys.  With `append`, doc is a list
+    whose elements are added to the non-empty array the file holds; the
+    bytes are those of writing both lists as one."""
     path = Path(path)
-    path.write_text(json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n")
+    text = json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
+    if not append:
+        path.write_text(text)
+    elif doc:
+        with path.open("r+b") as f:
+            f.seek(-3, 2)  # the closing "\n]\n"; text[2:] is the elements and its own
+            f.write((",\n" + text[2:]).encode())
     return path
 
 

@@ -32,6 +32,12 @@ def _check_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_int(name: str, value, least: int) -> None:
+    """A fractional, float, bool or too small integer parameter raises, naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 def _readonly(a, dtype) -> np.ndarray:
     """A read-only contiguous copy of a; the caller's array stays as it was."""
     a = np.array(a, dtype=dtype, order="C")
@@ -198,8 +204,9 @@ def build_random_decay(
     H^{1+regularity} x H^{regularity} with margin to spare (margin = 0 is
     the borderline log-divergent case).
     """
-    if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 2:
-        raise ValueError(f"M must be an integer of at least 2, got {M!r}")
+    _check_int("M", M, 2)
+    _check_int("seed", seed, 0)
+    _check_finite("lambda_max", lambda_max)
     if not (0 < lambda_min < lambda_max):
         raise ValueError("require 0 < lambda_min < lambda_max")
     if not 0 <= margin < np.inf:  # NaN too

@@ -1,13 +1,15 @@
 import json
+import tracemalloc
 from dataclasses import astuple
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from kirchlab import cli, config
+from kirchlab import cli, config, dynamics
 from kirchlab.cli import main
 from kirchlab.config import ConfigError, parse_config
-from kirchlab.dynamics import evolve, hamiltonian
+from kirchlab.dynamics import evolve, evolve_blocks, hamiltonian
 from kirchlab.energy import modified_energy
 from kirchlab.nonlinearity import polynomial_nonlinearity
 from kirchlab.spectral import build_random_decay, pair_norm
@@ -272,19 +274,24 @@ class TestExitCodes:
 
 
 class TestScenarioOutputs:
-    def test_trajectory_rows_equal_per_sample_calls(self):
-        # the norm columns come from one stacked pair_norm call per s
+    def test_trajectory_rows_equal_per_sample_calls(self, monkeypatch):
+        # the hamiltonian and norm columns come from one stacked call per
+        # block (and per s); blocks of 4 samples make a short last block
+        monkeypatch.setattr(dynamics, "_BLOCK", 4 * 16)
         N = polynomial_nonlinearity([1.0])
-        traj = evolve(build_random_decay(16, 1.0, 8.0, 0.25, 0.55, seed=0), N, 0.05, 1e-3, stride=10)
+        st = build_random_decay(16, 1.0, 8.0, 0.25, 0.55, seed=0)
+        traj = evolve(st, N, 0.05, 1e-3, stride=10)
         s_list = [0.0, 0.25, 1.25]
-        header, rows = cli._traj_rows(traj, N, s_list)
+        blocks = list(evolve_blocks(st, N, 0.05, 1e-3, stride=10))
+        assert [len(b) for b in blocks] == [4, 2]
+        rows = [row for b in blocks for row in cli._block_rows(b, N, s_list)]
         assert len(rows) == len(traj.times) == 6
         for t, u, v, row in zip(traj.times.tolist(), traj.u, traj.v, rows):
             want = [t, hamiltonian(traj.grid, u, v, N), *pair_norm(traj.grid, u, v, 0.0)]
             for s in s_list:
                 want += [*pair_norm(traj.grid, u, v, s),
                          *astuple(modified_energy(traj.grid, u, v, N, s))]
-            assert len(row) == len(header) and row == want
+            assert len(row) == 4 + 7 * len(s_list) and row == want
 
     def test_time_zero_single_row(self, tmp_path):
         doc = small_doc()
@@ -365,6 +372,71 @@ class TestScenarioOutputs:
             "correction-function-bounds",
         } <= names
         assert all(v["pass"] for v in verdicts)
+
+
+class TestStreamedTrajectory:
+    """simulate writes its artifacts a block of samples at a time; with
+    blocks of 3 samples every file equals the one-block run's bytes."""
+
+    M = 16
+
+    def run_simulate(self, tmp_path, monkeypatch, tag, block, T, stride, flags):
+        monkeypatch.setattr(dynamics, "_BLOCK", block * self.M)
+        doc = small_doc(s_list=[0.0, 0.25])
+        doc["integrator"].update(T=T, stride=stride)
+        out = tmp_path / tag
+        assert main(["--config", str(write_cfg(tmp_path, doc)), "--out", str(out), *flags]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("T, stride, samples", [
+        (0.07, 10, 8),  # blocks of 3, 3 and 2 samples
+        (0.009, 1, 10),  # blocks of 3, 3, 3 and 1
+        (0.0, 10, 1),  # the initial sample alone
+        (0.005, 10, 2),  # stride beyond the last step: first and last sample
+    ])
+    @pytest.mark.parametrize("flags", [[], ["--format", "json"], ["--format", "both", "--plots"]],
+                             ids=["csv", "json", "both-plots"])
+    def test_blocks_of_three_write_the_one_block_bytes(
+        self, tmp_path, monkeypatch, T, stride, samples, flags
+    ):
+        whole = self.run_simulate(tmp_path, monkeypatch, "whole", 10**6, T, stride, flags)
+        blocked = self.run_simulate(tmp_path, monkeypatch, "blocked", 3, T, stride, flags)
+        assert blocked == whole
+        if "trajectory.json" in whole:
+            assert len(json.loads(whole["trajectory.json"])) == samples
+        if "trajectory.csv" in whole:
+            assert whole["trajectory.csv"].count(b"\n") == 1 + samples
+
+    def test_blocks_are_consecutive_samples_of_evolve(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_BLOCK", 3 * self.M)
+        N = polynomial_nonlinearity([1.0])
+        st = build_random_decay(self.M, 1.0, 8.0, 0.25, 0.55, seed=0)
+        traj = evolve(st, N, 0.07, 1e-3, stride=10)
+        blocks = list(evolve_blocks(st, N, 0.07, 1e-3, stride=10))
+        assert [len(b) for b in blocks] == [3, 3, 2]
+        assert [b.steps for b in blocks] == [20, 50, 70] and traj.steps == 70
+        for name in ("times", "u", "v"):
+            joined = np.concatenate([getattr(b, name) for b in blocks])
+            assert np.array_equal(joined, getattr(traj, name))
+
+    def test_peak_memory_flat_in_the_sample_count(self, tmp_path):
+        # at M = 2048 a stored sample is 64 KiB; a block holds 4 of them
+        M = 2048
+        block_bytes = max(1, dynamics._BLOCK // M) * M * 32
+        peaks = []
+        # a first, short run makes the allocations a process makes once
+        for T in (0.01, 0.05, 0.4):  # 11, 51 and 401 samples
+            doc = small_doc(s_list=[0.0])
+            doc["data"].update(M=M, lambda_max=16.0)
+            doc["integrator"].update(T=T, stride=1)
+            cfg = parse_config(json.dumps(doc))
+            tracemalloc.start()
+            try:
+                assert cli.run(cfg, tmp_path / str(T)) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[2] - peaks[1]) < 2 * block_bytes, peaks
 
 
 class TestReproducibility:

@@ -12,6 +12,7 @@ from kirchlab.dynamics import (
     _march,
     _rhs,
     evolve,
+    evolve_blocks,
     evolve_pair,
     hamiltonian,
     rk4_dt_guard,
@@ -531,7 +532,7 @@ class TestStepFailures:
         with pytest.raises(
             ValueError, match=r"^step 2 failed at t=0\.1: amplitudes must be finite: v_hat\[5\]"
         ):
-            _march(small_state(), 1.0, 0.1, 1, step)
+            list(_march(small_state(), 1.0, 0.1, 1, step))
 
     @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan")])
     def test_non_positive_dt_rejected(self, dt):
@@ -554,6 +555,29 @@ class TestStepFailures:
             evolve(st, N1, 0.01, 1e-3, stride=stride)
         with pytest.raises(ValueError, match="^stride must be a positive integer, got "):
             evolve_pair(st, LinearizedState(z, z), N1, 0.01, 1e-3, stride=stride)
+
+    def test_infinite_dt_named(self):
+        # an infinite dt used to pass `dt > 0` and give one step of size T
+        st = small_state()
+        z = np.zeros(len(st.grid), complex)
+        calls = [
+            lambda: evolve(st, N1, 1.0, float("inf")),
+            lambda: list(evolve_blocks(st, N1, 1.0, float("inf"))),
+            lambda: evolve_pair(st, LinearizedState(z, z), N1, 1.0, float("inf")),
+            lambda: step_rotation(st, N1, float("inf")),
+            lambda: step_rk4(st, N1, float("inf")),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^dt must be finite, got inf$"):
+                call()
+
+    def test_bool_stride_rejected(self):
+        st = small_state()
+        z = np.zeros(len(st.grid), complex)
+        with pytest.raises(ValueError, match="^stride must be a positive integer, got True$"):
+            evolve(st, N1, 0.01, 1e-3, stride=True)
+        with pytest.raises(ValueError, match="^stride must be a positive integer, got True$"):
+            evolve_pair(st, LinearizedState(z, z), N1, 0.01, 1e-3, stride=True)
 
     @pytest.mark.parametrize("stride", [5, np.int64(5), np.int32(5)])
     def test_integer_strides_kept(self, stride):

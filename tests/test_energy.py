@@ -704,6 +704,14 @@ class TestSecondOrderModelIdentity:
         rhs = second_order_rate_model(*amps(state_at(tr, 2)), 1.0, 0.25)
         assert abs(fd - rhs) <= 1e-7 * abs(rhs)
 
+    @pytest.mark.parametrize("A", [math.nan, math.inf, -math.inf])
+    def test_non_finite_model_coefficient_named(self, A):
+        # NaN or infinite A used to give NaN with a RuntimeWarning
+        amp = amps(small_state(seed=3))
+        for model in (second_order_model, second_order_rate_model):
+            with pytest.raises(ValueError, match="^A must be finite, got "):
+                model(*amp, A, 0.25)
+
 
 class TestStack:
     """Each public energy function gives on an (S, M) stack bitwise its own

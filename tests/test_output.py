@@ -1,6 +1,9 @@
-import numpy as np
+import json
 
-from kirchlab.output import fmt, write_csv
+import numpy as np
+import pytest
+
+from kirchlab.output import fmt, write_csv, write_json
 
 
 class TestFmt:
@@ -21,3 +24,30 @@ class TestFmt:
     def test_csv_cells_of_numpy_scalars(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", ["x", "ok"], [[np.float64(1e-3), np.bool_(True)]])
         assert path.read_text() == "x,ok\n0.001,true\n"
+
+
+class TestAppend:
+    ROWS = [[0.0, 1.5, True], [0.1, float("nan"), False], [0.2, 1e-300, True], [0.3, -2.0, False]]
+    HEADER = ["t", "x", "ok"]
+
+    @pytest.mark.parametrize("cuts", [[1], [3], [1, 2], [1, 2, 3]])
+    def test_csv_in_blocks_equals_one_write(self, tmp_path, cuts):
+        whole = write_csv(tmp_path / "whole.csv", self.HEADER, self.ROWS).read_bytes()
+        bounds = [0, *cuts, len(self.ROWS)]
+        path = tmp_path / "blocks.csv"
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            write_csv(path, self.HEADER, self.ROWS[a:b], append=i > 0)
+        assert path.read_bytes() == whole
+
+    @pytest.mark.parametrize("cuts", [[1], [3], [1, 2], [1, 2, 3]])
+    def test_json_array_in_blocks_equals_one_write(self, tmp_path, cuts):
+        docs = [{"t": r[0], "x": r[1], "ok": np.bool_(r[2]), "nested": {"b": [1, 2], "a": None}}
+                for r in self.ROWS]
+        whole = write_json(tmp_path / "whole.json", docs).read_bytes()
+        assert whole == (json.dumps(json.loads(whole), sort_keys=True, indent=2) + "\n").encode()
+        bounds = [0, *cuts, len(docs)]
+        path = tmp_path / "blocks.json"
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            write_json(path, docs[a:b], append=i > 0)
+        write_json(path, [], append=True)  # nothing to add
+        assert path.read_bytes() == whole

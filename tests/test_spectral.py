@@ -267,6 +267,23 @@ class TestRandomDecay:
             build_random_decay(8, 1.0, 4.0, regularity, 0.1, seed=0)
 
 
+    def test_infinite_lambda_max_named(self):
+        # was "frequencies must be strictly increasing"
+        with pytest.raises(ValueError, match="^lambda_max must be finite, got inf$"):
+            build_random_decay(8, 1.0, float("inf"), 0.25, 0.1, seed=0)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True])
+    def test_fractional_or_negative_seed_named(self, seed):
+        # 1.5 and -1 were numpy's TypeError and ValueError
+        with pytest.raises(ValueError, match="^seed must be an integer of at least 0, got "):
+            build_random_decay(8, 1.0, 4.0, 0.25, 0.1, seed=seed)
+
+    def test_numpy_integer_seed_kept(self):
+        a = build_random_decay(8, 1.0, 4.0, 0.25, 0.1, seed=np.int64(3))
+        b = build_random_decay(8, 1.0, 4.0, 0.25, 0.1, seed=3)
+        assert np.array_equal(a.u_hat, b.u_hat) and np.array_equal(a.v_hat, b.v_hat)
+
+
 class TestTruncate:
     def test_identity_above_lambda_max(self):
         st_ = random_state(M=20, seed=6)
