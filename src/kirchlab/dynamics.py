@@ -17,6 +17,7 @@ consumer keeps flat memory however long the run.  One RK4 tableau serves
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,11 +93,10 @@ class Trajectory:
         return len(self.times)
 
 
-def _rhs(lam2, wl2, N, u):
-    """The acceleration dv_k/dt = -(1 + N(|u|_{H^1}^2)) l_k^2 u_k on raw
-    arrays; lam2 = lambdas**2, wl2 = weights * lam2."""
-    speed = 1.0 + float(N.eval(float(np.add.reduce(wl2 * np.abs(u) ** 2))))
-    return -speed * lam2 * u
+def _rhs(grid, N, u):
+    """The acceleration dv_k/dt = -(1 + N(|u|_{H^1}^2)) l_k^2 u_k on raw arrays."""
+    speed = 1.0 + float(N.eval(float(np.add.reduce(grid.mass_weights * np.abs(u) ** 2))))
+    return -speed * grid.lambdas_sq * u
 
 
 def _rk4(accel, u, v, dt):
@@ -111,20 +111,22 @@ def _rk4(accel, u, v, dt):
             v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
 
 
-def _rotation_arrays(lam, wl2, u, v, N, dt, allow_halve):
-    """(u, v) after one rotation step of size dt; wl2 = weights * lambdas**2.
+def _rotation_arrays(grid, u, v, N, dt, allow_halve):
+    """(u, v) after one rotation step of size dt.
 
     The trial rotations of the midpoint iteration only need u1 for the
     mass; v1 is formed once, from the last trial's cos and sin when the
     converged speed is the one that trial used."""
+    lam, wl2 = grid.lambdas, grid.mass_weights
     m0 = float(np.add.reduce(wl2 * np.abs(u) ** 2))
     nbar = float(N.eval(m0))
     for _ in range(5):
         if 1.0 + nbar <= 0.0:
             raise DegenerateNonlinearityError("wave speed lost during midpoint iteration")
         speed = 1.0 + nbar
-        omega = lam * np.sqrt(speed)
-        c, s = np.cos(omega * dt), np.sin(omega * dt)
+        omega = lam * math.sqrt(speed)
+        phase = omega * dt
+        c, s = np.cos(phase), np.sin(phase)
         u1 = c * u + (s / omega) * v
         nxt = float(N.eval(0.5 * (m0 + float(np.add.reduce(wl2 * np.abs(u1) ** 2)))))
         converged = abs(nxt - nbar) <= 1e-14 * max(1.0, abs(nbar))
@@ -134,13 +136,14 @@ def _rotation_arrays(lam, wl2, u, v, N, dt, allow_halve):
     else:
         if not allow_halve:
             raise RuntimeError(f"midpoint iteration failed to converge at dt={dt}")
-        u, v = _rotation_arrays(lam, wl2, u, v, N, dt / 2, allow_halve=False)
-        return _rotation_arrays(lam, wl2, u, v, N, dt / 2, allow_halve=False)
+        u, v = _rotation_arrays(grid, u, v, N, dt / 2, allow_halve=False)
+        return _rotation_arrays(grid, u, v, N, dt / 2, allow_halve=False)
     if 1.0 + nbar <= 0.0:
         raise DegenerateNonlinearityError("wave speed lost during midpoint iteration")
     if 1.0 + nbar != speed:
-        omega = lam * np.sqrt(1.0 + nbar)
-        c, s = np.cos(omega * dt), np.sin(omega * dt)
+        omega = lam * math.sqrt(1.0 + nbar)
+        phase = omega * dt
+        c, s = np.cos(phase), np.sin(phase)
         u1 = c * u + (s / omega) * v
     return u1, -omega * s * u + c * v
 
@@ -156,10 +159,7 @@ def step_rotation(state: SpectralState, N: NonlinearitySpec, dt: float) -> Spect
     """One exact-rotation step with the wave speed frozen at its midpoint
     value (fixed-point iterated); unconditionally stable in lambda_max."""
     _check_dt(dt)
-    lam = state.grid.lambdas
-    u1, v1 = _rotation_arrays(
-        lam, state.grid.weights * lam**2, state.u_hat, state.v_hat, N, dt, allow_halve=True
-    )
+    u1, v1 = _rotation_arrays(state.grid, state.u_hat, state.v_hat, N, dt, allow_halve=True)
     return state.replace_amplitudes(u1, v1, state.time + dt)
 
 
@@ -175,9 +175,7 @@ def step_rk4(state: SpectralState, N: NonlinearitySpec, dt: float) -> SpectralSt
     guard = rk4_dt_guard(state, N)
     if dt > guard:
         raise ValueError(f"RK4 stability guard requires dt <= {guard:.6g}, got {dt}")
-    lam2 = state.grid.lambdas**2
-    wl2 = state.grid.weights * lam2
-    u1, v1 = _rk4(lambda i, u: _rhs(lam2, wl2, N, u), state.u_hat, state.v_hat, dt)
+    u1, v1 = _rk4(lambda i, u: _rhs(state.grid, N, u), state.u_hat, state.v_hat, dt)
     return state.replace_amplitudes(u1, v1, state.time + dt)
 
 
@@ -271,14 +269,14 @@ def evolve_blocks(state: SpectralState, N: NonlinearitySpec, T: float, dt: float
     return _march(state, T, dt, stride, _stepper(method, N), None, block)
 
 
-def _linearized_rhs(lam2, wl2, A, u, m, w_hat):
+def _linearized_rhs(grid, A, two_a_lam2, u, m, w_hat):
     """dw'/dt of the linearized equation at base amplitudes u of H^1 mass m
-    (wave speed 1 + A m), on raw arrays as in _rhs:
+    (wave speed 1 + A m), on raw arrays as in _rhs; two_a_lam2 = 2 A l_k^2:
 
       dw'_k = -l_k^2 (1 + A m) w_k - 2 A l_k^2 u_k sum_j w_j l_j^2 Re(u_j conj(w_j)).
     """
-    inner = float(np.add.reduce(wl2 * np.real(u * np.conj(w_hat))))
-    return -(1.0 + A * m) * lam2 * w_hat - 2.0 * A * lam2 * u * inner
+    inner = float(np.add.reduce(grid.mass_weights * (u * w_hat.conj()).real))
+    return -(1.0 + A * m) * grid.lambdas_sq * w_hat - two_a_lam2 * u * inner
 
 
 def evolve_pair(
@@ -297,8 +295,8 @@ def evolve_pair(
     if lin.w_hat.shape != base.u_hat.shape:
         raise ValueError("linearized state does not match the base grid")
     A = N.coefficients[0]
-    lam2 = base.grid.lambdas**2
-    wl2 = base.grid.weights * lam2
+    grid = base.grid
+    wl2, two_a_lam2 = grid.mass_weights, 2.0 * A * grid.lambdas_sq
     # the H^1 mass of the current base amplitudes
     m0 = float(np.add.reduce(wl2 * np.abs(base.u_hat) ** 2))
 
@@ -311,7 +309,7 @@ def evolve_pair(
         mm = float(np.add.reduce(wl2 * np.abs(um) ** 2))
         m1 = float(np.add.reduce(wl2 * np.abs(u1) ** 2))
         bases, masses = (u0, um, u1), (m0, mm, m1)
-        w = _rk4(lambda i, x: _linearized_rhs(lam2, wl2, A, bases[i], masses[i], x), *w, dt)
+        w = _rk4(lambda i, x: _linearized_rhs(grid, A, two_a_lam2, bases[i], masses[i], x), *w, dt)
         m0 = m1
         return nxt, w
 

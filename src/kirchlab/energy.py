@@ -14,9 +14,14 @@ see _balakrishnan_nodes), mixed down to the kernel's numerical rank k
 shipped band and 26 at most, at l_max/l_min = 316.  Those k rows depend
 on the grid and sigma alone, so they are built once per grid and sigma
 and memoized (_mixed_rows, at most 4 x (k + 1) x M doubles).  On wider
-bands the rule's R rows are used as they are, built per call in blocks
-of nodes.  The pointwise divided difference
-that the kernel-bounds suite samples is `analysis.divided_difference`.
+bands the rule's R rows are used as they are, built per call in blocks of
+nodes.  The pointwise divided difference that the kernel-bounds suite
+samples is `analysis.divided_difference`.
+
+modified_energy makes one mode pass per call (_mode_arrays): the masses
+p, q, V, r and kin per mode, on the grid's w l^2 (held once per grid as
+mass_weights), the suffix sums of p and q, and the min-kernel weights.
+The profile, the unmodified energy and all three corrections read them.
 
 Every function takes a grid and amplitudes u, v along its last axis:
 one state's (M,) amplitudes give scalars, and an (S, M) stack of samples
@@ -33,12 +38,13 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nonlinearity import FilteredProfile, NonlinearitySpec, build_profile
-from .spectral import FrequencyGrid, _check_finite, sobolev_norm_sq
+from .nonlinearity import FilteredProfile, NonlinearitySpec, _profile
+from .spectral import FrequencyGrid, _check_finite, _norm_sum, sobolev_norm_sq
 
 __all__ = [
     "EnergyBreakdown",
@@ -78,33 +84,28 @@ def unmodified_energy(
 #   q_j = w_j l_j^{2+2s} |u_j|^2     (H^{1+s} mass)
 #   V_j = w_j l_j^2      |v_j|^2
 #   r_j = w_j l_j^2      Re(u_j conj(v_j))
-def _mode_arrays(grid: FrequencyGrid, u, v, s: float):
+#   kin_j = w_j l_j^{2s} |v_j|^2     (H^s mass of u')
+# the suffix sums Sp, Sq, and W_m = p_m q_m + p_m Tq_m + q_m Tp_m (T the
+# exclusive suffix sums): sum_{j,k} K[min(j,k)] p_j q_k = sum_m K_m W_m.
+_Modes = namedtuple("_Modes", "p q V r kin Sp Sq W")
+
+
+def _mode_arrays(grid: FrequencyGrid, u, v, s: float) -> _Modes:
     _check_finite("s", s)
-    lam, w = grid.lambdas, grid.weights
-    u2 = np.abs(u) ** 2
-    p = w * lam**2 * u2
-    q = w * lam ** (2.0 + 2.0 * s) * u2
-    V = w * lam**2 * np.abs(v) ** 2
-    r = w * lam**2 * np.real(u * np.conj(v))
-    return p, q, V, r
+    wl2, u2, v2 = grid.mass_weights, np.abs(u) ** 2, np.abs(v) ** 2
+    p, V, r = wl2 * u2, wl2 * v2, wl2 * (u * v.conj()).real
+    q = grid.weights * grid.lambdas ** (2.0 + 2.0 * s) * u2
+    kin = grid.weights * grid.lambdas ** (2.0 * s) * v2
+    (Sp, Tp), (Sq, Tq) = _suffix(p), _suffix(q)
+    return _Modes(p, q, V, r, kin, Sp, Sq, p * q + p * Tq + q * Tp)
 
 
-def _suffix(a: np.ndarray) -> np.ndarray:
-    """Inclusive suffix sums: out[i] = a[i] + a[i+1] + ... (ascending adds)."""
-    return a[..., ::-1].cumsum(-1)[..., ::-1].copy()
-
-
-def _tail(a: np.ndarray) -> np.ndarray:
-    """Exclusive suffix sums: out[i] = a[i+1] + a[i+2] + ..., 0 at the end."""
-    out = np.zeros_like(a)
-    out[..., :-1] = _suffix(a)[..., 1:]
-    return out
-
-
-def _min_kernel_pair_sum(K: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """sum_{j,k} K[min(j,k)] * x_j * y_k in O(M) (K symmetric in j,k)."""
-    terms = K * (x * y + x * _tail(y) + y * _tail(x))
-    return np.add.reduce(terms, axis=-1)
+def _suffix(a: np.ndarray):
+    """Suffix sums along the last axis, S[i] = a[i] + a[i+1] + ... (ascending
+    adds), and T[i] = S[i+1], 0 at the end: two views of one cumsum."""
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
+    a[..., ::-1].cumsum(-1, out=out[..., -2::-1])
+    return out[..., :-1], out[..., 1:]
 
 
 # The rules for the Balakrishnan integral (see _balakrishnan_nodes): the
@@ -313,7 +314,7 @@ def _divided_difference_sum(K, x, s: float, r, f, g):
 
     def sums(row, a, b):
         out = np.multiply(row, a[b])
-        return np.cumsum(out, -1, out=out)
+        return out.cumsum(-1, out=out)
 
     def rows(left, right, b):
         # the (k, M) rows against the samples b: their (..., k) min-kernel sums
@@ -342,12 +343,12 @@ def _divided_difference_sum(K, x, s: float, r, f, g):
     return total
 
 
-def _second_order(K, lam, s: float, p, q, V, r):
+def _second_order(K, x, s: float, m: _Modes):
     # a-part: w_j w_k a_{jk} |u_j|^2 |u_k|^2 = -1/8 (p_j q_k + q_j p_k),
     # which symmetrizes to -1/4 sum K[min] p_j q_k;
-    # b/c parts: b = -1/4 l_j^2 l_k^2 D_{jk}, c = -b
-    a_part = -0.25 * _min_kernel_pair_sum(K, p, q)
-    return a_part + 0.25 * _divided_difference_sum(K, lam * lam, s, r, p, V)
+    # b/c parts: b = -1/4 l_j^2 l_k^2 D_{jk}, c = -b, on x = l^2
+    a_part = -0.25 * np.add.reduce(K * m.W, axis=-1)
+    return a_part + 0.25 * _divided_difference_sum(K, x, s, m.r, m.p, m.V)
 
 
 def second_order_term(
@@ -357,7 +358,7 @@ def second_order_term(
     N: NonlinearitySpec,
     s: float,
     profile: FilteredProfile | None = None,
-    modes: tuple | None = None,
+    modes: _Modes | None = None,
 ):
     """sum_{j,k} w_j w_k A(m) F(m) [a |u_j|^2|u_k|^2 + b |u_j|^2|v_k|^2
     + c Re(u_j v_j) Re(u_k v_k)], m = min(l_j, l_k).
@@ -365,17 +366,17 @@ def second_order_term(
     The a-part is a min-kernel sum (O(M)); the b/c parts carry the
     divided-difference kernel and cost O(k*M) through
     _divided_difference_sum (exact for integer s, zero for s = 0).
-    A caller that already holds the profile of u or its (p, q, V, r)
-    mode arrays at this s may hand them in.
+    A caller that already holds the profile of u or its _mode_arrays at
+    this s may hand them in.
     """
-    if profile is None:
-        profile = build_profile(grid, u, N)
     if modes is None:
         modes = _mode_arrays(grid, u, v, s)
-    return _second_order(profile.a_values * profile.f_values, grid.lambdas, s, *modes)
+    if profile is None:
+        profile = _profile(modes.p, N)
+    return _second_order(profile.a_values * profile.f_values, grid.lambdas_sq, s, modes)
 
 
-def _normal_form(profile: FilteredProfile, p, q):
+def _normal_form(profile: FilteredProfile, m: _Modes):
     """The three cubic region sums (integration-by-parts terms).
 
     With g_l = w_l A(l_l) l_l^2 |u_l|^2 and the arrays of _mode_arrays:
@@ -384,17 +385,17 @@ def _normal_form(profile: FilteredProfile, p, q):
       T3 = +1/4 sum_{l1 <= l3 <= l2}   A(l1)F(l1) q_1 p_2 g_3
     each collapsed to prefix/suffix sums after sorting.
     """
-    g = profile.a_values * p
+    g = profile.a_values * m.p
     AF = profile.a_values * profile.f_values
     G = g.cumsum(-1)  # inclusive prefix of g
-    Sp, Sq, Sg = _suffix(p), _suffix(q), _suffix(g)
-    t1 = -0.25 * _min_kernel_pair_sum(AF * G, p, q)
-    t2 = -0.25 * np.add.reduce(AF * p * Sq * Sg, axis=-1)
-    t3 = 0.25 * np.add.reduce(g * (AF * q).cumsum(-1) * Sp, axis=-1)
+    Sg, _ = _suffix(g)
+    t1 = -0.25 * np.add.reduce(AF * G * m.W, axis=-1)
+    t2 = -0.25 * np.add.reduce(AF * m.p * m.Sq * Sg, axis=-1)
+    t3 = 0.25 * np.add.reduce(g * (AF * m.q).cumsum(-1) * m.Sp, axis=-1)
     return t1 + t2 + t3
 
 
-def _asym(profile: FilteredProfile, p, q):
+def _asym(profile: FilteredProfile, m: _Modes):
     """-1/2 sum_{l_j <= l_k} w_j w_k l_j^{2s+2} l_k^2 (A(l_k) - A(l_j))
     |u_j|^2 |u_k|^2, via suffix sums.  Exactly zero when N' is constant.
 
@@ -402,28 +403,27 @@ def _asym(profile: FilteredProfile, p, q):
     increments, so a constant filter yields a structural (not rounded)
     zero."""
     A = profile.a_values
-    Sp = _suffix(p)
     inc = np.zeros_like(A)  # inc[i] = A_i - A_{i-1}, inc[0] = 0
     inc[..., 1:] = A[..., 1:] - A[..., :-1]
     # T_j = sum_{k >= j} (A_k - A_j) p_k = sum_{i > j} inc_i * Sp_i
-    T = _tail(inc * Sp)
-    return -0.5 * np.add.reduce(q * T, axis=-1)
+    _, T = _suffix(inc * m.Sp)
+    return -0.5 * np.add.reduce(m.q * T, axis=-1)
 
 
 def modified_energy(
     grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: NonlinearitySpec, s: float
 ) -> EnergyBreakdown:
-    """Assemble the modified energy at regularity s from its four parts.
-
-    The second-order part goes through the public second_order_term, so it
-    stays a layer of its own in call traces; all three corrections share
-    one profile and one _mode_arrays pass."""
-    profile = build_profile(grid, u, N)
-    e0 = unmodified_energy(grid, u, v, N, s)
-    modes = p, q, V, r = _mode_arrays(grid, u, v, s)
-    e2 = second_order_term(grid, u, v, N, s, profile, modes)
-    en = _normal_form(profile, p, q)
-    ea = _asym(profile, p, q)
+    """Assemble the modified energy at regularity s from its four parts,
+    all read from one _mode_arrays pass.  The second-order part goes through
+    the public second_order_term, so it stays a layer of its own in call
+    traces; the norms raise on overflow as in sobolev_norm_sq."""
+    m = _mode_arrays(grid, u, v, s)
+    profile = _profile(m.p, N)
+    pos, vel = _norm_sum(m.q, 1.0 + s), _norm_sum(m.kin, s)
+    e0 = 0.5 * (1.0 + N.eval(_norm_sum(m.p, 1.0))) * pos + 0.5 * vel
+    e2 = second_order_term(grid, u, v, N, s, profile, m)
+    en = _normal_form(profile, m)
+    ea = _asym(profile, m)
     return EnergyBreakdown(e0, e2, en, ea, e0 + e2 + en + ea)
 
 
@@ -436,12 +436,12 @@ def unmodified_derivative_analytic(
     Second (N'' remainder) piece over l_l <= l_k:
       (sum_j q_j) * sum_l w_l l_l^2 Re(u_l v_l) N''(C(l_l)) * suffix_p(l).
     """
-    profile = build_profile(grid, u, N)
-    p, q, V, r = _mode_arrays(grid, u, v, s)
-    Q = np.add.reduce(q, axis=-1)
-    first = Q * np.add.reduce(profile.a_values * r, axis=-1)
+    m = _mode_arrays(grid, u, v, s)
+    profile = _profile(m.p, N)
+    Q = np.add.reduce(m.q, axis=-1)
+    first = Q * np.add.reduce(profile.a_values * m.r, axis=-1)
     d2 = np.asarray(N.d2(profile.c_prefix), dtype=float)
-    second = Q * np.add.reduce(d2 * r * _suffix(p), axis=-1)
+    second = Q * np.add.reduce(d2 * m.r * m.Sp, axis=-1)
     return first + second
 
 
@@ -450,7 +450,7 @@ def second_order_model(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, A: flo
     (constant filter A, no resummation factor)."""
     _check_finite("A", A)
     K = np.full(u.shape, float(A))
-    return _second_order(K, grid.lambdas, s, *_mode_arrays(grid, u, v, s))
+    return _second_order(K, grid.lambdas_sq, s, _mode_arrays(grid, u, v, s))
 
 
 def second_order_rate_model(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, A: float, s: float):
@@ -462,7 +462,7 @@ def second_order_rate_model(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, A
            * (sum p)
     """
     _check_finite("A", A)
-    p, q, V, r = _mode_arrays(grid, u, v, s)
+    m = _mode_arrays(grid, u, v, s)
     rs = grid.weights * grid.lambdas ** (2.0 + 2.0 * s) * np.real(u * np.conj(v))
-    P, Q, R, Rs = (np.add.reduce(a, axis=-1) for a in (p, q, r, rs))
+    P, Q, R, Rs = (np.add.reduce(a, axis=-1) for a in (m.p, m.q, m.r, rs))
     return -A * Q * R - 0.5 * A * A * (Q * R - P * Rs) * P

@@ -85,7 +85,9 @@ def polynomial_nonlinearity(coefficients) -> NonlinearitySpec:
     ddcs = tuple(i * (i - 1) * c for i, c in enumerate(cs, 1))[1:] or (0.0,)
 
     def eval_(r):
-        r = np.asarray(r, dtype=float)
+        # a float keeps to floats: the same IEEE operations as on a 0-d array
+        if not isinstance(r, float):
+            r = np.asarray(r, dtype=float)
         return _horner(cs, r) * r
 
     def antiderivative(r):
@@ -125,25 +127,27 @@ def _check_wave_type(one_plus_n):
     """Raise where 1 + N(C) <= 0, naming the mode (and the sample of a
     stack); warn where it is <= 1/2."""
     bad = one_plus_n <= 0.0
-    if np.any(bad):
+    if bad.any():
         *sample, mode = (int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
         where = f"sample {sample[0]}, mode index {mode}" if sample else f"mode index {mode}"
         raise DegenerateNonlinearityError(f"nonlinearity degenerate at this data size ({where})")
-    if np.any(one_plus_n <= 0.5):
-        warnings.warn("1 + N(C) fell below 1/2; wave-type margin is thin", stacklevel=3)
+    if (one_plus_n <= 0.5).any():
+        warnings.warn("1 + N(C) fell below 1/2; wave-type margin is thin", stacklevel=4)
 
 
 def build_profile(grid: FrequencyGrid, u: np.ndarray, N: NonlinearitySpec) -> FilteredProfile:
     """The profile of one state's (M,) amplitudes u on the grid, or of each
     state of an (S, M) stack on it (then every array is (S, M))."""
-    lam = grid.lambdas
-    masses = grid.weights * lam**2 * np.abs(u) ** 2
+    return _profile(grid.mass_weights * np.abs(u) ** 2, N)
+
+
+def _profile(masses: np.ndarray, N: NonlinearitySpec) -> FilteredProfile:
+    """The profile of the H^1 masses w_k l_k^2 |u_k|^2 along the last axis."""
     c_prefix = masses.cumsum(-1)
     a_values = np.asarray(N.d1(c_prefix), dtype=float)
     base = 1.0 + np.asarray(N.eval(c_prefix), dtype=float)
     _check_wave_type(base)
-    f_values = base**-1.5
-    return FilteredProfile(c_prefix, a_values, f_values)
+    return FilteredProfile(c_prefix, a_values, base**-1.5)
 
 
 # the regularity s0 = 1/4 at which the smallness gate is posed

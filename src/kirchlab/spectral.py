@@ -9,7 +9,7 @@ continuum integrals become exact finite sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,10 +47,14 @@ def _readonly(a, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Strictly increasing positive frequency magnitudes with positive weights."""
+    """Strictly increasing positive frequency magnitudes with positive
+    weights, and the read-only lambdas_sq = lambdas**2 and mass_weights =
+    weights * lambdas_sq (the H^1 mass of mode k is mass_weights[k] |u_k|^2)."""
 
     lambdas: np.ndarray
     weights: np.ndarray
+    lambdas_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    mass_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = _readonly(self.lambdas, float)
@@ -67,6 +71,8 @@ class FrequencyGrid:
             raise ValueError("frequencies must be strictly increasing")
         if not np.all(w > 0):
             raise ValueError("all weights must be positive")
+        object.__setattr__(self, "lambdas_sq", _readonly(lam**2, float))
+        object.__setattr__(self, "mass_weights", _readonly(w * self.lambdas_sq, float))
 
     @classmethod
     def from_unsorted(cls, lambdas, weights) -> "FrequencyGrid":
@@ -116,11 +122,16 @@ def sobolev_norm_sq(grid: FrequencyGrid, a: np.ndarray, sigma: float):
     ascending order: a float for one state's (M,) amplitudes, an (S,) array
     for an (S, M) stack on the grid.  An overflow raises, naming the sample
     of a stack, so the result is finite."""
-    terms = grid.weights * grid.lambdas ** (2.0 * sigma) * np.abs(a) ** 2
+    _check_finite("sigma", sigma)
+    return _norm_sum(grid.weights * grid.lambdas ** (2.0 * sigma) * np.abs(a) ** 2, sigma)
+
+
+def _norm_sum(terms: np.ndarray, sigma: float):
+    """sobolev_norm_sq's sum of its terms at sigma, with its overflow check."""
     out = np.add.reduce(terms, axis=-1)
     if out.ndim == 0:
         out = float(out)
-        if not np.isfinite(out):
+        if not math.isfinite(out):
             raise ValueError(f"Sobolev norm overflowed at sigma={sigma}")
     elif not np.isfinite(out).all():
         k = int(np.flatnonzero(~np.isfinite(out))[0])
@@ -155,6 +166,7 @@ def rescale_to(state: SpectralState, target: float, space_exponent: float) -> Sp
     regularity equals target."""
     if not target > 0:  # NaN too
         raise ValueError("target must be positive")
+    _check_finite("target", target)
     _check_finite("space_exponent", space_exponent)
     current = np.hypot(*pair_norm(state.grid, state.u_hat, state.v_hat, space_exponent))
     if current == 0.0:

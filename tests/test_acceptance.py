@@ -54,13 +54,13 @@ def _second_order(st, N, s):
 # the state's profile and mode arrays, then the part's O(M) sum, which is
 # what the speed check times.
 def _normal_form(st, N, s):
-    p, q, _, _ = energy._mode_arrays(*amps(st), s)
-    return energy._normal_form(build_profile(st.grid, st.u_hat, N), p, q)
+    modes = energy._mode_arrays(*amps(st), s)
+    return energy._normal_form(build_profile(st.grid, st.u_hat, N), modes)
 
 
 def _asym(st, N, s):
-    p, q, _, _ = energy._mode_arrays(*amps(st), s)
-    return energy._asym(build_profile(st.grid, st.u_hat, N), p, q)
+    modes = energy._mode_arrays(*amps(st), s)
+    return energy._asym(build_profile(st.grid, st.u_hat, N), modes)
 
 
 def test_criterion_01_oracle_equivalence_and_speed():

@@ -49,8 +49,7 @@ def h1_mass(st):
 
 def accel(st, N):
     """dv/dt of the state, from the private kernel _rhs."""
-    lam2 = st.grid.lambdas**2
-    return _rhs(lam2, st.grid.weights * lam2, N, st.u_hat)
+    return _rhs(st.grid, N, st.u_hat)
 
 
 class TestRhs:
@@ -266,8 +265,8 @@ class TestLinearized:
     def test_rhs_zero_direction(self):
         st = small_state()
         z = np.zeros(len(st.grid), complex)
-        lam2 = st.grid.lambdas**2
-        dwv = _linearized_rhs(lam2, st.grid.weights * lam2, 1.0, st.u_hat, h1_mass(st), z)
+        two_a_lam2 = 2.0 * st.grid.lambdas_sq
+        dwv = _linearized_rhs(st.grid, 1.0, two_a_lam2, st.u_hat, h1_mass(st), z)
         assert np.all(dwv == 0)
 
     def test_state_copies_caller_arrays(self):

@@ -810,3 +810,134 @@ class TestStack:
             modified_energy(*stack, polynomial_nonlinearity([-1.0]), 0.25)
         with pytest.raises(DegenerateNonlinearityError, match=r"\(mode index \d+\)"):
             modified_energy(*amps(big), polynomial_nonlinearity([-1.0]), 0.25)
+
+
+# ------------------------------------------------------ frozen reference ---
+# modified_energy as it was composed before its one shared mode pass: the
+# profile, the unmodified energy through three norm sums, and the three
+# corrections, each forming its own mode arrays and suffix sums.  Only the
+# divided-difference kernel is the package's.
+
+def _ref_norm(grid, a, sigma):
+    return np.add.reduce(grid.weights * grid.lambdas ** (2.0 * sigma) * np.abs(a) ** 2, axis=-1)
+
+
+def _ref_unmodified(grid, u, v, N, s):
+    pos, vel = _ref_norm(grid, u, 1.0 + s), _ref_norm(grid, v, s)
+    return 0.5 * (1.0 + N.eval(np.asarray(_ref_norm(grid, u, 1.0)))) * pos + 0.5 * vel
+
+
+def _ref_suffix(a):
+    return a[..., ::-1].cumsum(-1)[..., ::-1].copy()
+
+
+def _ref_tail(a):
+    out = np.zeros_like(a)
+    out[..., :-1] = _ref_suffix(a)[..., 1:]
+    return out
+
+
+def _ref_pair_sum(K, x, y):
+    return np.add.reduce(K * (x * y + x * _ref_tail(y) + y * _ref_tail(x)), axis=-1)
+
+
+def _ref_modes(grid, u, v, s):
+    lam, w = grid.lambdas, grid.weights
+    u2 = np.abs(u) ** 2
+    return (w * lam**2 * u2, w * lam ** (2.0 + 2.0 * s) * u2, w * lam**2 * np.abs(v) ** 2,
+            w * lam**2 * np.real(u * np.conj(v)))
+
+
+def _ref_profile(grid, u, N):
+    c = (grid.weights * grid.lambdas**2 * np.abs(u) ** 2).cumsum(-1)
+    return c, np.asarray(N.d1(c), dtype=float), (1.0 + np.asarray(N.eval(c), dtype=float)) ** -1.5
+
+
+def _ref_second_order(grid, u, v, N, s):
+    _, A, F = _ref_profile(grid, u, N)
+    K = A * F
+    p, q, V, r = _ref_modes(grid, u, v, s)
+    lam = grid.lambdas
+    return -0.25 * _ref_pair_sum(K, p, q) + 0.25 * _divided_difference_sum(K, lam * lam, s, r, p, V)
+
+
+def _ref_normal_form(grid, u, v, N, s):
+    _, A, F = _ref_profile(grid, u, N)
+    p, q, _, _ = _ref_modes(grid, u, v, s)
+    g, AF = A * p, A * F
+    Sp, Sq, Sg = _ref_suffix(p), _ref_suffix(q), _ref_suffix(g)
+    t1 = -0.25 * _ref_pair_sum(AF * g.cumsum(-1), p, q)
+    t2 = -0.25 * np.add.reduce(AF * p * Sq * Sg, axis=-1)
+    t3 = 0.25 * np.add.reduce(g * (AF * q).cumsum(-1) * Sp, axis=-1)
+    return t1 + t2 + t3
+
+
+def _ref_asym(grid, u, v, N, s):
+    A = _ref_profile(grid, u, N)[1]
+    p, q, _, _ = _ref_modes(grid, u, v, s)
+    inc = np.zeros_like(A)
+    inc[..., 1:] = A[..., 1:] - A[..., :-1]
+    return -0.5 * np.add.reduce(q * _ref_tail(inc * _ref_suffix(p)), axis=-1)
+
+
+def _ref_modified_energy(grid, u, v, N, s):
+    parts = [f(grid, u, v, N, s)
+             for f in (_ref_unmodified, _ref_second_order, _ref_normal_form, _ref_asym)]
+    e0, e2, en, ea = parts
+    return (*parts, e0 + e2 + en + ea)
+
+
+class TestEnergyFrozenReference:
+    """modified_energy's one mode pass gives bit for bit the parts of the
+    frozen composition above, on one state and on stacks."""
+
+    FIELDS = ("e_unmodified", "e_second_order", "e_normal_form", "e_asym", "e_total")
+
+    @given(
+        S=st.none() | st.integers(1, 6),
+        M=st.integers(1, 80),
+        s=st.sampled_from([0.0, 0.25, 0.5, 0.99, 1.0, 1.25, 2.0, 3.5]),
+        name=st.sampled_from(sorted(TestStack.NONLINEARITIES)),
+        lam_min=st.floats(0.1, 10.0),
+        # bands x = l^2 up to x_max / x_min = e^12: both sides of _RANK_KAPPA
+        log_ratio=st.floats(0.0, 6.0 / math.log(10.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60)
+    def test_parts_equal_frozen_composition(self, S, M, s, name, lam_min, log_ratio, seed):
+        N = TestStack.NONLINEARITIES[name]
+        lam, rng = _grid_draw(M, lam_min, log_ratio, None, seed)
+        grid = FrequencyGrid(lam, rng.uniform(0.1, 1.0, M))
+        shape = (M,) if S is None else (S, M)
+        u, v = rng.normal(size=(2, *shape)) + 1j * rng.normal(size=(2, *shape))
+        # each state at a random size in the H^1 x L^2 pair norm
+        norm = np.sqrt(np.sum(grid.weights * (lam**2 * abs(u) ** 2 + abs(v) ** 2), axis=-1))
+        scale = rng.uniform(0.0, 0.05, shape[:-1]) / norm
+        u, v = u * scale[..., None], v * scale[..., None]
+        got = modified_energy(grid, u, v, N, s)
+        for field, want in zip(self.FIELDS, _ref_modified_energy(grid, u, v, N, s)):
+            assert np.asarray(getattr(got, field)).tolist() == np.asarray(want).tolist(), field
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_overflow_message_as_unmodified_energy(self, stacked):
+        # |u|_{H^3}^2 overflows at s = 2 (lambda^6 |u|^2 = 1e320) in sample 1
+        g = FrequencyGrid([1.0, 1e50], [1.0, 1.0])
+        u = np.array([[0.01, 0j], [0.01, 1e10 + 0j], [0.01, 0j]])
+        u = u if stacked else u[1]
+        messages = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for f in (unmodified_energy, modified_energy):
+                with pytest.raises(ValueError) as info:
+                    f(g, u, u, N_QUAD, 2.0)
+                messages.append(str(info.value))
+        where = " in sample 1" if stacked else ""
+        assert messages == [f"Sobolev norm overflowed at sigma=3.0{where}"] * 2
+
+    @pytest.mark.parametrize("cs", [[1.0], [1.0, 1.0], [0.5, -0.8, 1.5]])
+    def test_eval_of_float_as_of_0d_array(self, cs):
+        N = polynomial_nonlinearity(cs)
+        rng = np.random.default_rng(5)
+        xs = rng.uniform(-3.0, 3.0, 300) * 10.0 ** rng.integers(-300, 100, 300)
+        for x in [*xs.tolist(), 0.0, -0.0]:
+            got, want = N.eval(x), N.eval(np.array(x))
+            assert type(got) is float and np.array(got).tobytes() == np.array(want).tobytes()

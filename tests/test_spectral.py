@@ -134,6 +134,13 @@ class TestNorms:
         with pytest.raises(ValueError, match="^s must be finite, got "):
             pair_norm(*amps(random_state(M=10, seed=1)), s)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_named(self, sigma):
+        # NaN used to raise "Sobolev norm overflowed at sigma=nan"
+        st_ = random_state(M=10, seed=1)
+        with pytest.raises(ValueError, match="^sigma must be finite, got "):
+            sobolev_norm_sq(st_.grid, st_.u_hat, sigma)
+
     def test_interpolation_monotone_above_one(self):
         rng = np.random.default_rng(5)
         lam = np.sort(rng.uniform(1.0, 40.0, 50))
@@ -172,6 +179,11 @@ class TestRescale:
     def test_non_positive_target_rejected(self, target):
         with pytest.raises(ValueError, match="^target must be positive$"):
             rescale_to(random_state(M=10, seed=1), target, 0.25)
+
+    def test_infinite_target_named(self):
+        # it used to fail later, naming an infinite amplitude
+        with pytest.raises(ValueError, match="^target must be finite, got inf$"):
+            rescale_to(random_state(M=10, seed=1), math.inf, 0.0)
 
     @pytest.mark.parametrize("space_exponent", [math.nan, math.inf, -math.inf])
     def test_non_finite_space_exponent_named(self, space_exponent):
