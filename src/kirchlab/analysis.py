@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pcg64 import uniforms
 from .dynamics import LinearizedState, Trajectory, evolve, evolve_pair
 from .energy import (
     modified_energy,
@@ -26,6 +27,7 @@ from .nonlinearity import NonlinearitySpec, build_profile, delta_gate
 from .spectral import (
     FrequencyGrid,
     SpectralState,
+    _check_int,
     pair_norm,
     rescale_to,
     sobolev_norm_sq,
@@ -239,17 +241,18 @@ def kernel_bounds_suite(n_samples: int, seed: int) -> dict:
     is not <= 1 (NaN included), sampled or probed, counts as a violation,
     and a NaN ratio is the worst ratio.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
+    _check_int("n_samples", n_samples, 1)
+    _check_int("seed", seed, 0)
+    # one draw, in the order of the (n, 2) pairs and then the s of each sign
+    r = uniforms(seed, 4 * n_samples)
     lo, hi = np.log(1e-6), np.log(1e6)
-    l = np.exp(rng.uniform(lo, hi, size=(n_samples, 2)))
+    l = np.exp(lo + (hi - lo) * r[: 2 * n_samples].reshape(n_samples, 2))
     l1 = np.minimum(l[:, 0], l[:, 1])
     l2 = np.maximum(l[:, 0], l[:, 1])
     violations = 0
     worst_ratio = 0.0
-    for s_lo, s_hi, positive in ((0.0, 4.0, True), (-2.0, 0.0, False)):
-        s = rng.uniform(s_lo, s_hi, size=n_samples)
+    for k, (s_lo, s_hi, positive) in enumerate(((0.0, 4.0, True), (-2.0, 0.0, False))):
+        s = s_lo + (s_hi - s_lo) * r[(2 + k) * n_samples : (3 + k) * n_samples]
         D = divided_difference(l1, l2, s)
         if positive:
             bound = (1.0 + s) * l2 ** (2 * s) / l2**2

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, energy, output
+from ._pcg64 import uniforms
 from .config import DECAY_DEFAULTS, SCENARIOS, ConfigError, RunConfig, parse_config
 from .dynamics import LinearizedState, evolve, evolve_blocks, evolve_pair, hamiltonian
 from .energy import EnergyBreakdown, modified_energy
@@ -138,12 +139,11 @@ def _scenario_verify(config, N, state, out_dir, seed):
     verdicts.append({"suite": "kernel-bounds", "pass": bool(kern["pass"]),
                      "worst_case": {"ratio": kern["worst_ratio"], "violations": kern["violations"]}})
 
-    rng = np.random.default_rng(seed + 1)
+    # x, y ~ exp(U(-3, 3)) and sigma ~ U(0, 1) per sample, in one draw
+    r = uniforms(seed + 1, 3 * p["obstruction_samples"]).reshape(-1, 3)
     obs_ok = True
     worst = None
-    for _ in range(p["obstruction_samples"]):
-        x, y = np.exp(rng.uniform(-3, 3, size=2))
-        sigma = rng.uniform(0.0, 1.0)
+    for (x, y), sigma in zip(np.exp(-3.0 + 6.0 * r[:, :2]), r[:, 2]):
         cert = analysis.obstruction_certificate(float(x), float(y), float(sigma))
         agree = (cert.residual > 0) == (cert.lstsq_residual > 1e-10 * max(1.0, cert.residual))
         if cert.feasible or not agree:

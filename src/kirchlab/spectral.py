@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._pcg64 import uniforms
+
 __all__ = [
     "FrequencyGrid",
     "SpectralState",
@@ -229,9 +231,9 @@ def build_random_decay(
     cells = (np.arange(M) + 0.5) / M
     lam = lambda_min * np.exp(span * cells)
     w = np.full(M, span / M)
-    rng = np.random.default_rng(seed)
-    phase_u = np.exp(2j * np.pi * rng.random(M))
-    phase_v = np.exp(2j * np.pi * rng.random(M))
+    r = uniforms(seed, 2 * M)  # the u phases, then the v phases
+    phase_u = np.exp(2j * np.pi * r[:M])
+    phase_v = np.exp(2j * np.pi * r[M:])
     u = lam ** (-(1.0 + regularity) - margin) * phase_u
     v = lam ** (-regularity - margin) * phase_v
     return SpectralState(FrequencyGrid(lam, w), u, v, 0.0)

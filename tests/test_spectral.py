@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ from hypothesis import strategies as st
 
 from scalar_oracles import amps, state_at
 
+import kirchlab
+from kirchlab._pcg64 import uniforms
 from kirchlab.spectral import (
     FrequencyGrid,
     SpectralState,
@@ -294,6 +300,74 @@ class TestRandomDecay:
         a = build_random_decay(8, 1.0, 4.0, 0.25, 0.1, seed=np.int64(3))
         b = build_random_decay(8, 1.0, 4.0, 0.25, 0.1, seed=3)
         assert np.array_equal(a.u_hat, b.u_hat) and np.array_equal(a.v_hat, b.v_hat)
+
+
+# seeds of every 32-bit word count the seeding handles differently: one
+# word, two, three, four, and more than the pool's four
+WIDE_SEEDS = [2**32 - 1, 2**32, 2**64 + 3, 10**30, 2**200 + 12345,
+              np.int64(2**62 + 1), np.uint64(2**64 - 1)]
+
+
+class TestUniformStream:
+    """The in-house stream is numpy's default_rng(seed).random, bit for bit;
+    numpy's generator is the oracle."""
+
+    def test_seeds_zero_to_300(self):
+        for seed in range(301):
+            assert np.array_equal(uniforms(seed, 65), np.random.default_rng(seed).random(65))
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1000, 8193, 131072])
+    def test_sizes(self, n):
+        for seed in [0, 7, *WIDE_SEEDS]:
+            assert np.array_equal(uniforms(seed, n), np.random.default_rng(seed).random(n))
+
+    @pytest.mark.parametrize("seed", [0, 300, *WIDE_SEEDS])
+    def test_consecutive_draws_continue_the_stream(self, seed):
+        rng = np.random.default_rng(seed)
+        draws = np.concatenate([rng.random(n) for n in (1, 63, 2, 64, 1000, 65, 8193)])
+        assert np.array_equal(uniforms(seed, draws.size), draws)
+
+    def test_uniform_is_affine_in_the_stream(self):
+        # numpy's uniform(lo, hi) is lo + (hi - lo) * random(), row by row
+        rng = np.random.default_rng(11)
+        lo, hi = np.log(1e-6), np.log(1e6)
+        pairs, s = rng.uniform(lo, hi, size=(500, 2)), rng.uniform(-2.0, 0.0, size=500)
+        r = uniforms(11, 1500)
+        assert np.array_equal(lo + (hi - lo) * r[:1000].reshape(500, 2), pairs)
+        assert np.array_equal(-2.0 + 2.0 * r[1000:], s)
+        rng = np.random.default_rng(12)
+        draws = [(*rng.uniform(-3, 3, size=2), rng.uniform(0.0, 1.0)) for _ in range(50)]
+        r = uniforms(12, 150).reshape(50, 3)
+        assert np.array_equal(np.column_stack([-3.0 + 6.0 * r[:, :2], r[:, 2]]), draws)
+
+    def test_random_decay_matches_numpy_build(self):
+        M, lam_min, lam_max, reg, margin, seed = 65536, 1.0, 1e3, 0.25, 0.1, 21
+        rng = np.random.default_rng(seed)
+        span = np.log(lam_max / lam_min)
+        lam = lam_min * np.exp(span * ((np.arange(M) + 0.5) / M))
+        u = lam ** (-(1.0 + reg) - margin) * np.exp(2j * np.pi * rng.random(M))
+        v = lam ** (-reg - margin) * np.exp(2j * np.pi * rng.random(M))
+        st_ = build_random_decay(M, lam_min, lam_max, reg, margin, seed)
+        assert np.array_equal(st_.grid.lambdas, lam)
+        assert np.array_equal(st_.u_hat, u) and np.array_equal(st_.v_hat, v)
+
+    def test_runs_import_no_numpy_random_nor_hashlib(self, tmp_path):
+        # a fresh process: the test session itself has imported numpy.random
+        script = (
+            "import sys\n"
+            "from kirchlab import cli\n"
+            "configs, out = sys.argv[1:]\n"
+            "for name in ('simulate', 'verify'):\n"
+            "    cfg = f'{configs}/{name}.json'\n"
+            "    assert cli.main(['--config', cfg, '--out', f'{out}/{name}']) == 0\n"
+            "print(sorted(m for m in ('numpy.random', 'hashlib') if m in sys.modules))\n"
+        )
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        src = str(Path(kirchlab.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script, str(configs), str(tmp_path)],
+                              env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestTruncate:
