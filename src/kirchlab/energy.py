@@ -7,15 +7,12 @@ per-mode factors).  After sorting, those collapse to prefix/suffix sums,
 giving O(M) fast paths.  The one non-separable kernel is the divided
 difference D_s(x, y) = (x^s - y^s)/(x - y), x = l^2, in the b/c parts of
 the second-order term.  Its integer part is a finite separable sum; its
-fractional part is a Gauss-Jacobi rule on the Balakrishnan integral, one
-separable term per node (R = 29 nodes on the shipped band l in [1, 16];
-see _balakrishnan_nodes), mixed down to the kernel's numerical rank k
-(_rank_rows), so the b/c parts cost O(k*M): k = 14-16 rows on the
-shipped band and 26 at most, at l_max/l_min = 316.  Those k rows depend
-on the grid and sigma alone, so they are built once per grid and sigma
-and memoized (_mixed_rows, at most 4 x (k + 1) x M doubles).  On wider
-bands the rule's R rows are used as they are, built per call in blocks of
-nodes.  The pointwise divided difference that the kernel-bounds suite
+fractional part D_sigma is positive definite, and a pivoted Cholesky on
+the grid points gives k rows with D_sigma(x_j, x_k) = sum_a L_a(x_j)
+L_a(x_k) (_kernel_rows), so the b/c parts cost O(k*M): k = 14-16 rows
+on the shipped band and ~60 at l_max/l_min = 10^6.  Those rows depend on
+the grid and sigma alone, so they are built once per grid and sigma and
+memoized.  The pointwise divided difference that the kernel-bounds suite
 samples is `analysis.divided_difference`.
 
 modified_energy makes one mode pass per call (_mode_arrays): the masses
@@ -35,7 +32,6 @@ Dense O(M^2) oracles for every sum live in the test suite.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from collections import namedtuple
@@ -92,12 +88,14 @@ _Modes = namedtuple("_Modes", "p q V r kin Sp Sq W")
 
 def _mode_arrays(grid: FrequencyGrid, u, v, s: float) -> _Modes:
     _check_finite("s", s)
-    wl2, u2, v2 = grid.mass_weights, np.abs(u) ** 2, np.abs(v) ** 2
-    p, V, r = wl2 * u2, wl2 * v2, wl2 * (u * v.conj()).real
-    q = grid.weights * grid.lambdas ** (2.0 + 2.0 * s) * u2
-    kin = grid.weights * grid.lambdas ** (2.0 * s) * v2
-    (Sp, Tp), (Sq, Tq) = _suffix(p), _suffix(q)
-    return _Modes(p, q, V, r, kin, Sp, Sq, p * q + p * Tq + q * Tp)
+    # an overflowing mass is left inf or NaN; the norm sums raise on it, located
+    with np.errstate(over="ignore", invalid="ignore"):
+        wl2, u2, v2 = grid.mass_weights, np.abs(u) ** 2, np.abs(v) ** 2
+        p, V, r = wl2 * u2, wl2 * v2, wl2 * (u * v.conj()).real
+        q = grid.weights * grid.lambdas ** (2.0 + 2.0 * s) * u2
+        kin = grid.weights * grid.lambdas ** (2.0 * s) * v2
+        (Sp, Tp), (Sq, Tq) = _suffix(p), _suffix(q)
+        return _Modes(p, q, V, r, kin, Sp, Sq, p * q + p * Tq + q * Tp)
 
 
 def _suffix(a: np.ndarray):
@@ -108,165 +106,70 @@ def _suffix(a: np.ndarray):
     return out[..., :-1], out[..., 1:]
 
 
-# The rules for the Balakrishnan integral (see _balakrishnan_nodes): the
-# Gauss-Jacobi rule is sized for a truncation error of _EPS; the exp-sinh
-# rule spaces its nodes _STEP apart in log t across [log x_min, log x_max]
-# and cuts its tails at the factor e^-_TAIL.  _CHUNK bounds the array
-# elements of a block of the rows P_i(x_j) and of the kernel's passes.
-_EPS = 1e-16
-_STEP = 0.5
-_TAIL = 36.0
+# _CHUNK bounds the array elements of the kernel's passes (see
+# _sample_blocks); _ROW_TOL is where the row builder stops (_kernel_rows).
 _CHUNK = 1 << 16
-
-
-@functools.lru_cache(maxsize=64)
-def _balakrishnan_nodes(x_min: float, x_max: float, sigma: float):
-    """Nodes and weights for D_sigma(x, y), 0 < sigma < 1, x, y in [x_min, x_max]:
-
-      D_sigma(x, y) = (sin pi sigma / pi) int t^sigma / ((t + x)(t + y)) dt
-                    = sum_i w_i P_i(x) P_i(y),   P_i(x) = t_i / (t_i + x).
-
-    The Gauss-Jacobi rule substitutes sqrt t = c (1 + u)/(1 - u) with
-    c = (x_min x_max)^(1/4).  The integrand becomes the Jacobi weight
-    (1 - u)^(1 - 2 sigma) (1 + u)^(1 + 2 sigma) times a rational function
-    whose poles u* = (i sqrt x - c)/(i sqrt x + c) lie on the unit circle,
-    nearest to [-1, 1] at x = x_min and x_max.  The rule converges like
-    rho^(-2N), rho the Bernstein-ellipse parameter of that pole, so N is
-    set a priori; the nodes are the eigenvalues of the Jacobi matrix
-    (Golub-Welsch).  N grows like kappa^(1/8) in kappa = x_max/x_min.
-
-    The exp-sinh rule in tau = log t, tau = m + a sinh(v), turns the tails
-    of t^(sigma-1) P_t(x) P_t(y) into double exponentials; its node count
-    grows like log kappa + log 1/(1 - sigma).  The shorter rule is used,
-    which is the exp-sinh one only beyond kappa ~ 1e8.  Per pair the sum
-    is exact to 5e-15 relative on the band x in [1, 256] and to 6e-14 at
-    worst, near kappa = 1e8.
-
-    Returns (1/t_i, w_i) as read-only arrays, memoized on the arguments;
-    1/t_i underflows to 0 where t_i overflows, which is the right limit.
-    """
-    lo, hi = math.log(x_min), math.log(x_max)
-    m, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    a = max(half, 3.0)  # a >= 3 keeps h <= 1/6 for narrow bands
-    h = _STEP / math.hypot(a, half)
-    v_lo = math.floor(-math.asinh((half + _TAIL / (1.0 + sigma)) / a) / h)
-    v_hi = math.ceil(math.asinh((half + _TAIL / (1.0 - sigma)) / a) / h)
-    c = math.sqrt(math.sqrt(x_min) * math.sqrt(x_max))
-    pole = complex(-c, math.sqrt(x_min)) / complex(c, math.sqrt(x_min))
-    rho = abs(pole + cmath.sqrt(pole * pole - 1.0))
-    n = math.ceil(-math.log(_EPS) / (2.0 * abs(math.log(rho))))
-    scale = math.sin(math.pi * min(sigma, 1.0 - sigma)) / math.pi  # 1 - sigma is exact
-    if v_hi - v_lo + 1 < n:
-        v = h * np.arange(v_lo, v_hi + 1.0)
-        tau = m + a * np.sinh(v)
-        inv_t, weights = np.exp(-tau), scale * h * a * np.cosh(v) * np.exp((sigma - 1.0) * tau)
-    else:
-        # Jacobi matrix of alpha = 1 - 2 sigma, beta = 1 + 2 sigma (alpha + beta = 2)
-        k = np.arange(1.0, n)
-        diag = 2.0 * sigma / (np.arange(1.0, n + 1) * np.arange(2.0, n + 2))
-        off = np.sqrt(k * (k + 2) * (k + 1 - 2 * sigma) * (k + 1 + 2 * sigma)
-                      / ((k + 1) ** 2 * (2 * k + 1) * (2 * k + 3)))
-        u, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        # Squared eigenvector components lose relative accuracy where the
-        # eigenvalue gaps shrink, towards u = -1 and 1 (up to 2e-12 on the
-        # weights at N ~ 180), so the weights are the Christoffel numbers
-        # 1 / sum_k p_k(u)^2 of the orthonormal polynomials instead.  Those
-        # are as sensitive to u as the node is close to an end, too much so
-        # for the last node: it keeps its eigenvector weight, or for
-        # sigma > 1/2, where it holds a large share, the rest of the mass.
-        p_prev, p, christoffel = np.zeros(n), np.ones(n), np.ones(n)
-        for j in range(n - 1):  # at j = 0, off[-1] meets p_prev = 0
-            p_prev, p = p, ((u - diag[j]) * p - off[j - 1] * p_prev) / off[j]
-            christoffel += p * p
-        omega = 1.0 / christoffel
-        omega[-1] = 1.0 - np.add.reduce(omega[:-1]) if sigma > 0.5 else vec[0, -1] ** 2
-        mu0 = 8.0 / 6.0 * math.gamma(2.0 - 2.0 * sigma) * math.gamma(2.0 + 2.0 * sigma)
-        inv_t = ((1.0 - u) / (c * (1.0 + u))) ** 2
-        weights = scale * 4.0 * c ** (2.0 * sigma - 2.0) * mu0 * omega / (1.0 + u) ** 4
-    inv_t.flags.writeable = weights.flags.writeable = False
-    return inv_t, weights
-
-
-# The rank-sized rows (_rank_rows): the directions kept are those above
-# _RANK_TOL of the largest, on bands up to x_max/x_min = _RANK_KAPPA.
-_RANK_TOL = 1e-15
-_RANK_KAPPA = 1e5
-
-
-@functools.lru_cache(maxsize=64)
-def _rank_rows(x_min: float, x_max: float, sigma: float):
-    """The rule of _balakrishnan_nodes with its R rows mixed down to the
-    kernel's numerical rank k: D_sigma(x, y) = sum_a L_a(x) L_a(y) with
-    L = mix @ P, P_i(x) = t_i / (t_i + x).
-
-    The weighted rows sqrt(w_i) P_i, sampled at 2R Chebyshev points in
-    log x on the band and scaled to unit D(x, x) there, are rotated onto
-    the eigenvectors of their R x R Gram matrix; the k directions above
-    _RANK_TOL of the largest eigenvalue are kept.  The rotation is
-    orthogonal, so the dropped rows enter D only through their products
-    with each other (second order).  On x in [1, 256] that is 14-16 rows
-    instead of 29, at 3e-15 per pair.  The kept rows have mixed signs,
-    and their cancellation costs accuracy as the band widens (per pair at
-    worst 4e-14 at kappa = 1e5, 8e-14 at 1e6 and 2e-13 at 1e7), so beyond
-    _RANK_KAPPA mix is the plain rule's sqrt(w_i), one row per node.
-
-    Returns (1/t_i, mix) as read-only arrays, memoized on the arguments;
-    mix is (k, R), or (R,) for the plain rule.
-    """
-    inv_t, weights = _balakrishnan_nodes(x_min, x_max, sigma)
-    root = np.sqrt(weights)
-    if x_max > _RANK_KAPPA * x_min:
-        mix = root
-    else:
-        n = 2 * len(root)
-        lo, hi = math.log(x_min), math.log(x_max)
-        x = np.exp(0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * (np.arange(n) + 0.5) / n))
-        A = root[:, None] * _node_rows(inv_t, x)
-        A /= np.sqrt(np.add.reduce(A * A, axis=0))
-        lam, vec = np.linalg.eigh(A @ A.T)
-        mix = vec[:, lam > _RANK_TOL * lam[-1]].T * root
-    mix.flags.writeable = False
-    return inv_t, mix
-
-
-def _fractional_rows(x, sigma: float):
-    """Blocks of rows L_a(x_j) on descending x, with D_sigma(x_j, x_k) =
-    sum_a L_a(x_j) L_a(x_k) summed over all blocks: the k rows of _rank_rows
-    as one (k, M) block (_mixed_rows), or the plain rule's rows
-    sqrt(w_i) P_i in blocks of nodes, each of at most _CHUNK elements."""
-    inv_t, mix = _rank_rows(x[-1], x[0], sigma)
-    if mix.ndim == 1:
-        step = max(1, _CHUNK // len(x))
-        for lo in range(0, len(inv_t), step):
-            yield mix[lo : lo + step, None] * _node_rows(inv_t[lo : lo + step], x)
-        return
-    yield _mixed_rows(x.tobytes(), sigma)
+_ROW_TOL = 1e-14
 
 
 @functools.lru_cache(maxsize=4)
-def _mixed_rows(x_bytes: bytes, sigma: float):
-    """The (k, M) rows L = mix @ P of _rank_rows on the descending x whose
-    bytes are x_bytes, built from P in blocks of modes of at most _CHUNK
-    elements.  They depend on the grid and sigma alone, so they are
-    memoized on the whole grid (two grids with the same band but other
-    interior points get their own rows) and returned read-only.  The memo
-    holds at most 4 x (k + 1) x M x 8 bytes, rows and keys, k <= 26:
-    3.4 MiB at M = 4096."""
+def _kernel_rows(x_bytes: bytes, sigma: float):
+    """Rows L_a(x_j) with D_sigma(x_j, x_k) = sum_a L_a(x_j) L_a(x_k),
+    0 < sigma < 1, on the grid points x whose bytes are x_bytes.
+
+    D_sigma is a positive-definite kernel, so a greedy pivoted Cholesky
+    on the points themselves gives its low-rank rows from pointwise
+    values alone (Harbrecht, Peters and Schneider, Appl. Numer. Math. 62,
+    2012).  The kernel is scaled to a unit diagonal, D(x, x) = d(x)^2 =
+    sigma x^(sigma - 1); each step takes the point with the largest
+    residual diagonal as pivot p, forms the column
+      D_sigma(x_j, x_p) = x_p^(sigma - 1) expm1(sigma l) / expm1(l),
+    l = log x_j - log x_p (sigma where l = 0), which is accurate for near
+    pairs and needs no pow per element, subtracts the earlier rows and
+    normalises.  It stops when every residual is <= _ROW_TOL.  That keeps
+    14-16 rows on x in [1, 256] and k <= ~62 up to x_max/x_min = 1e12.
+    The error per pair is ~1e-16 of the unit diagonal: <= 6e-14 relative
+    on 80-point grids up to 1e12, but up to ~6e-13 on far pairs (scaled
+    value ~1e-4) of denser grids beyond 1e10.
+
+    The rows depend on the grid and sigma alone, so they are memoized on
+    the whole grid (two grids with the same band but other interior
+    points get their own rows) and returned read-only.  One entry holds
+    k x M doubles: 0.5 MiB at M = 4096 on the shipped band and 31 MiB at
+    M = 65536 and x_max/x_min = 1e12; the memo holds at most four.
+    """
     x = np.frombuffer(x_bytes)
-    inv_t, mix = _rank_rows(x[-1], x[0], sigma)
-    L = np.empty((len(mix), len(x)))
-    step = max(1, _CHUNK // len(inv_t))
-    for lo in range(0, len(x), step):
-        np.matmul(mix, _node_rows(inv_t, x[lo : lo + step]), out=L[:, lo : lo + step])
+    # Below 1e-200 the unit-diagonal kernel is its sigma -> 0 limit to double
+    # precision, and sigma * l would leave the normal range: rows at tau.
+    tau = max(sigma, 1e-200)
+    log_x = np.log(x)
+    inv_d = np.exp(0.5 * (1.0 - tau) * log_x) / math.sqrt(tau)
+    res = np.ones(len(x))
+    L = np.empty((8, len(x)))
+    k = 0
+    with np.errstate(invalid="ignore"):  # 0/0 where l = 0
+        while True:
+            p = int(res.argmax())
+            if res[p] <= _ROW_TOL:
+                break
+            if k == len(L):
+                L = np.concatenate((L, np.empty_like(L)))
+            row, ell = L[k], log_x - log_x[p]
+            np.expm1(ell, out=row)
+            ell *= tau
+            np.divide(np.expm1(ell, out=ell), row, out=row)
+            # x_p^(tau - 1) / (d_j d_p) = inv_d_j d_p / tau; the scaled
+            # kernel is at most 1, its value where l = 0 (NaN above)
+            row *= inv_d
+            row *= 1.0 / (tau * inv_d[p])
+            np.fmin(row, 1.0, out=row)
+            row -= L[:k, p] @ L[:k]
+            row /= math.sqrt(row[p])
+            res -= row * row
+            k += 1
+    L = L[:k] / (inv_d * math.sqrt(tau / sigma))
     L.flags.writeable = False
     return L
-
-
-def _node_rows(inv_t, x):
-    """The rows P_i(x_j) = 1 / (1 + x_j / t_i) of the nodes 1/t_i."""
-    P = np.multiply.outer(inv_t, x)
-    P += 1.0
-    return np.reciprocal(P, out=P)
 
 
 def _sample_blocks(a: np.ndarray, size: int):
@@ -284,19 +187,17 @@ def _sample_blocks(a: np.ndarray, size: int):
 def _divided_difference_sum(K, x, s: float, r, f, g):
     """sum_{j,k} K[min(j,k)] D_s(x_j, x_k) (r_j r_k - f_j g_k) for ascending
     x, in O(k*M) time and O(k*M + _CHUNK) memory, k the row count of
-    _rank_rows.  K, r, f and g are (M,) arrays, or (S, M) stacks with one
+    _kernel_rows.  K, r, f and g are (M,) arrays, or (S, M) stacks with one
     sum per sample; x is shared.
 
     With s = n + sigma, pointwise
       D_s(x, y) = x^n D_sigma(x, y) + y^sigma sum_{i<n} x^i y^(n-1-i),
     so the kernel is a sum of rows L(x_j) R(x_k): n exact rows, plus the
-    rows of _fractional_rows when sigma > 0.  Each row's min-kernel sum
+    k rows of _kernel_rows when sigma > 0.  Each row's min-kernel sum
     telescopes: sum_{j,k} K[min] X_j Y_k = sum_m dK_m SX_m SY_m,
     dK_m = K_m - K_{m-1}, SX the suffix sums of X.  Everything is reversed
-    so the suffix sums are cumsums along the last axis.  The rank-sized
-    rows are built once per grid and sigma (memoized, _mixed_rows); the
-    plain rule's node blocks are built per call.  Samples go through in
-    blocks (_sample_blocks), and the row blocks are the same for any S.
+    so the suffix sums are cumsums along the last axis.  Samples go
+    through in blocks (_sample_blocks), and the rows are the same for any S.
     """
     if not 0 <= s < math.inf:  # NaN too, before any memo sees it
         raise ValueError(f"regularity s must be finite and non-negative, got {s}")
@@ -330,8 +231,8 @@ def _divided_difference_sum(K, x, s: float, r, f, g):
             i = np.arange(n)[:, None]
             yield x**i, x ** (n - 1 - i + sigma)
         if sigma > 0.0:
-            for L in _fractional_rows(x, sigma):
-                yield (x**n * L if n else L), L
+            L = _kernel_rows(x.tobytes(), sigma)
+            yield (x**n * L if n else L), L
 
     total = np.zeros(dK.shape[:-1])
     for left, right in pairs():

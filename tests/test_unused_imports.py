@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module or
 listed in its __all__, and every module-level private function or class,
-and every public one a module lists in its __all__, is referenced
-somewhere in the package outside its own definition.  Standard-library
+every public one a module lists in its __all__, and every public method
+of a module-level class is referenced somewhere in the package outside
+its own definition.  Standard-library
 scans of the source, so they run with the rest of the suite and need no
 linter."""
 
@@ -75,19 +76,15 @@ def _referenced_names(tree) -> list[str]:
     return out
 
 
-def _unreferenced_definitions(sources: dict, chosen) -> list[str]:
-    """Module-level functions and classes for which chosen(tree, name) holds
+def _unreferenced_definitions(sources: dict, definitions) -> list[str]:
+    """The definitions that definitions(tree) lists for a module's tree and
     that no module names outside the definition itself; `sources` maps a
     module name to its text."""
     defined, counts = [], Counter()
     for module, source in sources.items():
         tree = ast.parse(source)
         counts.update(_referenced_names(tree))
-        defined += [
-            (module, node)
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and chosen(tree, node.name)
-        ]
+        defined += [(module, node) for node in definitions(tree)]
     # a definition that names only itself (recursion) is still dead
     return sorted(
         f"{module}: {node.name} (line {node.lineno})"
@@ -96,11 +93,23 @@ def _unreferenced_definitions(sources: dict, chosen) -> list[str]:
     )
 
 
+def _module_definitions(tree, chosen):
+    """Module-level functions and classes whose name chosen(name) accepts."""
+    return [
+        node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and chosen(node.name)
+    ]
+
+
 def unreferenced_private_definitions(sources: dict) -> list[str]:
     """Module-level private functions and classes (one leading underscore)
     that no module names outside the definition itself."""
     return _unreferenced_definitions(
-        sources, lambda tree, name: name.startswith("_") and not name.startswith("__")
+        sources,
+        lambda tree: _module_definitions(
+            tree, lambda name: name.startswith("_") and not name.startswith("__")
+        ),
     )
 
 
@@ -109,7 +118,25 @@ def unreferenced_public_definitions(sources: dict, exempt=()) -> list[str]:
     __all__ and that no module names outside the definition itself,
     leaving out the names in `exempt`."""
     return _unreferenced_definitions(
-        sources, lambda tree, name: name in _exported(tree) and name not in exempt
+        sources,
+        lambda tree: _module_definitions(
+            tree, lambda name: name in _exported(tree) and name not in exempt
+        ),
+    )
+
+
+def unreferenced_public_methods(sources: dict) -> list[str]:
+    """Public methods, classmethods, staticmethods and properties of
+    module-level classes that no module names outside the method itself."""
+    return _unreferenced_definitions(
+        sources,
+        lambda tree: [
+            node
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        ],
     )
 
 
@@ -184,4 +211,36 @@ def test_scan_finds_unreferenced_private_definitions():
     assert unreferenced_private_definitions(sources) == [
         "a.py: _Unused (line 6)",
         "a.py: _recursive_only (line 4)",
+    ]
+
+
+def test_no_unreferenced_public_methods():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_public_methods(sources) == []
+
+
+def test_scan_finds_unreferenced_public_methods():
+    sources = {
+        "a.py": (
+            "class Grid:\n"
+            "    def used(self):\n"
+            "        return self.size\n"
+            "    @property\n"
+            "    def size(self):\n"
+            "        return 1\n"
+            "    @classmethod\n"
+            "    def unused_builder(cls):\n"
+            "        return cls()\n"
+            "    def only_recursive(self, n):\n"
+            "        return self.only_recursive(n - 1)\n"
+            "    def __len__(self):\n"
+            "        return 1\n"
+            "    def _private(self):\n"
+            "        pass\n"
+        ),
+        "b.py": "from .a import Grid\ndef f(g):\n    return g.used()\n",
+    }
+    assert unreferenced_public_methods(sources) == [
+        "a.py: only_recursive (line 10)",
+        "a.py: unused_builder (line 8)",
     ]
