@@ -27,7 +27,7 @@ from .nonlinearity import NonlinearitySpec, build_profile, delta_gate
 from .spectral import (
     FrequencyGrid,
     SpectralState,
-    _check_int,
+    _check,
     pair_norm,
     rescale_to,
     sobolev_norm_sq,
@@ -67,8 +67,7 @@ class ScalingFit:
     def __post_init__(self):
         if len(self.epsilons) != len(self.values) or len(self.epsilons) < 3:
             raise ValueError("need at least three (epsilon, value) pairs")
-        if not np.isfinite(self.slope):
-            raise ValueError("slope must be finite")
+        _check("slope", self.slope)
 
 
 def _fit_loglog(epsilons, values) -> ScalingFit:
@@ -95,6 +94,7 @@ def _uniform_step(times) -> float:
 def derivative_fd(series, index: int) -> float:
     """Fourth-order centered difference on a uniform time grid
     (one Richardson level of the 2nd-order stencil)."""
+    _check("index", index, int)
     values = np.asarray([v for _, v in series], dtype=float)
     if not (2 <= index <= len(values) - 3):
         raise ValueError(f"index {index} too close to the series boundary")
@@ -134,6 +134,7 @@ def scaling_point(
 ):
     """Normalized derivative magnitudes (unmodified analytic, modified by
     finite differences) for the base data rescaled to one epsilon."""
+    _check("epsilon", epsilon, float, "> 0")
     st = rescale_to(base_state, float(epsilon), 0.25)
     amps = st.grid, st.u_hat, st.v_hat
     if np.hypot(*pair_norm(*amps, 0.0)) > delta_gate(N):
@@ -241,8 +242,8 @@ def kernel_bounds_suite(n_samples: int, seed: int) -> dict:
     is not <= 1 (NaN included), sampled or probed, counts as a violation,
     and a NaN ratio is the worst ratio.
     """
-    _check_int("n_samples", n_samples, 1)
-    _check_int("seed", seed, 0)
+    _check("n_samples", n_samples, int, ">= 1")
+    _check("seed", seed, int, ">= 0")
     # one draw, in the order of the (n, 2) pairs and then the s of each sign
     r = uniforms(seed, 4 * n_samples)
     lo, hi = np.log(1e-6), np.log(1e6)
@@ -349,9 +350,8 @@ def obstruction_certificate(x: float, y: float, sigma: float) -> ObstructionCert
     frequencies vanishes.  A numerical least-squares solve cross-checks
     the classification.
     """
-    if x < 0 or y < 0:
-        raise ValueError("squared frequencies must be non-negative")
-    x, y, sigma = float(x), float(y), float(sigma)
+    x, y = float(_check("x", x, float, ">= 0")), float(_check("y", y, float, ">= 0"))
+    sigma = float(_check("sigma", sigma))
     residual = x ** (1 + sigma) * y
     A, right = _obstruction_system(x, y, sigma)
     sol, _, _, _ = np.linalg.lstsq(A, right, rcond=None)
@@ -399,6 +399,7 @@ def resonance_report(
     """Time series of the two pieces of the linearized energy derivative:
     the separable (time-derivative-factoring) piece and the mixed piece,
     with running time averages.  Non-asserting experiment artifact."""
+    _check("sigma", sigma)
     traj = evolve_pair(u0, w0, N, T, dt, stride=stride)
     sep, mixed = _sep_mixed(traj.grid, traj.u, traj.v, traj.w_hat, traj.w_vel, sigma)
     energy = linearized_energy(traj.grid, traj.u, traj.w_hat, traj.w_vel, sigma)
@@ -425,6 +426,7 @@ def truncation_convergence(
     """Evolve each frequency truncation of the data and report the sup-
     in-time H^1 x L^2 distance between consecutive truncations, plus the
     sup of the modified energy at s_low per truncation."""
+    _check("s_low", s_low, float, ">= 0")
     cutoffs = [float(c) for c in cutoffs]
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError("cutoffs must be strictly increasing")

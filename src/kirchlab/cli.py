@@ -23,6 +23,7 @@ from .energy import EnergyBreakdown, modified_energy
 from .nonlinearity import delta_gate, nonlinearity_from_config
 from .spectral import (
     SpectralState,
+    _must,
     build_random_decay,
     build_two_mode,
     pair_norm,
@@ -352,8 +353,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(["--seed: must be >= 0"])
+        if args.seed is not None and (must := _must(args.seed, int, ">= 0")):
+            raise ConfigError([f"--seed: must be {must}"])
         if args.config is not None:
             text = args.config.read_text()
         else:

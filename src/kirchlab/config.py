@@ -8,8 +8,9 @@ records round-trips: parse_config(json.dumps(cfg.as_dict())) == cfg.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import asdict, dataclass, field, fields
+
+from .spectral import _must
 
 __all__ = ["RunConfig", "ConfigError", "parse_config"]
 
@@ -76,30 +77,6 @@ class RunConfig:
         return asdict(self)
 
 
-def _is_number(v) -> bool:
-    """A finite number; JSON's NaN and Infinity are not, and neither is a bool
-    or an integer beyond float range."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
-def _must(v, kind, bound):
-    """What v must be to have this kind and bound, or None if it has."""
-    if kind is list:
-        ok = isinstance(v, list) and v and not any(_must(c, float, bound) for c in v)
-        return None if ok else f"a non-empty list of numbers {bound}"
-    if not _is_number(v):
-        # a NaN, an infinity or a huge integer is a number of the wrong kind
-        wrong_kind = "an integer" if kind is int and isinstance(v, float) else "a finite number"
-        return wrong_kind if type(v) in (int, float) else "a number"
-    if bound:
-        op, lo = bound.split()
-        if v < float(lo) or (op == ">" and v == float(lo)):
-            return bound
-    if kind is int and not float(v).is_integer():
-        return "an integer"
-    return None
-
-
 def _read(doc, table, errors, path, other=()):
     """Check doc's keys against `table` and `other` (keys the caller reads itself);
     return each table key's value, its default where the key is absent or wrong."""
@@ -111,11 +88,15 @@ def _read(doc, table, errors, path, other=()):
                 errors.append(f"{path}{key}: missing required key")
             if default is not ...:
                 out[key] = default
-        elif must := _must(doc[key], kind, bound):
+            continue
+        value = doc[key]
+        if kind is int and type(value) is float and value.is_integer():
+            value = int(value)  # JSON may write the integer 64 as 64.0
+        if must := _must(value, kind, bound):
             errors.append(f"{path}{key}: must be {must}")
             out[key] = default
         else:
-            out[key] = [float(c) for c in doc[key]] if kind is list else kind(doc[key])
+            out[key] = [float(c) for c in value] if kind is list else kind(value)
     return out
 
 
@@ -136,11 +117,8 @@ def _validate_data(doc, errors):
             v = doc.get(key)
             if key not in doc:
                 errors.append(f"data.{key}: missing required key")
-            elif not (
-                isinstance(v, list)
-                and len(v) == 2
-                and all(isinstance(c, list) and len(c) == 2 and all(map(_is_number, c)) for c in v)
-            ):
+            elif not (isinstance(v, list) and len(v) == 2
+                      and all(not _must(c, list) and len(c) == 2 for c in v)):
                 errors.append(f"data.{key}: must be two [re, im] pairs")
             else:
                 out[key] = [[float(c[0]), float(c[1])] for c in v]
@@ -168,7 +146,7 @@ def _validate_nonlinearity(doc, errors):
     if name == "custom-polynomial":
         _read(doc, {}, errors, "nonlinearity.", ("name", "coefficients"))
         cs = doc.get("coefficients")
-        if not isinstance(cs, list) or not cs or not all(map(_is_number, cs)):
+        if _must(cs, list):
             errors.append("nonlinearity.coefficients: must be a non-empty list of numbers")
             return {}
         return {"name": "custom-polynomial", "coefficients": [float(c) for c in cs]}
@@ -200,12 +178,10 @@ def parse_config(text: str) -> RunConfig:
         errors.append(f"integrator.method: unknown method {method!r}")
     integ = {"method": method, **_read(integ, _INTEGRATOR, errors, "integrator.", ("method",))}
     s_list = doc.get("s_list", [0.25])
-    if not isinstance(s_list, list) or not s_list or not all(
-        _is_number(s) and s >= 0 for s in s_list
-    ):
+    if _must(s_list, list, ">= 0"):
         errors.append("s_list: must be a non-empty list of non-negative numbers")
     epsilons = doc.get("epsilons", [])
-    if not isinstance(epsilons, list) or not all(_is_number(e) and e > 0 for e in epsilons):
+    if not isinstance(epsilons, list) or any(_must(e, float, "> 0") for e in epsilons):
         errors.append("epsilons: must be a list of positive numbers")
     output = doc.get("output", {})
     if not isinstance(output, dict):

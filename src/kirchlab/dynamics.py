@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nonlinearity import DegenerateNonlinearityError, NonlinearitySpec
-from .spectral import FrequencyGrid, SpectralState, _readonly, sobolev_norm_sq
+from .spectral import FrequencyGrid, SpectralState, _check, _readonly, sobolev_norm_sq
 
 __all__ = [
     "Trajectory",
@@ -148,17 +148,10 @@ def _rotation_arrays(grid, u, v, N, dt, allow_halve):
     return u1, -omega * s * u + c * v
 
 
-def _check_dt(dt) -> None:
-    if not dt > 0:  # NaN too
-        raise ValueError("dt must be positive")
-    if dt == np.inf:
-        raise ValueError(f"dt must be finite, got {dt}")
-
-
 def step_rotation(state: SpectralState, N: NonlinearitySpec, dt: float) -> SpectralState:
     """One exact-rotation step with the wave speed frozen at its midpoint
     value (fixed-point iterated); unconditionally stable in lambda_max."""
-    _check_dt(dt)
+    _check("dt", dt, float, "> 0")
     u1, v1 = _rotation_arrays(state.grid, state.u_hat, state.v_hat, N, dt, allow_halve=True)
     return state.replace_amplitudes(u1, v1, state.time + dt)
 
@@ -171,7 +164,7 @@ def rk4_dt_guard(state: SpectralState, N: NonlinearitySpec) -> float:
 
 
 def step_rk4(state: SpectralState, N: NonlinearitySpec, dt: float) -> SpectralState:
-    _check_dt(dt)
+    _check("dt", dt, float, "> 0")
     guard = rk4_dt_guard(state, N)
     if dt > guard:
         raise ValueError(f"RK4 stability guard requires dt <= {guard:.6g}, got {dt}")
@@ -207,11 +200,10 @@ def _march(state, T, dt, stride, step, w=None, block=None):
     samples, all of them in one block if block is None.  A failing step's
     exception is raised again with its type kept (a RuntimeError if that
     type takes no single message), naming the step and its start time."""
-    if not 0 <= T < np.inf:  # NaN too
-        raise ValueError(f"T must be finite and non-negative, got {T}")
-    _check_dt(dt)
-    if isinstance(stride, bool) or not (stride >= 1 and stride % 1 == 0):  # NaN too
-        raise ValueError(f"stride must be a positive integer, got {stride}")
+    # T last: a caller may derive it from a bad dt or stride (scaling_point)
+    _check("dt", dt, float, "> 0")
+    _check("stride", stride, int, ">= 1")
+    _check("T", T, float, ">= 0")
     nsteps = max(1, int(round(T / dt))) if T > 0 else 0
     return _blocks(state, nsteps, T / nsteps if nsteps else dt, int(stride), step, w, block)
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nonlinearity import FilteredProfile, NonlinearitySpec, _profile
-from .spectral import FrequencyGrid, _check_finite, _norm_sum, sobolev_norm_sq
+from .spectral import FrequencyGrid, _check, _norm_sum, sobolev_norm_sq
 
 __all__ = [
     "EnergyBreakdown",
@@ -70,7 +70,7 @@ def unmodified_energy(
 ):
     """(1/2)(1 + N(|u|_{H1}^2)) |u|_{H^{1+s}}^2 + (1/2)|u'|_{H^s}^2; a norm
     that overflows raises (sobolev_norm_sq)."""
-    _check_finite("s", s)
+    _check("s", s)
     pos, vel = sobolev_norm_sq(grid, u, 1.0 + s), sobolev_norm_sq(grid, v, s)
     return 0.5 * (1.0 + N.eval(sobolev_norm_sq(grid, u, 1.0))) * pos + 0.5 * vel
 
@@ -87,7 +87,7 @@ _Modes = namedtuple("_Modes", "p q V r kin Sp Sq W")
 
 
 def _mode_arrays(grid: FrequencyGrid, u, v, s: float) -> _Modes:
-    _check_finite("s", s)
+    _check("s", s)
     # an overflowing mass is left inf or NaN; the norm sums raise on it, located
     with np.errstate(over="ignore", invalid="ignore"):
         wl2, u2, v2 = grid.mass_weights, np.abs(u) ** 2, np.abs(v) ** 2
@@ -199,8 +199,7 @@ def _divided_difference_sum(K, x, s: float, r, f, g):
     so the suffix sums are cumsums along the last axis.  Samples go
     through in blocks (_sample_blocks), and the rows are the same for any S.
     """
-    if not 0 <= s < math.inf:  # NaN too, before any memo sees it
-        raise ValueError(f"regularity s must be finite and non-negative, got {s}")
+    _check("s", s, float, ">= 0")  # before any memo sees it
     n = int(s)
     sigma = s - n
     dK = K.copy()
@@ -349,7 +348,7 @@ def unmodified_derivative_analytic(
 def second_order_model(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, A: float, s: float):
     """The model-case second-order correction A * sum_{j,k} w_j w_k E^s_{jk}
     (constant filter A, no resummation factor)."""
-    _check_finite("A", A)
+    _check("A", A)
     K = np.full(u.shape, float(A))
     return _second_order(K, grid.lambdas_sq, s, _mode_arrays(grid, u, v, s))
 
@@ -362,7 +361,7 @@ def second_order_rate_model(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, A
       R2 = -A^2/2 [ (sum q)(sum w l^2 Re(u v)) - (sum p)(sum w l^{2s+2} Re(u v)) ]
            * (sum p)
     """
-    _check_finite("A", A)
+    _check("A", A)
     m = _mode_arrays(grid, u, v, s)
     rs = grid.weights * grid.lambdas ** (2.0 + 2.0 * s) * np.real(u * np.conj(v))
     P, Q, R, Rs = (np.add.reduce(a, axis=-1) for a in (m.p, m.q, m.r, rs))

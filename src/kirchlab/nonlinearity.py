@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import FrequencyGrid
+from .spectral import FrequencyGrid, _check
 
 __all__ = [
     "NonlinearitySpec",
@@ -73,11 +73,9 @@ def _shaped_horner(cs):
 def polynomial_nonlinearity(coefficients) -> NonlinearitySpec:
     """N(r) = sum_i c_i r^i for i >= 1; the constant term is forced to zero.
     Trailing zero coefficients are dropped, keeping at least one."""
-    cs = [float(c) for c in coefficients]
+    cs = [float(_check("coefficients", c)) for c in coefficients]
     if not cs:
         raise ValueError("need at least one coefficient")
-    if not np.all(np.isfinite(cs)):
-        raise ValueError(f"coefficients must be finite, got {cs}")
     while len(cs) > 1 and cs[-1] == 0.0:
         cs.pop()
     cs = tuple(cs)

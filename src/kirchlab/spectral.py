@@ -8,7 +8,9 @@ continuum integrals become exact finite sums.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,16 +30,45 @@ __all__ = [
 ]
 
 
-def _check_finite(name: str, value) -> None:
-    """A NaN or infinite scalar parameter raises, naming it."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+_NUMBERS = (int, float, np.integer, np.floating)
+_FLOAT_MAX = sys.float_info.max
 
 
-def _check_int(name: str, value, least: int) -> None:
-    """A fractional, float, bool or too small integer parameter raises, naming it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+@functools.cache
+def _bound(text: str):
+    """(lower bound, strict) of a bound text such as ">= 2", parsed once."""
+    op, lo = text.split()
+    return float(lo), op == ">"
+
+
+def _must(v, kind=float, bound=None):
+    """What v must be to be a number of this kind within a lower bound that
+    reads as its message (">= 0", "> 0"), or None if it is: the one judge of
+    config values and library arguments.  A number is a finite int or float,
+    numpy's too, never a bool; an int kind takes integer types alone, and a
+    list kind a non-empty list of numbers."""
+    if kind is list:
+        ok = isinstance(v, list) and v and not any(_must(c, float, bound) for c in v)
+        return None if ok else f"a non-empty list of numbers {bound}"
+    if type(v) is not float:
+        if isinstance(v, bool) or not isinstance(v, _NUMBERS):
+            return "a number"
+        if isinstance(v, np.floating):
+            v = float(v)  # a float32 compared with float max would overflow, warning
+    if not -_FLOAT_MAX <= v <= _FLOAT_MAX:  # NaN, an infinity or an int beyond float range
+        return "an integer" if kind is int and isinstance(v, float) else "a finite number"
+    if bound:
+        lo, strict = _bound(bound)
+        if v < lo or (strict and v == lo):
+            return bound
+    return "an integer" if kind is int and isinstance(v, float) else None
+
+
+def _check(name: str, value, kind=float, bound=None):
+    """value if _must passes it, else a ValueError that names the parameter."""
+    if what := _must(value, kind, bound):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
 def _readonly(a, dtype) -> np.ndarray:
@@ -112,8 +143,9 @@ def sobolev_norm_sq(grid: FrequencyGrid, a: np.ndarray, sigma: float):
     ascending order: a float for one state's (M,) amplitudes, an (S,) array
     for an (S, M) stack on the grid.  An overflow raises, naming the sample
     of a stack, so the result is finite."""
-    _check_finite("sigma", sigma)
-    return _norm_sum(grid.weights * grid.lambdas ** (2.0 * sigma) * np.abs(a) ** 2, sigma)
+    _check("sigma", sigma)
+    with np.errstate(over="ignore", invalid="ignore"):  # _norm_sum raises on an inf, located
+        return _norm_sum(grid.weights * grid.lambdas ** (2.0 * sigma) * np.abs(a) ** 2, sigma)
 
 
 def _norm_sum(terms: np.ndarray, sigma: float):
@@ -133,7 +165,7 @@ def pair_norm(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, s: float):
     """(|u|_{H^{1+s}}, |u'|_{H^s}) along the last axis, as in sobolev_norm_sq:
     two scalars for one state, two (S,) arrays for a stack.  Their
     combination is np.hypot(*pair_norm(...))."""
-    _check_finite("s", s)
+    _check("s", s)
     return np.sqrt(sobolev_norm_sq(grid, u, 1.0 + s)), np.sqrt(sobolev_norm_sq(grid, v, s))
 
 
@@ -154,10 +186,8 @@ def stack_states(states):
 def rescale_to(state: SpectralState, target: float, space_exponent: float) -> SpectralState:
     """Scale amplitudes by one real factor so the pair norm at the given
     regularity equals target."""
-    if not target > 0:  # NaN too
-        raise ValueError("target must be positive")
-    _check_finite("target", target)
-    _check_finite("space_exponent", space_exponent)
+    _check("target", target, float, "> 0")
+    _check("space_exponent", space_exponent)
     current = np.hypot(*pair_norm(state.grid, state.u_hat, state.v_hat, space_exponent))
     if current == 0.0:
         raise ValueError("cannot rescale zero state")
@@ -171,9 +201,8 @@ def build_two_mode(lambda1: float, lambda2: float, c_plus, c_minus) -> SpectralS
     u_hat = c+ + c-,  v_hat = i*lambda*(c+ - c-), so that the free flow
     (N = 0) is exactly c+ e^{i lam t} + c- e^{-i lam t}.
     """
-    for name, lam in (("lambda1", lambda1), ("lambda2", lambda2)):
-        if not 0 < lam < np.inf:  # NaN too
-            raise ValueError(f"{name} must be positive and finite, got {lam}")
+    _check("lambda1", lambda1, float, "> 0")
+    _check("lambda2", lambda2, float, "> 0")
     if lambda1 == lambda2:
         raise ValueError("frequencies must be distinct")
     cp = np.asarray(c_plus, dtype=complex)
@@ -206,14 +235,14 @@ def build_random_decay(
     H^{1+regularity} x H^{regularity} with margin to spare (margin = 0 is
     the borderline log-divergent case).
     """
-    _check_int("M", M, 2)
-    _check_int("seed", seed, 0)
-    _check_finite("lambda_max", lambda_max)
-    if not (0 < lambda_min < lambda_max):
-        raise ValueError("require 0 < lambda_min < lambda_max")
-    if not 0 <= margin < np.inf:  # NaN too
-        raise ValueError(f"margin must be finite and non-negative, got {margin}")
-    _check_finite("regularity", regularity)
+    _check("M", M, int, ">= 2")
+    _check("lambda_min", lambda_min, float, "> 0")
+    _check("lambda_max", lambda_max, float, "> 0")
+    _check("regularity", regularity)
+    _check("margin", margin, float, ">= 0")
+    _check("seed", seed, int, ">= 0")
+    if not lambda_min < lambda_max:
+        raise ValueError("require lambda_min < lambda_max")
     span = np.log(lambda_max / lambda_min)
     # midpoints of M equal cells in log space
     cells = (np.arange(M) + 0.5) / M
@@ -229,8 +258,8 @@ def build_random_decay(
 
 def truncate(state: SpectralState, cutoff: float) -> SpectralState:
     """Keep modes with lambda_k <= cutoff (possibly none)."""
-    if not cutoff > 0:  # NaN too
-        raise ValueError("cutoff must be positive")
+    if cutoff != math.inf:  # an infinite cutoff keeps every mode
+        _check("cutoff", cutoff, float, "> 0")
     keep = state.grid.lambdas <= cutoff
     if np.all(keep):
         return state

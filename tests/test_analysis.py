@@ -223,15 +223,18 @@ class TestKernelSuite:
         assert float(divided_difference(2.0, 5.0, 0.0)) == 0.0
 
     @pytest.mark.parametrize(
-        "n_samples, seed, name",
-        [(100, -1, "seed"), (100, 1.5, "seed"), (100, float("nan"), "seed"), (100, True, "seed"),
-         (2.5, 0, "n_samples"), (True, 0, "n_samples"), (0, 0, "n_samples")],
+        "n_samples, seed, name, what",
+        [(100, -1, "seed", ">= 0"), (100, 1.5, "seed", "an integer"),
+         (100, float("nan"), "seed", "an integer"), (100, True, "seed", "a number"),
+         (2.5, 0, "n_samples", "an integer"), (True, 0, "n_samples", "a number"),
+         (0, 0, "n_samples", ">= 1")],
+        ids=["100--1-seed", "100-1.5-seed", "100-nan-seed", "100-True-seed", "2.5-0-n_samples",
+             "True-0-n_samples", "0-0-n_samples"],
     )
-    def test_bad_seed_or_count_named(self, n_samples, seed, name):
+    def test_bad_seed_or_count_named(self, n_samples, seed, name, what):
         # were numpy's "expected non-negative integer" and TypeErrors, and
         # seed True ran as seed 1
-        least = 1 if name == "n_samples" else 0
-        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least {least}, got "):
+        with pytest.raises(ValueError, match=f"^{name} must be {what}, got "):
             kernel_bounds_suite(n_samples, seed)
 
     def test_nan_kernel_value_fails(self, monkeypatch):

@@ -533,26 +533,36 @@ class TestStepFailures:
         ):
             list(_march(small_state(), 1.0, 0.1, 1, step))
 
-    @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan")])
-    def test_non_positive_dt_rejected(self, dt):
+    @pytest.mark.parametrize(
+        "dt, what", [(0.0, "> 0"), (-0.01, "> 0"), (float("nan"), "a finite number")],
+        ids=["0.0", "-0.01", "nan"],
+    )
+    def test_non_positive_dt_rejected(self, dt, what):
         st = small_state()
         z = np.zeros(len(st.grid), complex)
-        with pytest.raises(ValueError, match="^dt must be positive$"):
+        message = f"^dt must be {what}, got {dt!r}$"
+        with pytest.raises(ValueError, match=message):
             evolve(st, N1, 0.05, dt)
-        with pytest.raises(ValueError, match="^dt must be positive$"):
+        with pytest.raises(ValueError, match=message):
             evolve_pair(st, LinearizedState(z, z), N1, 0.05, dt)
-        with pytest.raises(ValueError, match="^dt must be positive$"):
+        with pytest.raises(ValueError, match=message):
             step_rotation(st, N1, dt)
-        with pytest.raises(ValueError, match="^dt must be positive$"):
+        with pytest.raises(ValueError, match=message):
             step_rk4(st, N1, dt)
 
-    @pytest.mark.parametrize("stride", [float("nan"), 2.5, 0, -1])
-    def test_nan_fractional_or_non_positive_stride_rejected(self, stride):
+    @pytest.mark.parametrize(
+        "stride, what",
+        [(float("nan"), "an integer"), (2.5, "an integer"), (2.0, "an integer"), (0, ">= 1"),
+         (-1, ">= 1")],
+        ids=["nan", "2.5", "2.0", "0", "-1"],
+    )
+    def test_nan_fractional_or_non_positive_stride_rejected(self, stride, what):
+        # a float stride is refused even when it is integral, as a float M is
         st = small_state()
         z = np.zeros(len(st.grid), complex)
-        with pytest.raises(ValueError, match="^stride must be a positive integer, got "):
+        with pytest.raises(ValueError, match=f"^stride must be {what}, got "):
             evolve(st, N1, 0.01, 1e-3, stride=stride)
-        with pytest.raises(ValueError, match="^stride must be a positive integer, got "):
+        with pytest.raises(ValueError, match=f"^stride must be {what}, got "):
             evolve_pair(st, LinearizedState(z, z), N1, 0.01, 1e-3, stride=stride)
 
     def test_infinite_dt_named(self):
@@ -567,15 +577,15 @@ class TestStepFailures:
             lambda: step_rk4(st, N1, float("inf")),
         ]
         for call in calls:
-            with pytest.raises(ValueError, match="^dt must be finite, got inf$"):
+            with pytest.raises(ValueError, match="^dt must be a finite number, got inf$"):
                 call()
 
     def test_bool_stride_rejected(self):
         st = small_state()
         z = np.zeros(len(st.grid), complex)
-        with pytest.raises(ValueError, match="^stride must be a positive integer, got True$"):
+        with pytest.raises(ValueError, match="^stride must be a number, got True$"):
             evolve(st, N1, 0.01, 1e-3, stride=True)
-        with pytest.raises(ValueError, match="^stride must be a positive integer, got True$"):
+        with pytest.raises(ValueError, match="^stride must be a number, got True$"):
             evolve_pair(st, LinearizedState(z, z), N1, 0.01, 1e-3, stride=True)
 
     @pytest.mark.parametrize("stride", [5, np.int64(5), np.int32(5)])
@@ -586,11 +596,15 @@ class TestStepFailures:
         pair = evolve_pair(st, LinearizedState(z, z), N1, 0.01, 1e-3, stride=stride)
         assert pair.times == pytest.approx([0.0, 0.005, 0.01])
 
-    @pytest.mark.parametrize("T", [float("inf"), float("nan"), -1.0])
-    def test_non_finite_or_negative_T_rejected(self, T):
+    @pytest.mark.parametrize(
+        "T, what",
+        [(float("inf"), "a finite number"), (float("nan"), "a finite number"), (-1.0, ">= 0")],
+        ids=["inf", "nan", "-1.0"],
+    )
+    def test_non_finite_or_negative_T_rejected(self, T, what):
         st = small_state()
         z = np.zeros(len(st.grid), complex)
-        with pytest.raises(ValueError, match="^T must be finite and non-negative, got "):
+        with pytest.raises(ValueError, match=f"^T must be {what}, got "):
             evolve(st, N1, T, 1e-3)
-        with pytest.raises(ValueError, match="^T must be finite and non-negative, got "):
+        with pytest.raises(ValueError, match=f"^T must be {what}, got "):
             evolve_pair(st, LinearizedState(z, z), N1, T, 1e-3)

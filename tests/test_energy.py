@@ -340,15 +340,19 @@ class TestUnmodified:
 
     @pytest.mark.parametrize("stacked", [False, True])
     def test_overflow_raises_without_warnings(self, stacked):
-        # the located ValueError alone: the mode pass warns of no inf or NaN first
+        # the located ValueError alone: neither the mode pass nor the norm
+        # warns of an inf or NaN first
         g = FrequencyGrid([1.0, 1e50], [1.0, 1.0])
         u = np.array([[0.01, 0j], [0.01, 1e10 + 0j], [0.01, 0j]])
         u = u if stacked else u[1]
-        where = " in sample 1" if stacked else ""
+        message = "^Sobolev norm overflowed at sigma=3.0" + (" in sample 1$" if stacked else "$")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"^Sobolev norm overflowed at sigma=3.0{where}$"):
-                modified_energy(g, u, u, N_QUAD, 2.0)
+            for call in (modified_energy, unmodified_energy):
+                with pytest.raises(ValueError, match=message):
+                    call(g, u, u, N_QUAD, 2.0)
+            with pytest.raises(ValueError, match=message):
+                pair_norm(g, u, u, 2.0)
 
 
 class TestOracleEquivalence:
@@ -590,10 +594,10 @@ class TestMixedRowsMemo:
         ]
         before = _kernel_rows.cache_info()
         for call in calls:
-            with pytest.raises(ValueError, match="^s must be finite, got "):
+            with pytest.raises(ValueError, match="^s must be a finite number, got "):
                 call()
         x = np.array([1.0, 4.0])
-        with pytest.raises(ValueError, match="^regularity s must be finite and non-negative"):
+        with pytest.raises(ValueError, match="^s must be a finite number, got "):
             _divided_difference_sum(np.ones(2), x, s, x, x, x)
         assert _kernel_rows.cache_info() == before
 
@@ -696,7 +700,7 @@ class TestSecondOrderModelIdentity:
         # NaN or infinite A used to give NaN with a RuntimeWarning
         amp = amps(small_state(seed=3))
         for model in (second_order_model, second_order_rate_model):
-            with pytest.raises(ValueError, match="^A must be finite, got "):
+            with pytest.raises(ValueError, match="^A must be a finite number, got "):
                 model(*amp, A, 0.25)
 
 

@@ -61,7 +61,7 @@ class TestSpecs:
 
     @pytest.mark.parametrize("cs", [[float("nan")], [1.0, float("inf")], [-float("inf"), 0.0]])
     def test_non_finite_coefficients_rejected(self, cs):
-        with pytest.raises(ValueError, match="^coefficients must be finite, got "):
+        with pytest.raises(ValueError, match="^coefficients must be a finite number, got "):
             polynomial_nonlinearity(cs)
 
 

@@ -137,14 +137,14 @@ class TestNorms:
 
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
     def test_non_finite_regularity_named(self, s):
-        with pytest.raises(ValueError, match="^s must be finite, got "):
+        with pytest.raises(ValueError, match="^s must be a finite number, got "):
             pair_norm(*amps(random_state(M=10, seed=1)), s)
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
     def test_non_finite_sigma_named(self, sigma):
         # NaN used to raise "Sobolev norm overflowed at sigma=nan"
         st_ = random_state(M=10, seed=1)
-        with pytest.raises(ValueError, match="^sigma must be finite, got "):
+        with pytest.raises(ValueError, match="^sigma must be a finite number, got "):
             sobolev_norm_sq(st_.grid, st_.u_hat, sigma)
 
     def test_interpolation_monotone_above_one(self):
@@ -181,19 +181,22 @@ class TestRescale:
         with pytest.raises(ValueError, match="cannot rescale zero state"):
             rescale_to(SpectralState(g, z, z), 1.0, 0.0)
 
-    @pytest.mark.parametrize("target", [0.0, -1.0, np.nan])
-    def test_non_positive_target_rejected(self, target):
-        with pytest.raises(ValueError, match="^target must be positive$"):
+    @pytest.mark.parametrize(
+        "target, what", [(0.0, "> 0"), (-1.0, "> 0"), (np.nan, "a finite number")],
+        ids=["0.0", "-1.0", "nan"],
+    )
+    def test_non_positive_target_rejected(self, target, what):
+        with pytest.raises(ValueError, match=f"^target must be {what}, got {target!r}$"):
             rescale_to(random_state(M=10, seed=1), target, 0.25)
 
     def test_infinite_target_named(self):
         # it used to fail later, naming an infinite amplitude
-        with pytest.raises(ValueError, match="^target must be finite, got inf$"):
+        with pytest.raises(ValueError, match="^target must be a finite number, got inf$"):
             rescale_to(random_state(M=10, seed=1), math.inf, 0.0)
 
     @pytest.mark.parametrize("space_exponent", [math.nan, math.inf, -math.inf])
     def test_non_finite_space_exponent_named(self, space_exponent):
-        with pytest.raises(ValueError, match="^space_exponent must be finite, got "):
+        with pytest.raises(ValueError, match="^space_exponent must be a finite number, got "):
             rescale_to(random_state(M=10, seed=1), 1.0, space_exponent)
 
 
@@ -236,7 +239,7 @@ class TestTwoMode:
     @pytest.mark.parametrize("which", ["lambda1", "lambda2"])
     def test_non_finite_frequency_named(self, bad, which):
         lams = {"lambda1": 1.0, "lambda2": 2.0, which: bad}
-        with pytest.raises(ValueError, match=f"^{which} must be positive and finite, got "):
+        with pytest.raises(ValueError, match=f"^{which} must be a finite number, got "):
             build_two_mode(lams["lambda1"], lams["lambda2"], [1.0, 0.0], [0.0, 0.0])
 
 
@@ -269,31 +272,41 @@ class TestRandomDecay:
         with pytest.raises(ValueError):
             build_random_decay(8, 2.0, 1.0, 0.25, 0.1, seed=0)
 
-    @pytest.mark.parametrize("M", [2.5, 8.0, True])
-    def test_non_integer_mode_count_named(self, M):
-        with pytest.raises(ValueError, match="^M must be an integer of at least 2, got "):
+    @pytest.mark.parametrize(
+        "M, what", [(2.5, "an integer"), (8.0, "an integer"), (True, "a number")],
+        ids=["2.5", "8.0", "True"],
+    )
+    def test_non_integer_mode_count_named(self, M, what):
+        with pytest.raises(ValueError, match=f"^M must be {what}, got "):
             build_random_decay(M, 1.0, 4.0, 0.25, 0.1, seed=0)
 
-    @pytest.mark.parametrize("margin", [-0.1, float("nan"), float("inf")])
-    def test_negative_or_nan_margin_rejected(self, margin):
-        with pytest.raises(ValueError, match="^margin must be finite and non-negative, got "):
+    @pytest.mark.parametrize(
+        "margin, what",
+        [(-0.1, ">= 0"), (float("nan"), "a finite number"), (float("inf"), "a finite number")],
+        ids=["-0.1", "nan", "inf"],
+    )
+    def test_negative_or_nan_margin_rejected(self, margin, what):
+        with pytest.raises(ValueError, match=f"^margin must be {what}, got "):
             build_random_decay(8, 1.0, 4.0, 0.25, margin, seed=0)
 
     @pytest.mark.parametrize("regularity", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_regularity_rejected(self, regularity):
-        with pytest.raises(ValueError, match="^regularity must be finite, got "):
+        with pytest.raises(ValueError, match="^regularity must be a finite number, got "):
             build_random_decay(8, 1.0, 4.0, regularity, 0.1, seed=0)
 
 
     def test_infinite_lambda_max_named(self):
         # was "frequencies must be strictly increasing"
-        with pytest.raises(ValueError, match="^lambda_max must be finite, got inf$"):
+        with pytest.raises(ValueError, match="^lambda_max must be a finite number, got inf$"):
             build_random_decay(8, 1.0, float("inf"), 0.25, 0.1, seed=0)
 
-    @pytest.mark.parametrize("seed", [1.5, -1, True])
-    def test_fractional_or_negative_seed_named(self, seed):
+    @pytest.mark.parametrize(
+        "seed, what", [(1.5, "an integer"), (-1, ">= 0"), (True, "a number")],
+        ids=["1.5", "-1", "True"],
+    )
+    def test_fractional_or_negative_seed_named(self, seed, what):
         # 1.5 and -1 were numpy's TypeError and ValueError
-        with pytest.raises(ValueError, match="^seed must be an integer of at least 0, got "):
+        with pytest.raises(ValueError, match=f"^seed must be {what}, got "):
             build_random_decay(8, 1.0, 4.0, 0.25, 0.1, seed=seed)
 
     def test_numpy_integer_seed_kept(self):
@@ -382,9 +395,12 @@ class TestTruncate:
         assert combined(out, 0.0) == 0.0
         assert sobolev_norm_sq(out.grid, out.u_hat, 1.0) == 0.0
 
-    @pytest.mark.parametrize("cutoff", [0.0, -1.0, np.nan])
-    def test_non_positive_cutoff_rejected(self, cutoff):
-        with pytest.raises(ValueError, match="^cutoff must be positive$"):
+    @pytest.mark.parametrize(
+        "cutoff, what", [(0.0, "> 0"), (-1.0, "> 0"), (np.nan, "a finite number")],
+        ids=["0.0", "-1.0", "nan"],
+    )
+    def test_non_positive_cutoff_rejected(self, cutoff, what):
+        with pytest.raises(ValueError, match=f"^cutoff must be {what}, got {cutoff!r}$"):
             truncate(random_state(M=10, seed=1), cutoff)
 
     def test_norm_monotone_in_cutoff(self):
