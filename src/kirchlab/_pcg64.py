@@ -8,6 +8,7 @@ import numpy as np
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_BLOCK = 4096  # states held at once; a power of two >= 64, so doubling fills one block
 
 
 def _seed_state(seed: int) -> tuple[int, int]:
@@ -51,23 +52,35 @@ def _mulhi(x: np.ndarray, b: int) -> np.ndarray:
     return x1 * b1 + (p10 >> 32) + (p01 >> 32) + (mid >> 32)
 
 
+def _affine(hi: np.ndarray, lo: np.ndarray, a: int, c: int):
+    """The (hi, lo) halves of a x + c mod 2**128 for the states x = hi:lo."""
+    a_lo, c_lo = a & _M64, c & _M64
+    new_lo = lo * a_lo + c_lo  # wraps mod 2**64; a carry iff below c_lo
+    return _mulhi(lo, a_lo) + hi * a_lo + lo * (a >> 64) + (c >> 64) + (new_lo < c_lo), new_lo
+
+
 def uniforms(seed, n: int) -> np.ndarray:
     """The n doubles of numpy's default_rng(seed).random(n), bit for bit,
-    for an integer seed >= 0; uniform(lo, hi) is lo + (hi - lo) * these."""
+    for an integer seed >= 0; uniform(lo, hi) is lo + (hi - lo) * these.
+    Each block of _BLOCK states after the first is the one before jumped by
+    one affine map, so the working memory besides the output is O(_BLOCK)."""
     state, inc = _seed_state(int(seed))
-    hi, lo = np.empty(n, np.uint64), np.empty(n, np.uint64)
+    out = np.empty(n)
+    hi, lo = np.empty(min(n, _BLOCK), np.uint64), np.empty(min(n, _BLOCK), np.uint64)
     a, c, size = 1, 0, min(n, 64)
     for i in range(size):  # x -> a x + c advances a state by `size` steps
         state = (state * _MULT + inc) & _M128
         a, c = a * _MULT & _M128, (c * _MULT + inc) & _M128
         hi[i], lo[i] = state >> 64, state & _M64
-    while size < n:  # jump the states drawn so far ahead by `size`, doubling
-        m = min(size, n - size)
-        l, a_lo, c_lo = lo[:m], a & _M64, c & _M64
-        lo[size:size + m] = l * a_lo + c_lo  # wraps mod 2**64; a carry iff below c_lo
-        hi[size:size + m] = (_mulhi(l, a_lo) + hi[:m] * a_lo + l * (a >> 64) + (c >> 64)
-                             + (lo[size:size + m] < c_lo))
+    while size < hi.size:  # jump the states drawn so far ahead by `size`, doubling
+        m = min(size, hi.size - size)
+        hi[size:size + m], lo[size:size + m] = _affine(hi[:m], lo[:m], a, c)
         a, c, size = a * a & _M128, (a * c + c) & _M128, size + m
-    x, rot = hi ^ lo, hi >> 58  # XSL-RR output
-    out = x >> rot | x << (64 - rot & 63)
-    return (out >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
+    for start in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - start)
+        if start:  # (a, c) is now a jump of _BLOCK steps
+            hi[:m], lo[:m] = _affine(hi[:m], lo[:m], a, c)
+        x, rot = hi[:m] ^ lo[:m], hi[:m] >> 58  # XSL-RR output
+        out[start:start + m] = (x >> rot | x << (64 - rot & 63)) >> 11
+    out *= 1.0 / 9007199254740992.0
+    return out

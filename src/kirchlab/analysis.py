@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pcg64 import uniforms
+from ._pcg64 import _BLOCK, uniforms
 from .dynamics import LinearizedState, Trajectory, evolve, evolve_pair
 from .energy import (
     modified_energy,
@@ -240,28 +240,33 @@ def kernel_bounds_suite(n_samples: int, seed: int) -> dict:
     |D| <= (1+|s|) l1^{2s} / l2^2 when s <= 0.  Also probes the
     near-diagonal extremal ratio, which tends to s/(1+s).  A ratio that
     is not <= 1 (NaN included), sampled or probed, counts as a violation,
-    and a NaN ratio is the worst ratio.
+    and a NaN ratio is the worst ratio.  The samples are judged in blocks
+    of _BLOCK, so the working memory besides the one draw is O(_BLOCK);
+    every step is elementwise, and the count and the maximum are exact.
     """
     _check("n_samples", n_samples, int, ">= 1")
     _check("seed", seed, int, ">= 0")
     # one draw, in the order of the (n, 2) pairs and then the s of each sign
     r = uniforms(seed, 4 * n_samples)
     lo, hi = np.log(1e-6), np.log(1e6)
-    l = np.exp(lo + (hi - lo) * r[: 2 * n_samples].reshape(n_samples, 2))
-    l1 = np.minimum(l[:, 0], l[:, 1])
-    l2 = np.maximum(l[:, 0], l[:, 1])
     violations = 0
     worst_ratio = 0.0
-    for k, (s_lo, s_hi, positive) in enumerate(((0.0, 4.0, True), (-2.0, 0.0, False))):
-        s = s_lo + (s_hi - s_lo) * r[(2 + k) * n_samples : (3 + k) * n_samples]
-        D = divided_difference(l1, l2, s)
-        if positive:
-            bound = (1.0 + s) * l2 ** (2 * s) / l2**2
-        else:
-            bound = (1.0 + np.abs(s)) * l1 ** (2 * s) / l2**2
-        ratio = np.abs(D) / bound
-        violations += int(np.count_nonzero(~(ratio <= 1.0 + 1e-12)))
-        worst_ratio = float(np.maximum(worst_ratio, np.max(ratio)))  # NaN propagates
+    for j in range(0, n_samples, _BLOCK):
+        m = min(_BLOCK, n_samples - j)
+        l = np.exp(lo + (hi - lo) * r[2 * j : 2 * (j + m)].reshape(m, 2))
+        l1 = np.minimum(l[:, 0], l[:, 1])
+        l2 = np.maximum(l[:, 0], l[:, 1])
+        for k, (s_lo, s_hi, positive) in enumerate(((0.0, 4.0, True), (-2.0, 0.0, False))):
+            first = (2 + k) * n_samples + j
+            s = s_lo + (s_hi - s_lo) * r[first : first + m]
+            D = divided_difference(l1, l2, s)
+            if positive:
+                bound = (1.0 + s) * l2 ** (2 * s) / l2**2
+            else:
+                bound = (1.0 + np.abs(s)) * l1 ** (2 * s) / l2**2
+            ratio = np.abs(D) / bound
+            violations += int(np.count_nonzero(~(ratio <= 1.0 + 1e-12)))
+            worst_ratio = float(np.maximum(worst_ratio, np.max(ratio)))  # NaN propagates
     # near-diagonal extremal probes: at l1 = l2 the s >= 0 ratio is s/(1+s)
     lam, probe_s = 3.0, (0.5, 1.0, 2.0, 3.5)
     D = divided_difference(lam, lam * (1 + 1e-6), probe_s)
@@ -348,12 +353,20 @@ def obstruction_certificate(x: float, y: float, sigma: float) -> ObstructionCert
     Row combination r1 - r2 - y r7 + y r8 annihilates every unknown and
     leaves 0 = x^{1+sigma} y: the system is solvable only when one of the
     frequencies vanishes.  A numerical least-squares solve cross-checks
-    the classification.
+    the classification.  A system with an entry beyond float range is
+    refused with a ValueError.
     """
     x, y = float(_check("x", x, float, ">= 0")), float(_check("y", y, float, ">= 0"))
     sigma = float(_check("sigma", sigma))
-    residual = x ** (1 + sigma) * y
-    A, right = _obstruction_system(x, y, sigma)
+    try:
+        A, right = _obstruction_system(x, y, sigma)
+        finite = np.isfinite(A).all() and np.isfinite(right).all()
+    except (OverflowError, ZeroDivisionError):  # x^(1+sigma) beyond float range
+        finite = False
+    if not finite:
+        raise ValueError(f"the obstruction system must be finite, got x={x!r}, y={y!r}, "
+                         f"sigma={sigma!r}")
+    residual = float(right[0])  # x^(1+sigma) y, the residual of the eliminated system
     sol, _, _, _ = np.linalg.lstsq(A, right, rcond=None)
     ls_res = float(np.linalg.norm(A @ sol - right))
     return ObstructionCertificate(

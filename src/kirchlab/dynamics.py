@@ -74,6 +74,7 @@ class Trajectory:
     w_vel: np.ndarray | None = None
 
     def __post_init__(self):
+        _check("steps", self.steps, int, ">= 0")
         times = _readonly(self.times, float)
         if times.ndim != 1 or times.size == 0 or not np.all(np.diff(times) > 0):  # NaN too
             raise ValueError("times must be a non-empty, strictly increasing 1-d array")

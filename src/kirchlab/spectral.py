@@ -121,6 +121,7 @@ class SpectralState:
     time: float = 0.0
 
     def __post_init__(self):
+        _check("time", self.time)
         u = _readonly(self.u_hat, complex)
         v = _readonly(self.v_hat, complex)
         object.__setattr__(self, "u_hat", u)

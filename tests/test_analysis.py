@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as hst
 from scalar_oracles import amps, state_at
 
 import kirchlab.analysis as analysis
+from kirchlab._pcg64 import _BLOCK
 from kirchlab.analysis import (
     DIAGONAL_TOL,
     _sep_mixed,
@@ -250,6 +252,51 @@ class TestKernelSuite:
         assert out["violations"] == 3 and not out["pass"]
         assert np.isnan(out["worst_ratio"])
 
+    def test_nan_in_the_last_block_is_the_worst_ratio(self, monkeypatch):
+        real = analysis.divided_difference
+
+        def nan_in_one_sample_calls(l1, l2, s, tol=DIAGONAL_TOL):
+            D = np.array(real(l1, l2, s, tol), dtype=float)
+            if D.size == 1:  # the last block of _BLOCK + 1 samples
+                D[0] = np.nan
+            return D
+
+        monkeypatch.setattr(analysis, "divided_difference", nan_in_one_sample_calls)
+        out = kernel_bounds_suite(_BLOCK + 1, seed=0)
+        assert out["violations"] == 2 and not out["pass"]
+        assert np.isnan(out["worst_ratio"])
+
+    def test_blocks_judge_every_sample_once_in_order(self, monkeypatch):
+        real, calls = analysis.divided_difference, []
+
+        def recording(l1, l2, s, tol=DIAGONAL_TOL):
+            calls.append(np.broadcast_arrays(l1, l2, s))
+            return real(l1, l2, s, tol)
+
+        monkeypatch.setattr(analysis, "divided_difference", recording)
+        n = 2 * _BLOCK + 1
+        kernel_bounds_suite(n, seed=4)
+        rng = np.random.default_rng(4)
+        l = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), size=(n, 2)))
+        l1, l2 = np.minimum(l[:, 0], l[:, 1]), np.maximum(l[:, 0], l[:, 1])
+        s_pos, s_neg = rng.uniform(0.0, 4.0, size=n), rng.uniform(-2.0, 0.0, size=n)
+        sampled = calls[:-1]  # the last call is the diagonal probes
+        assert len(sampled) == 6
+        for k, s in enumerate((s_pos, s_neg)):
+            got = [np.concatenate(a) for a in zip(*sampled[k::2])]
+            assert all(np.array_equal(g, want) for g, want in zip(got, (l1, l2, s)))
+
+    def test_working_memory_is_one_block(self):
+        # the 3.05 MiB draw plus O(_BLOCK) samples; judging all n at once peaks at 21 MiB
+        n = 100_000
+        tracemalloc.start()
+        try:
+            kernel_bounds_suite(n, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n * 8 + 1.5 * 2**20
+
 
 def _ref_divided_difference(lambda1, lambda2, s, tol=DIAGONAL_TOL):
     l1 = np.asarray(lambda1, dtype=float)
@@ -301,9 +348,11 @@ def _ref_kernel_bounds_suite(n_samples, seed):
 
 
 class TestKernelSuiteFrozenReference:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    @pytest.mark.parametrize("n_samples", [1, 2, 1000])
-    def test_same_dict_as_per_sample_suite(self, seed, n_samples):
+    @pytest.mark.parametrize(
+        "n_samples, seed",
+        [(n, seed) for n in (1, 2, 1000) for seed in range(4)] + [(_BLOCK + 1, 0), (_BLOCK + 1, 1)],
+    )
+    def test_same_dict_as_per_sample_suite(self, n_samples, seed):
         assert kernel_bounds_suite(n_samples, seed) == _ref_kernel_bounds_suite(n_samples, seed)
 
     def test_array_call_equals_scalar_calls(self):
@@ -399,6 +448,17 @@ class TestObstruction:
     def test_negative_input_rejected(self):
         with pytest.raises(ValueError):
             obstruction_certificate(-1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "x, y, sigma",
+        [(1e300, 1.0, 5.0), (1e200, 1e200, 0.5), (0.0, 1.0, -2.0), (1.0, 1e308, 0.0)],
+        ids=["power-overflows", "residual-overflows", "zero-to-negative-power", "row-overflows"],
+    )
+    def test_overflowing_system_named(self, x, y, sigma):
+        # were a bare OverflowError or ZeroDivisionError from x ** (1 + sigma),
+        # or residual=inf with lstsq_residual=nan
+        with pytest.raises(ValueError, match=r"^the obstruction system must be finite, got x="):
+            obstruction_certificate(x, y, sigma)
 
 
 class TestResonance:

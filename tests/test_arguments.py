@@ -4,10 +4,12 @@ For each function in the __all__ of the library modules, each parameter
 annotated `float` or `int` is probed with NaN and +-inf (and 2.5 and True
 for an `int`), with valid values for every other argument.  Each probe must
 raise ValueError("<param> must be <what>, got <value>") before any step is
-taken.  Sequence parameters (coefficients, cutoffs, epsilons, s_list) and
-class fields are checked elsewhere.
+taken.  The numeric fields of the classes callers build (SpectralState.time,
+Trajectory.steps) are probed the same way.  Sequence parameters
+(coefficients, cutoffs, epsilons, s_list) are checked elsewhere.
 """
 
+import dataclasses
 import inspect
 import json
 import math
@@ -120,6 +122,47 @@ def test_bad_value_named(qual, f, param, value, no_steps):
     kwargs = dict(GOOD[qual], **{param: value})
     with pytest.raises(ValueError, match=f"^{param} must be "):
         f(**kwargs)
+
+
+# A constructor of each numeric field of the library's classes, valid in
+# every other field; the classes the library returns are never checked.
+FIELDS = {
+    "SpectralState.time": lambda v: spectral.SpectralState(STATE.grid, STATE.u_hat, STATE.v_hat,
+                                                           time=v),
+    "Trajectory.steps": lambda v: dynamics.Trajectory(TRAJ.grid, TRAJ.times, TRAJ.u, TRAJ.v,
+                                                      steps=v),
+}
+RESULTS = {"ScalingFit", "ObstructionCertificate", "EnergyBreakdown"}
+
+
+def numeric_fields():
+    """(qualified field name, kind) for every numeric field of a public class."""
+    out = []
+    for module in MODULES:
+        for name in module.__all__:
+            cls = getattr(module, name)
+            if dataclasses.is_dataclass(cls) and name not in RESULTS:
+                out += [(f"{name}.{f.name}", f.type) for f in dataclasses.fields(cls)
+                        if f.type in ("float", "int")]
+    return out
+
+
+def test_every_numeric_field_has_a_constructor():
+    assert {qual for qual, _ in numeric_fields()} == set(FIELDS)
+
+
+@pytest.mark.parametrize(
+    "qual, value",
+    [pytest.param(qual, value, id=f"{qual}-{value!r}")
+     for qual, kind in numeric_fields()
+     for value in [math.nan, math.inf, -math.inf] + ([2.5, True, -1] if kind == "int" else [])],
+)
+def test_bad_field_named(qual, value):
+    # a NaN or infinite time was marched through every step and only then
+    # refused by Trajectory, as times that are not strictly increasing
+    name = qual.rsplit(".", 1)[1]
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        FIELDS[qual](value)
 
 
 @pytest.mark.parametrize(

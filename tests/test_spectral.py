@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from scalar_oracles import amps, grid_from_unsorted, state_at
 
 import kirchlab
-from kirchlab._pcg64 import uniforms
+from kirchlab._pcg64 import _BLOCK, uniforms
 from kirchlab.spectral import (
     FrequencyGrid,
     SpectralState,
@@ -329,7 +330,8 @@ class TestUniformStream:
         for seed in range(301):
             assert np.array_equal(uniforms(seed, 65), np.random.default_rng(seed).random(65))
 
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1000, 8193, 131072])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1000, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   2 * _BLOCK + 1, 131072])
     def test_sizes(self, n):
         for seed in [0, 7, *WIDE_SEEDS]:
             assert np.array_equal(uniforms(seed, n), np.random.default_rng(seed).random(n))
@@ -339,6 +341,20 @@ class TestUniformStream:
         rng = np.random.default_rng(seed)
         draws = np.concatenate([rng.random(n) for n in (1, 63, 2, 64, 1000, 65, 8193)])
         assert np.array_equal(uniforms(seed, draws.size), draws)
+        # pieces that end one short of, one past and on a block edge
+        rng = np.random.default_rng(seed)
+        draws = np.concatenate([rng.random(n) for n in (_BLOCK - 1, 2, _BLOCK - 1, 5, _BLOCK)])
+        assert np.array_equal(uniforms(seed, draws.size), draws)
+
+    def test_working_memory_is_one_block(self):
+        # the 2 MiB output plus O(_BLOCK) states; holding all n states peaks at 14 MiB
+        tracemalloc.start()
+        try:
+            out = uniforms(0, 262144)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2**20
 
     def test_uniform_is_affine_in_the_stream(self):
         # numpy's uniform(lo, hi) is lo + (hi - lo) * random(), row by row
