@@ -28,10 +28,10 @@ from .spectral import (
     FrequencyGrid,
     SpectralState,
     _check,
+    _must,
     pair_norm,
     rescale_to,
     sobolev_norm_sq,
-    stack_states,
     truncate,
 )
 
@@ -159,8 +159,9 @@ def scaling_slope_experiment(
     """Rescale the base data to each epsilon (measured in the
     H^{5/4} x H^{1/4} pair norm), record the normalized derivative of the
     unmodified and the modified energy at t=0, and fit both against
-    epsilon on log-log axes."""
-    eps = sorted(float(e) for e in epsilons)
+    epsilon on log-log axes; each fit holds the sorted epsilons and its
+    values."""
+    eps = sorted(float(e) for e in _check("epsilons", list(epsilons), list, "> 0"))
     if len(eps) < 3 or eps[-1] / eps[0] < 100.0:
         raise ValueError("need at least 3 epsilons spanning at least 2 decades")
     points = [scaling_point(base_state, N, s, e, dt, stride, method) for e in eps]
@@ -169,33 +170,30 @@ def scaling_slope_experiment(
     return _fit_loglog(eps, y_unmod), _fit_loglog(eps, y_mod)
 
 
-def comparability_sweep(states, N: NonlinearitySpec, s_list) -> dict:
+def comparability_sweep(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: NonlinearitySpec,
+                        s_list) -> dict:
     """min/max of E_total / (pair norm squared) per regularity s over the
-    given states, which must share one grid (ValueError naming the first
-    state that does not).  States above the smallness gate are excluded,
-    counted once per s.  With no state left, count is 0 and min and max
-    are NaN."""
-    ratios = {float(s): np.empty(0) for s in s_list}
-    excluded = 0
-    if states:
-        grid, u, v = stack_states(states)
-        over = np.hypot(*pair_norm(grid, u, v, 0.0)) > delta_gate(N)
-        excluded = int(np.count_nonzero(over)) * len(s_list)
-        u, v = u[~over], v[~over]
-        for s in s_list:
-            pos, vel = pair_norm(grid, u, v, s)
-            # the per-state arithmetic: Python's float ** 2 may differ from
-            # numpy's x * x in the last bit
-            denom = np.array([a**2 + b**2 for a, b in zip(pos.tolist(), vel.tolist())])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios[float(s)] = modified_energy(grid, u, v, N, s).e_total / denom
+    states of the (S, M) stacks u and v.  States above the smallness gate
+    are excluded, counted once per s.  With no state left, count is 0 and
+    min and max are NaN."""
+    s_list = _check("s_list", list(s_list), list, ">= 0")
+    over = np.hypot(*pair_norm(grid, u, v, 0.0)) > delta_gate(N)
+    u, v = u[~over], v[~over]
+    ratios = {}
+    for s in s_list:
+        pos, vel = pair_norm(grid, u, v, s)
+        # the per-state arithmetic: Python's float ** 2 may differ from
+        # numpy's x * x in the last bit
+        denom = np.array([a**2 + b**2 for a, b in zip(pos.tolist(), vel.tolist())])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios[float(s)] = modified_energy(grid, u, v, N, s).e_total / denom
     per_s = {
         s: {"min": float(r.min()) if r.size else math.nan,
             "max": float(r.max()) if r.size else math.nan,
             "count": len(r)}
         for s, r in ratios.items()
     }
-    return {"excluded": excluded, "per_s": per_s}
+    return {"excluded": int(np.count_nonzero(over)) * len(s_list), "per_s": per_s}
 
 
 def second_order_identity_check(traj: Trajectory, A: float, s: float) -> float:
@@ -440,6 +438,10 @@ def truncation_convergence(
     in-time H^1 x L^2 distance between consecutive truncations, plus the
     sup of the modified energy at s_low per truncation."""
     _check("s_low", s_low, float, ">= 0")
+    # an infinite cutoff keeps every mode, as in truncate
+    if what := _must([1.0 if isinstance(c, float) and c == math.inf else c for c in cutoffs],
+                     list, "> 0"):
+        raise ValueError(f"cutoffs must be {what}, got {cutoffs!r}")
     cutoffs = [float(c) for c in cutoffs]
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError("cutoffs must be strictly increasing")

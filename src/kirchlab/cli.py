@@ -157,7 +157,8 @@ def _scenario_verify(config, N, state, out_dir, seed):
         rescale_to(_random_decay(config, seed + 100 + i), gate / 10.0, 0.0)
         for i in range(p["comparability_states"])
     ]
-    comp = analysis.comparability_sweep(states, N, config.s_list)
+    comp = analysis.comparability_sweep(states[0].grid, np.array([st.u_hat for st in states]),
+                                        np.array([st.v_hat for st in states]), N, config.s_list)
     comp_ok = all(0.4 <= v["min"] and v["max"] <= 0.6 for v in comp["per_s"].values())
     verdicts.append({"suite": "comparability", "pass": comp_ok, "worst_case": comp["per_s"]})
 
@@ -187,23 +188,16 @@ def _scenario_verify(config, N, state, out_dir, seed):
 
 
 def _scenario_sweep(config, N, state, out_dir, seed):
-    s = config.params["s"]
-    eps = sorted(float(e) for e in config.epsilons or (2e-1, 6e-2, 2e-2, 6e-3, 2e-3))
-    dt = config.integrator["dt"]
-    stride = config.params["fd_stride"]
-    method = config.integrator["method"]
-
-    results = [(e, analysis.scaling_point(state, N, s, e, dt, stride, method)) for e in eps]
-    fit_u = analysis._fit_loglog([r[0] for r in results], [r[1][0] for r in results])
-    fit_m = analysis._fit_loglog([r[0] for r in results], [r[1][1] for r in results])
+    fit_u, fit_m = analysis.scaling_slope_experiment(
+        state, N, config.params["s"], config.epsilons or (2e-1, 6e-2, 2e-2, 6e-3, 2e-3),
+        config.integrator["dt"], config.params["fd_stride"], config.integrator["method"])
     header = ["epsilon", "y_unmodified", "y_modified"]
-    rows = [[r[0], r[1][0], r[1][1]] for r in results]
+    rows = list(zip(fit_u.epsilons, fit_u.values, fit_m.values))
+    log_eps = [np.log10(e) for e in fit_u.epsilons]
     artifacts = _emit(out_dir, "sweep", header, rows, config.output["format"],
                       config.output["plots"],
-                      {"unmodified": ([np.log10(r[0]) for r in results],
-                                      [np.log10(max(r[1][0], 1e-300)) for r in results]),
-                       "modified": ([np.log10(r[0]) for r in results],
-                                    [np.log10(max(r[1][1], 1e-300)) for r in results])},
+                      {name: (log_eps, [np.log10(max(y, 1e-300)) for y in fit.values])
+                       for name, fit in (("unmodified", fit_u), ("modified", fit_m))},
                       "derivative scaling (log10-log10)")
     doc = {
         "unmodified": {"slope": fit_u.slope, "degenerate": fit_u.degenerate},
@@ -221,8 +215,6 @@ def _companion_direction(config, state, seed):
 
 
 def _scenario_linearized(config, N, state, out_dir, seed):
-    if not N.is_linear:
-        raise RuntimeError("linearized scenario requires the model nonlinearity")
     w0 = _companion_direction(config, state, seed)
     T = config.integrator["T"]
     dt = config.integrator["dt"]
@@ -243,8 +235,6 @@ def _scenario_linearized(config, N, state, out_dir, seed):
 
 
 def _scenario_resonance(config, N, state, out_dir, seed):
-    if not N.is_linear:
-        raise RuntimeError("resonance scenario requires the model nonlinearity")
     w0 = _companion_direction(config, state, seed)
     rep = analysis.resonance_report(state, w0, N, config.params["sigma"], config.integrator["T"],
                                     config.integrator["dt"], stride=config.integrator["stride"])

@@ -284,7 +284,7 @@ def evolve_pair(
     companion (RK4 on the frozen-coefficient linear system, with the base
     interpolated at the half step by cubic Hermite)."""
     if not N.is_linear:
-        raise ValueError("linearized flow implemented for model case only")
+        raise ValueError("the linearized flow requires the model nonlinearity N(r) = A r")
     if lin.w_hat.shape != base.u_hat.shape:
         raise ValueError("linearized state does not match the base grid")
     A = N.coefficients[0]

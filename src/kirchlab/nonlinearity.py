@@ -74,8 +74,7 @@ def polynomial_nonlinearity(coefficients) -> NonlinearitySpec:
     """N(r) = sum_i c_i r^i for i >= 1; the constant term is forced to zero.
     Trailing zero coefficients are dropped, keeping at least one."""
     cs = [float(_check("coefficients", c)) for c in coefficients]
-    if not cs:
-        raise ValueError("need at least one coefficient")
+    _check("coefficients", cs, list)  # refuses an empty list
     while len(cs) > 1 and cs[-1] == 0.0:
         cs.pop()
     cs = tuple(cs)

@@ -22,7 +22,6 @@ __all__ = [
     "SpectralState",
     "sobolev_norm_sq",
     "pair_norm",
-    "stack_states",
     "rescale_to",
     "build_two_mode",
     "build_random_decay",
@@ -49,7 +48,7 @@ def _must(v, kind=float, bound=None):
     list kind a non-empty list of numbers."""
     if kind is list:
         ok = isinstance(v, list) and v and not any(_must(c, float, bound) for c in v)
-        return None if ok else f"a non-empty list of numbers {bound}"
+        return None if ok else f"a non-empty list of numbers {bound or ''}".rstrip()
     if type(v) is not float:
         if isinstance(v, bool) or not isinstance(v, _NUMBERS):
             return "a number"
@@ -168,20 +167,6 @@ def pair_norm(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, s: float):
     combination is np.hypot(*pair_norm(...))."""
     _check("s", s)
     return np.sqrt(sobolev_norm_sq(grid, u, 1.0 + s)), np.sqrt(sobolev_norm_sq(grid, v, s))
-
-
-def stack_states(states):
-    """(grid, u, v) for one or more states on one grid: u and v are the
-    (S, M) stacks of their amplitudes, the input of the energy functions
-    and pair_norm.  ValueError names the first state whose grid differs
-    from the first one's in lambdas or weights."""
-    g0 = states[0].grid
-    for i, st in enumerate(states):
-        g = st.grid
-        if g is not g0 and not (np.array_equal(g.lambdas, g0.lambdas)
-                                and np.array_equal(g.weights, g0.weights)):
-            raise ValueError(f"all states must share one grid: state {i} differs from state 0")
-    return g0, np.array([st.u_hat for st in states]), np.array([st.v_hat for st in states])
 
 
 def rescale_to(state: SpectralState, target: float, space_exponent: float) -> SpectralState:

@@ -4,9 +4,9 @@ coefficient A(r) and correction F(r) at one frequency, the pair
 coefficients of the second-order density, and a finite-difference check
 of a nonlinearity's derivatives.  They are the building blocks of the
 dense oracles in the test suite.  `amps` unpacks a state into the
-(grid, u, v) arguments of the energy functions, `state_at` gives one
-sample of a trajectory as a state, and `grid_from_unsorted` builds a grid
-from unsorted frequencies.
+(grid, u, v) arguments of the energy functions, `stack` does so for
+states on one grid, `state_at` gives one sample of a trajectory as a
+state, and `grid_from_unsorted` builds a grid from unsorted frequencies.
 """
 
 from dataclasses import dataclass
@@ -20,6 +20,14 @@ from kirchlab.spectral import FrequencyGrid, SpectralState
 def amps(state):
     """(grid, u_hat, v_hat) of one state."""
     return state.grid, state.u_hat, state.v_hat
+
+
+def stack(states):
+    """(grid, u, v) of states on one grid, with the (S, M) stacks of their
+    amplitudes: the arguments of the energy functions for S states."""
+    u = np.array([st.u_hat for st in states])
+    v = np.array([st.v_hat for st in states])
+    return states[0].grid, u, v
 
 
 def state_at(traj, i):

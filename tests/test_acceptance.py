@@ -21,7 +21,7 @@ from kirchlab.nonlinearity import (
 from kirchlab.spectral import build_random_decay, rescale_to
 
 from conftest import ACCEPTANCE_VERDICTS
-from scalar_oracles import amps, state_at
+from scalar_oracles import amps, stack, state_at
 from test_energy import (
     asym_term_reference,
     brute_asym,
@@ -158,7 +158,7 @@ def test_criterion_05_comparability():
     for _, N in cases:
         gate = delta_gate(N)
         states = [rescale_to(_decaying(64, 1000 + i), gate / 10, 0.0) for i in range(100)]
-        rep = analysis.comparability_sweep(states, N, [0.0, 0.25, 0.5])
+        rep = analysis.comparability_sweep(*stack(states), N, [0.0, 0.25, 0.5])
         assert rep["excluded"] == 0
         for v in rep["per_s"].values():
             worst = (min(worst[0], v["min"]), max(worst[1], v["max"]))
@@ -169,7 +169,8 @@ def test_criterion_05_comparability():
     for _, N in cases:
         devs = []
         for size in (1e-2, 1e-3, 1e-4, 1e-5):  # three decades
-            rep = analysis.comparability_sweep([rescale_to(base, size, 0.0)], N, [0.25])
+            rep = analysis.comparability_sweep(*stack([rescale_to(base, size, 0.0)]), N,
+                                               [0.25])
             v = rep["per_s"][0.25]
             devs.append(max(abs(v["min"] - 0.5), abs(v["max"] - 0.5)))
         monotone_ok = monotone_ok and all(b < a for a, b in zip(devs, devs[1:]))
@@ -271,7 +272,7 @@ def test_criterion_11_reproducibility(tmp_path):
         "scenario": "sweep",
         "data": {"builder": "random-decay", "M": 24, "lambda_max": 8.0,
                  "seed": 0, "rescale": {"target": 0.03, "s": 0.0}},
-        "epsilons": [0.05, 0.02, 0.008],
+        "epsilons": [0.05, 0.005, 0.0005],
         "params": {"s": 0.25, "fd_stride": 10},
     }))
     blobs = []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from scalar_oracles import amps, state_at
+from scalar_oracles import amps, stack, state_at
 
 import kirchlab.analysis as analysis
 from kirchlab._pcg64 import _BLOCK
@@ -138,7 +138,7 @@ class TestComparability:
     def test_free_flow_exact_half(self):
         N0 = polynomial_nonlinearity([0.0])
         states = [small_state(seed=s) for s in range(3)]
-        rep = comparability_sweep(states, N0, [0.0, 0.5])
+        rep = comparability_sweep(*stack(states), N0, [0.0, 0.5])
         for v in rep["per_s"].values():
             assert abs(v["min"] - 0.5) < 1e-15 and abs(v["max"] - 0.5) < 1e-15
 
@@ -147,36 +147,26 @@ class TestComparability:
         devs = []
         for size in (1e-2, 1e-3, 1e-4, 1e-5):
             st = rescale_to(base, size, 0.0)
-            rep = comparability_sweep([st], N1, [0.25])
+            rep = comparability_sweep(*stack([st]), N1, [0.25])
             v = rep["per_s"][0.25]
             devs.append(max(abs(v["min"] - 0.5), abs(v["max"] - 0.5)))
         assert all(b < a for a, b in zip(devs, devs[1:]))
 
     @pytest.mark.parametrize("sizes", [[], [1.5, 2.0]], ids=["no-states", "all-over-gate"])
     def test_no_state_left_gives_nan_extremes(self, sizes):
-        states = [small_state(seed=i, size=size * delta_gate(N1)) for i, size in enumerate(sizes)]
-        rep = comparability_sweep(states, N1, [0.0, 0.5])
+        grid, u0, v0 = amps(small_state())
+        # an (S, M) stack of S = len(sizes) states, each at size * gate
+        scale = np.array(sizes)[:, None] * delta_gate(N1) / np.hypot(*pair_norm(grid, u0, v0, 0.0))
+        rep = comparability_sweep(grid, scale * u0, scale * v0, N1, [0.0, 0.5])
         assert rep["excluded"] == 2 * len(sizes)
         for v in rep["per_s"].values():
             assert v["count"] == 0 and math.isnan(v["min"]) and math.isnan(v["max"])
             # the verify verdict's window test fails on NaN
             assert not (0.4 <= v["min"] and v["max"] <= 0.6)
 
-    @pytest.mark.parametrize("field", ["lambdas", "weights"])
-    def test_states_on_different_grids_rejected(self, field):
-        states = [small_state(seed=i) for i in range(3)]
-        g = states[2].grid
-        arrays = {"lambdas": g.lambdas, "weights": g.weights}
-        arrays[field] = arrays[field] * (1 + 1e-12)
-        states[2] = SpectralState(FrequencyGrid(**arrays), states[2].u_hat, states[2].v_hat)
-        with pytest.raises(ValueError, match="state 2 differs"):
-            comparability_sweep(states, N1, [0.25])
-
 
 class TestSecondOrderIdentity:
     def test_zero_state_zero_residual(self):
-        from kirchlab.spectral import FrequencyGrid, SpectralState
-
         g = FrequencyGrid([1.0, 2.0], [1.0, 1.0])
         z = np.zeros(2, complex)
         st = SpectralState(g, z, z)
@@ -677,7 +667,7 @@ class TestSampledSuitesFrozenReference:
         states = [small_state(M=64, seed=i, size=delta_gate(N) / 10) for i in range(30)]
         states[3] = rescale_to(states[3], 2 * delta_gate(N), 0.0)
         states[17] = rescale_to(states[17], 3 * delta_gate(N), 0.0)
-        rep = comparability_sweep(states, N, [0.0, 0.25, 0.5, 1.25])
+        rep = comparability_sweep(*stack(states), N, [0.0, 0.25, 0.5, 1.25])
         assert rep == _ref_comparability_sweep(states, N, [0.0, 0.25, 0.5, 1.25])
         assert rep["excluded"] == 8
 

@@ -5,8 +5,10 @@ annotated `float` or `int` is probed with NaN and +-inf (and 2.5 and True
 for an `int`), with valid values for every other argument.  Each probe must
 raise ValueError("<param> must be <what>, got <value>") before any step is
 taken.  The numeric fields of the classes callers build (SpectralState.time,
-Trajectory.steps) are probed the same way.  Sequence parameters
-(coefficients, cutoffs, epsilons, s_list) are checked elsewhere.
+Trajectory.steps) are probed the same way.  A sequence parameter
+(coefficients, cutoffs, epsilons, s_list) must be a non-empty list of
+numbers: it is probed empty and with its first entry replaced by NaN, +-inf
+and True, and must raise ValueError("<param> must be ...") just as early.
 """
 
 import dataclasses
@@ -67,20 +69,27 @@ GOOD = {
     "analysis.resonance_report": {"u0": STATE, "w0": ZERO, "N": N1, "sigma": 0.25, **MARCH},
     "analysis.truncation_convergence": {"rough_state": STATE, "cutoffs": [2.0, 4.0], "N": N1,
                                         "s_low": 0.25, **MARCH},
+    "nonlinearity.polynomial_nonlinearity": {"coefficients": [1.0, 0.5]},
+    "analysis.comparability_sweep": {"grid": STATE.grid, "u": STATE.u_hat[None],
+                                     "v": STATE.v_hat[None], "N": N1, "s_list": [0.0, 0.25]},
 }
 
 # Where a probe value is legal, and why.
 LEGAL = {
     # an infinite cutoff keeps every mode
     ("spectral.truncate", "cutoff", math.inf),
+    ("analysis.truncation_convergence", "cutoffs", math.inf),
 }
+# The sequence parameters, each checked as one list of numbers.
+SEQUENCES = {"coefficients", "cutoffs", "epsilons", "s_list"}
 # analysis.divided_difference is not in __all__ and checks nothing: it
 # propagates a NaN s, and kernel_bounds_suite counts the NaN ratio as a
 # violation (TestKernelSuite.test_nan_kernel_value_fails).
 
 
 def numeric_parameters():
-    """(qualified name, function, parameter, kind) for every public function."""
+    """(qualified name, function, parameter, kind) for every public function,
+    where the kind of a sequence parameter is "list"."""
     out = []
     for module in MODULES:
         short = module.__name__.rsplit(".", 1)[1]
@@ -91,15 +100,19 @@ def numeric_parameters():
             for p in inspect.signature(f).parameters.values():
                 if p.annotation in ("float", "int"):
                     out.append((f"{short}.{name}", f, p.name, p.annotation))
+                elif p.name in SEQUENCES:
+                    out.append((f"{short}.{name}", f, p.name, "list"))
     return out
 
 
 def probes():
     for qual, f, param, kind in numeric_parameters():
-        bad = [math.nan, math.inf, -math.inf] + ([2.5, True] if kind == "int" else [])
+        bad = [math.nan, math.inf, -math.inf] + {"int": [2.5, True], "list": [True]}.get(kind, [])
+        bad = [value for value in bad if (qual, param, value) not in LEGAL]
+        if kind == "list":
+            bad = [[]] + [[value, *GOOD[qual][param][1:]] for value in bad]
         for value in bad:
-            if (qual, param, value) not in LEGAL:
-                yield pytest.param(qual, f, param, value, id=f"{qual}-{param}-{value!r}")
+            yield pytest.param(qual, f, param, value, id=f"{qual}-{param}-{value!r}")
 
 
 def test_every_numeric_function_has_valid_arguments():
@@ -184,6 +197,8 @@ def test_numpy_scalars_are_numbers(value, kind, bound, what):
 
 def test_legal_exceptions():
     assert spectral.truncate(STATE, math.inf) is STATE
+    tab = analysis.truncation_convergence(STATE, [2.0, math.inf], N1, **MARCH)
+    assert tab["cutoffs"] == [2.0, math.inf] and len(tab["consecutive_diffs"]) == 1
     assert math.isnan(float(analysis.divided_difference(1.0, 2.0, math.nan)))
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kirchlab import cli, config, dynamics
+from kirchlab.analysis import scaling_slope_experiment
 from kirchlab.cli import main
 from kirchlab.config import ConfigError, parse_config
 from kirchlab.dynamics import evolve, evolve_blocks, hamiltonian
@@ -234,6 +235,16 @@ class TestExitCodes:
         err = json.loads((out / "error.json").read_text())
         assert "increasing" in err["error"]
 
+    def test_sweep_under_two_decades_exits_one(self, tmp_path):
+        # the slope fit refuses a span of 6.25x, so nothing is fitted or written
+        doc = small_doc("sweep", epsilons=[0.05, 0.02, 0.008])
+        out = tmp_path / "out"
+        assert main(["--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err == {"type": "ValueError",
+                       "error": "need at least 3 epsilons spanning at least 2 decades"}
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
     def test_degenerate_run_records_type_and_step(self, tmp_path):
         doc = small_doc()
         del doc["data"]["rescale"]  # H^1 mass 0.60, so 1 + N starts at 0.05
@@ -292,6 +303,22 @@ class TestScenarioOutputs:
                 want += [*pair_norm(traj.grid, u, v, s),
                          *astuple(modified_energy(traj.grid, u, v, N, s))]
             assert len(row) == 4 + 7 * len(s_list) and row == want
+
+    def test_shipped_sweep_is_the_scaling_slope_experiment(self, tmp_path):
+        # criterion 06's data: M = 32 on [1, 16], seed 21
+        cfg = parse_config((CONFIGS / "sweep.json").read_text())
+        assert cli.run(cfg, tmp_path) == 0
+        base = build_random_decay(32, 1.0, 16.0, 0.25, 0.55, seed=21)
+        fu, fm = scaling_slope_experiment(base, polynomial_nonlinearity([1.0]), 0.25,
+                                          cfg.epsilons)
+        assert json.loads((tmp_path / "sweep_fit.json").read_text()) == {
+            "unmodified": {"slope": fu.slope, "degenerate": fu.degenerate},
+            "modified": {"slope": fm.slope, "degenerate": fm.degenerate},
+            "slope_difference": fm.slope - fu.slope,
+        }
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+        assert rows == list(zip(fu.epsilons, fu.values, fm.values))
 
     def test_time_zero_single_row(self, tmp_path):
         doc = small_doc()
@@ -443,7 +470,7 @@ class TestReproducibility:
     @staticmethod
     def sweep_doc():
         doc = small_doc("sweep")
-        doc["epsilons"] = [0.05, 0.02, 0.008]
+        doc["epsilons"] = [0.05, 0.005, 0.0005]
         doc["params"] = {"s": 0.25, "fd_stride": 10}
         return doc
 

@@ -286,7 +286,7 @@ class TestLinearized:
     def test_non_model_rejected(self):
         st = small_state()
         z = np.zeros(len(st.grid), complex)
-        with pytest.raises(ValueError, match="model case only"):
+        with pytest.raises(ValueError, match="requires the model nonlinearity"):
             evolve_pair(st, LinearizedState(z, z), polynomial_nonlinearity([1.0, 1.0]), 0.1, 1e-3)
 
     def test_time_translation_direction(self):

@@ -11,6 +11,7 @@ from scalar_oracles import (
     filtered_A,
     grid_from_unsorted,
     pair_coefficients,
+    stack,
     state_at,
 )
 
@@ -40,7 +41,6 @@ from kirchlab.spectral import (
     pair_norm,
     rescale_to,
     sobolev_norm_sq,
-    stack_states,
 )
 
 N_QUAD = polynomial_nonlinearity([1.0, 1.0])
@@ -741,7 +741,7 @@ class TestStack:
         scale = size / np.sqrt(np.sum(grid.weights * (lam**2 * abs(u) ** 2 + abs(v) ** 2), axis=1))
         u, v = u * scale[:, None], v * scale[:, None]
         states = [SpectralState(grid, a, b) for a, b in zip(u, v)]
-        stack = stack_states(states)
+        batch = grid, u, v
 
         functions = {
             "unmodified_energy": lambda *amp: unmodified_energy(*amp, N, s),
@@ -752,19 +752,19 @@ class TestStack:
                 lambda *amp: unmodified_derivative_analytic(*amp, N, s),
         }
         for fname, f in functions.items():
-            assert f(*stack).tolist() == [f(*amps(st_)) for st_ in states], fname
-        stacked = modified_energy(*stack, N, s)
+            assert f(*batch).tolist() == [f(*amps(st_)) for st_ in states], fname
+        stacked = modified_energy(*batch, N, s)
         rows = [modified_energy(*amps(st_), N, s) for st_ in states]
         for field in ("e_unmodified", "e_second_order", "e_normal_form", "e_asym", "e_total"):
             assert getattr(stacked, field).tolist() == [getattr(e, field) for e in rows], field
-        assert stacked.e_unmodified.tolist() == functions["unmodified_energy"](*stack).tolist()
-        assert stacked.e_second_order.tolist() == functions["second_order_term"](*stack).tolist()
+        assert stacked.e_unmodified.tolist() == functions["unmodified_energy"](*batch).tolist()
+        assert stacked.e_second_order.tolist() == functions["second_order_term"](*batch).tolist()
         profile = build_profile(grid, u, N)
         for i, st_ in enumerate(states):
             row = build_profile(st_.grid, st_.u_hat, N)
             for field in ("c_prefix", "a_values", "f_values"):
                 assert np.array_equal(getattr(profile, field)[i], getattr(row, field)), field
-        pos, vel = pair_norm(*stack, s)
+        pos, vel = pair_norm(*batch, s)
         assert list(zip(pos, vel)) == [pair_norm(*amps(x), s) for x in states]
         # the kernel alone, where a last-bit change is not rounded away
         K, r, f, g = rng.normal(size=(4, S, M))
@@ -791,9 +791,9 @@ class TestStack:
     def test_degenerate_sample_is_named(self):
         states = [small_state(seed=i) for i in range(3)]
         big = states[1].replace_amplitudes(100 * states[1].u_hat, states[1].v_hat)
-        stack = stack_states([states[0], big, states[2]])
         with pytest.raises(DegenerateNonlinearityError, match=r"\(sample 1, mode index \d+\)"):
-            modified_energy(*stack, polynomial_nonlinearity([-1.0]), 0.25)
+            modified_energy(*stack([states[0], big, states[2]]), polynomial_nonlinearity([-1.0]),
+                            0.25)
         with pytest.raises(DegenerateNonlinearityError, match=r"\(mode index \d+\)"):
             modified_energy(*amps(big), polynomial_nonlinearity([-1.0]), 0.25)
 

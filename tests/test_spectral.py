@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalar_oracles import amps, grid_from_unsorted, state_at
+from scalar_oracles import amps, grid_from_unsorted, stack, state_at
 
 import kirchlab
 from kirchlab._pcg64 import _BLOCK, uniforms
@@ -22,7 +22,6 @@ from kirchlab.spectral import (
     pair_norm,
     rescale_to,
     sobolev_norm_sq,
-    stack_states,
     truncate,
 )
 
@@ -134,7 +133,7 @@ class TestNorms:
             with pytest.raises(ValueError, match="overflowed at sigma=1.5$"):
                 pair_norm(*amps(big), 0.5)
             with pytest.raises(ValueError, match="overflowed at sigma=1.5 in sample 1"):
-                pair_norm(*stack_states([ok, big, ok]), 0.5)
+                pair_norm(*stack([ok, big, ok]), 0.5)
 
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
     def test_non_finite_regularity_named(self, s):

@@ -140,11 +140,10 @@ def unreferenced_public_methods(sources: dict) -> list[str]:
     )
 
 
-# The paper-estimate harnesses, which the tests call and no scenario does:
-# scaling_slope_experiment runs acceptance criterion 06 (quintic against
-# quadratic derivative scaling), and quintic_ratio_series measures the
-# quintic ratio R(t) of the paper's estimate (tests/test_analysis.py).
-HARNESSES = ("quintic_ratio_series", "scaling_slope_experiment")
+# The paper-estimate harness that the tests call and no scenario does:
+# quintic_ratio_series measures the quintic ratio R(t) of the paper's
+# estimate (tests/test_analysis.py).
+HARNESSES = ("quintic_ratio_series",)
 
 
 def test_no_unreferenced_public_definitions():
