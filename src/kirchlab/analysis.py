@@ -3,8 +3,9 @@ comparability sweeps, kernel/correction property suites, the linearized
 coefficient-matching certificate, the resonance experiment, and
 truncation convergence.
 
-Everything here returns plain data (dataclasses / dicts of floats) so
-the CLI can serialize verdicts without further computation.
+Everything here returns plain data (dataclasses / dicts of floats) that
+the CLI serializes.  The CLI still computes some verdicts from it: the
+obstruction, comparability, identity, linearized-FD and truncation ones.
 """
 
 from __future__ import annotations

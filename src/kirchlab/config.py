@@ -10,13 +10,16 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 
+from .dynamics import _METHODS
 from .spectral import _must
 
 __all__ = ["RunConfig", "ConfigError", "parse_config"]
 
-# The numeric keys of each section: key -> (kind, lower bound, default).  A
+# The keys of each section: key -> (kind, lower bound, default), judged by
+# _must.  A kind is a number kind, list, bool or a tuple of allowed strings; a
 # bound reads as its message; a default of None marks a required key, and one
-# of ... a key that stays absent when it is not given.
+# of ... a key that stays absent when it is not given.  A kind of None marks a
+# key whose value the caller judges itself (the two-mode [re, im] pairs).
 _RANDOM_DECAY = {
     "M": (int, ">= 2", 64),
     "lambda_min": (float, "> 0", 1.0),
@@ -26,13 +29,20 @@ _RANDOM_DECAY = {
     "seed": (int, ">= 0", 0),
 }
 DECAY_DEFAULTS = {key: default for key, (_, _, default) in _RANDOM_DECAY.items()}
-_TWO_MODE = {"lambda1": (float, "> 0", None), "lambda2": (float, "> 0", None)}
+_BUILDERS = {
+    "random-decay": _RANDOM_DECAY,
+    "two-mode": {"lambda1": (float, "> 0", None), "lambda2": (float, "> 0", None),
+                 "c_plus": (None, None, ...), "c_minus": (None, None, ...)},
+}
 _RESCALE = {"target": (float, "> 0", None), "s": (float, None, 0.0)}
 _NONLINEARITIES = {
     "model": {"A": (float, None, 1.0)},
     "quadratic": {"A": (float, None, 1.0), "B": (float, None, 0.0)},
+    "custom-polynomial": {"coefficients": (list, None, None)},
 }
-_INTEGRATOR = {"dt": (float, "> 0", 1e-3), "T": (float, ">= 0", 1.0), "stride": (int, ">= 1", 1)}
+_INTEGRATOR = {"method": (_METHODS, None, "rotation"), "dt": (float, "> 0", 1e-3),
+               "T": (float, ">= 0", 1.0), "stride": (int, ">= 1", 1)}
+_OUTPUT = {"format": (("csv", "json", "both"), None, "csv"), "plots": (bool, None, False)}
 # each scenario's params
 _PARAMS = {
     "simulate": {},
@@ -52,6 +62,11 @@ _PARAMS = {
                    "fd_stride": (int, ">= 1", 10)},
 }
 SCENARIOS = tuple(_PARAMS)
+# the scenarios that march but ignore integrator.method
+_ROTATION_ONLY = ("verify", "linearized", "resonance", "truncation")
+# the top-level keys that are values, not sections (epsilons may be empty)
+_DOCUMENT = {"scenario": (SCENARIOS, None, None), "s_list": (list, ">= 0", [0.25]),
+             "allow_gate_violation": (bool, None, False)}
 
 class ConfigError(ValueError):
     """Carries the full list of validation errors, each with its key path."""
@@ -78,8 +93,13 @@ class RunConfig:
 
 
 def _read(doc, table, errors, path, other=()):
-    """Check doc's keys against `table` and `other` (keys the caller reads itself);
-    return each table key's value, its default where the key is absent or wrong."""
+    """Check that doc is an object whose keys are in `table` or `other` (keys
+    the caller reads itself); return each table key's value: its default
+    where the key is absent, None where the value is wrong; {} for a doc
+    that is not an object."""
+    if not isinstance(doc, dict):
+        errors.append(f"{path[:-1]}: must be an object")
+        return {}
     errors.extend(f"{path}{k}: unknown key" for k in doc if k not in table and k not in other)
     out = {}
     for key, (kind, bound, default) in table.items():
@@ -90,68 +110,53 @@ def _read(doc, table, errors, path, other=()):
                 out[key] = default
             continue
         value = doc[key]
+        if kind is None:
+            out[key] = value
+            continue
         if kind is int and type(value) is float and value.is_integer():
             value = int(value)  # JSON may write the integer 64 as 64.0
         if must := _must(value, kind, bound):
             errors.append(f"{path}{key}: must be {must}")
-            out[key] = default
-        else:
-            out[key] = [float(c) for c in value] if kind is list else kind(value)
+            value = None
+        elif kind is float:
+            value = float(value)
+        elif kind is list:
+            value = [float(c) for c in value]
+        out[key] = value
     return out
 
 
-def _validate_data(doc, errors):
-    if not isinstance(doc, dict):
-        errors.append("data: must be an object")
+def _read_chosen(doc, key, tables, default, errors, path, other=()):
+    """_read of a section whose `key` (default if absent) names its table
+    among `tables`, that key first; {} where the section or the name is
+    refused, and the section's other keys go unjudged."""
+    name = _read(doc, {key: (tuple(tables), None, default)}, errors, path, doc).get(key)
+    if name is None:
         return {}
-    builder = doc.get("builder", "random-decay")
-    if builder == "random-decay":
-        out = _read(doc, _RANDOM_DECAY, errors, "data.", ("builder", "rescale"))
-        if out["lambda_max"] <= out["lambda_min"]:
+    return {key: name, **_read(doc, tables[name], errors, path, (key, *other))}
+
+
+def _validate_data(doc, errors):
+    out = _read_chosen(doc, "builder", _BUILDERS, "random-decay", errors, "data.", ("rescale",))
+    if out.get("builder") == "random-decay":
+        lo, hi = out["lambda_min"], out["lambda_max"]
+        if None not in (lo, hi) and hi <= lo:
             errors.append("data.lambda_max: must exceed data.lambda_min")
-    elif builder == "two-mode":
-        out = _read(doc, _TWO_MODE, errors, "data.", ("builder", "rescale", "c_plus", "c_minus"))
+    elif out:
         if out["lambda1"] is not None and out["lambda1"] == out["lambda2"]:
             errors.append("data.lambda2: must differ from data.lambda1")
         for key in ("c_plus", "c_minus"):
-            v = doc.get(key)
-            if key not in doc:
+            v = out.get(key)
+            if key not in out:
                 errors.append(f"data.{key}: missing required key")
             elif not (isinstance(v, list) and len(v) == 2
                       and all(not _must(c, list) and len(c) == 2 for c in v)):
                 errors.append(f"data.{key}: must be two [re, im] pairs")
             else:
                 out[key] = [[float(c[0]), float(c[1])] for c in v]
-    else:
-        errors.append(f"data.builder: unknown builder {builder!r}")
-        return {}
-    out["builder"] = builder
-    if "rescale" in doc:
-        r = doc["rescale"]
-        if not isinstance(r, dict):
-            errors.append("data.rescale: must be an object")
-        else:
-            out["rescale"] = _read(r, _RESCALE, errors, "data.rescale.")
+    if out and "rescale" in doc:
+        out["rescale"] = _read(doc["rescale"], _RESCALE, errors, "data.rescale.")
     return out
-
-
-def _validate_nonlinearity(doc, errors):
-    if not isinstance(doc, dict):
-        errors.append("nonlinearity: must be an object")
-        return {}
-    name = doc.get("name")
-    if name in ("model", "quadratic"):
-        out = _read(doc, _NONLINEARITIES[name], errors, "nonlinearity.", ("name",))
-        return {"name": name, **out}
-    if name == "custom-polynomial":
-        _read(doc, {}, errors, "nonlinearity.", ("name", "coefficients"))
-        cs = doc.get("coefficients")
-        if _must(cs, list):
-            errors.append("nonlinearity.coefficients: must be a non-empty list of numbers")
-            return {}
-        return {"name": "custom-polynomial", "coefficients": [float(c) for c in cs]}
-    errors.append(f"nonlinearity.name: unknown nonlinearity {name!r}")
-    return {}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -162,45 +167,25 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError(["(root): top level must be an object"])
     errors: list[str] = []
-    _read(doc, {}, errors, "", {f.name for f in fields(RunConfig)})
     # a value that fails its check is never used: ConfigError is raised first
-    scenario = doc.get("scenario")
-    if scenario not in SCENARIOS:
-        errors.append(f"scenario: must be one of {', '.join(SCENARIOS)}")
+    top = _read(doc, _DOCUMENT, errors, "", {f.name for f in fields(RunConfig)})
+    scenario, s_list = top["scenario"], top["s_list"]
+    if s_list is not None and len(set(s_list)) < len(s_list):
+        errors.append("s_list: must not repeat a value")
     data = _validate_data(doc.get("data", {}), errors)
-    nl = _validate_nonlinearity(doc.get("nonlinearity", {"name": "model"}), errors)
-    integ = doc.get("integrator", {})
-    if not isinstance(integ, dict):
-        errors.append("integrator: must be an object")
-        integ = {}
-    method = integ.get("method", "rotation")
-    if method not in ("rotation", "rk4"):
-        errors.append(f"integrator.method: unknown method {method!r}")
-    integ = {"method": method, **_read(integ, _INTEGRATOR, errors, "integrator.", ("method",))}
-    s_list = doc.get("s_list", [0.25])
-    if _must(s_list, list, ">= 0"):
-        errors.append("s_list: must be a non-empty list of non-negative numbers")
+    nl = _read_chosen(doc.get("nonlinearity", {"name": "model"}), "name", _NONLINEARITIES, None,
+                      errors, "nonlinearity.")
+    integ = _read(doc.get("integrator", {}), _INTEGRATOR, errors, "integrator.")
+    if scenario in _ROTATION_ONLY and integ.get("method") == "rk4":
+        errors.append(f"integrator.method: {scenario} runs the rotation integrator only")
     epsilons = doc.get("epsilons", [])
     if not isinstance(epsilons, list) or any(_must(e, float, "> 0") for e in epsilons):
         errors.append("epsilons: must be a list of positive numbers")
-    output = doc.get("output", {})
-    if not isinstance(output, dict):
-        errors.append("output: must be an object")
-    else:
-        _read(output, {}, errors, "output.", ("format", "plots"))
-        output = {"format": output.get("format", "csv"), "plots": output.get("plots", False)}
-        if output["format"] not in ("csv", "json", "both"):
-            errors.append("output.format: must be csv, json, or both")
-        if not isinstance(output["plots"], bool):
-            errors.append("output.plots: must be a boolean")
-    allow = doc.get("allow_gate_violation", False)
-    if not isinstance(allow, bool):
-        errors.append("allow_gate_violation: must be a boolean")
+    output = _read(doc.get("output", {}), _OUTPUT, errors, "output.")
     params = doc.get("params", {})
-    if not isinstance(params, dict):
-        errors.append("params: must be an object")
-    elif scenario in SCENARIOS:
-        params = _read(params, _PARAMS[scenario], errors, "params.")
+    # the params of an unknown scenario are only seen to be an object
+    params = _read(params, _PARAMS.get(scenario, {}), errors, "params.",
+                   () if scenario else params)
     if errors:
         raise ConfigError(errors)
     return RunConfig(
@@ -208,9 +193,9 @@ def parse_config(text: str) -> RunConfig:
         data=data,
         nonlinearity=nl,
         integrator=integ,
-        s_list=tuple(float(s) for s in s_list),
+        s_list=tuple(s_list),
         epsilons=tuple(float(e) for e in epsilons),
         output=output,
-        allow_gate_violation=allow,
+        allow_gate_violation=top["allow_gate_violation"],
         params=params,
     )

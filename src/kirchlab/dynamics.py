@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nonlinearity import DegenerateNonlinearityError, NonlinearitySpec
-from .spectral import FrequencyGrid, SpectralState, _check, _readonly, sobolev_norm_sq
+from .spectral import FrequencyGrid, SpectralState, _check, _non_finite, _readonly, sobolev_norm_sq
 
 __all__ = [
     "Trajectory",
@@ -40,6 +40,7 @@ __all__ = [
 # The sample budget of one evolve_blocks block: its u and v hold at most
 # max(1, _BLOCK // M) samples each, 32 * max(_BLOCK, M) bytes together.
 _BLOCK = 1 << 13
+_METHODS = ("rotation", "rk4")
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,8 @@ class LinearizedState:
         object.__setattr__(self, "w_vel", v)
         if w.shape != v.shape or w.ndim != 1:
             raise ValueError("w_hat and w_vel must be 1-d arrays of equal length")
+        if not (np.isfinite(w).all() and np.isfinite(v).all()):
+            _non_finite(w_hat=w, w_vel=v)
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,8 @@ class Trajectory:
 def _rhs(grid, N, u):
     """The acceleration dv_k/dt = -(1 + N(|u|_{H^1}^2)) l_k^2 u_k on raw arrays."""
     speed = 1.0 + float(N.eval(float(np.add.reduce(grid.mass_weights * np.abs(u) ** 2))))
+    if speed <= 0.0:
+        raise DegenerateNonlinearityError("wave speed lost in an RK4 stage")
     return -speed * grid.lambdas_sq * u
 
 
@@ -185,9 +190,7 @@ def hamiltonian(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: Nonlineari
 def _stepper(method: str, N: NonlinearitySpec):
     """The `_march` step of an `evolve` run, which has no companion."""
     # resolved at call time, so a tracer that rebinds step_rotation sees its calls
-    step = {"rotation": step_rotation, "rk4": step_rk4}.get(method)
-    if step is None:
-        raise ValueError(f"unknown integrator {method!r}")
+    step = {"rotation": step_rotation, "rk4": step_rk4}[_check("method", method, _METHODS)]
     return lambda cur, w, dt: (step(cur, N, dt), None)
 
 

@@ -99,15 +99,13 @@ def polynomial_nonlinearity(coefficients) -> NonlinearitySpec:
 
 def nonlinearity_from_config(spec: dict) -> NonlinearitySpec:
     """Build a nonlinearity from its config dictionary (see config schema)."""
-    name = spec.get("name")
+    name = _check("name", spec.get("name"), ("model", "quadratic", "custom-polynomial"))
     if name == "model":
         cs = [spec["A"]]
     elif name == "quadratic":
         cs = [spec["A"], spec.get("B", 0.0)]
-    elif name == "custom-polynomial":
-        cs = spec["coefficients"]
     else:
-        raise ValueError(f"unknown nonlinearity {name!r}")
+        cs = spec["coefficients"]
     return polynomial_nonlinearity(cs)
 
 

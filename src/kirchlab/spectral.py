@@ -44,8 +44,13 @@ def _must(v, kind=float, bound=None):
     """What v must be to be a number of this kind within a lower bound that
     reads as its message (">= 0", "> 0"), or None if it is: the one judge of
     config values and library arguments.  A number is a finite int or float,
-    numpy's too, never a bool; an int kind takes integer types alone, and a
-    list kind a non-empty list of numbers."""
+    numpy's too, never a bool; an int kind takes integer types alone, a
+    list kind a non-empty list of numbers, a bool kind a bool and a tuple
+    kind one of its strings."""
+    if isinstance(kind, tuple):
+        return None if type(v) is str and v in kind else f"one of {', '.join(kind)}"
+    if kind is bool:
+        return None if isinstance(v, bool) else "a boolean"
     if kind is list:
         ok = isinstance(v, list) and v and not any(_must(c, float, bound) for c in v)
         return None if ok else f"a non-empty list of numbers {bound or ''}".rstrip()
@@ -68,6 +73,14 @@ def _check(name: str, value, kind=float, bound=None):
     if what := _must(value, kind, bound):
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return value
+
+
+def _non_finite(**amplitudes):
+    """Raise the ValueError that names the first non-finite entry of the
+    named arrays, once a class's own whole-array test has failed."""
+    name, a = next((name, a) for name, a in amplitudes.items() if not np.isfinite(a).all())
+    k = int(np.flatnonzero(~np.isfinite(a))[0])
+    raise ValueError(f"amplitudes must be finite: {name}[{k}] = {a[k]}")
 
 
 def _readonly(a, dtype) -> np.ndarray:
@@ -129,9 +142,7 @@ class SpectralState:
         if u.shape != (n,) or v.shape != (n,):
             raise ValueError("amplitude arrays must match the grid length")
         if not (np.isfinite(u).all() and np.isfinite(v).all()):
-            name, a = ("u_hat", u) if not np.isfinite(u).all() else ("v_hat", v)
-            k = int(np.flatnonzero(~np.isfinite(a))[0])
-            raise ValueError(f"amplitudes must be finite: {name}[{k}] = {a[k]}")
+            _non_finite(u_hat=u, v_hat=v)
 
     def replace_amplitudes(self, u_hat, v_hat, time=None) -> "SpectralState":
         t = self.time if time is None else float(time)

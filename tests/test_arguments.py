@@ -9,6 +9,9 @@ Trajectory.steps) are probed the same way.  A sequence parameter
 (coefficients, cutoffs, epsilons, s_list) must be a non-empty list of
 numbers: it is probed empty and with its first entry replaced by NaN, +-inf
 and True, and must raise ValueError("<param> must be ...") just as early.
+The bool and choice kinds of the checker are probed directly, and a bad
+integrator method or nonlinearity name reads the same in the config and
+the library.
 """
 
 import dataclasses
@@ -195,6 +198,23 @@ def test_numpy_scalars_are_numbers(value, kind, bound, what):
     assert spectral._must(value, kind, bound) == what
 
 
+@pytest.mark.parametrize(
+    "value, kind, what",
+    [
+        (True, bool, None),
+        (np.bool_(False), bool, "a boolean"),
+        ("false", bool, "a boolean"),
+        (0, bool, "a boolean"),
+        ("rk4", ("rotation", "rk4"), None),
+        ("RK4", ("rotation", "rk4"), "one of rotation, rk4"),
+        (None, ("rotation", "rk4"), "one of rotation, rk4"),
+        (["rk4"], ("rotation", "rk4"), "one of rotation, rk4"),
+    ],
+)
+def test_booleans_and_choices(value, kind, what):
+    assert spectral._must(value, kind) == what
+
+
 def test_legal_exceptions():
     assert spectral.truncate(STATE, math.inf) is STATE
     tab = analysis.truncation_convergence(STATE, [2.0, math.inf], N1, **MARCH)
@@ -208,8 +228,12 @@ def test_legal_exceptions():
         ("data", "M", 1, lambda v: spectral.build_random_decay(v, 1.0, 4.0, 0.25, 0.55, 0)),
         ("data", "seed", 2.5, lambda v: spectral.build_random_decay(8, 1.0, 4.0, 0.25, 0.55, v)),
         ("integrator", "T", math.inf, lambda v: dynamics.evolve(STATE, N1, v, 1e-3)),
+        ("integrator", "method", "euler",
+         lambda v: dynamics.evolve(STATE, N1, 0.01, 1e-3, method=v)),
+        ("nonlinearity", "name", "cubic", lambda v: nonlinearity.nonlinearity_from_config(
+            {"name": v, "A": 1.0})),
     ],
-    ids=["M", "seed", "T"],
+    ids=["M", "seed", "T", "method", "name"],
 )
 def test_config_and_library_say_the_same(section, key, value, call):
     with pytest.raises(ConfigError) as config_error:

@@ -113,7 +113,60 @@ class TestConfigValidation:
     def test_non_finite_s_list_rejected(self):
         with pytest.raises(ConfigError) as exc:
             parse_config(json.dumps(small_doc(s_list=[0.25, float("inf")])))
-        assert exc.value.errors == ["s_list: must be a non-empty list of non-negative numbers"]
+        assert exc.value.errors == ["s_list: must be a non-empty list of numbers >= 0"]
+
+    def test_repeated_s_list_value_rejected(self):
+        # a repeat wrote duplicate CSV columns, which the JSON rows merged
+        for s_list in ([0.25, 0.25], [0, 0.5, 0.0]):
+            with pytest.raises(ConfigError) as exc:
+                parse_config(json.dumps(small_doc(s_list=s_list)))
+            assert exc.value.errors == ["s_list: must not repeat a value"]
+
+    @pytest.mark.parametrize("scenario", ["verify", "linearized", "resonance", "truncation"])
+    def test_rk4_refused_where_the_scenario_ignores_it(self, scenario):
+        doc = small_doc(scenario)
+        doc["integrator"]["method"] = "rk4"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        assert exc.value.errors == [
+            f"integrator.method: {scenario} runs the rotation integrator only"]
+        doc["integrator"]["method"] = "rotation"
+        assert parse_config(json.dumps(doc)).integrator["method"] == "rotation"
+
+    @pytest.mark.parametrize("scenario", ["simulate", "sweep", "energies", "obstruction"])
+    def test_rk4_accepted_elsewhere(self, scenario):
+        doc = small_doc(scenario)
+        doc["integrator"]["method"] = "rk4"
+        assert parse_config(json.dumps(doc)).integrator["method"] == "rk4"
+
+    @pytest.mark.parametrize(
+        "over, error",
+        [
+            ({"scenario": "fly"}, "scenario: must be one of " + ", ".join(config.SCENARIOS)),
+            ({"scenario": None}, "scenario: must be one of " + ", ".join(config.SCENARIOS)),
+            ({"data": {"builder": "three-mode", "k": 1}},
+             "data.builder: must be one of random-decay, two-mode"),
+            ({"nonlinearity": {"name": "cubic"}},
+             "nonlinearity.name: must be one of model, quadratic, custom-polynomial"),
+            ({"nonlinearity": {"A": 1.0}}, "nonlinearity.name: missing required key"),
+            ({"nonlinearity": {"name": "custom-polynomial"}},
+             "nonlinearity.coefficients: missing required key"),
+            ({"integrator": {"method": "euler"}}, "integrator.method: must be one of rotation, rk4"),
+            ({"output": {"format": "xml"}}, "output.format: must be one of csv, json, both"),
+            ({"allow_gate_violation": 1}, "allow_gate_violation: must be a boolean"),
+            ({"data": {"rescale": 0.03}}, "data.rescale: must be an object"),
+            ({"integrator": []}, "integrator: must be an object"),
+            ({"params": None}, "params: must be an object"),
+        ],
+        ids=["scenario-unknown", "scenario-null", "builder", "name", "name-missing",
+             "coefficients-missing", "method", "format", "allow-int", "rescale-number",
+             "integrator-list", "params-null"],
+    )
+    def test_choices_booleans_and_sections(self, over, error):
+        # one message per bad value: a refused choice or section is not read further
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps({"scenario": "simulate", **over}))
+        assert exc.value.errors == [error]
 
     def test_missing_sections_equal_empty_objects(self):
         doc = {"scenario": "simulate"}

@@ -277,6 +277,14 @@ class TestLinearized:
         assert lin.w_hat[1] == 2.0 and lin.w_vel[1] == 3.0
         assert not (lin.w_hat.flags.writeable or lin.w_vel.flags.writeable)
 
+    @pytest.mark.parametrize("name, k, bad", [("w_hat", 1, np.nan), ("w_vel", 0, np.inf)])
+    def test_non_finite_amplitudes_rejected(self, name, k, bad):
+        # evolve_pair would run to an all-NaN companion
+        arrays = {"w_hat": np.zeros(3, complex), "w_vel": np.zeros(3, complex)}
+        arrays[name][k] = bad
+        with pytest.raises(ValueError, match=rf"^amplitudes must be finite: {name}\[{k}\] = "):
+            LinearizedState(**arrays)
+
     def test_pair_grid_mismatch_errors(self):
         base = build_two_mode(1.0, 2.0, [0.01, 0.0], [0.0, 0.01])
         z = np.zeros(1, complex)
@@ -516,6 +524,14 @@ class TestStepFailures:
         z = np.zeros(16, complex)
         with pytest.raises(DegenerateNonlinearityError, match="^step 6 failed"):
             evolve_pair(st, LinearizedState(z, z), self.N_DEGENERATE, 1.0, 1e-2)
+
+    @pytest.mark.parametrize("method", ["rotation", "rk4"])
+    def test_lost_wave_speed_stops_either_integrator(self, method):
+        # H^1 mass 1 and N(r) = -1.25 r: 1 + N(mass) = -0.25 from the start
+        st = SpectralState(FrequencyGrid([1.0], [1.0]), np.ones(1, complex), np.zeros(1, complex))
+        with pytest.raises(DegenerateNonlinearityError,
+                           match=r"^step 1 failed at t=0\.0: wave speed lost"):
+            evolve(st, polynomial_nonlinearity([-1.25]), 0.1, 1e-2, method=method)
 
     def test_non_converging_step_stays_runtime_error(self):
         with pytest.raises(RuntimeError, match=r"^step 1 failed at t=0\.0: midpoint"):
