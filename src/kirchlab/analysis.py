@@ -1,17 +1,19 @@
-"""Verification harnesses: derivative estimation, scaling fits,
-comparability sweeps, kernel/correction property suites, the linearized
-coefficient-matching certificate, the resonance experiment, and
-truncation convergence.
+"""Verification harnesses and every verdict of the lab: derivative
+estimation, scaling fits, comparability sweeps, kernel/correction property
+suites, the coefficient-matching obstruction, the linearized-flow
+finite-difference check, the resonance experiment, and truncation
+convergence.
 
 Everything here returns plain data (dataclasses / dicts of floats) that
-the CLI serializes.  The CLI still computes some verdicts from it: the
-obstruction, comparability, identity, linearized-FD and truncation ones.
+the CLI serializes.  Each pass/fail rule is decided here, once, as a plain
+bool next to the numbers it judges, with its threshold a named constant
+below; a NaN fails every rule.  The CLI only writes the verdicts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,7 +42,6 @@ __all__ = [
     "ScalingFit",
     "ObstructionCertificate",
     "derivative_fd",
-    "quintic_ratio_series",
     "scaling_point",
     "scaling_slope_experiment",
     "comparability_sweep",
@@ -48,12 +49,19 @@ __all__ = [
     "kernel_bounds_suite",
     "f_bounds_suite",
     "obstruction_certificate",
+    "certifies_obstruction",
+    "obstruction_suite",
+    "linearized_fd_check",
     "linearized_energy",
     "resonance_report",
     "truncation_convergence",
 ]
 
 DIAGONAL_TOL = 1e-8
+LSTSQ_TOL = 1e-10  # relative to max(1, residual of the eliminated system)
+COMPARABILITY_WINDOW = (0.4, 0.6)
+IDENTITY_TOL = 1e-7  # relative to |E_2| at the first sample
+FD_RATIO_WINDOW = (8.0, 12.0)
 
 
 @dataclass(frozen=True)
@@ -104,24 +112,6 @@ def derivative_fd(series, index: int) -> float:
     return float(
         (-values[i + 2] + 8 * values[i + 1] - 8 * values[i - 1] + values[i - 2]) / (12 * h)
     )
-
-
-def quintic_ratio_series(traj: Trajectory, N: NonlinearitySpec, s: float):
-    """R(t) = |d/dt E_total^s| / (E_total^s * (E_total^{1/4})^2) at
-    interior samples, with a per-sample smallness-gate flag."""
-    if len(traj) < 7:
-        raise ValueError("need at least 7 uniform samples")
-    stack = traj.grid, traj.u, traj.v
-    e_s = modified_energy(*stack, N, s).e_total.tolist()
-    e_q = e_s if s == 0.25 else modified_energy(*stack, N, 0.25).e_total.tolist()
-    over = (np.hypot(*pair_norm(*stack, 0.0)) > delta_gate(N)).tolist()
-    series = list(zip(traj.times, e_s))
-    out = []
-    for i in range(2, len(traj) - 2):
-        d = derivative_fd(series, i)
-        denom = e_s[i] * e_q[i] ** 2
-        out.append((traj.times[i], abs(d) / denom if denom != 0 else 0.0, over[i]))
-    return out
 
 
 def scaling_point(
@@ -176,7 +166,8 @@ def comparability_sweep(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: No
     """min/max of E_total / (pair norm squared) per regularity s over the
     states of the (S, M) stacks u and v.  States above the smallness gate
     are excluded, counted once per s.  With no state left, count is 0 and
-    min and max are NaN."""
+    min and max are NaN.  It passes when every ratio lies in
+    COMPARABILITY_WINDOW."""
     s_list = _check("s_list", list(s_list), list, ">= 0")
     over = np.hypot(*pair_norm(grid, u, v, 0.0)) > delta_gate(N)
     u, v = u[~over], v[~over]
@@ -194,21 +185,26 @@ def comparability_sweep(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: No
             "count": len(r)}
         for s, r in ratios.items()
     }
-    return {"excluded": int(np.count_nonzero(over)) * len(s_list), "per_s": per_s}
+    lo, hi = COMPARABILITY_WINDOW
+    return {"excluded": int(np.count_nonzero(over)) * len(s_list), "per_s": per_s,
+            "pass": all(lo <= v["min"] and v["max"] <= hi for v in per_s.values())}
 
 
-def second_order_identity_check(traj: Trajectory, A: float, s: float) -> float:
+def second_order_identity_check(traj: Trajectory, A: float, s: float) -> dict:
     """Max residual between the centered-difference time derivative of
-    the second-order correction (constant filter A) and its separable
+    the second-order correction E_2 (constant filter A) and its separable
     closed-form derivative, over interior samples.  O(dt^2) under
-    sampling refinement."""
+    sampling refinement.  It passes when the residual relative to |E_2| at
+    the first sample is at most IDENTITY_TOL."""
     if len(traj) < 3:
         raise ValueError("need at least three samples")
     h = _uniform_step(traj.times)
     grid, u, v = traj.grid, traj.u, traj.v
     e2 = second_order_model(grid, u, v, A, s)
     rate = second_order_rate_model(grid, u[1:-1], v[1:-1], A, s)
-    return float(np.max(np.abs((e2[2:] - e2[:-2]) / (2 * h) - rate)))  # NaN propagates
+    resid = float(np.max(np.abs((e2[2:] - e2[:-2]) / (2 * h) - rate)))  # NaN propagates
+    rel = resid / max(abs(float(e2[0])), 1e-300)
+    return {"residual": resid, "relative_residual": rel, "pass": rel <= IDENTITY_TOL}
 
 
 def divided_difference(lambda1, lambda2, s, tol: float = DIAGONAL_TOL):
@@ -379,6 +375,45 @@ def obstruction_certificate(x: float, y: float, sigma: float) -> ObstructionCert
     )
 
 
+def certifies_obstruction(cert: ObstructionCertificate) -> bool:
+    """The eliminated system is infeasible (residual > 0), and the least-squares
+    residual agrees: it exceeds LSTSQ_TOL * max(1, residual)."""
+    return cert.residual > 0 and cert.lstsq_residual > LSTSQ_TOL * max(1.0, cert.residual)
+
+
+def obstruction_suite(n_samples: int, seed: int) -> dict:
+    """certifies_obstruction on samples x, y ~ exp(U(-3, 3)), sigma ~ U(0, 1),
+    drawn at seed + 1 (kernel_bounds_suite draws at seed); it passes when
+    every certificate does, and "failed" is the last one that does not."""
+    _check("n_samples", n_samples, int, ">= 0")
+    _check("seed", seed, int, ">= 0")
+    r = uniforms(seed + 1, 3 * n_samples).reshape(-1, 3)
+    failed = None
+    for (x, y), sigma in zip(np.exp(-3.0 + 6.0 * r[:, :2]), r[:, 2]):
+        cert = obstruction_certificate(float(x), float(y), float(sigma))
+        if not certifies_obstruction(cert):
+            failed = asdict(cert)
+    return {"pass": failed is None, "failed": failed}
+
+
+def linearized_fd_check(state: SpectralState, w0: LinearizedState, N: NonlinearitySpec,
+                        T: float, dt: float, stride: int = 1) -> dict:
+    """The error of (flow(u0 + e w0) - flow(u0)) / e against evolve_pair's
+    companion at T, sup norms of w and w' in quadrature, at e = 1e-3 and
+    1e-4; it is O(e), so it passes when their ratio is in FD_RATIO_WINDOW."""
+    traj = evolve_pair(state, w0, N, T, dt, stride=stride)
+    errs = []
+    for e in (1e-3, 1e-4):
+        pert = state.replace_amplitudes(state.u_hat + e * w0.w_hat, state.v_hat + e * w0.w_vel)
+        tp = evolve(pert, N, T, dt, stride=max(1, traj.steps))
+        a = np.max(np.abs((tp.u[-1] - traj.u[-1]) / e - traj.w_hat[-1]))
+        b = np.max(np.abs((tp.v[-1] - traj.v[-1]) / e - traj.w_vel[-1]))
+        errs.append(float(np.sqrt(a**2 + b**2)))
+    ratio = errs[0] / errs[1] if errs[1] > 0 else math.inf
+    lo, hi = FD_RATIO_WINDOW
+    return {"fd_errors": errs, "fd_ratio": ratio, "pass": lo <= ratio <= hi}
+
+
 def linearized_energy(grid: FrequencyGrid, u: np.ndarray, w_hat: np.ndarray,
                       w_vel: np.ndarray, sigma: float):
     """(1/2)|w'|_{H^sigma}^2 + (1/2)(1 + mass(u)) |w|_{H^{1+sigma}}^2 along
@@ -437,7 +472,8 @@ def truncation_convergence(
 ) -> dict:
     """Evolve each frequency truncation of the data and report the sup-
     in-time H^1 x L^2 distance between consecutive truncations, plus the
-    sup of the modified energy at s_low per truncation."""
+    sup of the modified energy at s_low per truncation.  The distances are
+    "decreasing" when each is below the one before or both vanish."""
     _check("s_low", s_low, float, ">= 0")
     # an infinite cutoff keeps every mode, as in truncate
     if what := _must([1.0 if isinstance(c, float) and c == math.inf else c for c in cutoffs],
@@ -462,4 +498,5 @@ def truncation_convergence(
                              + sobolev_norm_sq(full, va - vb, 0.0))))
         for ua, va, ub, vb in zip(us, vs, us[1:], vs[1:])
     ]
-    return {"cutoffs": cutoffs, "consecutive_diffs": diffs, "energy_sup": e_sup}
+    return {"cutoffs": cutoffs, "consecutive_diffs": diffs, "energy_sup": e_sup,
+            "decreasing": all(b < a or a == b == 0.0 for a, b in zip(diffs, diffs[1:]))}

@@ -15,10 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, energy, output
-from ._pcg64 import uniforms
+from . import analysis, output
 from .config import DECAY_DEFAULTS, SCENARIOS, ConfigError, RunConfig, parse_config
-from .dynamics import LinearizedState, evolve, evolve_blocks, evolve_pair, hamiltonian
+from .dynamics import LinearizedState, evolve, evolve_blocks, hamiltonian
 from .energy import EnergyBreakdown, modified_energy
 from .nonlinearity import delta_gate, nonlinearity_from_config
 from .spectral import (
@@ -137,48 +136,31 @@ def _scenario_verify(config, N, state, out_dir, seed):
     verdicts = []
 
     kern = analysis.kernel_bounds_suite(p["kernel_samples"], seed)
-    verdicts.append({"suite": "kernel-bounds", "pass": bool(kern["pass"]),
+    verdicts.append({"suite": "kernel-bounds", "pass": kern["pass"],
                      "worst_case": {"ratio": kern["worst_ratio"], "violations": kern["violations"]}})
 
-    # x, y ~ exp(U(-3, 3)) and sigma ~ U(0, 1) per sample, in one draw
-    r = uniforms(seed + 1, 3 * p["obstruction_samples"]).reshape(-1, 3)
-    obs_ok = True
-    worst = None
-    for (x, y), sigma in zip(np.exp(-3.0 + 6.0 * r[:, :2]), r[:, 2]):
-        cert = analysis.obstruction_certificate(float(x), float(y), float(sigma))
-        agree = (cert.residual > 0) == (cert.lstsq_residual > 1e-10 * max(1.0, cert.residual))
-        if cert.feasible or not agree:
-            obs_ok = False
-            worst = cert.__dict__
-    verdicts.append({"suite": "obstruction-infeasibility", "pass": obs_ok, "worst_case": worst})
+    obs = analysis.obstruction_suite(p["obstruction_samples"], seed)
+    verdicts.append({"suite": "obstruction-infeasibility", "pass": obs["pass"],
+                     "worst_case": obs["failed"]})
 
     gate = delta_gate(N)
-    states = [
-        rescale_to(_random_decay(config, seed + 100 + i), gate / 10.0, 0.0)
-        for i in range(p["comparability_states"])
-    ]
+    states = [rescale_to(_random_decay(config, seed + 100 + i), gate / 10.0, 0.0)
+              for i in range(p["comparability_states"])]
     comp = analysis.comparability_sweep(states[0].grid, np.array([st.u_hat for st in states]),
                                         np.array([st.v_hat for st in states]), N, config.s_list)
-    comp_ok = all(0.4 <= v["min"] and v["max"] <= 0.6 for v in comp["per_s"].values())
-    verdicts.append({"suite": "comparability", "pass": comp_ok, "worst_case": comp["per_s"]})
+    verdicts.append({"suite": "comparability", "pass": comp["pass"], "worst_case": comp["per_s"]})
 
     if N.is_linear:
-        A = N.coefficients[0]
-        st30 = rescale_to(
-            build_random_decay(30, 1.0, 8.0, 0.25, 0.4, seed + 500), 0.05, 0.0
-        )
+        st30 = rescale_to(build_random_decay(30, 1.0, 8.0, 0.25, 0.4, seed + 500), 0.05, 0.0)
         dt = p["identity_dt"]
-        traj = evolve(st30, N, 20 * dt, dt, stride=1)
-        resid = analysis.second_order_identity_check(traj, A, 0.25)
-        scale = abs(energy.second_order_model(st30.grid, st30.u_hat, st30.v_hat, A, 0.25))
-        rel = resid / max(scale, 1e-300)
-        verdicts.append({"suite": "second-order-identity", "pass": bool(rel <= 1e-7),
-                         "worst_case": {"relative_residual": rel}})
+        ident = analysis.second_order_identity_check(evolve(st30, N, 20 * dt, dt, stride=1),
+                                                     N.coefficients[0], 0.25)
+        verdicts.append({"suite": "second-order-identity", "pass": ident["pass"],
+                         "worst_case": {"relative_residual": ident["relative_residual"]}})
 
     fb_state = rescale_to(build_random_decay(32, 1.0, 8.0, 0.25, 0.55, seed + 900), gate / 10, 0.0)
-    fb_traj = evolve(fb_state, N, 0.05, 1e-3, stride=5)
-    fb = analysis.f_bounds_suite(fb_traj, N)
-    verdicts.append({"suite": "correction-function-bounds", "pass": bool(fb["pass"]),
+    fb = analysis.f_bounds_suite(evolve(fb_state, N, 0.05, 1e-3, stride=5), N)
+    verdicts.append({"suite": "correction-function-bounds", "pass": fb["pass"],
                      "worst_case": {k: v for k, v in fb.items() if k != "pass"}})
 
     doc = {"scenario": "verify", "params": dict(p), "verdicts": verdicts,
@@ -199,11 +181,9 @@ def _scenario_sweep(config, N, state, out_dir, seed):
                       {name: (log_eps, [np.log10(max(y, 1e-300)) for y in fit.values])
                        for name, fit in (("unmodified", fit_u), ("modified", fit_m))},
                       "derivative scaling (log10-log10)")
-    doc = {
-        "unmodified": {"slope": fit_u.slope, "degenerate": fit_u.degenerate},
-        "modified": {"slope": fit_m.slope, "degenerate": fit_m.degenerate},
-        "slope_difference": fit_m.slope - fit_u.slope,
-    }
+    doc = {name: {"slope": fit.slope, "degenerate": fit.degenerate}
+           for name, fit in (("unmodified", fit_u), ("modified", fit_m))}
+    doc["slope_difference"] = fit_m.slope - fit_u.slope
     artifacts.append(str(output.write_json(out_dir / "sweep_fit.json", doc)))
     return {"pass": True, "artifacts": artifacts}
 
@@ -215,21 +195,10 @@ def _companion_direction(config, state, seed):
 
 
 def _scenario_linearized(config, N, state, out_dir, seed):
-    w0 = _companion_direction(config, state, seed)
-    T = config.integrator["T"]
-    dt = config.integrator["dt"]
-    traj = evolve_pair(state, w0, N, T, dt, stride=config.integrator["stride"])
-    errs = []
-    for e in (1e-3, 1e-4):
-        pert = state.replace_amplitudes(state.u_hat + e * w0.w_hat, state.v_hat + e * w0.w_vel)
-        tp = evolve(pert, N, T, dt, stride=max(1, traj.steps))
-        du = (tp.u[-1] - traj.u[-1]) / e
-        dv = (tp.v[-1] - traj.v[-1]) / e
-        errs.append(float(np.sqrt(np.max(np.abs(du - traj.w_hat[-1])) ** 2
-                                  + np.max(np.abs(dv - traj.w_vel[-1])) ** 2)))
-    ratio = errs[0] / errs[1] if errs[1] > 0 else float("inf")
-    doc = {"fd_errors": errs, "fd_ratio": ratio, "T": T, "dt": dt,
-           "pass": bool(8.0 <= ratio <= 12.0)}
+    integ = config.integrator
+    doc = analysis.linearized_fd_check(state, _companion_direction(config, state, seed), N,
+                                       integ["T"], integ["dt"], integ["stride"])
+    doc.update(T=integ["T"], dt=integ["dt"])
     artifacts = [str(output.write_json(out_dir / "linearized.json", doc))]
     return {"pass": doc["pass"], "artifacts": artifacts}
 
@@ -263,24 +232,17 @@ def _scenario_truncation(config, N, state, out_dir, seed):
     p = config.params
     lam_max = float(state.grid.lambdas[-1])
     cutoffs = p.get("cutoffs") or [lam_max / 2**k for k in range(3, -1, -1)]
-    tab = analysis.truncation_convergence(
-        state, cutoffs, N, config.integrator["T"], p["s_low"], config.integrator["dt"],
-        stride=p["fd_stride"],
-    )
+    tab = analysis.truncation_convergence(state, cutoffs, N, config.integrator["T"], p["s_low"],
+                                          config.integrator["dt"], stride=p["fd_stride"])
     header = ["cutoff", "diff_from_previous", "energy_sup"]
-    rows = []
-    for i, c in enumerate(tab["cutoffs"]):
-        diff = tab["consecutive_diffs"][i - 1] if i > 0 else float("nan")
-        rows.append([float(c), float(diff), float(tab["energy_sup"][i])])
-    decreasing = all(
-        b < a or (a == 0.0 and b == 0.0)
-        for a, b in zip(tab["consecutive_diffs"], tab["consecutive_diffs"][1:])
-    )
+    diffs = [float("nan"), *tab["consecutive_diffs"]]
+    rows = [[float(c), float(d), float(e)]
+            for c, d, e in zip(tab["cutoffs"], diffs, tab["energy_sup"])]
     artifacts = _emit(out_dir, "truncation", header, rows, config.output["format"])
-    doc = {"decreasing": decreasing, "diffs": tab["consecutive_diffs"],
+    doc = {"decreasing": tab["decreasing"], "diffs": tab["consecutive_diffs"],
            "energy_sup": tab["energy_sup"]}
     artifacts.append(str(output.write_json(out_dir / "truncation_summary.json", doc)))
-    return {"pass": decreasing, "artifacts": artifacts}
+    return {"pass": doc["decreasing"], "artifacts": artifacts}
 
 
 _SCENARIO_IMPL = {

@@ -18,7 +18,7 @@ from kirchlab.nonlinearity import (
     delta_gate,
     polynomial_nonlinearity,
 )
-from kirchlab.spectral import build_random_decay, rescale_to
+from kirchlab.spectral import build_random_decay, rescale_to, sobolev_norm_sq
 
 from conftest import ACCEPTANCE_VERDICTS
 from scalar_oracles import amps, stack, state_at
@@ -128,14 +128,14 @@ def test_criterion_02_hamiltonian_conservation():
 
 def test_criterion_03_second_order_derivative_identity():
     st = rescale_to(_decaying(30, 500, lam_max=8.0, margin=0.4), 0.05, 0.0)
-    rels = []
+    checks = []
     for dt in (4e-4, 2e-4, 1e-4):
         traj = evolve(st, N1, 20 * dt, dt, stride=1)
-        resid = analysis.second_order_identity_check(traj, 1.0, 0.25)
-        rels.append(resid / abs(energy.second_order_model(*amps(st), 1.0, 0.25)))
+        checks.append(analysis.second_order_identity_check(traj, 1.0, 0.25))
+    rels = [c["relative_residual"] for c in checks]
     orders = [np.log2(a / b) for a, b in zip(rels, rels[1:])]
     order_ok = all(1.7 <= o <= 2.3 for o in orders)
-    tol_ok = rels[-1] <= 1e-7
+    tol_ok = checks[-1]["pass"]  # relative residual <= IDENTITY_TOL at dt = 1e-4
     _report(3, "energy-derivative identity O(dt^2), <=1e-7 at dt=1e-4",
             order_ok and tol_ok,
             f"orders {[f'{o:.2f}' for o in orders]}, rel at 1e-4: {rels[-1]:.2e}")
@@ -162,7 +162,7 @@ def test_criterion_05_comparability():
         assert rep["excluded"] == 0
         for v in rep["per_s"].values():
             worst = (min(worst[0], v["min"]), max(worst[1], v["max"]))
-            window_ok = window_ok and 0.4 <= v["min"] and v["max"] <= 0.6
+        window_ok = window_ok and rep["pass"]  # every ratio in COMPARABILITY_WINDOW
 
     base = _decaying(48, 3, lam_max=8.0)
     monotone_ok = True
@@ -200,27 +200,15 @@ def test_criterion_07_linearization():
     st = rescale_to(_decaying(24, 11, lam_max=8.0), 0.03, 0.0)
     wdir = _decaying(24, 12, lam_max=8.0)
     w0 = LinearizedState(wdir.u_hat, wdir.v_hat)
-    T, dt = 0.5, 1e-3
-    traj = evolve_pair(st, w0, N1, T, dt, stride=100)
-    errs = []
-    for e in (1e-3, 1e-4):
-        pert = st.replace_amplitudes(st.u_hat + e * w0.w_hat, st.v_hat + e * w0.w_vel)
-        pT = evolve(pert, N1, T, dt, stride=100)
-        du = (pT.u[-1] - traj.u[-1]) / e
-        dv = (pT.v[-1] - traj.v[-1]) / e
-        errs.append(float(np.hypot(np.max(np.abs(du - traj.w_hat[-1])),
-                                   np.max(np.abs(dv - traj.w_vel[-1])))))
-    ratio = errs[0] / errs[1]
-
-    from kirchlab.spectral import sobolev_norm_sq
+    fd = analysis.linearized_fd_check(st, w0, N1, 0.5, 1e-3, stride=100)
 
     m = sobolev_norm_sq(st.grid, st.u_hat, 1.0)
     wt = LinearizedState(st.v_hat, -(1 + m) * st.grid.lambdas**2 * st.u_hat)
     tt = evolve_pair(st, wt, N1, 0.01, 1e-5, stride=1000)
     resid = float(np.max(np.abs(tt.w_hat[-1] - tt.v[-1])))
     _report(7, "linearized flow: FD ratio 10+-2, w=u' residual <=1e-10",
-            8.0 <= ratio <= 12.0 and resid <= 1e-10,
-            f"fd ratio {ratio:.2f}, residual {resid:.2e}")
+            fd["pass"] and resid <= 1e-10,
+            f"fd ratio {fd['fd_ratio']:.2f}, residual {resid:.2e}")
 
 
 def test_criterion_08_obstruction_certificate():
@@ -230,8 +218,7 @@ def test_criterion_08_obstruction_certificate():
         x, y = np.exp(rng.uniform(-3, 3, size=2))
         sigma = float(rng.uniform(0.0, 1.0))
         cert = analysis.obstruction_certificate(float(x), float(y), sigma)
-        agree = (cert.residual > 0) == (cert.lstsq_residual > 1e-10)
-        ok = ok and not cert.feasible and agree
+        ok = ok and analysis.certifies_obstruction(cert)
     for x, y in ((0.0, 2.0), (3.0, 0.0), (0.0, 0.0)):
         ok = ok and analysis.obstruction_certificate(x, y, 0.5).feasible
     _report(8, "coefficient-matching infeasible iff both frequencies nonzero", ok)
@@ -257,7 +244,7 @@ def test_criterion_10_truncation_convergence():
     tab = analysis.truncation_convergence(rough, [16, 32, 64, 128, 256, 512],
                                           N1, 0.5, dt=1e-3, stride=50)
     d = tab["consecutive_diffs"]
-    rate_ok = all(a / b >= 1.5 for a, b in zip(d, d[1:]))
+    rate_ok = tab["decreasing"] and all(a / b >= 1.5 for a, b in zip(d, d[1:]))
     e = tab["energy_sup"]
     spread = (max(e) - min(e)) / max(e)
     _report(10, "truncation diffs shrink >=1.5x per doubling, energy uniform",

@@ -58,7 +58,6 @@ GOOD = {
     "dynamics.evolve_blocks": {"state": STATE, "N": N1, **MARCH},
     "dynamics.evolve_pair": {"base": STATE, "lin": ZERO, "N": N1, **MARCH},
     "analysis.derivative_fd": {"series": SERIES, "index": 3},
-    "analysis.quintic_ratio_series": {"traj": TRAJ, "N": N1, "s": 0.25},
     "analysis.scaling_point": {"base_state": STATE, "N": N1, "s": 0.25, "epsilon": 0.01,
                                "dt": 1e-3, "stride": 1},
     "analysis.scaling_slope_experiment": {"base_state": STATE, "N": N1, "s": 0.25,
@@ -67,6 +66,8 @@ GOOD = {
     "analysis.second_order_identity_check": {"traj": TRAJ, "A": 1.0, "s": 0.25},
     "analysis.kernel_bounds_suite": {"n_samples": 10, "seed": 0},
     "analysis.obstruction_certificate": {"x": 1.0, "y": 2.0, "sigma": 0.25},
+    "analysis.obstruction_suite": {"n_samples": 10, "seed": 0},
+    "analysis.linearized_fd_check": {"state": STATE, "w0": ZERO, "N": N1, **MARCH},
     "analysis.linearized_energy": {"grid": STATE.grid, "u": STATE.u_hat, "w_hat": STATE.u_hat,
                                    "w_vel": STATE.v_hat, "sigma": 0.25},
     "analysis.resonance_report": {"u0": STATE, "w0": ZERO, "N": N1, "sigma": 0.25, **MARCH},

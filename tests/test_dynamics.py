@@ -297,34 +297,6 @@ class TestLinearized:
         with pytest.raises(ValueError, match="requires the model nonlinearity"):
             evolve_pair(st, LinearizedState(z, z), polynomial_nonlinearity([1.0, 1.0]), 0.1, 1e-3)
 
-    def test_time_translation_direction(self):
-        # w = u' solves the linearized equation
-        st = small_state(M=24)
-        m = h1_mass(st)
-        w0 = LinearizedState(st.v_hat, -(1 + m) * st.grid.lambdas**2 * st.u_hat)
-        traj = evolve_pair(st, w0, N1, 0.01, 1e-5, stride=1000)
-        assert np.max(np.abs(traj.w_hat[-1] - traj.v[-1])) <= 1e-10
-
-    def test_flow_map_directional_derivative(self):
-        st = small_state(M=24)
-        wdir = build_random_decay(24, 1.0, 8.0, 0.25, 0.55, seed=12)
-        w0 = LinearizedState(wdir.u_hat, wdir.v_hat)
-        T, dt = 0.5, 1e-3
-        traj = evolve_pair(st, w0, N1, T, dt, stride=100)
-        baseT = state_at(traj, -1)
-        errs = []
-        for eps in (1e-3, 1e-4):
-            pert = st.replace_amplitudes(st.u_hat + eps * w0.w_hat, st.v_hat + eps * w0.w_vel)
-            pT = state_at(evolve(pert, N1, T, dt, stride=100), -1)
-            du = (pT.u_hat - baseT.u_hat) / eps
-            dv = (pT.v_hat - baseT.v_hat) / eps
-            errs.append(
-                float(np.hypot(np.max(np.abs(du - traj.w_hat[-1])),
-                               np.max(np.abs(dv - traj.w_vel[-1]))))
-            )
-        ratio = errs[0] / errs[1]
-        assert 8.0 <= ratio <= 12.0
-
 
 # Frozen reference: the per-step loops as they were before the array
 # kernels (a SpectralState per trial rotation, a Hermite call per RK4

@@ -2,9 +2,10 @@
 listed in its __all__, and every module-level private function or class,
 every public one a module lists in its __all__, and every public method
 of a module-level class is referenced somewhere in the package outside
-its own definition.  Standard-library
-scans of the source, so they run with the rest of the suite and need no
-linter."""
+its own definition; and no comparison in cli.py holds a float
+constant, since every threshold is a named constant of analysis.
+Standard-library scans of the source, so they run with the rest of the
+suite and need no linter."""
 
 import ast
 from collections import Counter
@@ -113,15 +114,11 @@ def unreferenced_private_definitions(sources: dict) -> list[str]:
     )
 
 
-def unreferenced_public_definitions(sources: dict, exempt=()) -> list[str]:
+def unreferenced_public_definitions(sources: dict) -> list[str]:
     """Module-level functions and classes that a module lists in its
-    __all__ and that no module names outside the definition itself,
-    leaving out the names in `exempt`."""
+    __all__ and that no module names outside the definition itself."""
     return _unreferenced_definitions(
-        sources,
-        lambda tree: _module_definitions(
-            tree, lambda name: name in _exported(tree) and name not in exempt
-        ),
+        sources, lambda tree: _module_definitions(tree, lambda name: name in _exported(tree))
     )
 
 
@@ -140,21 +137,15 @@ def unreferenced_public_methods(sources: dict) -> list[str]:
     )
 
 
-# The paper-estimate harness that the tests call and no scenario does:
-# quintic_ratio_series measures the quintic ratio R(t) of the paper's
-# estimate (tests/test_analysis.py).
-HARNESSES = ("quintic_ratio_series",)
-
-
 def test_no_unreferenced_public_definitions():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert unreferenced_public_definitions(sources, HARNESSES) == []
+    assert unreferenced_public_definitions(sources) == []
 
 
 def test_scan_finds_unreferenced_public_definitions():
     sources = {
         "a.py": (
-            "__all__ = ['used', 'Unused', 'only_recursive', 'harness']\n"
+            "__all__ = ['used', 'Unused', 'only_recursive']\n"
             "from .b import helper\n"
             "def used():\n"
             "    return helper()\n"
@@ -162,8 +153,6 @@ def test_scan_finds_unreferenced_public_definitions():
             "    pass\n"
             "def only_recursive(n):\n"
             "    return only_recursive(n - 1)\n"
-            "def harness():\n"
-            "    pass\n"
             "def not_exported():\n"
             "    pass\n"
         ),
@@ -174,7 +163,7 @@ def test_scan_finds_unreferenced_public_definitions():
             "    return a.used\n"
         ),
     }
-    assert unreferenced_public_definitions(sources, ("harness",)) == [
+    assert unreferenced_public_definitions(sources) == [
         "a.py: Unused (line 5)",
         "a.py: only_recursive (line 7)",
     ]
@@ -242,4 +231,44 @@ def test_scan_finds_unreferenced_public_methods():
     assert unreferenced_public_methods(sources) == [
         "a.py: only_recursive (line 10)",
         "a.py: unused_builder (line 8)",
+    ]
+
+
+def _constants(operand) -> list:
+    """The constants of a comparison operand, through its arithmetic."""
+    if isinstance(operand, ast.BinOp):
+        return _constants(operand.left) + _constants(operand.right)
+    if isinstance(operand, ast.UnaryOp):
+        return _constants(operand.operand)
+    return [operand.value] if isinstance(operand, ast.Constant) else []
+
+
+def float_comparisons(source: str) -> list[str]:
+    """Every comparison with a float constant among its operands, also
+    inside arithmetic on them: a threshold written into the source."""
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare)
+        and any(type(c) is float for op in (node.left, *node.comparators) for c in _constants(op))
+    ]
+
+
+def test_cli_writes_verdicts_and_judges_none():
+    # every pass/fail threshold is a named constant of analysis
+    assert float_comparisons((SRC / "cli.py").read_text()) == []
+
+
+def test_scan_finds_float_comparisons():
+    source = (
+        "ok = 8.0 <= ratio <= 12.0\n"
+        "ok = lsq > 1e-10 * max(1.0, res)\n"
+        "ok = a == -0.0\n"
+        "ok = i > 0 and name in ('a', 'b') and x <= LIMIT\n"
+        "ok = f(0.5) < g\n"
+    )
+    assert float_comparisons(source) == [
+        "line 1: 8.0 <= ratio <= 12.0",
+        "line 2: lsq > 1e-10 * max(1.0, res)",
+        "line 3: a == -0.0",
     ]
