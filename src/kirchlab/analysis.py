@@ -473,7 +473,8 @@ def truncation_convergence(
     """Evolve each frequency truncation of the data and report the sup-
     in-time H^1 x L^2 distance between consecutive truncations, plus the
     sup of the modified energy at s_low per truncation.  The distances are
-    "decreasing" when each is below the one before or both vanish."""
+    "decreasing" when there are at least two, each below the one before
+    or both zero: one or two cutoffs give too few to show a trend."""
     _check("s_low", s_low, float, ">= 0")
     # an infinite cutoff keeps every mode, as in truncate
     if what := _must([1.0 if isinstance(c, float) and c == math.inf else c for c in cutoffs],
@@ -499,4 +500,5 @@ def truncation_convergence(
         for ua, va, ub, vb in zip(us, vs, us[1:], vs[1:])
     ]
     return {"cutoffs": cutoffs, "consecutive_diffs": diffs, "energy_sup": e_sup,
-            "decreasing": all(b < a or a == b == 0.0 for a, b in zip(diffs, diffs[1:]))}
+            "decreasing": len(diffs) >= 2
+            and all(b < a or a == b == 0.0 for a, b in zip(diffs, diffs[1:]))}

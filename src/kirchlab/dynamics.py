@@ -6,12 +6,13 @@ exact-rotation splitting (freeze the wave speed at its midpoint value,
 rotate every mode analytically) and a classical RK4 step.  Every
 dynamical claim in the test suite is cross-validated between them.
 
-The rotation step and the linearized companion run on raw arrays.  One
-marching loop serves `evolve`, `evolve_blocks` and `evolve_pair`; it
-validates one new `SpectralState` per step and writes each sample into
-the (S, M) arrays of a `Trajectory` block: all samples for `evolve` and
-`evolve_pair`, at most max(1, _BLOCK // M) for `evolve_blocks`, whose
-consumer keeps flat memory however long the run.  One RK4 tableau serves
+Both steps take and return the `(grid, u, v)` amplitude arrays that
+`hamiltonian` and the energy functions read.  One marching loop carries
+those arrays for `evolve`, `evolve_blocks` and `evolve_pair`, with no
+state built per step, and writes each sample into the (S, M) arrays of a
+`Trajectory` block: one block for `evolve` and `evolve_pair`, blocks of
+at most max(1, _BLOCK // M) samples for `evolve_blocks`, whose consumer
+keeps flat memory however long the run.  One RK4 tableau serves
 `step_rk4` and the companion.
 """
 
@@ -65,8 +66,8 @@ class LinearizedState:
 class Trajectory:
     """The samples of a run on one grid: strictly increasing times (S,),
     amplitudes u and v (S, M), and for `evolve_pair` the linearized
-    companion w_hat and w_vel (S, M); `steps` is the step count at the
-    last sample.  The arrays are read-only."""
+    companion w_hat and w_vel (S, M), both or neither; `steps` is the step
+    count at the last sample.  The arrays are read-only."""
 
     grid: FrequencyGrid
     times: np.ndarray
@@ -78,6 +79,9 @@ class Trajectory:
 
     def __post_init__(self):
         _check("steps", self.steps, int, ">= 0")
+        if (self.w_hat is None) != (self.w_vel is None):
+            given, missing = ("w_hat", "w_vel") if self.w_vel is None else ("w_vel", "w_hat")
+            raise ValueError(f"{missing} must be given with {given}")
         times = _readonly(self.times, float)
         if times.ndim != 1 or times.size == 0 or not np.all(np.diff(times) > 0):  # NaN too
             raise ValueError("times must be a non-empty, strictly increasing 1-d array")
@@ -154,28 +158,28 @@ def _rotation_arrays(grid, u, v, N, dt, allow_halve):
     return u1, -omega * s * u + c * v
 
 
-def step_rotation(state: SpectralState, N: NonlinearitySpec, dt: float) -> SpectralState:
-    """One exact-rotation step with the wave speed frozen at its midpoint
-    value (fixed-point iterated); unconditionally stable in lambda_max."""
+def step_rotation(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: NonlinearitySpec,
+                  dt: float):
+    """(u, v) after one exact-rotation step with the wave speed frozen at
+    its midpoint value (fixed-point iterated); unconditionally stable in
+    lambda_max."""
     _check("dt", dt, float, "> 0")
-    u1, v1 = _rotation_arrays(state.grid, state.u_hat, state.v_hat, N, dt, allow_halve=True)
-    return state.replace_amplitudes(u1, v1, state.time + dt)
+    return _rotation_arrays(grid, u, v, N, dt, allow_halve=True)
 
 
-def rk4_dt_guard(state: SpectralState, N: NonlinearitySpec) -> float:
-    """Largest dt the RK4 stability guard allows for this state."""
-    mass = sobolev_norm_sq(state.grid, state.u_hat, 1.0)
-    speed = 1.0 + max(float(N.eval(mass)), 0.0)
-    return 2.8 / (float(state.grid.lambdas[-1]) * np.sqrt(speed))
+def rk4_dt_guard(grid: FrequencyGrid, u: np.ndarray, N: NonlinearitySpec) -> float:
+    """Largest dt the RK4 stability guard allows at amplitudes u."""
+    speed = 1.0 + max(float(N.eval(sobolev_norm_sq(grid, u, 1.0))), 0.0)
+    return 2.8 / (float(grid.lambdas[-1]) * np.sqrt(speed))
 
 
-def step_rk4(state: SpectralState, N: NonlinearitySpec, dt: float) -> SpectralState:
+def step_rk4(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: NonlinearitySpec, dt: float):
+    """(u, v) after one classical RK4 step, within rk4_dt_guard."""
     _check("dt", dt, float, "> 0")
-    guard = rk4_dt_guard(state, N)
+    guard = rk4_dt_guard(grid, u, N)
     if dt > guard:
         raise ValueError(f"RK4 stability guard requires dt <= {guard:.6g}, got {dt}")
-    u1, v1 = _rk4(lambda i, u: _rhs(state.grid, N, u), state.u_hat, state.v_hat, dt)
-    return state.replace_amplitudes(u1, v1, state.time + dt)
+    return _rk4(lambda i, x: _rhs(grid, N, x), u, v, dt)
 
 
 def hamiltonian(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: NonlinearitySpec):
@@ -191,18 +195,19 @@ def _stepper(method: str, N: NonlinearitySpec):
     """The `_march` step of an `evolve` run, which has no companion."""
     # resolved at call time, so a tracer that rebinds step_rotation sees its calls
     step = {"rotation": step_rotation, "rk4": step_rk4}[_check("method", method, _METHODS)]
-    return lambda cur, w, dt: (step(cur, N, dt), None)
+    return lambda grid, u, v, w, dt: (*step(grid, u, v, N, dt), None)
 
 
 def _march(state, T, dt, stride, step, w=None, block=None):
     """The marching loop of `evolve`, `evolve_blocks` and `evolve_pair`:
-    nsteps = round(T/dt) uniform steps of T/nsteps, where step(cur, w, dt)
-    gives the next state and the next companion pair w = (w_hat, w_vel),
-    or None without one.  The arguments are checked at once; the returned
-    iterator takes the steps as it is read and yields the samples (every
-    `stride` steps and the last) as Trajectory blocks of at most `block`
-    samples, all of them in one block if block is None.  A failing step's
-    exception is raised again with its type kept (a RuntimeError if that
+    nsteps = round(T/dt) uniform steps of T/nsteps from the state's
+    amplitudes, where step(grid, u, v, w, dt) gives the next u, v and
+    companion pair w = (w_hat, w_vel), or None without one.  The arguments
+    are checked at once; the returned iterator steps as it is read and
+    yields the samples (every `stride` steps and the last) as Trajectory
+    blocks of at most `block` samples, all in one if block is None.  A
+    failing step, or one that leaves a non-finite u or v (the first such
+    mode named), raises again with its type kept (a RuntimeError if that
     type takes no single message), naming the step and its start time."""
     # T last: a caller may derive it from a bad dt or stride (scaling_point)
     _check("dt", dt, float, "> 0")
@@ -216,11 +221,13 @@ def _blocks(state, nsteps, dt, stride, step, w, block):
     """`_march`'s iterator, on checked arguments and the uniform dt."""
     left = 1 + -(-nsteps // stride)  # samples not yet written
     block = block or left
-    t0, cur, k = state.time, state, 0
+    grid, t0, u, v, k = state.grid, state.time, state.u_hat, state.v_hat, 0
     for n in range(nsteps + 1):  # n = 0 samples the initial state
         if n:
             try:
-                cur, w = step(cur, w, dt)
+                u, v, w = step(grid, u, v, w, dt)
+                if not (np.isfinite(u).all() and np.isfinite(v).all()):
+                    _non_finite(u_hat=u, v_hat=v)
             except Exception as exc:
                 msg = f"step {n} failed at t={t0 + (n - 1) * dt}: {exc}"
                 try:
@@ -230,27 +237,21 @@ def _blocks(state, nsteps, dt, stride, step, w, block):
                 raise located from exc
         if n % stride == 0 or n == nsteps:
             if k == 0:
-                shape = (min(block, left), len(state.grid))
+                shape = (min(block, left), len(grid))
                 times = np.empty(shape[0])
                 out = [np.empty(shape, complex) for _ in range(2 if w is None else 4)]
             times[k] = t0 + n * dt
-            for a, x in zip(out, (cur.u_hat, cur.v_hat, *(w or ()))):
+            for a, x in zip(out, (u, v, *(w or ()))):
                 a[k] = x
             k += 1
             if k == shape[0]:
                 left -= k
                 k = 0
-                yield Trajectory(state.grid, times, *out[:2], n, *out[2:])
+                yield Trajectory(grid, times, *out[:2], n, *out[2:])
 
 
-def evolve(
-    state: SpectralState,
-    N: NonlinearitySpec,
-    T: float,
-    dt: float,
-    stride: int = 1,
-    method: str = "rotation",
-) -> Trajectory:
+def evolve(state: SpectralState, N: NonlinearitySpec, T: float, dt: float, stride: int = 1,
+           method: str = "rotation") -> Trajectory:
     """March to time T in uniform steps, sampling every `stride` steps
     (first and last samples always included)."""
     (traj,) = _march(state, T, dt, stride, _stepper(method, N))
@@ -275,14 +276,8 @@ def _linearized_rhs(grid, A, two_a_lam2, u, m, w_hat):
     return -(1.0 + A * m) * grid.lambdas_sq * w_hat - two_a_lam2 * u * inner
 
 
-def evolve_pair(
-    base: SpectralState,
-    lin: LinearizedState,
-    N: NonlinearitySpec,
-    T: float,
-    dt: float,
-    stride: int = 1,
-) -> Trajectory:
+def evolve_pair(base: SpectralState, lin: LinearizedState, N: NonlinearitySpec, T: float,
+                dt: float, stride: int = 1) -> Trajectory:
     """Co-evolve a base solution (rotation steps) and a linearized
     companion (RK4 on the frozen-coefficient linear system, with the base
     interpolated at the half step by cubic Hermite)."""
@@ -296,18 +291,17 @@ def evolve_pair(
     # the H^1 mass of the current base amplitudes
     m0 = float(np.add.reduce(wl2 * np.abs(base.u_hat) ** 2))
 
-    def step(cur, w, dt):
+    def step(grid, u0, v0, w, dt):
         nonlocal m0
-        nxt = step_rotation(cur, N, dt)
-        u0, u1 = cur.u_hat, nxt.u_hat
+        u1, v1 = step_rotation(grid, u0, v0, N, dt)
         # cubic Hermite weights at tau = 1/2: 1/2, 1/8, 1/2, -1/8
-        um = 0.5 * u0 + 0.125 * dt * cur.v_hat + 0.5 * u1 + -0.125 * dt * nxt.v_hat
+        um = 0.5 * u0 + 0.125 * dt * v0 + 0.5 * u1 + -0.125 * dt * v1
         mm = float(np.add.reduce(wl2 * np.abs(um) ** 2))
         m1 = float(np.add.reduce(wl2 * np.abs(u1) ** 2))
         bases, masses = (u0, um, u1), (m0, mm, m1)
         w = _rk4(lambda i, x: _linearized_rhs(grid, A, two_a_lam2, bases[i], masses[i], x), *w, dt)
         m0 = m1
-        return nxt, w
+        return u1, v1, w
 
     (traj,) = _march(base, T, dt, stride, step, (lin.w_hat, lin.w_vel))
     return traj

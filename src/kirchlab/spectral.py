@@ -144,9 +144,8 @@ class SpectralState:
         if not (np.isfinite(u).all() and np.isfinite(v).all()):
             _non_finite(u_hat=u, v_hat=v)
 
-    def replace_amplitudes(self, u_hat, v_hat, time=None) -> "SpectralState":
-        t = self.time if time is None else float(time)
-        return SpectralState(self.grid, u_hat, v_hat, t)
+    def replace_amplitudes(self, u_hat, v_hat) -> "SpectralState":
+        return SpectralState(self.grid, u_hat, v_hat, self.time)
 
 
 def sobolev_norm_sq(grid: FrequencyGrid, a: np.ndarray, sigma: float):

@@ -52,8 +52,8 @@ GOOD = {
     "energy.unmodified_derivative_analytic": {**AMPS, "N": N1, "s": 0.25},
     "energy.second_order_model": {**AMPS, "A": 1.0, "s": 0.25},
     "energy.second_order_rate_model": {**AMPS, "A": 1.0, "s": 0.25},
-    "dynamics.step_rotation": {"state": STATE, "N": N1, "dt": 1e-3},
-    "dynamics.step_rk4": {"state": STATE, "N": N1, "dt": 1e-3},
+    "dynamics.step_rotation": {**AMPS, "N": N1, "dt": 1e-3},
+    "dynamics.step_rk4": {**AMPS, "N": N1, "dt": 1e-3},
     "dynamics.evolve": {"state": STATE, "N": N1, **MARCH},
     "dynamics.evolve_blocks": {"state": STATE, "N": N1, **MARCH},
     "dynamics.evolve_pair": {"base": STATE, "lin": ZERO, "N": N1, **MARCH},

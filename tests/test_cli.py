@@ -336,6 +336,16 @@ class TestExitCodes:
         assert verdict["pass"] is False
         assert json.loads((out / "run.json").read_text())["pass"] is False
 
+    @pytest.mark.parametrize("cutoffs", [[4.0], [4.0, 8.0]], ids=["one", "two"])
+    def test_truncation_without_a_trend_exits_two(self, tmp_path, cutoffs):
+        # one cutoff gives no distance and two give one: nothing to decrease
+        doc = small_doc("truncation", params={"cutoffs": cutoffs})
+        out = tmp_path / "out"
+        assert main(["--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 2
+        summary = json.loads((out / "truncation_summary.json").read_text())
+        assert summary["decreasing"] is False and len(summary["diffs"]) == len(cutoffs) - 1
+        assert json.loads((out / "run.json").read_text())["pass"] is False
+
 
 class TestScenarioOutputs:
     def test_trajectory_rows_equal_per_sample_calls(self, monkeypatch):

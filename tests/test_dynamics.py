@@ -73,10 +73,10 @@ class TestRhs:
 class TestRotation:
     def test_free_flow_periodic(self):
         g = FrequencyGrid([1.0], [1.0])
-        st = SpectralState(g, np.array([0.7 + 0.2j]), np.array([0.1 - 0.3j]))
-        out = step_rotation(st, N0, 10 * np.pi)
-        assert np.max(np.abs(out.u_hat - st.u_hat)) < 1e-12
-        assert np.max(np.abs(out.v_hat - st.v_hat)) < 1e-12
+        u, v = np.array([0.7 + 0.2j]), np.array([0.1 - 0.3j])
+        u1, v1 = step_rotation(g, u, v, N0, 10 * np.pi)
+        assert np.max(np.abs(u1 - u)) < 1e-12
+        assert np.max(np.abs(v1 - v)) < 1e-12
 
     def test_hamiltonian_drift_small(self):
         st = small_state(M=64, size=delta_gate(N1) / 10)
@@ -87,12 +87,11 @@ class TestRotation:
 
     def test_single_mode_exact_any_dt(self):
         g = FrequencyGrid([2.0], [1.0])
-        st = SpectralState(g, np.array([0.05 + 0.01j]), np.array([0.02j]))
-        H0 = hamiltonian(*amps(st), N1)
-        cur = st
+        u, v = np.array([0.05 + 0.01j]), np.array([0.02j])
+        H0 = hamiltonian(g, u, v, N1)
         for _ in range(50):
-            cur = step_rotation(cur, N1, 0.37)
-        assert abs(hamiltonian(*amps(cur), N1) - H0) <= 1e-13 * abs(H0)
+            u, v = step_rotation(g, u, v, N1, 0.37)
+        assert abs(hamiltonian(g, u, v, N1) - H0) <= 1e-13 * abs(H0)
 
     def test_cross_integrator_second_order(self):
         st = small_state(M=16, lam_max=4.0)
@@ -106,37 +105,37 @@ class TestRotation:
 
     def test_degenerate_speed_errors(self):
         g = FrequencyGrid([1.0], [1.0])
-        st = SpectralState(g, np.array([2.0 + 0j]), np.zeros(1, complex))
         with pytest.raises(Exception):
-            step_rotation(st, polynomial_nonlinearity([-1.0]), 1e-3)
+            step_rotation(g, np.array([2.0 + 0j]), np.zeros(1, complex),
+                          polynomial_nonlinearity([-1.0]), 1e-3)
 
 
 class TestRK4:
     def test_convergence_order_four(self):
         g = FrequencyGrid([1.0], [1.0])
-        st = SpectralState(g, np.array([0.5 + 0j]), np.array([0.2 + 0j]))
+        u0, v0 = np.array([0.5 + 0j]), np.array([0.2 + 0j])
         errs = []
         for dt in (0.1, 0.05, 0.025):
             n = int(round(1.0 / dt))
-            cur = st
+            u, v = u0, v0
             for _ in range(n):
-                cur = step_rk4(cur, N0, dt)
-            exact = step_rotation(st, N0, 1.0)
-            errs.append(abs(cur.u_hat[0] - exact.u_hat[0]))
+                u, v = step_rk4(g, u, v, N0, dt)
+            exact, _ = step_rotation(g, u0, v0, N0, 1.0)
+            errs.append(abs(u[0] - exact[0]))
         slopes = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert all(3.9 <= sl <= 4.1 for sl in slopes)
 
     def test_zero_state_fixed_point(self):
         g = FrequencyGrid([1.0, 5.0], [1.0, 1.0])
         z = np.zeros(2, complex)
-        out = step_rk4(SpectralState(g, z, z), N1, 0.1)
-        assert np.all(out.u_hat == 0) and np.all(out.v_hat == 0)
+        u1, v1 = step_rk4(g, z, z, N1, 0.1)
+        assert np.all(u1 == 0) and np.all(v1 == 0)
 
     def test_stability_guard_names_dt(self):
         st = small_state(M=16, lam_max=50.0)
         with pytest.raises(ValueError, match="dt"):
-            step_rk4(st, N1, 1.0)
-        assert step_rk4(st, N1, rk4_dt_guard(st, N1) * 0.99) is not None
+            step_rk4(*amps(st), N1, 1.0)
+        assert step_rk4(*amps(st), N1, rk4_dt_guard(st.grid, st.u_hat, N1) * 0.99) is not None
 
     def test_final_state_agreement_with_rotation(self):
         st = small_state(M=64)
@@ -167,12 +166,11 @@ class TestHamiltonian:
         assert got.tolist() == [hamiltonian(*amps(state_at(traj, i)), N) for i in range(len(traj))]
 
     def test_conservation_ten_thousand_steps(self):
-        st = small_state(M=32)
-        H0 = hamiltonian(*amps(st), N1)
-        cur = st
+        grid, u, v = amps(small_state(M=32))
+        H0 = hamiltonian(grid, u, v, N1)
         for _ in range(10_000):
-            cur = step_rotation(cur, N1, 1e-4)
-        assert abs(hamiltonian(*amps(cur), N1) - H0) <= 1e-9 * abs(H0)
+            u, v = step_rotation(grid, u, v, N1, 1e-4)
+        assert abs(hamiltonian(grid, u, v, N1) - H0) <= 1e-9 * abs(H0)
 
 
 class TestTrajectory:
@@ -204,6 +202,13 @@ class TestTrajectory:
         traj = Trajectory(small_state().grid, steps=2, **arrays)
         for name, a in arrays.items():
             assert not getattr(traj, name).flags.writeable and a.flags.writeable
+
+    @pytest.mark.parametrize("given, missing", [("w_hat", "w_vel"), ("w_vel", "w_hat")])
+    def test_half_companion_rejected(self, given, missing):
+        arrays = self.arrays()
+        del arrays[missing]
+        with pytest.raises(ValueError, match=f"^{missing} must be given with {given}$"):
+            Trajectory(small_state().grid, steps=2, **arrays)
 
 
 class TestEvolve:
@@ -253,6 +258,26 @@ class TestEvolve:
         fc = state_at(evolve(combo, N1, T, dt), -1)
         resid = np.max(np.abs(fc.u_hat - (fa.u_hat + fb.u_hat)))
         assert resid > 1e-7
+
+    def test_no_state_built_per_step(self, monkeypatch):
+        # the loop carries amplitude arrays: 60 steps of each run construct
+        # no SpectralState and no LinearizedState
+        st = small_state()
+        z = np.zeros(len(st.grid), complex)
+        lin = LinearizedState(z, z)
+        built = []
+        for cls in (SpectralState, LinearizedState):
+            init = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, init=init: built.append(type(self)) or init(self))
+        runs = {
+            "rotation": lambda: evolve(st, N1, 0.06, 1e-3),
+            "rk4": lambda: evolve(st, N1, 0.06, 1e-3, method="rk4"),
+            "blocks": lambda: list(evolve_blocks(st, N1, 0.06, 1e-3))[-1],
+            "pair": lambda: evolve_pair(st, lin, N1, 0.06, 1e-3),
+        }
+        for name, run in runs.items():
+            assert run().steps == 60 and built == [], name
 
 
 class TestLinearized:
@@ -336,7 +361,7 @@ def _ref_rotation_once(state, N, dt, allow_halve=True):
     if 1.0 + nbar <= 0.0:
         raise DegenerateNonlinearityError("wave speed lost during midpoint iteration")
     u1, v1 = _ref_rotate(state.grid, state.u_hat, state.v_hat, 1.0 + nbar, dt)
-    return state.replace_amplitudes(u1, v1, state.time + dt)
+    return SpectralState(state.grid, u1, v1, state.time + dt)
 
 
 def _ref_evolve(state, N, T, dt, stride):
@@ -347,7 +372,7 @@ def _ref_evolve(state, N, T, dt, stride):
     cur = state
     for n in range(1, nsteps + 1):
         cur = _ref_rotation_once(cur, N, dt)
-        cur = cur.replace_amplitudes(cur.u_hat, cur.v_hat, t0 + n * dt)
+        cur = SpectralState(cur.grid, cur.u_hat, cur.v_hat, t0 + n * dt)
         if n % stride == 0 or n == nsteps:
             times.append(t0 + n * dt)
             states.append(cur)
@@ -389,7 +414,7 @@ def _ref_evolve_pair(base, lin, N, T, dt, stride):
             wh + dt / 6.0 * (k1h + 2 * k2h + 2 * k3h + k4h),
             wv + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v),
         )
-        cur = nxt.replace_amplitudes(nxt.u_hat, nxt.v_hat, t0 + n * dt)
+        cur = SpectralState(nxt.grid, nxt.u_hat, nxt.v_hat, t0 + n * dt)
         if n % stride == 0 or n == nsteps:
             times.append(t0 + n * dt)
             states.append(cur)
@@ -468,17 +493,17 @@ class TestMidpointHalving:
             calls.append(r)
             return N1.eval(r)
 
-        out = step_rotation(st, dataclasses.replace(N1, eval=counted), 0.2)
+        u, v = step_rotation(*amps(st), dataclasses.replace(N1, eval=counted), 0.2)
         # 1 + 5 evaluations before the iteration gives up on the full step
         assert len(calls) > 6
-        two = step_rotation(step_rotation(st, N1, 0.1), N1, 0.1)
-        assert np.array_equal(out.u_hat, two.u_hat) and np.array_equal(out.v_hat, two.v_hat)
+        two = step_rotation(st.grid, *step_rotation(*amps(st), N1, 0.1), N1, 0.1)
+        assert np.array_equal(u, two[0]) and np.array_equal(v, two[1])
         ref = _ref_rotation_once(st, N1, 0.2)
-        assert np.array_equal(out.u_hat, ref.u_hat) and np.array_equal(out.v_hat, ref.v_hat)
+        assert np.array_equal(u, ref.u_hat) and np.array_equal(v, ref.v_hat)
 
     def test_half_steps_that_fail_raise(self):
         with pytest.raises(RuntimeError, match="failed to converge"):
-            step_rotation(self.large_state(), N1, 0.5)
+            step_rotation(*amps(self.large_state()), N1, 0.5)
 
 
 class TestStepFailures:
@@ -510,11 +535,14 @@ class TestStepFailures:
             evolve(TestMidpointHalving.large_state(), N1, 1.0, 0.5)
 
     def test_nonfinite_step_names_array_and_mode(self):
-        def step(cur, w, dt):
-            v = cur.v_hat.copy()
-            if cur.time > 0:
+        steps = []
+
+        def step(grid, u, v, w, dt):
+            steps.append(dt)
+            v = v.copy()
+            if len(steps) > 1:
                 v[5] = np.nan
-            return cur.replace_amplitudes(cur.u_hat, v, cur.time + dt), w
+            return u, v, w
 
         with pytest.raises(
             ValueError, match=r"^step 2 failed at t=0\.1: amplitudes must be finite: v_hat\[5\]"
@@ -534,9 +562,9 @@ class TestStepFailures:
         with pytest.raises(ValueError, match=message):
             evolve_pair(st, LinearizedState(z, z), N1, 0.05, dt)
         with pytest.raises(ValueError, match=message):
-            step_rotation(st, N1, dt)
+            step_rotation(*amps(st), N1, dt)
         with pytest.raises(ValueError, match=message):
-            step_rk4(st, N1, dt)
+            step_rk4(*amps(st), N1, dt)
 
     @pytest.mark.parametrize(
         "stride, what",
@@ -561,8 +589,8 @@ class TestStepFailures:
             lambda: evolve(st, N1, 1.0, float("inf")),
             lambda: list(evolve_blocks(st, N1, 1.0, float("inf"))),
             lambda: evolve_pair(st, LinearizedState(z, z), N1, 1.0, float("inf")),
-            lambda: step_rotation(st, N1, float("inf")),
-            lambda: step_rk4(st, N1, float("inf")),
+            lambda: step_rotation(*amps(st), N1, float("inf")),
+            lambda: step_rk4(*amps(st), N1, float("inf")),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="^dt must be a finite number, got inf$"):
