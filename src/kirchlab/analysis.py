@@ -207,9 +207,9 @@ def second_order_identity_check(traj: Trajectory, A: float, s: float) -> dict:
     return {"residual": resid, "relative_residual": rel, "pass": rel <= IDENTITY_TOL}
 
 
-def divided_difference(lambda1, lambda2, s, tol: float = DIAGONAL_TOL):
-    """(l1^2s - l2^2s)/(l1^2 - l2^2), with the analytic limit s*l^(2s-2)
-    at l = (l1+l2)/2 substituted when |l1^2 - l2^2| < tol*max(l1,l2)^2.
+def divided_difference(lambda1, lambda2, s):
+    """(l1^2s - l2^2s)/(l1^2 - l2^2), with the analytic limit s*l^(2s-2) at
+    l = (l1+l2)/2 substituted when |l1^2 - l2^2| < DIAGONAL_TOL*max(l1,l2)^2.
 
     Vectorized over broadcastable lambda and s arrays.  Evaluated on flat
     arrays, so one array call equals the element-wise scalar calls bitwise
@@ -220,7 +220,7 @@ def divided_difference(lambda1, lambda2, s, tol: float = DIAGONAL_TOL):
     l1, l2, s = (np.ravel(a).astype(float, copy=False) for a in (l1, l2, s))
     num = l1 ** (2.0 * s) - l2 ** (2.0 * s)
     den = l1**2 - l2**2
-    near = np.abs(den) < tol * np.maximum(l1, l2) ** 2
+    near = np.abs(den) < DIAGONAL_TOL * np.maximum(l1, l2) ** 2
     mid = 0.5 * (l1 + l2)
     limit = s * mid ** (2.0 * s - 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -171,8 +171,8 @@ def _scenario_verify(config, N, state, out_dir, seed):
 
 def _scenario_sweep(config, N, state, out_dir, seed):
     fit_u, fit_m = analysis.scaling_slope_experiment(
-        state, N, config.params["s"], config.epsilons or (2e-1, 6e-2, 2e-2, 6e-3, 2e-3),
-        config.integrator["dt"], config.params["fd_stride"], config.integrator["method"])
+        state, N, config.params["s"], config.epsilons, config.integrator["dt"],
+        config.params["fd_stride"], config.integrator["method"])
     header = ["epsilon", "y_unmodified", "y_modified"]
     rows = list(zip(fit_u.epsilons, fit_u.values, fit_m.values))
     log_eps = [np.log10(e) for e in fit_u.epsilons]
@@ -268,11 +268,8 @@ def run(config: RunConfig, out_dir, seed_override: int | None = None) -> int:
         if seed is None:  # two-mode data has no seed of its own
             seed = config.data["seed"] if "seed" in config.data else DECAY_DEFAULTS["seed"]
         state = build_state(config, seed)
-        gate_info = None
-        # a sweep rescales the data to each epsilon, and scaling_point
-        # checks the gate at every one of them
-        if config.scenario not in ("obstruction", "sweep"):
-            gate_info = _gate_check(state, N, config)
+        # the gate is checked by every scenario that reads allow_gate_violation
+        gate_info = None if config.allow_gate_violation is None else _gate_check(state, N, config)
         result = _SCENARIO_IMPL[config.scenario](config, N, state, out_dir, seed)
     except Exception as exc:
         output.write_json(out_dir / "error.json",

@@ -8,7 +8,7 @@ records round-trips: parse_config(json.dumps(cfg.as_dict())) == cfg.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 from .dynamics import _METHODS
 from .spectral import _must
@@ -20,14 +20,9 @@ __all__ = ["RunConfig", "ConfigError", "parse_config"]
 # bound reads as its message; a default of None marks a required key, and one
 # of ... a key that stays absent when it is not given.  A kind of None marks a
 # key whose value the caller judges itself (the two-mode [re, im] pairs).
-_RANDOM_DECAY = {
-    "M": (int, ">= 2", 64),
-    "lambda_min": (float, "> 0", 1.0),
-    "lambda_max": (float, "> 0", 16.0),
-    "regularity": (float, None, 0.25),
-    "margin": (float, ">= 0", 0.55),
-    "seed": (int, ">= 0", 0),
-}
+_RANDOM_DECAY = {"M": (int, ">= 2", 64), "lambda_min": (float, "> 0", 1.0),
+                 "lambda_max": (float, "> 0", 16.0), "regularity": (float, None, 0.25),
+                 "margin": (float, ">= 0", 0.55), "seed": (int, ">= 0", 0)}
 DECAY_DEFAULTS = {key: default for key, (_, _, default) in _RANDOM_DECAY.items()}
 _BUILDERS = {
     "random-decay": _RANDOM_DECAY,
@@ -43,30 +38,31 @@ _NONLINEARITIES = {
 _INTEGRATOR = {"method": (_METHODS, None, "rotation"), "dt": (float, "> 0", 1e-3),
                "T": (float, ">= 0", 1.0), "stride": (int, ">= 1", 1)}
 _OUTPUT = {"format": (("csv", "json", "both"), None, "csv"), "plots": (bool, None, False)}
-# each scenario's params
-_PARAMS = {
-    "simulate": {},
-    "energies": {},
-    "verify": {
-        "kernel_samples": (int, ">= 1", 20000),
-        "obstruction_samples": (int, ">= 0", 50),
-        "comparability_states": (int, ">= 1", 20),
-        "identity_dt": (float, "> 0", 1e-4),
-    },
-    "sweep": {"s": (float, ">= 0", 0.25), "fd_stride": (int, ">= 1", 10)},
-    "linearized": {},
-    "resonance": {"sigma": (float, None, 0.25)},
-    "obstruction": {"x": (float, ">= 0", 1.0), "y": (float, ">= 0", 1.0),
-                    "sigma": (float, None, 0.0)},
-    "truncation": {"cutoffs": (list, "> 0", ...), "s_low": (float, ">= 0", 0.25),
-                   "fd_stride": (int, ">= 1", 10)},
+# the top-level keys that are values, not sections
+_VALUES = {"s_list": (list, ">= 0", [0.25]), "allow_gate_violation": (bool, None, False),
+           "epsilons": (list, "> 0", [2e-1, 6e-2, 2e-2, 6e-3, 2e-3])}
+# what each scenario reads besides data and nonlinearity: the keys it reads
+# of the integrator, the output and the top-level values ("key=value" reads
+# a choice as that one value), then its params.  A sweep reads no gate: it
+# rescales the data to each epsilon, and scaling_point checks the gate there.
+_READS = {
+    "simulate": ("method dt T stride", "format plots", "s_list allow_gate_violation", {}),
+    "energies": ("", "format", "s_list allow_gate_violation", {}),
+    "verify": ("method=rotation", "", "s_list allow_gate_violation", {
+        "kernel_samples": (int, ">= 1", 20000), "obstruction_samples": (int, ">= 0", 50),
+        "comparability_states": (int, ">= 1", 20), "identity_dt": (float, "> 0", 1e-4)}),
+    "sweep": ("method dt", "format plots", "epsilons",
+              {"s": (float, ">= 0", 0.25), "fd_stride": (int, ">= 1", 10)}),
+    "linearized": ("method=rotation dt T stride", "", "allow_gate_violation", {}),
+    "resonance": ("method=rotation dt T stride", "format plots", "allow_gate_violation",
+                  {"sigma": (float, None, 0.25)}),
+    "obstruction": ("", "", "", {"x": (float, ">= 0", 1.0), "y": (float, ">= 0", 1.0),
+                                 "sigma": (float, None, 0.0)}),
+    "truncation": ("method=rotation dt T", "format", "allow_gate_violation",
+                   {"cutoffs": (list, "> 0", ...), "s_low": (float, ">= 0", 0.25),
+                    "fd_stride": (int, ">= 1", 10)}),
 }
-SCENARIOS = tuple(_PARAMS)
-# the scenarios that march but ignore integrator.method
-_ROTATION_ONLY = ("verify", "linearized", "resonance", "truncation")
-# the top-level keys that are values, not sections (epsilons may be empty)
-_DOCUMENT = {"scenario": (SCENARIOS, None, None), "s_list": (list, ">= 0", [0.25]),
-             "allow_gate_violation": (bool, None, False)}
+SCENARIOS = tuple(_READS)
 
 class ConfigError(ValueError):
     """Carries the full list of validation errors, each with its key path."""
@@ -78,18 +74,21 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed config; a top-level value its scenario does not read is None."""
+
     scenario: str
     data: dict
     nonlinearity: dict
     integrator: dict
-    s_list: tuple
-    epsilons: tuple
     output: dict
-    allow_gate_violation: bool = False
-    params: dict = field(default_factory=dict)
+    params: dict
+    s_list: tuple | None = None
+    epsilons: tuple | None = None
+    allow_gate_violation: bool | None = None
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The echo: what the scenario read, defaults included."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _read(doc, table, errors, path, other=()):
@@ -124,6 +123,18 @@ def _read(doc, table, errors, path, other=()):
             value = [float(c) for c in value]
         out[key] = value
     return out
+
+
+def _read_slice(doc, full, names, errors, path, scenario, other=()):
+    """_read of the keys of `full` that `names` lists (all where it is None);
+    a given key of `full` that the scenario does not read is refused."""
+    table = full
+    if names is not None:
+        pairs = [name.partition("=") for name in names.split()]
+        table = {k: ((only,), None, only) if only else full[k] for k, _, only in pairs}
+    unread = [k for k in doc if k in full and k not in table] if isinstance(doc, dict) else []
+    errors.extend(f"{path}{k}: {scenario} does not read it" for k in unread)
+    return _read(doc, table, errors, path, (*other, *unread))
 
 
 def _read_chosen(doc, key, tables, default, errors, path, other=()):
@@ -168,34 +179,24 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(["(root): top level must be an object"])
     errors: list[str] = []
     # a value that fails its check is never used: ConfigError is raised first
-    top = _read(doc, _DOCUMENT, errors, "", {f.name for f in fields(RunConfig)})
-    scenario, s_list = top["scenario"], top["s_list"]
-    if s_list is not None and len(set(s_list)) < len(s_list):
+    scenario = _read(doc, {"scenario": (SCENARIOS, None, None)}, errors, "", doc)["scenario"]
+    # an unknown scenario's sections are judged as if it read every key
+    integ_keys, output_keys, value_keys, params_table = _READS.get(scenario, (None,) * 4)
+    top = _read_slice(doc, _VALUES, value_keys, errors, "", scenario,
+                      {f.name for f in fields(RunConfig)})
+    if (s_list := top.get("s_list")) and len(set(s_list)) < len(s_list):
         errors.append("s_list: must not repeat a value")
     data = _validate_data(doc.get("data", {}), errors)
     nl = _read_chosen(doc.get("nonlinearity", {"name": "model"}), "name", _NONLINEARITIES, None,
                       errors, "nonlinearity.")
-    integ = _read(doc.get("integrator", {}), _INTEGRATOR, errors, "integrator.")
-    if scenario in _ROTATION_ONLY and integ.get("method") == "rk4":
-        errors.append(f"integrator.method: {scenario} runs the rotation integrator only")
-    epsilons = doc.get("epsilons", [])
-    if not isinstance(epsilons, list) or any(_must(e, float, "> 0") for e in epsilons):
-        errors.append("epsilons: must be a list of positive numbers")
-    output = _read(doc.get("output", {}), _OUTPUT, errors, "output.")
+    integ = _read_slice(doc.get("integrator", {}), _INTEGRATOR, integ_keys, errors,
+                        "integrator.", scenario)
+    output = _read_slice(doc.get("output", {}), _OUTPUT, output_keys, errors, "output.", scenario)
     params = doc.get("params", {})
     # the params of an unknown scenario are only seen to be an object
-    params = _read(params, _PARAMS.get(scenario, {}), errors, "params.",
-                   () if scenario else params)
+    params = _read(params, params_table or {}, errors, "params.", () if scenario else params)
     if errors:
         raise ConfigError(errors)
-    return RunConfig(
-        scenario=scenario,
-        data=data,
-        nonlinearity=nl,
-        integrator=integ,
-        s_list=tuple(s_list),
-        epsilons=tuple(float(e) for e in epsilons),
-        output=output,
-        allow_gate_violation=top["allow_gate_violation"],
-        params=params,
-    )
+    values = {k: tuple(v) if isinstance(v, list) else v for k, v in top.items()}
+    return RunConfig(scenario=scenario, data=data, nonlinearity=nl, integrator=integ,
+                     output=output, params=params, **values)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kirchlab.analysis import DIAGONAL_TOL, divided_difference
+from kirchlab.analysis import divided_difference
 from kirchlab.spectral import FrequencyGrid, SpectralState
 
 
@@ -98,7 +98,7 @@ class PairCoefficients:
     c: float
 
 
-def pair_coefficients(lambda1, lambda2, s, tol=DIAGONAL_TOL):
+def pair_coefficients(lambda1, lambda2, s):
     """a = -1/8 l1^2 l2^2 (l1^2s + l2^2s); b = -1/4 l1^2 l2^2 * divided
     difference; c = -b."""
     if lambda1 <= 0 or lambda2 <= 0:
@@ -106,5 +106,5 @@ def pair_coefficients(lambda1, lambda2, s, tol=DIAGONAL_TOL):
     l1, l2 = float(lambda1), float(lambda2)
     common = l1**2 * l2**2
     a = -0.125 * common * (l1 ** (2 * s) + l2 ** (2 * s))
-    b = -0.25 * common * float(divided_difference(l1, l2, s, tol))
+    b = -0.25 * common * float(divided_difference(l1, l2, s))
     return PairCoefficients(a, b, -b)

@@ -237,8 +237,8 @@ class TestKernelSuite:
     def test_nan_kernel_value_fails(self, monkeypatch):
         real = analysis.divided_difference
 
-        def with_nan(l1, l2, s, tol=DIAGONAL_TOL):
-            D = np.array(real(l1, l2, s, tol), dtype=float)
+        def with_nan(l1, l2, s):
+            D = np.array(real(l1, l2, s), dtype=float)
             D.flat[0] = np.nan
             return D
 
@@ -250,8 +250,8 @@ class TestKernelSuite:
     def test_nan_in_the_last_block_is_the_worst_ratio(self, monkeypatch):
         real = analysis.divided_difference
 
-        def nan_in_one_sample_calls(l1, l2, s, tol=DIAGONAL_TOL):
-            D = np.array(real(l1, l2, s, tol), dtype=float)
+        def nan_in_one_sample_calls(l1, l2, s):
+            D = np.array(real(l1, l2, s), dtype=float)
             if D.size == 1:  # the last block of _BLOCK + 1 samples
                 D[0] = np.nan
             return D
@@ -264,9 +264,9 @@ class TestKernelSuite:
     def test_blocks_judge_every_sample_once_in_order(self, monkeypatch):
         real, calls = analysis.divided_difference, []
 
-        def recording(l1, l2, s, tol=DIAGONAL_TOL):
+        def recording(l1, l2, s):
             calls.append(np.broadcast_arrays(l1, l2, s))
-            return real(l1, l2, s, tol)
+            return real(l1, l2, s)
 
         monkeypatch.setattr(analysis, "divided_difference", recording)
         n = 2 * _BLOCK + 1

@@ -18,7 +18,33 @@ from kirchlab.spectral import build_random_decay, pair_norm
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+# What each scenario reads of the integrator, the output and the top-level
+# values, written out by hand: the README's table, one key path per entry.
+# The scenarios in ROTATION_ONLY read integrator.method as "rotation" alone.
+READS = {
+    "simulate": {"integrator.method", "integrator.dt", "integrator.T", "integrator.stride",
+                 "output.format", "output.plots", "s_list", "allow_gate_violation"},
+    "energies": {"output.format", "s_list", "allow_gate_violation"},
+    "verify": {"integrator.method", "s_list", "allow_gate_violation"},
+    "sweep": {"integrator.method", "integrator.dt", "output.format", "output.plots", "epsilons"},
+    "linearized": {"integrator.method", "integrator.dt", "integrator.T", "integrator.stride",
+                   "allow_gate_violation"},
+    "resonance": {"integrator.method", "integrator.dt", "integrator.T", "integrator.stride",
+                  "output.format", "output.plots", "allow_gate_violation"},
+    "obstruction": set(),
+    "truncation": {"integrator.method", "integrator.dt", "integrator.T", "output.format",
+                   "allow_gate_violation"},
+}
+ROTATION_ONLY = ("verify", "linearized", "resonance", "truncation")
+# a valid value of every key that some scenario reads
+VALID = {"integrator.method": "rotation", "integrator.dt": 2e-3, "integrator.T": 0.05,
+         "integrator.stride": 2, "output.format": "json", "output.plots": True,
+         "s_list": [0.5], "allow_gate_violation": True, "epsilons": [0.1, 0.01, 0.001]}
+
+
 def small_doc(scenario="simulate", **over):
+    """A small config of the scenario that gives the integrator keys it reads."""
+    integ = {"method": "rotation", "dt": 1e-3, "T": 0.05, "stride": 10}
     doc = {
         "scenario": scenario,
         "data": {
@@ -29,9 +55,17 @@ def small_doc(scenario="simulate", **over):
             "rescale": {"target": 0.03, "s": 0.0},
         },
         "nonlinearity": {"name": "model", "A": 1.0},
-        "integrator": {"method": "rotation", "dt": 1e-3, "T": 0.05, "stride": 10},
+        "integrator": {k: v for k, v in integ.items() if f"integrator.{k}" in READS[scenario]},
     }
     doc.update(over)
+    return doc
+
+
+def with_key(doc, path, value):
+    """doc with the value at the dotted key path."""
+    *section, key = path.split(".")
+    target = doc.setdefault(section[0], {}) if section else doc
+    target[key] = value
     return doc
 
 
@@ -122,22 +156,54 @@ class TestConfigValidation:
                 parse_config(json.dumps(small_doc(s_list=s_list)))
             assert exc.value.errors == ["s_list: must not repeat a value"]
 
-    @pytest.mark.parametrize("scenario", ["verify", "linearized", "resonance", "truncation"])
+    @pytest.mark.parametrize("scenario", ROTATION_ONLY)
     def test_rk4_refused_where_the_scenario_ignores_it(self, scenario):
         doc = small_doc(scenario)
         doc["integrator"]["method"] = "rk4"
         with pytest.raises(ConfigError) as exc:
             parse_config(json.dumps(doc))
-        assert exc.value.errors == [
-            f"integrator.method: {scenario} runs the rotation integrator only"]
+        assert exc.value.errors == ["integrator.method: must be one of rotation"]
         doc["integrator"]["method"] = "rotation"
         assert parse_config(json.dumps(doc)).integrator["method"] == "rotation"
 
-    @pytest.mark.parametrize("scenario", ["simulate", "sweep", "energies", "obstruction"])
+    @pytest.mark.parametrize("scenario", ["simulate", "sweep"])
     def test_rk4_accepted_elsewhere(self, scenario):
         doc = small_doc(scenario)
         doc["integrator"]["method"] = "rk4"
         assert parse_config(json.dumps(doc)).integrator["method"] == "rk4"
+
+    @pytest.mark.parametrize("scenario", READS)
+    def test_each_scenario_reads_only_its_keys(self, scenario):
+        # a key the scenario reads is accepted and parsed; one it does not
+        # read is refused with its path; one no scenario reads is unknown
+        for path, value in VALID.items():
+            doc = with_key({"scenario": scenario}, path, value)
+            if path in READS[scenario]:
+                cfg = parse_config(json.dumps(doc))
+                *section, key = path.split(".")
+                got = getattr(cfg, section[0])[key] if section else getattr(cfg, key)
+                assert got == (tuple(value) if isinstance(value, list) else value), path
+            else:
+                with pytest.raises(ConfigError) as exc:
+                    parse_config(json.dumps(doc))
+                assert exc.value.errors == [f"{path}: {scenario} does not read it"]
+        for path in ("integrator.substeps", "output.dpi", "bogus"):
+            with pytest.raises(ConfigError) as exc:
+                parse_config(json.dumps(with_key({"scenario": scenario}, path, 1)))
+            assert exc.value.errors == [f"{path}: unknown key"]
+        # the echo holds what was read, defaults included, and nothing else
+        echo = parse_config(json.dumps({"scenario": scenario})).as_dict()
+        values = {k for k in echo if k in VALID}
+        given = {f"{s}.{k}" for s in ("integrator", "output") for k in echo[s]}
+        assert values | given == READS[scenario]
+
+    def test_epsilons_default_and_empty_refused(self):
+        # the sweep's default epsilons sit in the config, so run.json records them
+        cfg = parse_config(json.dumps({"scenario": "sweep"}))
+        assert cfg.as_dict()["epsilons"] == (0.2, 0.06, 0.02, 0.006, 0.002)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps({"scenario": "sweep", "epsilons": []}))
+        assert exc.value.errors == ["epsilons: must be a non-empty list of numbers > 0"]
 
     @pytest.mark.parametrize(
         "over, error",
@@ -268,6 +334,28 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["--config", str(CONFIGS / "verify.json"), "--out", str(out), "simulate"]) == 1
         assert "config error: params.kernel_samples: unknown key\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unread_keys_refused_before_anything_is_written(self, tmp_path, capsys):
+        doc = {"scenario": "obstruction", "integrator": {"method": "rk4", "T": 99},
+               "s_list": [3.0]}
+        out = tmp_path / "o"
+        assert main(["--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: s_list: obstruction does not read it\n"
+            "config error: integrator.method: obstruction does not read it\n"
+            "config error: integrator.T: obstruction does not read it\n")
+        assert not out.exists()
+
+    def test_subcommand_refuses_what_the_file_gives_for_another_scenario(self, tmp_path, capsys):
+        # energies never marches and writes no plot
+        out = tmp_path / "o"
+        argv = ["--config", str(CONFIGS / "simulate.json"), "--out", str(out), "energies"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "".join(
+            f"config error: {path}: energies does not read it\n"
+            for path in ("integrator.method", "integrator.dt", "integrator.T",
+                         "integrator.stride", "output.plots"))
         assert not out.exists()
 
     @pytest.mark.parametrize("scenario", ["verify", "sweep", "resonance", "obstruction",
@@ -403,7 +491,8 @@ class TestScenarioOutputs:
         assert isinstance(doc, list) and "hamiltonian" in doc[0]
 
     def test_subcommand_overrides_config_scenario(self, tmp_path):
-        cfg = write_cfg(tmp_path, small_doc("simulate"))
+        # a simulate file that gives only what energies reads
+        cfg = write_cfg(tmp_path, {**small_doc("energies"), "scenario": "simulate"})
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out), "energies"]) == 0
         assert (out / "energies.csv").exists()
