@@ -29,20 +29,19 @@ from .spectral import (
     rescale_to,
 )
 
-__all__ = ["main", "run", "build_state"]
+__all__ = ["main", "run"]
 
 # the energy columns of every artifact, in EnergyBreakdown's field order
 _ENERGY_COLUMNS = [f.name for f in fields(EnergyBreakdown)]
 _energy_cells = attrgetter(*_ENERGY_COLUMNS)
 
 
-def build_state(config: RunConfig, seed: int) -> SpectralState:
+def _build_state(config: RunConfig, seed: int) -> SpectralState:
     d = config.data
     if d["builder"] == "random-decay":
         st = _random_decay(config, seed)
     else:
-        cp = [complex(re, im) for re, im in d["c_plus"]]
-        cm = [complex(re, im) for re, im in d["c_minus"]]
+        cp, cm = ([complex(re, im) for re, im in d[k]] for k in ("c_plus", "c_minus"))
         st = build_two_mode(d["lambda1"], d["lambda2"], cp, cm)
     if "rescale" in d:
         st = rescale_to(st, d["rescale"]["target"], d["rescale"]["s"])
@@ -262,18 +261,20 @@ def run(config: RunConfig, out_dir, seed_override: int | None = None) -> int:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        N = nonlinearity_from_config(config.nonlinearity)
-        # one seed for the data and for every seeded draw of the scenario
-        seed = seed_override
-        if seed is None:  # two-mode data has no seed of its own
-            seed = config.data["seed"] if "seed" in config.data else DECAY_DEFAULTS["seed"]
-        state = build_state(config, seed)
+        # a scenario that reads no data (obstruction) gets no N, seed or state
+        N = seed = state = None
+        if config.nonlinearity is not None:
+            N = nonlinearity_from_config(config.nonlinearity)
+        if config.data is not None:  # one seed for the data and every seeded draw
+            seed = seed_override
+            if seed is None:  # two-mode data has no seed of its own
+                seed = config.data.get("seed", DECAY_DEFAULTS["seed"])
+            state = _build_state(config, seed)
         # the gate is checked by every scenario that reads allow_gate_violation
         gate_info = None if config.allow_gate_violation is None else _gate_check(state, N, config)
         result = _SCENARIO_IMPL[config.scenario](config, N, state, out_dir, seed)
     except Exception as exc:
-        output.write_json(out_dir / "error.json",
-                          {"type": type(exc).__name__, "error": str(exc)})
+        output.write_json(out_dir / "error.json", {"type": type(exc).__name__, "error": str(exc)})
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # the seed every draw used, and paths that do not depend on --out
@@ -286,9 +287,7 @@ def run(config: RunConfig, out_dir, seed_override: int | None = None) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="kirchlab",
-        description="Spectral laboratory for Kirchhoff-type quasilinear waves",
-    )
+        prog="kirchlab", description="Spectral laboratory for Kirchhoff-type quasilinear waves")
     parser.add_argument("--config", type=Path, help="JSON config file")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the data seed")
@@ -304,14 +303,8 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and (must := _must(args.seed, int, ">= 0")):
             raise ConfigError([f"--seed: must be {must}"])
-        if args.config is not None:
-            text = args.config.read_text()
-        else:
-            # built-in default: generic decaying data scaled safely below
-            # the smallness gate
-            text = json.dumps({"scenario": "simulate",
-                               "data": {"builder": "random-decay",
-                                        "rescale": {"target": 0.03, "s": 0.0}}})
+        # the built-in default is the default config of the scenario
+        text = '{"scenario": "simulate"}' if args.config is None else args.config.read_text()
         if args.scenario is not None or args.format is not None or args.plots:
             # the flags go into the document itself, so one parse checks the
             # given params against the chosen scenario
@@ -322,14 +315,13 @@ def main(argv=None) -> int:
             if isinstance(doc, dict):
                 if args.scenario is not None:
                     doc["scenario"] = args.scenario
-                out = doc.setdefault("output", {})
-                if isinstance(out, dict):
-                    if args.format is not None:
-                        out["format"] = args.format
-                    if args.plots:
-                        out["plots"] = True
+                if isinstance(out := doc.setdefault("output", {}), dict):
+                    flags = {"format": args.format, "plots": args.plots or None}
+                    out.update({k: v for k, v in flags.items() if v is not None})
                 text = json.dumps(doc)
         cfg = parse_config(text)
+        if args.seed is not None and cfg.data is None:
+            raise ConfigError([f"--seed: {cfg.scenario} does not read it"])
     except ConfigError as exc:
         for e in exc.errors:
             print(f"config error: {e}", file=sys.stderr)

@@ -30,6 +30,8 @@ _BUILDERS = {
                  "c_plus": (None, None, ...), "c_minus": (None, None, ...)},
 }
 _RESCALE = {"target": (float, "> 0", None), "s": (float, None, 0.0)}
+# the data of a config without data: the random-decay defaults at 0.03 in H^1 x L^2
+_DEFAULT_DATA = {"rescale": {"target": 0.03}}
 _NONLINEARITIES = {
     "model": {"A": (float, None, 1.0)},
     "quadratic": {"A": (float, None, 1.0), "B": (float, None, 0.0)},
@@ -41,24 +43,27 @@ _OUTPUT = {"format": (("csv", "json", "both"), None, "csv"), "plots": (bool, Non
 # the top-level keys that are values, not sections
 _VALUES = {"s_list": (list, ">= 0", [0.25]), "allow_gate_violation": (bool, None, False),
            "epsilons": (list, "> 0", [2e-1, 6e-2, 2e-2, 6e-3, 2e-3])}
-# what each scenario reads besides data and nonlinearity: the keys it reads
-# of the integrator, the output and the top-level values ("key=value" reads
-# a choice as that one value), then its params.  A sweep reads no gate: it
-# rescales the data to each epsilon, and scaling_point checks the gate there.
+# what each scenario reads: the choice key of data and of the nonlinearity
+# ("" reads no such section), the keys of the integrator, the output and the
+# top-level values ("key=value" reads a choice as that one value), then its
+# params.  A sweep reads no gate: it rescales the data to each epsilon, and
+# scaling_point checks the gate there.
 _READS = {
-    "simulate": ("method dt T stride", "format plots", "s_list allow_gate_violation", {}),
-    "energies": ("", "format", "s_list allow_gate_violation", {}),
-    "verify": ("method=rotation", "", "s_list allow_gate_violation", {
-        "kernel_samples": (int, ">= 1", 20000), "obstruction_samples": (int, ">= 0", 50),
-        "comparability_states": (int, ">= 1", 20), "identity_dt": (float, "> 0", 1e-4)}),
-    "sweep": ("method dt", "format plots", "epsilons",
+    "simulate": ("builder", "name", "method dt T stride", "format plots",
+                 "s_list allow_gate_violation", {}),
+    "energies": ("builder", "name", "", "format", "s_list allow_gate_violation", {}),
+    "verify": ("builder=random-decay", "name", "method=rotation", "", "s_list allow_gate_violation",
+               {"kernel_samples": (int, ">= 1", 20000), "obstruction_samples": (int, ">= 0", 50),
+                "comparability_states": (int, ">= 1", 20), "identity_dt": (float, "> 0", 1e-4)}),
+    "sweep": ("builder", "name", "method dt", "format plots", "epsilons",
               {"s": (float, ">= 0", 0.25), "fd_stride": (int, ">= 1", 10)}),
-    "linearized": ("method=rotation dt T stride", "", "allow_gate_violation", {}),
-    "resonance": ("method=rotation dt T stride", "format plots", "allow_gate_violation",
-                  {"sigma": (float, None, 0.25)}),
-    "obstruction": ("", "", "", {"x": (float, ">= 0", 1.0), "y": (float, ">= 0", 1.0),
-                                 "sigma": (float, None, 0.0)}),
-    "truncation": ("method=rotation dt T", "format", "allow_gate_violation",
+    "linearized": ("builder", "name", "method=rotation dt T stride", "", "allow_gate_violation",
+                   {}),
+    "resonance": ("builder", "name", "method=rotation dt T stride", "format plots",
+                  "allow_gate_violation", {"sigma": (float, None, 0.25)}),
+    "obstruction": ("", "", "", "", "", {"x": (float, ">= 0", 1.0), "y": (float, ">= 0", 1.0),
+                                         "sigma": (float, None, 0.0)}),
+    "truncation": ("builder", "name", "method=rotation dt T", "format", "allow_gate_violation",
                    {"cutoffs": (list, "> 0", ...), "s_low": (float, ">= 0", 0.25),
                     "fd_stride": (int, ">= 1", 10)}),
 }
@@ -74,11 +79,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A parsed config; a top-level value its scenario does not read is None."""
+    """A parsed config; a section or value its scenario does not read is None."""
 
     scenario: str
-    data: dict
-    nonlinearity: dict
+    data: dict | None
+    nonlinearity: dict | None
     integrator: dict
     output: dict
     params: dict
@@ -137,18 +142,20 @@ def _read_slice(doc, full, names, errors, path, scenario, other=()):
     return _read(doc, table, errors, path, (*other, *unread))
 
 
-def _read_chosen(doc, key, tables, default, errors, path, other=()):
-    """_read of a section whose `key` (default if absent) names its table
-    among `tables`, that key first; {} where the section or the name is
-    refused, and the section's other keys go unjudged."""
-    name = _read(doc, {key: (tuple(tables), None, default)}, errors, path, doc).get(key)
+def _read_chosen(doc, key, tables, default, names, errors, path, other=()):
+    """_read of a section whose `key` (default if absent, read as `names` in
+    _read_slice, with nothing to refuse) names its table among `tables`, that
+    key first; {} where the section or the name is refused, its rest unjudged."""
+    choice = {key: (tuple(tables), None, default)}
+    name = _read_slice(doc, choice, names, errors, path, None, doc).get(key)
     if name is None:
         return {}
     return {key: name, **_read(doc, tables[name], errors, path, (key, *other))}
 
 
-def _validate_data(doc, errors):
-    out = _read_chosen(doc, "builder", _BUILDERS, "random-decay", errors, "data.", ("rescale",))
+def _validate_data(doc, names, errors):
+    out = _read_chosen(doc, "builder", _BUILDERS, "random-decay", names, errors, "data.",
+                       ("rescale",))
     if out.get("builder") == "random-decay":
         lo, hi = out["lambda_min"], out["lambda_max"]
         if None not in (lo, hi) and hi <= lo:
@@ -181,14 +188,21 @@ def parse_config(text: str) -> RunConfig:
     # a value that fails its check is never used: ConfigError is raised first
     scenario = _read(doc, {"scenario": (SCENARIOS, None, None)}, errors, "", doc)["scenario"]
     # an unknown scenario's sections are judged as if it read every key
-    integ_keys, output_keys, value_keys, params_table = _READS.get(scenario, (None,) * 4)
+    data_keys, nl_keys, integ_keys, output_keys, value_keys, params_table = _READS.get(
+        scenario, (None,) * 6)
     top = _read_slice(doc, _VALUES, value_keys, errors, "", scenario,
                       {f.name for f in fields(RunConfig)})
     if (s_list := top.get("s_list")) and len(set(s_list)) < len(s_list):
         errors.append("s_list: must not repeat a value")
-    data = _validate_data(doc.get("data", {}), errors)
-    nl = _read_chosen(doc.get("nonlinearity", {"name": "model"}), "name", _NONLINEARITIES, None,
-                      errors, "nonlinearity.")
+    # a section the scenario reads nothing of ("") is refused and stays None
+    errors.extend(f"{k}: {scenario} does not read it" for k, names
+                  in (("data", data_keys), ("nonlinearity", nl_keys)) if names == "" and k in doc)
+    data = nl = None
+    if data_keys != "":
+        data = _validate_data(doc.get("data", _DEFAULT_DATA), data_keys, errors)
+    if nl_keys != "":
+        nl = _read_chosen(doc.get("nonlinearity", {"name": "model"}), "name", _NONLINEARITIES,
+                          None, nl_keys, errors, "nonlinearity.")
     integ = _read_slice(doc.get("integrator", {}), _INTEGRATOR, integ_keys, errors,
                         "integrator.", scenario)
     output = _read_slice(doc.get("output", {}), _OUTPUT, output_keys, errors, "output.", scenario)

@@ -31,7 +31,6 @@ __all__ = [
     "LinearizedState",
     "step_rotation",
     "step_rk4",
-    "rk4_dt_guard",
     "hamiltonian",
     "evolve",
     "evolve_blocks",
@@ -101,9 +100,13 @@ class Trajectory:
         return len(self.times)
 
 
-def _rhs(grid, N, u):
-    """The acceleration dv_k/dt = -(1 + N(|u|_{H^1}^2)) l_k^2 u_k on raw arrays."""
-    speed = 1.0 + float(N.eval(float(np.add.reduce(grid.mass_weights * np.abs(u) ** 2))))
+def _speed(grid, N, u) -> float:
+    """1 + N(|u|_{H^1}^2), the squared wave speed at amplitudes u."""
+    return 1.0 + float(N.eval(float(np.add.reduce(grid.mass_weights * np.abs(u) ** 2))))
+
+
+def _rhs(grid, u, speed):
+    """The acceleration dv_k/dt = -speed l_k^2 u_k on raw arrays."""
     if speed <= 0.0:
         raise DegenerateNonlinearityError("wave speed lost in an RK4 stage")
     return -speed * grid.lambdas_sq * u
@@ -167,19 +170,15 @@ def step_rotation(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: Nonlinea
     return _rotation_arrays(grid, u, v, N, dt, allow_halve=True)
 
 
-def rk4_dt_guard(grid: FrequencyGrid, u: np.ndarray, N: NonlinearitySpec) -> float:
-    """Largest dt the RK4 stability guard allows at amplitudes u."""
-    speed = 1.0 + max(float(N.eval(sobolev_norm_sq(grid, u, 1.0))), 0.0)
-    return 2.8 / (float(grid.lambdas[-1]) * np.sqrt(speed))
-
-
 def step_rk4(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: NonlinearitySpec, dt: float):
-    """(u, v) after one classical RK4 step, within rk4_dt_guard."""
+    """(u, v) after one classical RK4 step; dt must stay within the stability
+    guard 2.8 / (lambda_max sqrt(1 + max(N(|u|_{H^1}^2), 0)))."""
     _check("dt", dt, float, "> 0")
-    guard = rk4_dt_guard(grid, u, N)
+    speed = _speed(grid, N, u)  # the guard's and the first stage's
+    guard = 2.8 / (float(grid.lambdas[-1]) * np.sqrt(max(speed, 1.0)))
     if dt > guard:
         raise ValueError(f"RK4 stability guard requires dt <= {guard:.6g}, got {dt}")
-    return _rk4(lambda i, x: _rhs(grid, N, x), u, v, dt)
+    return _rk4(lambda i, x: _rhs(grid, x, _speed(grid, N, x) if i else speed), u, v, dt)
 
 
 def hamiltonian(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: NonlinearitySpec):

@@ -73,12 +73,10 @@ def write_svg_lines(path, series, title="") -> Path:
     if not pts_all:
         path.write_text(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"/>\n')
         return path
-    x0 = min(p[0] for p in pts_all)
-    x1 = max(p[0] for p in pts_all)
-    y0 = min(p[1] for p in pts_all)
-    y1 = max(p[1] for p in pts_all)
-    dx = (x1 - x0) or 1.0
-    dy = (y1 - y0) or 1.0
+    xs, ys = zip(*pts_all)
+    x0, y0 = min(xs), min(ys)
+    dx = (max(xs) - x0) or 1.0
+    dy = (max(ys) - y0) or 1.0
     margin = 40
 
     def sx(x):
@@ -96,12 +94,9 @@ def write_svg_lines(path, series, title="") -> Path:
     for i, (label, pts) in enumerate(curves.items()):
         coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
         color = colors[i % len(colors)]
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>'
-        )
-        parts.append(
-            f'<text x="{margin}" y="{margin + 16 * i}" font-size="12" fill="{color}">{label}</text>'
-        )
+        parts += [f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>',
+                  f'<text x="{margin}" y="{margin + 16 * i}" font-size="12" fill="{color}">'
+                  f'{label}</text>']
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n")
     return path

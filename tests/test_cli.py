@@ -18,35 +18,42 @@ from kirchlab.spectral import build_random_decay, pair_norm
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-# What each scenario reads of the integrator, the output and the top-level
-# values, written out by hand: the README's table, one key path per entry.
-# The scenarios in ROTATION_ONLY read integrator.method as "rotation" alone.
+# What each scenario reads of data, the nonlinearity, the integrator, the
+# output and the top-level values, written out by hand: the README's table,
+# one section or key path per entry.  The scenarios in ROTATION_ONLY read
+# integrator.method as "rotation" alone; verify reads data.builder as
+# "random-decay" alone.
 READS = {
-    "simulate": {"integrator.method", "integrator.dt", "integrator.T", "integrator.stride",
-                 "output.format", "output.plots", "s_list", "allow_gate_violation"},
-    "energies": {"output.format", "s_list", "allow_gate_violation"},
-    "verify": {"integrator.method", "s_list", "allow_gate_violation"},
-    "sweep": {"integrator.method", "integrator.dt", "output.format", "output.plots", "epsilons"},
-    "linearized": {"integrator.method", "integrator.dt", "integrator.T", "integrator.stride",
-                   "allow_gate_violation"},
-    "resonance": {"integrator.method", "integrator.dt", "integrator.T", "integrator.stride",
-                  "output.format", "output.plots", "allow_gate_violation"},
+    "simulate": {"data", "nonlinearity", "integrator.method", "integrator.dt", "integrator.T",
+                 "integrator.stride", "output.format", "output.plots", "s_list",
+                 "allow_gate_violation"},
+    "energies": {"data", "nonlinearity", "output.format", "s_list", "allow_gate_violation"},
+    "verify": {"data", "nonlinearity", "integrator.method", "s_list", "allow_gate_violation"},
+    "sweep": {"data", "nonlinearity", "integrator.method", "integrator.dt", "output.format",
+              "output.plots", "epsilons"},
+    "linearized": {"data", "nonlinearity", "integrator.method", "integrator.dt", "integrator.T",
+                   "integrator.stride", "allow_gate_violation"},
+    "resonance": {"data", "nonlinearity", "integrator.method", "integrator.dt", "integrator.T",
+                  "integrator.stride", "output.format", "output.plots", "allow_gate_violation"},
     "obstruction": set(),
-    "truncation": {"integrator.method", "integrator.dt", "integrator.T", "output.format",
-                   "allow_gate_violation"},
+    "truncation": {"data", "nonlinearity", "integrator.method", "integrator.dt", "integrator.T",
+                   "output.format", "allow_gate_violation"},
 }
 ROTATION_ONLY = ("verify", "linearized", "resonance", "truncation")
-# a valid value of every key that some scenario reads
-VALID = {"integrator.method": "rotation", "integrator.dt": 2e-3, "integrator.T": 0.05,
+# a valid value of every section and key that some scenario reads
+VALID = {"data": {"builder": "random-decay", "M": 32}, "nonlinearity": {"name": "model", "A": 2.0},
+         "integrator.method": "rotation", "integrator.dt": 2e-3, "integrator.T": 0.05,
          "integrator.stride": 2, "output.format": "json", "output.plots": True,
          "s_list": [0.5], "allow_gate_violation": True, "epsilons": [0.1, 0.01, 0.001]}
+TWO_MODE = {"builder": "two-mode", "lambda1": 1.0, "lambda2": 2.0,
+            "c_plus": [[0.02, 0.0], [0.015, 0.0]], "c_minus": [[0.0, 0.0], [0.0, 0.0]]}
 
 
 def small_doc(scenario="simulate", **over):
-    """A small config of the scenario that gives the integrator keys it reads."""
+    """A small config of the scenario that gives the sections and the
+    integrator keys it reads."""
     integ = {"method": "rotation", "dt": 1e-3, "T": 0.05, "stride": 10}
-    doc = {
-        "scenario": scenario,
+    sections = {
         "data": {
             "builder": "random-decay",
             "M": 16,
@@ -55,6 +62,10 @@ def small_doc(scenario="simulate", **over):
             "rescale": {"target": 0.03, "s": 0.0},
         },
         "nonlinearity": {"name": "model", "A": 1.0},
+    }
+    doc = {
+        "scenario": scenario,
+        **{k: v for k, v in sections.items() if k in READS[scenario]},
         "integrator": {k: v for k, v in integ.items() if f"integrator.{k}" in READS[scenario]},
     }
     doc.update(over)
@@ -182,7 +193,10 @@ class TestConfigValidation:
                 cfg = parse_config(json.dumps(doc))
                 *section, key = path.split(".")
                 got = getattr(cfg, section[0])[key] if section else getattr(cfg, key)
-                assert got == (tuple(value) if isinstance(value, list) else value), path
+                if isinstance(value, dict):  # a section: the given keys, defaults filled in
+                    assert value.items() <= got.items(), path
+                else:
+                    assert got == (tuple(value) if isinstance(value, list) else value), path
             else:
                 with pytest.raises(ConfigError) as exc:
                     parse_config(json.dumps(doc))
@@ -235,9 +249,14 @@ class TestConfigValidation:
         assert exc.value.errors == [error]
 
     def test_missing_sections_equal_empty_objects(self):
+        # all but data: a config without it reads the one default data
         doc = {"scenario": "simulate"}
-        empty = dict(doc, data={}, integrator={}, output={})
+        empty = dict(doc, integrator={}, output={})
         assert parse_config(json.dumps(doc)) == parse_config(json.dumps(empty))
+        default = dict(doc, data={"builder": "random-decay", "rescale": {"target": 0.03}})
+        assert parse_config(json.dumps(doc)) == parse_config(json.dumps(default))
+        assert parse_config(json.dumps(dict(doc, data={}))).data == dict(config.DECAY_DEFAULTS,
+                                                                         builder="random-decay")
 
     @pytest.mark.parametrize(
         "section, key, bad, message, good, parsed",
@@ -345,6 +364,28 @@ class TestExitCodes:
             "config error: s_list: obstruction does not read it\n"
             "config error: integrator.method: obstruction does not read it\n"
             "config error: integrator.T: obstruction does not read it\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", ["data", "nonlinearity"])
+    def test_section_refused_where_the_scenario_reads_none(self, tmp_path, capsys, section):
+        doc = {"scenario": "obstruction", section: small_doc()[section]}
+        out = tmp_path / "o"
+        assert main(["--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {section}: obstruction does not read it\n"
+        assert not out.exists()
+
+    def test_seed_refused_where_the_scenario_reads_no_data(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "--seed", "5", "obstruction"]) == 1
+        assert capsys.readouterr().err == "config error: --seed: obstruction does not read it\n"
+        assert not out.exists()
+
+    def test_verify_refuses_two_mode_data(self, tmp_path, capsys):
+        # verify's suites draw random-decay data shaped like the config's
+        cfg = write_cfg(tmp_path, small_doc("verify", data=TWO_MODE))
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: data.builder: must be one of random-decay\n"
         assert not out.exists()
 
     def test_subcommand_refuses_what_the_file_gives_for_another_scenario(self, tmp_path, capsys):
@@ -637,6 +678,23 @@ class TestReproducibility:
                 (out / "sweep.csv").read_bytes() + (out / "sweep_fit.json").read_bytes()
             )
         assert all(b == blobs[0] for b in blobs[1:])
+
+    def test_run_without_data_echoes_no_data_and_no_seed(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "obstruction"]) == 0
+        run = json.loads((out / "run.json").read_text())
+        assert run["seed"] is None and run["gate"] is None
+        assert run["config"] == {"scenario": "obstruction", "integrator": {}, "output": {},
+                                 "params": {"x": 1.0, "y": 1.0, "sigma": 0.0}}
+
+    def test_config_without_data_runs_the_built_in_default(self, tmp_path):
+        # the built-in default and a file without data read the one default data
+        cfg = write_cfg(tmp_path, {"scenario": "simulate"})
+        outs = [tmp_path / "file", tmp_path / "builtin"]
+        assert main(["--config", str(cfg), "--out", str(outs[0])]) == 0
+        assert main(["--out", str(outs[1]), "simulate"]) == 0
+        files = [{p.name: p.read_bytes() for p in sorted(out.iterdir())} for out in outs]
+        assert list(files[0]) == ["run.json", "trajectory.csv"] and files[0] == files[1]
 
     def test_run_json_records_seed_and_is_independent_of_out(self, tmp_path):
         cfg = write_cfg(tmp_path, small_doc())

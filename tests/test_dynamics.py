@@ -11,11 +11,11 @@ from kirchlab.dynamics import (
     _linearized_rhs,
     _march,
     _rhs,
+    _speed,
     evolve,
     evolve_blocks,
     evolve_pair,
     hamiltonian,
-    rk4_dt_guard,
     step_rk4,
     step_rotation,
 )
@@ -49,7 +49,7 @@ def h1_mass(st):
 
 def accel(st, N):
     """dv/dt of the state, from the private kernel _rhs."""
-    return _rhs(st.grid, N, st.u_hat)
+    return _rhs(st.grid, st.u_hat, _speed(st.grid, N, st.u_hat))
 
 
 class TestRhs:
@@ -135,7 +135,11 @@ class TestRK4:
         st = small_state(M=16, lam_max=50.0)
         with pytest.raises(ValueError, match="dt"):
             step_rk4(*amps(st), N1, 1.0)
-        assert step_rk4(*amps(st), N1, rk4_dt_guard(st.grid, st.u_hat, N1) * 0.99) is not None
+        speed = 1.0 + max(N1.eval(sobolev_norm_sq(st.grid, st.u_hat, 1.0)), 0.0)
+        guard = 2.8 / (st.grid.lambdas[-1] * np.sqrt(speed))
+        with pytest.raises(ValueError, match=f"requires dt <= {guard:.6g}, got"):
+            step_rk4(*amps(st), N1, guard * 1.01)
+        assert step_rk4(*amps(st), N1, guard * 0.99) is not None
 
     def test_final_state_agreement_with_rotation(self):
         st = small_state(M=64)

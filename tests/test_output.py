@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kirchlab.output import fmt, write_csv, write_json
+from kirchlab.output import fmt, write_csv, write_json, write_svg_lines
 
 
 class TestFmt:
@@ -51,3 +51,28 @@ class TestAppend:
             write_json(path, docs[a:b], append=i > 0)
         write_json(path, [], append=True)  # nothing to add
         assert path.read_bytes() == whole
+
+
+class TestSvgLines:
+    BARE = '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="400"/>\n'
+    SERIES = {"a": ([0.0, 1.0, 2.0], [1.0, -1.0, 3.0]), "b": ([0.0, 2.0], [0.5, 0.5])}
+
+    def test_same_series_same_bytes(self, tmp_path):
+        one = write_svg_lines(tmp_path / "one.svg", self.SERIES, "t").read_bytes()
+        assert write_svg_lines(tmp_path / "two.svg", self.SERIES, "t").read_bytes() == one
+        text = one.decode()
+        assert text.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="640" height="400">')
+        assert text.count("<polyline") == 2 and ">t</text>" in text and text.endswith("</svg>\n")
+
+    def test_non_finite_points_dropped(self, tmp_path):
+        nan, inf = float("nan"), float("inf")
+        dirty = {"a": ([0.0, nan, 1.0, 1.5, 2.0, 3.0], [1.0, 2.0, -1.0, inf, 3.0, -inf]),
+                 "b": ([0.0, 2.0], [0.5, 0.5])}
+        clean = write_svg_lines(tmp_path / "clean.svg", self.SERIES).read_bytes()
+        assert write_svg_lines(tmp_path / "dirty.svg", dirty).read_bytes() == clean
+
+    @pytest.mark.parametrize("series", [{}, {"a": ([], [])}, {"a": ([float("nan")], [1.0]),
+                                                           "b": ([0.0, 1.0], [float("inf")] * 2)}],
+                             ids=["no-series", "empty", "all-non-finite"])
+    def test_nothing_to_plot_gives_the_bare_svg(self, tmp_path, series):
+        assert write_svg_lines(tmp_path / "p.svg", series, "t").read_text() == self.BARE
