@@ -261,15 +261,11 @@ def run(config: RunConfig, out_dir, seed_override: int | None = None) -> int:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        # a scenario that reads no data (obstruction) gets no N, seed or state
-        N = seed = state = None
-        if config.nonlinearity is not None:
-            N = nonlinearity_from_config(config.nonlinearity)
-        if config.data is not None:  # one seed for the data and every seeded draw
-            seed = seed_override
-            if seed is None:  # two-mode data has no seed of its own
-                seed = config.data.get("seed", DECAY_DEFAULTS["seed"])
-            state = _build_state(config, seed)
+        # one seed for the data and every seeded draw (None where nothing
+        # draws); a scenario that reads no data (obstruction) gets no N or state
+        seed = config.seed(seed_override)
+        N = None if config.nonlinearity is None else nonlinearity_from_config(config.nonlinearity)
+        state = None if config.data is None else _build_state(config, seed)
         # the gate is checked by every scenario that reads allow_gate_violation
         gate_info = None if config.allow_gate_violation is None else _gate_check(state, N, config)
         result = _SCENARIO_IMPL[config.scenario](config, N, state, out_dir, seed)
@@ -305,7 +301,8 @@ def main(argv=None) -> int:
             raise ConfigError([f"--seed: must be {must}"])
         # the built-in default is the default config of the scenario
         text = '{"scenario": "simulate"}' if args.config is None else args.config.read_text()
-        if args.scenario is not None or args.format is not None or args.plots:
+        flags = {k: v for k, v in (("format", args.format), ("plots", args.plots)) if v}
+        if args.scenario is not None or flags:
             # the flags go into the document itself, so one parse checks the
             # given params against the chosen scenario
             try:
@@ -315,12 +312,11 @@ def main(argv=None) -> int:
             if isinstance(doc, dict):
                 if args.scenario is not None:
                     doc["scenario"] = args.scenario
-                if isinstance(out := doc.setdefault("output", {}), dict):
-                    flags = {"format": args.format, "plots": args.plots or None}
-                    out.update({k: v for k, v in flags.items() if v is not None})
+                if flags and isinstance(out := doc.setdefault("output", {}), dict):
+                    out.update(flags)
                 text = json.dumps(doc)
         cfg = parse_config(text)
-        if args.seed is not None and cfg.data is None:
+        if args.seed is not None and cfg.seed() is None:
             raise ConfigError([f"--seed: {cfg.scenario} does not read it"])
     except ConfigError as exc:
         for e in exc.errors:

@@ -37,6 +37,9 @@ _NONLINEARITIES = {
     "quadratic": {"A": (float, None, 1.0), "B": (float, None, 0.0)},
     "custom-polynomial": {"coefficients": (list, None, None)},
 }
+# the key of data and of the nonlinearity that chooses the table of the rest
+_DATA = {"builder": (tuple(_BUILDERS), None, "random-decay")}
+_NONLINEARITY = {"name": (tuple(_NONLINEARITIES), None, None)}
 _INTEGRATOR = {"method": (_METHODS, None, "rotation"), "dt": (float, "> 0", 1e-3),
                "T": (float, ">= 0", 1.0), "stride": (int, ">= 1", 1)}
 _OUTPUT = {"format": (("csv", "json", "both"), None, "csv"), "plots": (bool, None, False)}
@@ -84,9 +87,9 @@ class RunConfig:
     scenario: str
     data: dict | None
     nonlinearity: dict | None
-    integrator: dict
-    output: dict
-    params: dict
+    integrator: dict | None
+    output: dict | None
+    params: dict | None
     s_list: tuple | None = None
     epsilons: tuple | None = None
     allow_gate_violation: bool | None = None
@@ -95,16 +98,34 @@ class RunConfig:
         """The echo: what the scenario read, defaults included."""
         return {k: v for k, v in asdict(self).items() if v is not None}
 
+    def seed(self, override=None):
+        """The seed the run draws from (the override, else data.seed, 0 for two-mode
+        data), or None where nothing does: random-decay data and the companion that
+        linearized and resonance draw at seed + 1 are all that draw from it."""
+        d = self.data
+        if d and (d["builder"] == "random-decay" or self.scenario in ("linearized", "resonance")):
+            return d.get("seed", DECAY_DEFAULTS["seed"]) if override is None else override
 
-def _read(doc, table, errors, path, other=()):
-    """Check that doc is an object whose keys are in `table` or `other` (keys
-    the caller reads itself); return each table key's value: its default
-    where the key is absent, None where the value is wrong; {} for a doc
-    that is not an object."""
+
+def _read(doc, table, errors, path, names=None, scenario=None, other=(), tables=None):
+    """Read one section: check that doc is an object, then read the keys of
+    `table` that `names` lists (all where it is None; "key=value" reads the key
+    as that one value) and refuse its other given keys as unread, then, with
+    `tables`, the table among them that the one key of `table` names.  Keys in
+    `other` the caller reads itself.  A key reads its default where absent, None
+    where wrong; the section is None where it or its choice is refused, or
+    where the scenario reads nothing of it."""
     if not isinstance(doc, dict):
         errors.append(f"{path[:-1]}: must be an object")
-        return {}
-    errors.extend(f"{path}{k}: unknown key" for k in doc if k not in table and k not in other)
+        return None
+    if names is not None:
+        pairs = [name.partition("=") for name in names.split()]
+        full, table = table, {k: ((only,), None, only) if only else table[k]
+                              for k, _, only in pairs}
+        other = (*other, *(unread := [k for k in doc if k in full and k not in table]))
+        errors.extend(f"{path}{k}: {scenario} does not read it" for k in unread)
+    if tables is None:  # else the chosen table judges the other keys
+        errors.extend(f"{path}{k}: unknown key" for k in doc if k not in table and k not in other)
     out = {}
     for key, (kind, bound, default) in table.items():
         if key not in doc:
@@ -127,40 +148,22 @@ def _read(doc, table, errors, path, other=()):
         elif kind is list:
             value = [float(c) for c in value]
         out[key] = value
-    return out
+    if tables is not None:  # the choice is read; its table reads the rest
+        if (name := next(iter(out.values()))) is None:
+            return None
+        out.update(_read(doc, tables[name], errors, path, other=(*table, *other)))
+    return out or None
 
 
-def _read_slice(doc, full, names, errors, path, scenario, other=()):
-    """_read of the keys of `full` that `names` lists (all where it is None);
-    a given key of `full` that the scenario does not read is refused."""
-    table = full
-    if names is not None:
-        pairs = [name.partition("=") for name in names.split()]
-        table = {k: ((only,), None, only) if only else full[k] for k, _, only in pairs}
-    unread = [k for k in doc if k in full and k not in table] if isinstance(doc, dict) else []
-    errors.extend(f"{path}{k}: {scenario} does not read it" for k in unread)
-    return _read(doc, table, errors, path, (*other, *unread))
-
-
-def _read_chosen(doc, key, tables, default, names, errors, path, other=()):
-    """_read of a section whose `key` (default if absent, read as `names` in
-    _read_slice, with nothing to refuse) names its table among `tables`, that
-    key first; {} where the section or the name is refused, its rest unjudged."""
-    choice = {key: (tuple(tables), None, default)}
-    name = _read_slice(doc, choice, names, errors, path, None, doc).get(key)
-    if name is None:
-        return {}
-    return {key: name, **_read(doc, tables[name], errors, path, (key, *other))}
-
-
-def _validate_data(doc, names, errors):
-    out = _read_chosen(doc, "builder", _BUILDERS, "random-decay", names, errors, "data.",
-                       ("rescale",))
-    if out.get("builder") == "random-decay":
+def _validate_data(doc, names, scenario, errors):
+    out = _read(doc, _DATA, errors, "data.", names, scenario, ("rescale",), _BUILDERS)
+    if out is None:
+        return None
+    if out["builder"] == "random-decay":
         lo, hi = out["lambda_min"], out["lambda_max"]
         if None not in (lo, hi) and hi <= lo:
             errors.append("data.lambda_max: must exceed data.lambda_min")
-    elif out:
+    else:
         if out["lambda1"] is not None and out["lambda1"] == out["lambda2"]:
             errors.append("data.lambda2: must differ from data.lambda1")
         for key in ("c_plus", "c_minus"):
@@ -172,7 +175,7 @@ def _validate_data(doc, names, errors):
                 errors.append(f"data.{key}: must be two [re, im] pairs")
             else:
                 out[key] = [[float(c[0]), float(c[1])] for c in v]
-    if out and "rescale" in doc:
+    if "rescale" in doc:
         out["rescale"] = _read(doc["rescale"], _RESCALE, errors, "data.rescale.")
     return out
 
@@ -186,12 +189,12 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(["(root): top level must be an object"])
     errors: list[str] = []
     # a value that fails its check is never used: ConfigError is raised first
-    scenario = _read(doc, {"scenario": (SCENARIOS, None, None)}, errors, "", doc)["scenario"]
+    scenario = _read(doc, {"scenario": (SCENARIOS, None, None)}, errors, "", other=doc)["scenario"]
     # an unknown scenario's sections are judged as if it read every key
     data_keys, nl_keys, integ_keys, output_keys, value_keys, params_table = _READS.get(
         scenario, (None,) * 6)
-    top = _read_slice(doc, _VALUES, value_keys, errors, "", scenario,
-                      {f.name for f in fields(RunConfig)})
+    top = _read(doc, _VALUES, errors, "", value_keys, scenario,
+                {f.name for f in fields(RunConfig)}) or {}
     if (s_list := top.get("s_list")) and len(set(s_list)) < len(s_list):
         errors.append("s_list: must not repeat a value")
     # a section the scenario reads nothing of ("") is refused and stays None
@@ -199,16 +202,16 @@ def parse_config(text: str) -> RunConfig:
                   in (("data", data_keys), ("nonlinearity", nl_keys)) if names == "" and k in doc)
     data = nl = None
     if data_keys != "":
-        data = _validate_data(doc.get("data", _DEFAULT_DATA), data_keys, errors)
+        data = _validate_data(doc.get("data", _DEFAULT_DATA), data_keys, scenario, errors)
     if nl_keys != "":
-        nl = _read_chosen(doc.get("nonlinearity", {"name": "model"}), "name", _NONLINEARITIES,
-                          None, nl_keys, errors, "nonlinearity.")
-    integ = _read_slice(doc.get("integrator", {}), _INTEGRATOR, integ_keys, errors,
-                        "integrator.", scenario)
-    output = _read_slice(doc.get("output", {}), _OUTPUT, output_keys, errors, "output.", scenario)
+        nl = _read(doc.get("nonlinearity", {"name": "model"}), _NONLINEARITY, errors,
+                   "nonlinearity.", nl_keys, scenario, tables=_NONLINEARITIES)
+    integ = _read(doc.get("integrator", {}), _INTEGRATOR, errors, "integrator.", integ_keys,
+                  scenario)
+    output = _read(doc.get("output", {}), _OUTPUT, errors, "output.", output_keys, scenario)
     params = doc.get("params", {})
     # the params of an unknown scenario are only seen to be an object
-    params = _read(params, params_table or {}, errors, "params.", () if scenario else params)
+    params = _read(params, params_table or {}, errors, "params.", other=() if scenario else params)
     if errors:
         raise ConfigError(errors)
     values = {k: tuple(v) if isinstance(v, list) else v for k, v in top.items()}

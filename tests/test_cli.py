@@ -1,10 +1,16 @@
+import copy
+import io
 import json
+import re
 import tracemalloc
+from contextlib import redirect_stderr
 from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kirchlab import cli, config, dynamics
 from kirchlab.analysis import scaling_slope_experiment
@@ -45,6 +51,12 @@ VALID = {"data": {"builder": "random-decay", "M": 32}, "nonlinearity": {"name": 
          "integrator.method": "rotation", "integrator.dt": 2e-3, "integrator.T": 0.05,
          "integrator.stride": 2, "output.format": "json", "output.plots": True,
          "s_list": [0.5], "allow_gate_violation": True, "epsilons": [0.1, 0.01, 0.001]}
+# a data or nonlinearity section that is not an object, and its one error
+NOT_OBJECTS = [({"data": None}, "data: must be an object"),
+               ({"data": 5}, "data: must be an object"),
+               ({"data": True}, "data: must be an object"),
+               ({"nonlinearity": 5}, "nonlinearity: must be an object")]
+NOT_OBJECT_IDS = ["data-null", "data-number", "data-bool", "nonlinearity-number"]
 TWO_MODE = {"builder": "two-mode", "lambda1": 1.0, "lambda2": 2.0,
             "c_plus": [[0.02, 0.0], [0.015, 0.0]], "c_minus": [[0.0, 0.0], [0.0, 0.0]]}
 
@@ -208,8 +220,9 @@ class TestConfigValidation:
         # the echo holds what was read, defaults included, and nothing else
         echo = parse_config(json.dumps({"scenario": scenario})).as_dict()
         values = {k for k in echo if k in VALID}
-        given = {f"{s}.{k}" for s in ("integrator", "output") for k in echo[s]}
+        given = {f"{s}.{k}" for s in ("integrator", "output") for k in echo.get(s, {})}
         assert values | given == READS[scenario]
+        assert {} not in echo.values()  # a section read nothing of is left out
 
     def test_epsilons_default_and_empty_refused(self):
         # the sweep's default epsilons sit in the config, so run.json records them
@@ -237,10 +250,11 @@ class TestConfigValidation:
             ({"data": {"rescale": 0.03}}, "data.rescale: must be an object"),
             ({"integrator": []}, "integrator: must be an object"),
             ({"params": None}, "params: must be an object"),
+            *NOT_OBJECTS,
         ],
         ids=["scenario-unknown", "scenario-null", "builder", "name", "name-missing",
              "coefficients-missing", "method", "format", "allow-int", "rescale-number",
-             "integrator-list", "params-null"],
+             "integrator-list", "params-null", *NOT_OBJECT_IDS],
     )
     def test_choices_booleans_and_sections(self, over, error):
         # one message per bad value: a refused choice or section is not read further
@@ -318,6 +332,77 @@ class TestConfigValidation:
         assert set(cli._SCENARIO_IMPL) == set(config.SCENARIOS)
 
 
+# Whole documents for the property test: the shipped configs and the bare
+# document of each scenario, mutated at one to three places, at the top or in
+# a section, with keys some section reads (and one that none reads) and JSON
+# values of every type.
+BASE_DOCS = ([json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))]
+             + [{"scenario": s} for s in config.SCENARIOS])
+KEYS = ("scenario", "data", "nonlinearity", "integrator", "output", "params", "s_list",
+        "epsilons", "allow_gate_violation", "builder", "M", "lambda_max", "seed", "rescale",
+        "target", "lambda1", "c_plus", "name", "A", "coefficients", "method", "dt", "T",
+        "stride", "format", "plots", "kernel_samples", "sigma", "cutoffs", "bogus")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 100) | st.floats(-1e3, 1e3)
+    | st.sampled_from([float("nan"), float("inf"), 1e-3, 0.03])
+    | st.sampled_from(KEYS + config.SCENARIOS + ("random-decay", "two-mode", "model", "rk4")),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(KEYS), inner,
+                                                                max_size=3),
+    max_leaves=4)
+# an error message starts with the key path it is about
+LOCATED = re.compile(r"(\(root\)|[A-Za-z_]\w*(\.[A-Za-z_]\w*)*): \S")
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(BASE_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        target = doc  # the document, or a section or subsection of it
+        while (sections := [v for v in target.values() if isinstance(v, dict)]) \
+                and draw(st.booleans()):
+            target = draw(st.sampled_from(sections))
+        # delete or replace a key the document gives, or set any key
+        action = draw(st.sampled_from(["delete", "replace", "set"] if target else ["set"]))
+        key = draw(st.sampled_from(sorted(target) if action != "set" else KEYS))
+        if action == "delete":
+            del target[key]
+        else:
+            target[key] = draw(JSON_VALUES)
+    return doc
+
+
+class TestWholeDocuments:
+    @given(doc=mutated_documents(), scenario=st.none() | st.sampled_from(config.SCENARIOS))
+    @settings(max_examples=150)
+    def test_parsed_and_echoed_or_refused_with_located_errors(self, tmp_path_factory, doc,
+                                                              scenario):
+        # parse_config either echoes a config that parses back equal or
+        # refuses the document with located messages; main, given the same
+        # document (and a subcommand), passes that config on or exits 1 with
+        # config errors alone
+        given_doc = doc if scenario is None else {**doc, "scenario": scenario}
+        try:
+            cfg = parse_config(json.dumps(given_doc))
+        except ConfigError as exc:
+            cfg = None
+            assert exc.errors and all(LOCATED.match(e) for e in exc.errors), exc.errors
+        else:
+            assert parse_config(json.dumps(cfg.as_dict())) == cfg
+        path = tmp_path_factory.mktemp("doc") / "cfg.json"
+        path.write_text(json.dumps(doc))
+        passed, err = [], io.StringIO()
+        argv = ["--config", str(path), "--out", str(path.parent / "out")]
+        with pytest.MonkeyPatch.context() as mp, redirect_stderr(err):
+            mp.setattr(cli, "run", lambda config, out_dir, seed: passed.append(config) or 0)
+            rc = main(argv + ([] if scenario is None else [scenario]))
+        if cfg is None:
+            lines = err.getvalue().splitlines()
+            assert rc == 1 and not passed and lines
+            assert all(line.startswith("config error: ") for line in lines), lines
+        else:
+            assert rc == 0 and passed == [cfg] and err.getvalue() == ""
+
+
 class TestExitCodes:
     def test_simulate_success(self, tmp_path):
         cfg = write_cfg(tmp_path, small_doc())
@@ -380,6 +465,24 @@ class TestExitCodes:
         assert capsys.readouterr().err == "config error: --seed: obstruction does not read it\n"
         assert not out.exists()
 
+    def test_seed_refused_where_no_draw_reads_it(self, tmp_path, capsys):
+        # two-mode data draws nothing, and simulate draws no data of its own
+        cfg = write_cfg(tmp_path, small_doc(data=TWO_MODE))
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "--seed", "5"]) == 1
+        assert capsys.readouterr().err == "config error: --seed: simulate does not read it\n"
+        assert not out.exists()
+        assert main(["--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "run.json").read_text())["seed"] is None
+
+    @pytest.mark.parametrize("over, error", NOT_OBJECTS, ids=NOT_OBJECT_IDS)
+    def test_section_not_an_object_is_a_config_error(self, tmp_path, capsys, over, error):
+        cfg = write_cfg(tmp_path, {"scenario": "simulate", **over})
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert not out.exists()
+
     def test_verify_refuses_two_mode_data(self, tmp_path, capsys):
         # verify's suites draw random-decay data shaped like the config's
         cfg = write_cfg(tmp_path, small_doc("verify", data=TWO_MODE))
@@ -406,7 +509,8 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, small_doc(scenario))
         out = tmp_path / "o"
         assert main(["--config", str(cfg), "--out", str(out), "--format", "json", "simulate"]) == 0
-        assert json.loads((out / "run.json").read_text())["config"]["params"] == {}
+        # simulate reads no params, so its echo leaves the section out
+        assert "params" not in json.loads((out / "run.json").read_text())["config"]
 
     def test_runtime_error_exit_one_writes_error_json(self, tmp_path):
         doc = small_doc("truncation")
@@ -684,8 +788,18 @@ class TestReproducibility:
         assert main(["--out", str(out), "obstruction"]) == 0
         run = json.loads((out / "run.json").read_text())
         assert run["seed"] is None and run["gate"] is None
-        assert run["config"] == {"scenario": "obstruction", "integrator": {}, "output": {},
+        assert run["config"] == {"scenario": "obstruction",
                                  "params": {"x": 1.0, "y": 1.0, "sigma": 0.0}}
+
+    def test_two_mode_companion_draws_from_the_seed(self, tmp_path):
+        # resonance draws its companion at seed + 1 whatever its data
+        cfg = write_cfg(tmp_path, small_doc("resonance", data=TWO_MODE))
+        outs = [tmp_path / "zero", tmp_path / "five"]
+        assert main(["--config", str(cfg), "--out", str(outs[0])]) == 0
+        assert main(["--config", str(cfg), "--out", str(outs[1]), "--seed", "5"]) == 0
+        assert [json.loads((o / "run.json").read_text())["seed"] for o in outs] == [0, 5]
+        csvs = [(o / "resonance.csv").read_bytes() for o in outs]
+        assert csvs[0] != csvs[1]
 
     def test_config_without_data_runs_the_built_in_default(self, tmp_path):
         # the built-in default and a file without data read the one default data
