@@ -7,7 +7,6 @@ Exit codes: 0 success (all asserted suites pass), 2 suite failure
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, fields
 from operator import attrgetter
@@ -302,20 +301,7 @@ def main(argv=None) -> int:
         # the built-in default is the default config of the scenario
         text = '{"scenario": "simulate"}' if args.config is None else args.config.read_text()
         flags = {k: v for k, v in (("format", args.format), ("plots", args.plots)) if v}
-        if args.scenario is not None or flags:
-            # the flags go into the document itself, so one parse checks the
-            # given params against the chosen scenario
-            try:
-                doc = json.loads(text)
-            except json.JSONDecodeError:
-                doc = None  # parse_config reports it
-            if isinstance(doc, dict):
-                if args.scenario is not None:
-                    doc["scenario"] = args.scenario
-                if flags and isinstance(out := doc.setdefault("output", {}), dict):
-                    out.update(flags)
-                text = json.dumps(doc)
-        cfg = parse_config(text)
+        cfg = parse_config(text, args.scenario, flags)
         if args.seed is not None and cfg.seed() is None:
             raise ConfigError([f"--seed: {cfg.scenario} does not read it"])
     except ConfigError as exc:

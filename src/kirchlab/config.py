@@ -180,13 +180,21 @@ def _validate_data(doc, names, scenario, errors):
     return out
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, scenario: str | None = None, output: dict | None = None) -> RunConfig:
+    """Parse and validate one JSON document.  A given scenario replaces the
+    document's, and the keys of a non-empty output are written into its
+    output section (one that is not an object is left to be refused), so
+    one parse judges the document under the CLI's subcommand and flags."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"(root): invalid JSON: {exc}"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError(["(root): top level must be an object"])
+    if scenario is not None:
+        doc["scenario"] = scenario
+    if output and isinstance(out := doc.setdefault("output", {}), dict):
+        out.update(output)
     errors: list[str] = []
     # a value that fails its check is never used: ConfigError is raised first
     scenario = _read(doc, {"scenario": (SCENARIOS, None, None)}, errors, "", other=doc)["scenario"]

@@ -24,8 +24,8 @@ Every function takes a grid and amplitudes u, v along its last axis:
 one state's (M,) amplitudes give scalars, and an (S, M) stack of samples
 on the grid (a Trajectory's u and v) gives (S,) arrays, equal
 bitwise to the per-state values: the reductions and prefix sums run
-along axis -1 (which matches the 1-d calls row by row), and every matrix
-product runs one sample at a time.
+along axis -1 (which matches the 1-d calls row by row), and the
+divided-difference kernel takes the rows of a stack one at a time.
 
 Dense O(M^2) oracles for every sum live in the test suite.
 """
@@ -106,8 +106,8 @@ def _suffix(a: np.ndarray):
     return out[..., :-1], out[..., 1:]
 
 
-# _CHUNK bounds the array elements of the kernel's passes (see
-# _sample_blocks); _ROW_TOL is where the row builder stops (_kernel_rows).
+# _CHUNK bounds the array elements of one pass of _divided_difference_sum;
+# _ROW_TOL is where the row builder stops (_kernel_rows).
 _CHUNK = 1 << 16
 _ROW_TOL = 1e-14
 
@@ -172,23 +172,11 @@ def _kernel_rows(x_bytes: bytes, sigma: float):
     return L
 
 
-def _sample_blocks(a: np.ndarray, size: int):
-    """Index blocks over the samples of an (S, M) stack a, for block arrays
-    of `size` elements per sample; for one state's (M,) array, the one
-    block `...`.  A block keeps about four such arrays alive at once, so
-    together they hold at most _CHUNK elements (with _CHUNK each, verify's
-    peak RSS rose by 2.2 MiB)."""
-    if a.ndim == 1:
-        return (...,)
-    step = max(1, _CHUNK // (4 * size))
-    return [slice(lo, lo + step) for lo in range(0, len(a), step)]
-
-
 def _divided_difference_sum(K, x, s: float, r, f, g):
     """sum_{j,k} K[min(j,k)] D_s(x_j, x_k) (r_j r_k - f_j g_k) for ascending
     x, in O(k*M) time and O(k*M + _CHUNK) memory, k the row count of
-    _kernel_rows.  K, r, f and g are (M,) arrays, or (S, M) stacks with one
-    sum per sample; x is shared.
+    _kernel_rows.  K, r, f and g are (M,) arrays, or (S, M) stacks whose
+    rows go through one at a time, one sum per sample; x is shared.
 
     With s = n + sigma, pointwise
       D_s(x, y) = x^n D_sigma(x, y) + y^sigma sum_{i<n} x^i y^(n-1-i),
@@ -196,51 +184,44 @@ def _divided_difference_sum(K, x, s: float, r, f, g):
     k rows of _kernel_rows when sigma > 0.  Each row's min-kernel sum
     telescopes: sum_{j,k} K[min] X_j Y_k = sum_m dK_m SX_m SY_m,
     dK_m = K_m - K_{m-1}, SX the suffix sums of X.  Everything is reversed
-    so the suffix sums are cumsums along the last axis.  Samples go
-    through in blocks (_sample_blocks), and the rows are the same for any S.
+    so the suffix sums are cumsums along the last axis.
     """
     _check("s", s, float, ">= 0")  # before any memo sees it
     n = int(s)
     sigma = s - n
-    dK = K.copy()
-    dK[..., 1:] -= K[..., :-1]
-    dK = dK[..., ::-1]
-    # reversed, with an axis for the rows: (..., 1, M)
-    x, r, f, g = x[::-1], r[..., None, ::-1], f[..., None, ::-1], g[..., None, ::-1]
-
-    # The passes go in blocks of at most span rows per sample; _sample_blocks
-    # keeps the four sums of such a block within _CHUNK.
+    x = x[::-1]
+    pairs = []
+    if n:
+        i = np.arange(n)[:, None]
+        pairs.append((x**i, x ** (n - 1 - i + sigma)))
+    if sigma > 0.0:
+        L = _kernel_rows(x.tobytes(), sigma)
+        pairs.append((x**n * L if n else L, L))
+    # the passes go in blocks of at most span rows, so that the four sums
+    # of a block hold at most _CHUNK elements
     span = max(1, _CHUNK // (4 * len(x)))
 
-    def sums(row, a, b):
-        out = np.multiply(row, a[b])
+    def sums(row, a):
+        out = np.multiply(row, a)
         return out.cumsum(-1, out=out)
 
-    def rows(left, right, b):
-        # the (k, M) rows against the samples b: their (..., k) min-kernel sums
-        sr, sf, d = sums(left, r, b), sums(left, f, b), dK[b]
-        X = np.multiply(sr, sr if right is left else sums(right, r, b), out=sr)
-        sf *= sums(right, g, b)
-        X -= sf
-        # one product per sample: a product over the stack sums in another order
-        return X @ d if d.ndim == 1 else np.array([a @ c for a, c in zip(X, d)])
+    def one(dK, r, f, g):
+        total = 0.0
+        for left, right in pairs:
+            for lo in range(0, len(left), span):
+                a = left[lo : lo + span]
+                c = a if right is left else right[lo : lo + span]
+                sr, sf = sums(a, r), sums(a, f)
+                X = np.multiply(sr, sr if c is a else sums(c, r), out=sr)
+                sf *= sums(c, g)
+                X -= sf
+                total += np.add.reduce(X @ dK)
+        return total
 
-    def pairs():
-        if n:
-            i = np.arange(n)[:, None]
-            yield x**i, x ** (n - 1 - i + sigma)
-        if sigma > 0.0:
-            L = _kernel_rows(x.tobytes(), sigma)
-            yield (x**n * L if n else L), L
-
-    total = np.zeros(dK.shape[:-1])
-    for left, right in pairs():
-        for lo in range(0, len(left), span):
-            a = left[lo : lo + span]
-            c = a if right is left else right[lo : lo + span]
-            for b in _sample_blocks(dK, a.size):
-                total[b] += np.add.reduce(rows(a, c, b), axis=-1)
-    return total
+    dK = K.copy()
+    dK[..., 1:] -= K[..., :-1]
+    samples = zip(*(a.reshape(-1, len(x))[:, ::-1] for a in (dK, r, f, g)))
+    return np.array([one(*sample) for sample in samples]).reshape(dK.shape[:-1])
 
 
 def _second_order(K, x, s: float, m: _Modes):

@@ -133,6 +133,12 @@ class TestScalingSlopes:
         assert abs(f_half.slope - f0.slope) / f0.slope < 0.05
         assert abs(f_rk4.slope - f0.slope) / f0.slope < 0.05
 
+    def test_epsilon_above_the_gate_refused(self):
+        # the H^1 x L^2 size is at least 8^(-1/4) of the H^{5/4} x H^{1/4} one
+        base = build_random_decay(16, 1.0, 8.0, 0.25, 0.55, seed=1)
+        with pytest.raises(ValueError, match="^epsilon 10.0 puts the data above the smallness"):
+            scaling_point(base, N1, 0.25, 10.0)
+
     def test_rejects_narrow_epsilon_range(self):
         base = build_random_decay(16, 1.0, 8.0, 0.25, 0.55, seed=1)
         with pytest.raises(ValueError):
@@ -195,6 +201,12 @@ class TestSecondOrderIdentity:
         # relative to |E_2| of the data, the first sample
         assert check["relative_residual"] == check["residual"] / scale
         assert check["pass"] is True
+
+    def test_fewer_than_three_samples_refused(self):
+        traj = evolve(small_state(), N1, 1e-3, 1e-3)
+        assert len(traj) == 2
+        with pytest.raises(ValueError, match="^need at least three samples$"):
+            second_order_identity_check(traj, 1.0, 0.25)
 
     def test_nan_rate_gives_nan_residual(self, monkeypatch):
         monkeypatch.setattr(analysis, "second_order_rate_model", lambda grid, u, v, A, s: np.nan)
@@ -393,6 +405,15 @@ class TestFBounds:
         assert out["pass"]
         assert out["worst_F"] <= 2.0**1.5 + 1e-9
 
+    def test_margin_below_half_is_skipped(self):
+        # judged under A = -0.75 / mass, 1 + N is about 1/4 at the total mass
+        st = small_state()
+        traj = evolve(st, N1, 0.05, 1e-3, stride=5)
+        Nlow = polynomial_nonlinearity([-0.75 / sobolev_norm_sq(st.grid, st.u_hat, 1.0)])
+        with pytest.warns(UserWarning, match="wave-type margin is thin"):
+            out = f_bounds_suite(traj, Nlow)
+        assert out == {"pass": False, "reason": "gate violated (1+N < 1/2)", "skipped": True}
+
     def test_nonuniform_samples_rejected(self):
         # the last sample gap is 0.002 against 0.005 elsewhere
         traj = evolve(small_state(), N1, 0.052, 1e-3, stride=5)
@@ -469,18 +490,32 @@ class TestResonance:
         assert np.all(rep["sep"] == 0.0)
         assert np.all(rep["mixed"] == 0.0)
 
-    def test_energy_derivative_identity(self):
+    @pytest.mark.parametrize("A", [1.0, 2.0, -1.0, 0.5])
+    def test_energy_derivative_identity(self, A):
+        # the energy and its two pieces follow the model coefficient A of the
+        # flow that evolve_pair integrates
         st = small_state(M=16)
         wdir = build_random_decay(16, 1.0, 8.0, 0.25, 0.55, seed=12)
         w0 = LinearizedState(wdir.u_hat, wdir.v_hat)
-        traj = evolve_pair(st, w0, N1, 0.01, 1e-4, stride=10)
+        traj = evolve_pair(st, w0, polynomial_nonlinearity([A]), 0.01, 1e-4, stride=10)
         series = [
-            (t, linearized_energy(traj.grid, u, wh, wv, 0.25))
+            (t, linearized_energy(traj.grid, u, wh, wv, 0.25, A))
             for t, u, wh, wv in zip(traj.times, traj.u, traj.w_hat, traj.w_vel)
         ]
         fd = derivative_fd(series, 3)
-        sep, mixed = _sep_mixed(*amps(state_at(traj, 3)), traj.w_hat[3], traj.w_vel[3], 0.25)
+        sep, mixed = _sep_mixed(*amps(state_at(traj, 3)), traj.w_hat[3], traj.w_vel[3], 0.25, A)
         assert abs(fd - (sep + mixed)) <= 1e-6 * abs(sep + mixed)
+
+    def test_report_reads_the_model_coefficient(self):
+        st = small_state(M=8)
+        wdir = build_random_decay(8, 1.0, 8.0, 0.25, 0.55, seed=12)
+        w0 = LinearizedState(wdir.u_hat, wdir.v_hat)
+        rep = resonance_report(st, w0, polynomial_nonlinearity([2.0]), 0.25, 0.01, 1e-3)
+        traj = evolve_pair(st, w0, polynomial_nonlinearity([2.0]), 0.01, 1e-3)
+        sep, mixed = _sep_mixed(traj.grid, traj.u, traj.v, traj.w_hat, traj.w_vel, 0.25, 2.0)
+        energy = linearized_energy(traj.grid, traj.u, traj.w_hat, traj.w_vel, 0.25, 2.0)
+        assert rep["sep"].tolist() == sep.tolist() and rep["mixed"].tolist() == mixed.tolist()
+        assert rep["energy"].tolist() == energy.tolist()
 
     def test_mixed_mean_dominates_documented_two_mode(self):
         # documented oracle run: single-helicity base (c- = 0) makes the
@@ -520,10 +555,10 @@ class TestStackRows:
         pos, vel = pair_norm(grid, u, v, s)
         assert list(zip(pos, vel)) == [pair_norm(grid, a, b, s) for a, b in zip(u, v)]
         assert sobolev_norm_sq(grid, w, s).tolist() == [sobolev_norm_sq(grid, a, s) for a in w]
-        energy = linearized_energy(grid, u, w, wv, s).tolist()
-        assert energy == [linearized_energy(grid, *row, s) for row in zip(u, w, wv)]
-        sep, mixed = _sep_mixed(grid, u, v, w, wv, s)
-        rows = [_sep_mixed(grid, *row, s) for row in zip(u, v, w, wv)]
+        energy = linearized_energy(grid, u, w, wv, s, 0.7).tolist()
+        assert energy == [linearized_energy(grid, *row, s, 0.7) for row in zip(u, w, wv)]
+        sep, mixed = _sep_mixed(grid, u, v, w, wv, s, 0.7)
+        rows = [_sep_mixed(grid, *row, s, 0.7) for row in zip(u, v, w, wv)]
         assert list(zip(sep.tolist(), mixed.tolist())) == [(float(a), float(b)) for a, b in rows]
 
 

@@ -126,6 +126,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config("{not json")
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", "null", '"simulate"'])
+    def test_top_level_not_an_object_is_config_error(self, text):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text, "simulate", {"plots": True})
+        assert exc.value.errors == ["(root): top level must be an object"]
+
     def test_two_mode_shape_errors(self):
         # one pair only, then entries that are not numbers (bools included)
         for c_plus in ([[1.0, 0.0]], [["a", 0], [0, 0]], [[None, 0], [0, 0]], [[0, 0], [True, 0]]):
@@ -250,11 +256,13 @@ class TestConfigValidation:
             ({"data": {"rescale": 0.03}}, "data.rescale: must be an object"),
             ({"integrator": []}, "integrator: must be an object"),
             ({"params": None}, "params: must be an object"),
+            ({"data": {"lambda_min": 2.0, "lambda_max": 2.0}},
+             "data.lambda_max: must exceed data.lambda_min"),
             *NOT_OBJECTS,
         ],
         ids=["scenario-unknown", "scenario-null", "builder", "name", "name-missing",
              "coefficients-missing", "method", "format", "allow-int", "rescale-number",
-             "integrator-list", "params-null", *NOT_OBJECT_IDS],
+             "integrator-list", "params-null", "lambda-max-at-min", *NOT_OBJECT_IDS],
     )
     def test_choices_booleans_and_sections(self, over, error):
         # one message per bad value: a refused choice or section is not read further
@@ -369,6 +377,79 @@ def mutated_documents(draw):
         else:
             target[key] = draw(JSON_VALUES)
     return doc
+
+
+def round_trip_parse(text, scenario, flags):
+    """The former way of main to apply a subcommand and its flags: write them
+    into the loaded document, dump it back to JSON and parse that text."""
+    if scenario is not None or flags:
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError:
+            doc = None  # parse_config reports it
+        if isinstance(doc, dict):
+            if scenario is not None:
+                doc["scenario"] = scenario
+            if flags and isinstance(out := doc.setdefault("output", {}), dict):
+                out.update(flags)
+            text = json.dumps(doc)
+    return parse_config(text)
+
+
+def parsed_or_errors(parse, *args):
+    try:
+        return parse(*args)
+    except ConfigError as exc:
+        return exc.errors
+
+
+# every shipped config, the built-in default, and documents that are refused
+# as a whole or for their output section
+OVERRIDE_TEXTS = {
+    **{p.stem: p.read_text() for p in sorted(CONFIGS.glob("*.json"))},
+    "built-in": '{"scenario": "simulate"}',
+    "invalid-json": "{not json",
+    "top-level-list": "[1, 2]",
+    "output-number": '{"scenario": "simulate", "output": 5}',
+    "output-null": '{"scenario": "resonance", "output": null}',
+    "output-given": '{"scenario": "sweep", "output": {"format": "json", "plots": false}}',
+}
+OVERRIDE_FLAGS = [{}, {"format": "csv"}, {"format": "json"}, {"plots": True},
+                  {"format": "both", "plots": True}]
+
+
+class TestOverrides:
+    @pytest.mark.parametrize("scenario", [None, *config.SCENARIOS])
+    @pytest.mark.parametrize("name", OVERRIDE_TEXTS)
+    def test_overrides_equal_the_round_trip(self, name, scenario):
+        # parse_config applies the subcommand and the flags to the document it
+        # loads: the same config, or the same errors, as the round trip
+        text = OVERRIDE_TEXTS[name]
+        for flags in OVERRIDE_FLAGS:
+            got = parsed_or_errors(parse_config, text, scenario, flags)
+            assert got == parsed_or_errors(round_trip_parse, text, scenario, flags), flags
+            if name in ("invalid-json", "top-level-list"):
+                assert got[0].startswith("(root): "), got
+            elif name.startswith("output-") and flags and not name.endswith("given"):
+                assert "output: must be an object" in got, got
+
+    def test_main_parses_the_text_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.parse_config
+
+        def parse(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "parse_config", parse)
+        monkeypatch.setattr(cli, "run", lambda config, out_dir, seed: 0)
+        path = write_cfg(tmp_path, small_doc("energies"))
+        assert main(["--config", str(path), "--format", "both", "energies"]) == 0
+        assert main(["--config", str(path), "--plots", "verify"]) == 1  # verify reads no output
+        assert main(["--config", str(path)]) == 0
+        text = path.read_text()
+        assert calls == [(text, "energies", {"format": "both"}),
+                         (text, "verify", {"plots": True}), (text, None, {})]
 
 
 class TestWholeDocuments:
@@ -634,6 +715,16 @@ class TestScenarioOutputs:
         assert not (out / "trajectory.csv").exists()
         doc = json.loads((out / "trajectory.json").read_text())
         assert isinstance(doc, list) and "hamiltonian" in doc[0]
+
+    @pytest.mark.parametrize("scenario", ["sweep", "resonance"])
+    def test_plots_and_both_formats(self, tmp_path, scenario):
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, small_doc(scenario))
+        assert main(["--config", str(path), "--out", str(out), "--format", "both", "--plots"]) == 0
+        run = json.loads((out / "run.json").read_text())
+        assert run["config"]["output"] == {"format": "both", "plots": True}
+        assert {f"{scenario}.{ext}" for ext in ("csv", "json", "svg")} <= set(run["artifacts"])
+        assert (out / f"{scenario}.svg").read_text().startswith("<svg")
 
     def test_subcommand_overrides_config_scenario(self, tmp_path):
         # a simulate file that gives only what energies reads

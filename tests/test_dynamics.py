@@ -538,6 +538,18 @@ class TestStepFailures:
         with pytest.raises(RuntimeError, match=r"^step 1 failed at t=0\.0: midpoint"):
             evolve(TestMidpointHalving.large_state(), N1, 1.0, 0.5)
 
+    def test_failure_without_a_one_message_type_becomes_runtime_error(self):
+        class TwoArgs(Exception):
+            def __init__(self, code, detail):
+                super().__init__(f"{code}: {detail}")
+
+        def step(grid, u, v, w, dt):
+            raise TwoArgs(7, "no step")
+
+        with pytest.raises(RuntimeError, match=r"^step 1 failed at t=0\.0: 7: no step$") as exc:
+            list(_march(small_state(), 1.0, 0.1, 1, step))
+        assert type(exc.value) is RuntimeError and isinstance(exc.value.__cause__, TwoArgs)
+
     def test_nonfinite_step_names_array_and_mode(self):
         steps = []
 

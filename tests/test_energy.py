@@ -707,8 +707,7 @@ class TestSecondOrderModelIdentity:
 class TestStack:
     """Each public energy function gives on an (S, M) stack bitwise its own
     (M,) calls on the rows: the same elementwise arithmetic, reductions
-    along axis -1 and one matrix product per sample, over stacks that span
-    several sample blocks."""
+    along axis -1, and the divided-difference kernel run row by row."""
 
     NONLINEARITIES = {
         "model": polynomial_nonlinearity([1.0]),
@@ -726,7 +725,7 @@ class TestStack:
         zeros=st.sets(st.integers(0, 39), max_size=3),
         seed=st.integers(0, 2**32 - 1),
     )
-    # 51 kernel rows on 300 modes, and one sample per sample block
+    # 51 kernel rows on 300 modes, all in one pass per sample
     @example(S=40, M=300, s=0.99, name="quadratic", lam_min=1.0, log_ratio=6.0,
              zeros={0, 39}, seed=1)
     @settings(max_examples=30)
@@ -775,8 +774,7 @@ class TestStack:
     @pytest.mark.parametrize("sigma", [0.25, 0.5, 0.99])
     def test_kernel_across_node_blocks(self, monkeypatch, sigma):
         # 256 elements per block: on the band x in [1, 256] the 14-16 kernel
-        # rows pass one at a time against the 64 modes, and each sample
-        # block holds one sample.
+        # rows pass one at a time against the 64 modes, for each sample.
         monkeypatch.setattr(energy, "_CHUNK", 256)
         lam = np.geomspace(1.0, 16.0, 64)
         x = lam**2

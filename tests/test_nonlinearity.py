@@ -243,12 +243,16 @@ class TestDeltaGate:
 
     def test_zero_nonlinearity_unbounded(self):
         assert delta_gate(polynomial_nonlinearity([0.0])) == np.inf
+        # a general N whose two conditions still hold at the bisection's top
+        assert delta_gate(polynomial_nonlinearity([1e-30, 1e-40])) == np.inf
 
     def test_general_bisection_brackets_model(self):
-        # a quadratic with tiny B should land near the model value
-        d_model = delta_gate(polynomial_nonlinearity([1.0]))
-        d_general = delta_gate(polynomial_nonlinearity([1.0, 1e-12]))
-        assert abs(d_general - d_model) / d_model < 0.05
+        # a quadratic with tiny B should land near the model value; with
+        # A < 0, 1 + N falls below 1/2 far out, which bounds the bracket
+        for A in (1.0, -1.0):
+            d_model = delta_gate(polynomial_nonlinearity([A]))
+            d_general = delta_gate(polynomial_nonlinearity([A, 1e-12]))
+            assert abs(d_general - d_model) / d_model < 0.05, A
 
     def test_general_gate_conditions_hold(self):
         N = polynomial_nonlinearity([-1.0, 2.0])

@@ -228,6 +228,20 @@ class TestTwoMode:
             expect = abs(cp) ** 2 + abs(cm) ** 2 + 2 * (cp * np.conj(cm) * np.exp(2j * t)).real
             assert abs(abs(end.u_hat[0]) ** 2 - expect) < 1e-9
 
+    def test_descending_frequencies_swap_the_modes(self):
+        got = build_two_mode(2.0, 1.0, [0.1, 0.2j], [0.3, -0.4])
+        want = build_two_mode(1.0, 2.0, [0.2j, 0.1], [-0.4, 0.3])
+        assert got.grid.lambdas.tolist() == want.grid.lambdas.tolist() == [1.0, 2.0]
+        assert got.u_hat.tolist() == want.u_hat.tolist()
+        assert got.v_hat.tolist() == want.v_hat.tolist()
+
+    @pytest.mark.parametrize("c_plus, c_minus", [([1.0], [0.0, 0.0]),
+                                                 ([1.0, 0.0], [[0.0, 0.0], [0.0, 0.0]])],
+                             ids=["one-coefficient", "pairs"])
+    def test_rejects_a_coefficient_per_mode_missing(self, c_plus, c_minus):
+        with pytest.raises(ValueError, match="^c_plus and c_minus must each give one coefficient"):
+            build_two_mode(1.0, 2.0, c_plus, c_minus)
+
     def test_rejects_equal_or_bad_frequencies(self):
         with pytest.raises(ValueError):
             build_two_mode(1.0, 1.0, [1.0, 0.0], [0.0, 0.0])
