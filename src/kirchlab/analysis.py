@@ -24,7 +24,6 @@ from .energy import (
     second_order_model,
     second_order_rate_model,
     unmodified_derivative_analytic,
-    unmodified_energy,
 )
 from .nonlinearity import NonlinearitySpec, build_profile, delta_gate
 from .spectral import (
@@ -130,7 +129,8 @@ def scaling_point(
     amps = st.grid, st.u_hat, st.v_hat
     if np.hypot(*pair_norm(*amps, 0.0)) > delta_gate(N):
         raise ValueError(f"epsilon {epsilon} puts the data above the smallness gate")
-    y_unmod = abs(unmodified_derivative_analytic(*amps, N, s)) / unmodified_energy(*amps, N, s)
+    y_unmod = (abs(unmodified_derivative_analytic(*amps, N, s))
+               / modified_energy(*amps, N, s).e_unmodified)
     h = dt * stride
     traj = evolve(st, N, 4 * h, dt, stride=stride, method=method)
     e = modified_energy(traj.grid, traj.u, traj.v, N, s).e_total.tolist()

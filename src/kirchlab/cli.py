@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, fields
-from operator import attrgetter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +28,6 @@ from .spectral import (
 )
 
 __all__ = ["main", "run"]
-
-# the energy columns of every artifact, in EnergyBreakdown's field order
-_ENERGY_COLUMNS = [f.name for f in fields(EnergyBreakdown)]
-_energy_cells = attrgetter(*_ENERGY_COLUMNS)
 
 
 def _build_state(config: RunConfig, seed: int) -> SpectralState:
@@ -67,69 +62,82 @@ def _random_decay(config, seed, M=None):
                               d["margin"], seed)
 
 
-def _block_rows(block, N, s_list):
-    """The trajectory rows of one block of samples: one stacked hamiltonian
+class _Artifacts:
+    """What a run writes into out_dir, listed by name in first-written order:
+    tables as CSV, JSON or both (the output's format), plots where the output
+    asks for them, and documents.  A table written again is continued and
+    listed once."""
+
+    def __init__(self, out_dir, format=None, plots=False):
+        self.out_dir, self.format, self.plots, self.names = out_dir, format, plots, []
+
+    def _path(self, name):
+        """The path of a file, and whether the run wrote it before."""
+        again = name in self.names
+        if not again:
+            self.names.append(name)
+        return self.out_dir / name, again
+
+    def table(self, name, columns):
+        """columns: {header: cells}, one cell per row."""
+        header, rows = list(columns), list(zip(*columns.values()))
+        if self.format in ("csv", "both"):
+            path, again = self._path(f"{name}.csv")
+            output.write_csv(path, header, rows, again)
+        if self.format in ("json", "both"):
+            path, again = self._path(f"{name}.json")
+            output.write_json(path, [dict(zip(header, row)) for row in rows], again)
+
+    def plot(self, name, series, title):
+        if self.plots:
+            output.write_svg_lines(self._path(f"{name}.svg")[0], series, title)
+
+    def doc(self, name, doc):
+        output.write_json(self._path(f"{name}.json")[0], doc)
+
+
+def _block_columns(block, N, s_list):
+    """The trajectory columns of one block of samples: one stacked hamiltonian
     and pair_norm call per s, one modified_energy call per sample and s."""
-    grid = block.grid
-    ham = hamiltonian(grid, block.u, block.v, N).tolist()
-    (pos0, vel0), *norms = [[a.tolist() for a in pair_norm(grid, block.u, block.v, s)]
-                            for s in (0.0, *s_list)]
-    rows = []
-    for i, (t, h, u, v) in enumerate(zip(block.times.tolist(), ham, block.u, block.v)):
-        row = [t, h, pos0[i], vel0[i]]
-        for s, (pos, vel) in zip(s_list, norms):
-            row += [pos[i], vel[i], *_energy_cells(modified_energy(grid, u, v, N, s))]
-        rows.append(row)
-    return rows
-
-
-def _emit(out_dir, name, header, rows, fmt, plots=False, plot_series=None, plot_title="",
-          append=False):
-    paths = []
-    if fmt in ("csv", "both"):
-        paths.append(str(output.write_csv(out_dir / f"{name}.csv", header, rows, append)))
-    if fmt in ("json", "both"):
-        doc = [dict(zip(header, row)) for row in rows]
-        paths.append(str(output.write_json(out_dir / f"{name}.json", doc, append)))
-    if plots and plot_series:
-        paths.append(str(output.write_svg_lines(out_dir / f"{name}.svg", plot_series, plot_title)))
-    return paths
-
-
-def _scenario_simulate(config, N, state, out_dir, seed):
-    integ, fmt = config.integrator, config.output["format"]
-    header = ["t", "hamiltonian", "h1_norm", "l2_vel"]
-    for s in config.s_list:
+    grid, u, v = block.grid, block.u, block.v
+    pos, vel = pair_norm(grid, u, v, 0.0)
+    columns = {"t": block.times.tolist(), "hamiltonian": hamiltonian(grid, u, v, N).tolist(),
+               "h1_norm": pos.tolist(), "l2_vel": vel.tolist()}
+    for s in s_list:
         tag = output.fmt(float(s))
-        header += [f"{name}[{tag}]" for name in ("pos", "vel", *_ENERGY_COLUMNS)]
-    # each block of samples becomes rows, is written and is dropped; with
+        pos, vel = pair_norm(grid, u, v, s)
+        energies = zip(*(modified_energy(grid, a, b, N, s) for a, b in zip(u, v)))
+        columns.update(zip([f"{name}[{tag}]" for name in ("pos", "vel", *EnergyBreakdown._fields)],
+                           [pos.tolist(), vel.tolist(), *energies]))
+    return columns
+
+
+def _scenario_simulate(config, N, state, out, seed):
+    integ = config.integrator
+    # each block of samples becomes columns, is written and is dropped; with
     # plots, the plotted columns t, hamiltonian and h1_norm are kept
-    series = [[], [], []] if config.output["plots"] else []
-    blocks = evolve_blocks(state, N, integ["T"], integ["dt"], stride=integ["stride"],
-                           method=integ["method"])
-    for i, block in enumerate(blocks):
-        rows = _block_rows(block, N, config.s_list)
-        artifacts = _emit(out_dir, "trajectory", header, rows, fmt, append=i > 0)
-        for col, xs in enumerate(series):
-            xs.extend(r[col] for r in rows)
-    if config.output["plots"]:
-        times, ham, h1 = series
-        artifacts.append(str(output.write_svg_lines(
-            out_dir / "trajectory.svg", {"hamiltonian": (times, ham), "h1_norm": (times, h1)},
-            "trajectory diagnostics")))
-    return {"pass": True, "artifacts": artifacts}
+    times, ham, h1 = plotted = [], [], []
+    for block in evolve_blocks(state, N, integ["T"], integ["dt"], stride=integ["stride"],
+                               method=integ["method"]):
+        columns = _block_columns(block, N, config.s_list)
+        out.table("trajectory", columns)
+        for xs, cells in zip(plotted if out.plots else (), columns.values()):
+            xs.extend(cells)
+    out.plot("trajectory", {"hamiltonian": (times, ham), "h1_norm": (times, h1)},
+             "trajectory diagnostics")
+    return True
 
 
-def _scenario_energies(config, N, state, out_dir, seed):
-    header = ["t", "s", *_ENERGY_COLUMNS]
+def _scenario_energies(config, N, state, out, seed):
     amps = state.grid, state.u_hat, state.v_hat
-    rows = [[float(state.time), float(s), *_energy_cells(modified_energy(*amps, N, s))]
-            for s in config.s_list]
-    artifacts = _emit(out_dir, "energies", header, rows, config.output["format"])
-    return {"pass": True, "artifacts": artifacts}
+    energies = [modified_energy(*amps, N, s) for s in config.s_list]
+    out.table("energies", {"t": [float(state.time)] * len(energies),
+                           "s": [float(s) for s in config.s_list],
+                           **dict(zip(EnergyBreakdown._fields, zip(*energies)))})
+    return True
 
 
-def _scenario_verify(config, N, state, out_dir, seed):
+def _scenario_verify(config, N, state, out, seed):
     p = config.params
     verdicts = []
 
@@ -163,27 +171,25 @@ def _scenario_verify(config, N, state, out_dir, seed):
 
     doc = {"scenario": "verify", "params": dict(p), "verdicts": verdicts,
            "pass": all(v["pass"] for v in verdicts)}
-    artifacts = [str(output.write_json(out_dir / "verify.json", doc))]
-    return {"pass": doc["pass"], "artifacts": artifacts}
+    out.doc("verify", doc)
+    return doc["pass"]
 
 
-def _scenario_sweep(config, N, state, out_dir, seed):
+def _scenario_sweep(config, N, state, out, seed):
     fit_u, fit_m = analysis.scaling_slope_experiment(
         state, N, config.params["s"], config.epsilons, config.integrator["dt"],
         config.params["fd_stride"], config.integrator["method"])
-    header = ["epsilon", "y_unmodified", "y_modified"]
-    rows = list(zip(fit_u.epsilons, fit_u.values, fit_m.values))
+    out.table("sweep", {"epsilon": fit_u.epsilons, "y_unmodified": fit_u.values,
+                        "y_modified": fit_m.values})
     log_eps = [np.log10(e) for e in fit_u.epsilons]
-    artifacts = _emit(out_dir, "sweep", header, rows, config.output["format"],
-                      config.output["plots"],
-                      {name: (log_eps, [np.log10(max(y, 1e-300)) for y in fit.values])
-                       for name, fit in (("unmodified", fit_u), ("modified", fit_m))},
-                      "derivative scaling (log10-log10)")
+    out.plot("sweep", {name: (log_eps, [np.log10(max(y, 1e-300)) for y in fit.values])
+                      for name, fit in (("unmodified", fit_u), ("modified", fit_m))},
+             "derivative scaling (log10-log10)")
     doc = {name: {"slope": fit.slope, "degenerate": fit.degenerate}
            for name, fit in (("unmodified", fit_u), ("modified", fit_m))}
     doc["slope_difference"] = fit_m.slope - fit_u.slope
-    artifacts.append(str(output.write_json(out_dir / "sweep_fit.json", doc)))
-    return {"pass": True, "artifacts": artifacts}
+    out.doc("sweep_fit", doc)
+    return True
 
 
 def _companion_direction(config, state, seed):
@@ -192,55 +198,50 @@ def _companion_direction(config, state, seed):
     return LinearizedState(wdir.u_hat, wdir.v_hat)
 
 
-def _scenario_linearized(config, N, state, out_dir, seed):
+def _scenario_linearized(config, N, state, out, seed):
     integ = config.integrator
     doc = analysis.linearized_fd_check(state, _companion_direction(config, state, seed), N,
                                        integ["T"], integ["dt"], integ["stride"])
     doc.update(T=integ["T"], dt=integ["dt"])
-    artifacts = [str(output.write_json(out_dir / "linearized.json", doc))]
-    return {"pass": doc["pass"], "artifacts": artifacts}
+    out.doc("linearized", doc)
+    return doc["pass"]
 
 
-def _scenario_resonance(config, N, state, out_dir, seed):
+def _scenario_resonance(config, N, state, out, seed):
     w0 = _companion_direction(config, state, seed)
     rep = analysis.resonance_report(state, w0, N, config.params["sigma"], config.integrator["T"],
                                     config.integrator["dt"], stride=config.integrator["stride"])
-    header = ["t", "sep", "mixed", "sep_running_mean", "mixed_running_mean", "lin_energy"]
-    rows = np.column_stack([rep["times"], rep["sep"], rep["mixed"], rep["sep_running_mean"],
-                            rep["mixed_running_mean"], rep["energy"]]).tolist()
-    artifacts = _emit(out_dir, "resonance", header, rows, config.output["format"],
-                      config.output["plots"],
-                      {"sep_mean": (list(rep["times"]), list(rep["sep_running_mean"])),
-                       "mixed_mean": (list(rep["times"]), list(rep["mixed_running_mean"]))},
-                      "resonant vs oscillatory running means")
-    summary = {"final_sep_mean": float(rep["sep_running_mean"][-1]),
-               "final_mixed_mean": float(rep["mixed_running_mean"][-1])}
-    artifacts.append(str(output.write_json(out_dir / "resonance_summary.json", summary)))
-    return {"pass": True, "artifacts": artifacts}
+    out.table("resonance", {"t": rep["times"], "sep": rep["sep"], "mixed": rep["mixed"],
+                            "sep_running_mean": rep["sep_running_mean"],
+                            "mixed_running_mean": rep["mixed_running_mean"],
+                            "lin_energy": rep["energy"]})
+    out.plot("resonance", {"sep_mean": (list(rep["times"]), list(rep["sep_running_mean"])),
+                           "mixed_mean": (list(rep["times"]), list(rep["mixed_running_mean"]))},
+             "resonant vs oscillatory running means")
+    out.doc("resonance_summary", {"final_sep_mean": float(rep["sep_running_mean"][-1]),
+                                  "final_mixed_mean": float(rep["mixed_running_mean"][-1])})
+    return True
 
 
-def _scenario_obstruction(config, N, state, out_dir, seed):
+def _scenario_obstruction(config, N, state, out, seed):
     p = config.params
-    doc = asdict(analysis.obstruction_certificate(p["x"], p["y"], p["sigma"]))
-    artifacts = [str(output.write_json(out_dir / "obstruction.json", doc))]
-    return {"pass": True, "artifacts": artifacts}
+    out.doc("obstruction", asdict(analysis.obstruction_certificate(p["x"], p["y"], p["sigma"])))
+    return True
 
 
-def _scenario_truncation(config, N, state, out_dir, seed):
+def _scenario_truncation(config, N, state, out, seed):
     p = config.params
     lam_max = float(state.grid.lambdas[-1])
     cutoffs = p.get("cutoffs") or [lam_max / 2**k for k in range(3, -1, -1)]
     tab = analysis.truncation_convergence(state, cutoffs, N, config.integrator["T"], p["s_low"],
                                           config.integrator["dt"], stride=p["fd_stride"])
-    header = ["cutoff", "diff_from_previous", "energy_sup"]
-    diffs = [float("nan"), *tab["consecutive_diffs"]]
-    rows = [[float(c), float(d), float(e)]
-            for c, d, e in zip(tab["cutoffs"], diffs, tab["energy_sup"])]
-    artifacts = _emit(out_dir, "truncation", header, rows, config.output["format"])
+    out.table("truncation", {"cutoff": tab["cutoffs"],
+                             "diff_from_previous": [float("nan"), *tab["consecutive_diffs"]],
+                             "energy_sup": tab["energy_sup"]})
     doc = {"decreasing": tab["decreasing"], "diffs": tab["consecutive_diffs"],
            "energy_sup": tab["energy_sup"]}
-    artifacts.append(str(output.write_json(out_dir / "truncation_summary.json", doc)))
-    return {"pass": doc["decreasing"], "artifacts": artifacts}
+    out.doc("truncation_summary", doc)
+    return doc["decreasing"]
 
 
 _SCENARIO_IMPL = {
@@ -267,17 +268,17 @@ def run(config: RunConfig, out_dir, seed_override: int | None = None) -> int:
         state = None if config.data is None else _build_state(config, seed)
         # the gate is checked by every scenario that reads allow_gate_violation
         gate_info = None if config.allow_gate_violation is None else _gate_check(state, N, config)
-        result = _SCENARIO_IMPL[config.scenario](config, N, state, out_dir, seed)
+        out = _Artifacts(out_dir, **(config.output or {}))
+        passed = _SCENARIO_IMPL[config.scenario](config, N, state, out, seed)
     except Exception as exc:
         output.write_json(out_dir / "error.json", {"type": type(exc).__name__, "error": str(exc)})
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # the seed every draw used, and paths that do not depend on --out
-    artifacts = [Path(p).relative_to(out_dir).as_posix() for p in result["artifacts"]]
-    doc = {"scenario": config.scenario, "pass": bool(result["pass"]), "seed": seed,
-           "gate": gate_info, "artifacts": artifacts, "config": config.as_dict()}
+    # the seed every draw used, and names that do not depend on --out
+    doc = {"scenario": config.scenario, "pass": passed, "seed": seed, "gate": gate_info,
+           "artifacts": out.names, "config": config.as_dict()}
     output.write_json(out_dir / "run.json", doc)
-    return 0 if result["pass"] else 2
+    return 0 if passed else 2
 
 
 def main(argv=None) -> int:

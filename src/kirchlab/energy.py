@@ -35,16 +35,15 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .nonlinearity import FilteredProfile, NonlinearitySpec, _profile
-from .spectral import FrequencyGrid, _check, _norm_sum, sobolev_norm_sq
+from .spectral import FrequencyGrid, _check, _norm_sum
 
 __all__ = [
     "EnergyBreakdown",
-    "unmodified_energy",
     "second_order_term",
     "modified_energy",
     "unmodified_derivative_analytic",
@@ -53,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
+class EnergyBreakdown(NamedTuple):
     """The four parts of the modified energy and their sum: floats for one
     state's (M,) amplitudes, (S,) arrays for an (S, M) stack."""
 
@@ -63,16 +61,6 @@ class EnergyBreakdown:
     e_normal_form: float
     e_asym: float
     e_total: float
-
-
-def unmodified_energy(
-    grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: NonlinearitySpec, s: float
-):
-    """(1/2)(1 + N(|u|_{H1}^2)) |u|_{H^{1+s}}^2 + (1/2)|u'|_{H^s}^2; a norm
-    that overflows raises (sobolev_norm_sq)."""
-    _check("s", s)
-    pos, vel = sobolev_norm_sq(grid, u, 1.0 + s), sobolev_norm_sq(grid, v, s)
-    return 0.5 * (1.0 + N.eval(sobolev_norm_sq(grid, u, 1.0))) * pos + 0.5 * vel
 
 
 # -- per-mode building blocks shared by the sums below ------------------------

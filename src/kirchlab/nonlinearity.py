@@ -169,8 +169,6 @@ def delta_gate(N: NonlinearitySpec) -> float:
         if np.any(1.0 + np.asarray(N.eval(rs)) < 0.5):
             return False
         amax = float(np.max(np.abs(N.d1(rs))))
-        if amax == 0.0:
-            return True
         return 4.0 * amax * (1.0 + _GATE_S0) * m <= 0.5
 
     hi = 1e3

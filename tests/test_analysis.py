@@ -15,6 +15,7 @@ from kirchlab.analysis import (
     DIAGONAL_TOL,
     LSTSQ_TOL,
     ObstructionCertificate,
+    ScalingFit,
     _sep_mixed,
     certifies_obstruction,
     comparability_sweep,
@@ -138,6 +139,11 @@ class TestScalingSlopes:
         base = build_random_decay(16, 1.0, 8.0, 0.25, 0.55, seed=1)
         with pytest.raises(ValueError, match="^epsilon 10.0 puts the data above the smallness"):
             scaling_point(base, N1, 0.25, 10.0)
+
+    @pytest.mark.parametrize("epsilons", [(1e-3, 1e-2), (1e-3, 1e-2, 1e-1)], ids=["two", "unequal"])
+    def test_fit_needs_three_pairs(self, epsilons):
+        with pytest.raises(ValueError, match=r"^need at least three \(epsilon, value\) pairs$"):
+            ScalingFit(epsilons, (1.0, 2.0), 1.0)
 
     def test_rejects_narrow_epsilon_range(self):
         base = build_random_decay(16, 1.0, 8.0, 0.25, 0.55, seed=1)

@@ -46,7 +46,6 @@ GOOD = {
     "spectral.build_random_decay": {"M": 8, "lambda_min": 1.0, "lambda_max": 4.0,
                                     "regularity": 0.25, "margin": 0.55, "seed": 0},
     "spectral.truncate": {"state": STATE, "cutoff": 2.0},
-    "energy.unmodified_energy": {**AMPS, "N": N1, "s": 0.25},
     "energy.second_order_term": {**AMPS, "N": N1, "s": 0.25},
     "energy.modified_energy": {**AMPS, "N": N1, "s": 0.25},
     "energy.unmodified_derivative_analytic": {**AMPS, "N": N1, "s": 0.25},
@@ -149,7 +148,7 @@ FIELDS = {
     "Trajectory.steps": lambda v: dynamics.Trajectory(TRAJ.grid, TRAJ.times, TRAJ.u, TRAJ.v,
                                                       steps=v),
 }
-RESULTS = {"ScalingFit", "ObstructionCertificate", "EnergyBreakdown"}
+RESULTS = {"ScalingFit", "ObstructionCertificate"}
 
 
 def numeric_fields():

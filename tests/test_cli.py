@@ -4,7 +4,6 @@ import json
 import re
 import tracemalloc
 from contextlib import redirect_stderr
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -672,14 +671,16 @@ class TestScenarioOutputs:
         s_list = [0.0, 0.25, 1.25]
         blocks = list(evolve_blocks(st, N, 0.05, 1e-3, stride=10))
         assert [len(b) for b in blocks] == [4, 2]
-        rows = [row for b in blocks for row in cli._block_rows(b, N, s_list)]
+        columns = [cli._block_columns(b, N, s_list) for b in blocks]
+        assert all(list(c) == list(columns[0]) for c in columns)
+        rows = [row for c in columns for row in zip(*c.values())]
         assert len(rows) == len(traj.times) == 6
         for t, u, v, row in zip(traj.times.tolist(), traj.u, traj.v, rows):
             want = [t, hamiltonian(traj.grid, u, v, N), *pair_norm(traj.grid, u, v, 0.0)]
             for s in s_list:
                 want += [*pair_norm(traj.grid, u, v, s),
-                         *astuple(modified_energy(traj.grid, u, v, N, s))]
-            assert len(row) == 4 + 7 * len(s_list) and row == want
+                         *modified_energy(traj.grid, u, v, N, s)]
+            assert len(row) == 4 + 7 * len(s_list) and list(row) == want
 
     def test_shipped_sweep_is_the_scaling_slope_experiment(self, tmp_path):
         # criterion 06's data: M = 32 on [1, 16], seed 21

@@ -314,6 +314,12 @@ class TestLinearized:
         with pytest.raises(ValueError, match=rf"^amplitudes must be finite: {name}\[{k}\] = "):
             LinearizedState(**arrays)
 
+    @pytest.mark.parametrize("shapes", [(3, 2), ((1, 3), (1, 3))], ids=["unequal", "2-d"])
+    def test_malformed_amplitudes_rejected(self, shapes):
+        w_hat, w_vel = (np.zeros(shape, complex) for shape in shapes)
+        with pytest.raises(ValueError, match="^w_hat and w_vel must be 1-d arrays of equal length$"):
+            LinearizedState(w_hat, w_vel)
+
     def test_pair_grid_mismatch_errors(self):
         base = build_two_mode(1.0, 2.0, [0.01, 0.0], [0.0, 0.01])
         z = np.zeros(1, complex)

@@ -26,7 +26,6 @@ from kirchlab.energy import (
     second_order_model,
     second_order_term,
     unmodified_derivative_analytic,
-    unmodified_energy,
 )
 from kirchlab.nonlinearity import (
     DegenerateNonlinearityError,
@@ -306,14 +305,14 @@ class TestUnmodified:
     def test_zero_state(self):
         g = FrequencyGrid([1.0, 2.0], [1.0, 1.0])
         z = np.zeros(2, complex)
-        assert unmodified_energy(g, z, z, N_QUAD, 0.25) == 0.0
+        assert modified_energy(g, z, z, N_QUAD, 0.25).e_unmodified == 0.0
 
     def test_single_mode_substitution(self):
         rho = 0.04
         g = FrequencyGrid([1.0], [1.0])
         u = np.array([np.sqrt(rho) + 0j])
         st_ = SpectralState(g, u, np.zeros(1, complex))
-        got = unmodified_energy(*amps(st_), N_QUAD, 0.0)
+        got = modified_energy(*amps(st_), N_QUAD, 0.0).e_unmodified
         assert np.isclose(got, 0.5 * (1 + N_QUAD.eval(rho)) * rho, rtol=1e-14)
 
     def test_norm_identity(self):
@@ -322,7 +321,8 @@ class TestUnmodified:
             pos, vel = pair_norm(*amps(st_), s)
             mass = sobolev_norm_sq(st_.grid, st_.u_hat, 1.0)
             expect = 0.5 * (1 + N_QUAD.eval(mass)) * pos**2 + 0.5 * vel**2
-            assert np.isclose(unmodified_energy(*amps(st_), N_QUAD, s), expect, rtol=1e-13)
+            got = modified_energy(*amps(st_), N_QUAD, s).e_unmodified
+            assert np.isclose(got, expect, rtol=1e-13)
 
     def test_overflow_raises_per_state_and_in_stack(self):
         # |u|_{H^3}^2 overflows at s = 2 (lambda^6 |u|^2 = 1e420), not the H^1 mass
@@ -330,13 +330,11 @@ class TestUnmodified:
         u, v = np.array([0.01, 1e-90 + 0j]), np.array([0.01, 0j])
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="^Sobolev norm overflowed at sigma=3.0$"):
-                unmodified_energy(g, u, v, N_QUAD, 2.0)
-            with pytest.raises(ValueError, match="^Sobolev norm overflowed at sigma=3.0$"):
                 modified_energy(g, u, v, N_QUAD, 2.0)
             g = FrequencyGrid([1.0, 1e50], [1.0, 1.0])
             u = np.array([[0.01, 0j], [0.01, 1e10 + 0j], [0.01, 0j]])
             with pytest.raises(ValueError, match="overflowed at sigma=3.0 in sample 1$"):
-                unmodified_energy(g, u, u, N_QUAD, 2.0)
+                modified_energy(g, u, u, N_QUAD, 2.0)
 
     @pytest.mark.parametrize("stacked", [False, True])
     def test_overflow_raises_without_warnings(self, stacked):
@@ -348,9 +346,8 @@ class TestUnmodified:
         message = "^Sobolev norm overflowed at sigma=3.0" + (" in sample 1$" if stacked else "$")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in (modified_energy, unmodified_energy):
-                with pytest.raises(ValueError, match=message):
-                    call(g, u, u, N_QUAD, 2.0)
+            with pytest.raises(ValueError, match=message):
+                modified_energy(g, u, u, N_QUAD, 2.0)
             with pytest.raises(ValueError, match=message):
                 pair_norm(g, u, u, 2.0)
 
@@ -585,7 +582,6 @@ class TestMixedRowsMemo:
         st_ = small_state(seed=3)
         amp = amps(st_)
         calls = [
-            lambda: unmodified_energy(*amp, N_QUAD, s),
             lambda: second_order_term(*amp, N_QUAD, s),
             lambda: modified_energy(*amp, N_QUAD, s),
             lambda: unmodified_derivative_analytic(*amp, N_QUAD, s),
@@ -675,7 +671,7 @@ class TestUnmodifiedDerivative:
         N = polynomial_nonlinearity([1.0])
         st_ = rescale_to(small_state(seed=5), 0.05, 0.0)
         tr = evolve(st_, N, 8e-4, 1e-4, stride=1)
-        series = [(t, unmodified_energy(tr.grid, u, v, N, 0.25))
+        series = [(t, modified_energy(tr.grid, u, v, N, 0.25).e_unmodified)
                   for t, u, v in zip(tr.times, tr.u, tr.v)]
         fd = derivative_fd(series, 3)
         an = unmodified_derivative_analytic(*amps(state_at(tr, 3)), N, 0.25)
@@ -743,7 +739,6 @@ class TestStack:
         batch = grid, u, v
 
         functions = {
-            "unmodified_energy": lambda *amp: unmodified_energy(*amp, N, s),
             "second_order_term": lambda *amp: second_order_term(*amp, N, s),
             "second_order_model": lambda *amp: second_order_model(*amp, 0.7, s),
             "second_order_rate_model": lambda *amp: second_order_rate_model(*amp, 0.7, s),
@@ -756,7 +751,6 @@ class TestStack:
         rows = [modified_energy(*amps(st_), N, s) for st_ in states]
         for field in ("e_unmodified", "e_second_order", "e_normal_form", "e_asym", "e_total"):
             assert getattr(stacked, field).tolist() == [getattr(e, field) for e in rows], field
-        assert stacked.e_unmodified.tolist() == functions["unmodified_energy"](*batch).tolist()
         assert stacked.e_second_order.tolist() == functions["second_order_term"](*batch).tolist()
         profile = build_profile(grid, u, N)
         for i, st_ in enumerate(states):
@@ -904,15 +898,17 @@ class TestEnergyFrozenReference:
 
     @pytest.mark.parametrize("stacked", [False, True])
     def test_overflow_message_as_unmodified_energy(self, stacked):
-        # |u|_{H^3}^2 overflows at s = 2 (lambda^6 |u|^2 = 1e320) in sample 1
+        # |u|_{H^3}^2 overflows at s = 2 (lambda^6 |u|^2 = 1e320) in sample 1;
+        # the unmodified part raises as the norm it reads
         g = FrequencyGrid([1.0, 1e50], [1.0, 1.0])
         u = np.array([[0.01, 0j], [0.01, 1e10 + 0j], [0.01, 0j]])
         u = u if stacked else u[1]
         messages = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for f in (unmodified_energy, modified_energy):
+            for call in (lambda: sobolev_norm_sq(g, u, 3.0),
+                         lambda: modified_energy(g, u, u, N_QUAD, 2.0)):
                 with pytest.raises(ValueError) as info:
-                    f(g, u, u, N_QUAD, 2.0)
+                    call()
                 messages.append(str(info.value))
         where = " in sample 1" if stacked else ""
         assert messages == [f"Sobolev norm overflowed at sigma=3.0{where}"] * 2

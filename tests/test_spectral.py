@@ -55,6 +55,19 @@ class TestGrid:
         with pytest.raises(ValueError):
             FrequencyGrid([1.0, 2.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "lambdas, weights, message",
+        [
+            ([1.0, 2.0], [1.0], "lambdas and weights must be 1-d arrays of equal length"),
+            ([[1.0, 2.0]], [[1.0, 1.0]], "lambdas and weights must be 1-d arrays of equal length"),
+            ([], [], "grid must contain at least one mode"),
+        ],
+        ids=["unequal", "2-d", "empty"],
+    )
+    def test_rejects_malformed_arrays(self, lambdas, weights, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FrequencyGrid(lambdas, weights)
+
     def test_from_unsorted_merges_duplicates(self):
         g = grid_from_unsorted([2.0, 1.0, 2.0], [0.5, 1.0, 0.25])
         assert np.allclose(g.lambdas, [1.0, 2.0])
