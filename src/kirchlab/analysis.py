@@ -399,9 +399,9 @@ def obstruction_suite(n_samples: int, seed: int) -> dict:
 def linearized_fd_check(state: SpectralState, w0: LinearizedState, N: NonlinearitySpec,
                         T: float, dt: float, stride: int = 1) -> dict:
     """The error of (flow(u0 + e w0) - flow(u0)) / e against evolve_pair's
-    companion at T, sup norms of w and w' in quadrature, at e = 1e-3 and
+    companion at T > 0, sup norms of w and w' in quadrature, at e = 1e-3 and
     1e-4; it is O(e), so it passes when their ratio is in FD_RATIO_WINDOW."""
-    traj = evolve_pair(state, w0, N, T, dt, stride=stride)
+    traj = evolve_pair(state, w0, N, _check("T", T, float, "> 0"), dt, stride=stride)
     errs = []
     for e in (1e-3, 1e-4):
         pert = state.replace_amplitudes(state.u_hat + e * w0.w_hat, state.v_hat + e * w0.w_vel)

@@ -206,8 +206,8 @@ def _march(state, T, dt, stride, step, w=None, block=None):
     yields the samples (every `stride` steps and the last) as Trajectory
     blocks of at most `block` samples, all in one if block is None.  A
     failing step, or one that leaves a non-finite u or v (the first such
-    mode named), raises again with its type kept (a RuntimeError if that
-    type takes no single message), naming the step and its start time."""
+    mode named), raises its own exception again, its message prefixed with
+    the step and its start time."""
     # T last: a caller may derive it from a bad dt or stride (scaling_point)
     _check("dt", dt, float, "> 0")
     _check("stride", stride, int, ">= 1")
@@ -228,12 +228,8 @@ def _blocks(state, nsteps, dt, stride, step, w, block):
                 if not (np.isfinite(u).all() and np.isfinite(v).all()):
                     _non_finite(u_hat=u, v_hat=v)
             except Exception as exc:
-                msg = f"step {n} failed at t={t0 + (n - 1) * dt}: {exc}"
-                try:
-                    located = type(exc)(msg)
-                except TypeError:
-                    located = RuntimeError(msg)
-                raise located from exc
+                exc.args = (f"step {n} failed at t={t0 + (n - 1) * dt}: {exc}",)
+                raise
         if n % stride == 0 or n == nsteps:
             if k == 0:
                 shape = (min(block, left), len(grid))

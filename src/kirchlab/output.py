@@ -35,22 +35,14 @@ def write_csv(path, header, rows, append=False) -> Path:
     return path
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if hasattr(obj, "tolist"):
-        return _jsonable(obj.tolist())
-    return obj
-
-
 def write_json(path, doc, append=False) -> Path:
-    """doc as indented JSON with sorted keys.  With `append`, doc is a list
-    whose elements are added to the non-empty array the file holds; the
-    bytes are those of writing both lists as one."""
+    """doc as indented JSON, keys sorted (numbers numerically), numpy values
+    as Python ones.  With `append`, doc is a list whose elements are added to
+    the non-empty array the file holds: the bytes of writing both as one."""
+    def tolist(obj):  # json's own TypeError for anything else
+        return obj.tolist() if hasattr(obj, "tolist") else json.JSONEncoder().default(obj)
     path = Path(path)
-    text = json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=2, default=tolist) + "\n"
     if not append:
         path.write_text(text)
     elif doc:

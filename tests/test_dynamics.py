@@ -544,17 +544,22 @@ class TestStepFailures:
         with pytest.raises(RuntimeError, match=r"^step 1 failed at t=0\.0: midpoint"):
             evolve(TestMidpointHalving.large_state(), N1, 1.0, 0.5)
 
-    def test_failure_without_a_one_message_type_becomes_runtime_error(self):
+    def test_failure_comes_back_as_itself(self):
+        # the step's own exception, whatever its constructor takes, keeps
+        # its type and attributes and gains the located message
         class TwoArgs(Exception):
             def __init__(self, code, detail):
                 super().__init__(f"{code}: {detail}")
 
-        def step(grid, u, v, w, dt):
-            raise TwoArgs(7, "no step")
+        raised = TwoArgs(7, "no step")
+        raised.code = 7
 
-        with pytest.raises(RuntimeError, match=r"^step 1 failed at t=0\.0: 7: no step$") as exc:
+        def step(grid, u, v, w, dt):
+            raise raised
+
+        with pytest.raises(TwoArgs, match=r"^step 1 failed at t=0\.0: 7: no step$") as exc:
             list(_march(small_state(), 1.0, 0.1, 1, step))
-        assert type(exc.value) is RuntimeError and isinstance(exc.value.__cause__, TwoArgs)
+        assert exc.value is raised and exc.value.code == 7
 
     def test_nonfinite_step_names_array_and_mode(self):
         steps = []

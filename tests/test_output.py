@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kirchlab.output import fmt, write_csv, write_json, write_svg_lines
 
@@ -51,6 +54,73 @@ class TestAppend:
             write_json(path, docs[a:b], append=i > 0)
         write_json(path, [], append=True)  # nothing to add
         assert path.read_bytes() == whole
+
+
+def _jsonable(obj):
+    """The copy the writer used to make of a document before encoding it:
+    str keys, lists for tuples, Python values for numpy ones."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if hasattr(obj, "tolist"):
+        return _jsonable(obj.tolist())
+    return obj
+
+
+def old_bytes(doc):
+    return (json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n").encode()
+
+
+def _orders_agree(d):
+    """Float keys whose numeric and string orders are the same."""
+    return sorted(d) == sorted(d, key=str)
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=False)
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**6, 10**6), FLOATS, st.text(max_size=4),
+    FLOATS.map(np.float64), st.integers(-10**6, 10**6).map(np.int64), st.booleans().map(np.bool_),
+    hnp.arrays(np.float64, (), elements=FLOATS),
+    hnp.arrays(st.sampled_from([np.float64, np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=1, max_dims=3, max_side=3)),
+)
+DOCS = st.recursive(LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=4), children, max_size=4),
+    st.dictionaries(st.floats(allow_nan=False, allow_infinity=False), children,
+                    max_size=4).filter(_orders_agree),
+), max_leaves=12)
+
+
+class TestJsonEncoder:
+    """write_json encodes numpy values through json's own hook, with the
+    bytes of encoding the _jsonable copy of the document."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=DOCS)
+    def test_bytes_equal_the_copying_encoder(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("json") / "doc.json"
+        assert write_json(path, doc).read_bytes() == old_bytes(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(head=st.lists(DOCS, min_size=1, max_size=3), tail=st.lists(DOCS, max_size=3))
+    def test_append_equals_the_copying_encoder(self, tmp_path_factory, head, tail):
+        path = tmp_path_factory.mktemp("json") / "docs.json"
+        write_json(path, head)
+        assert write_json(path, tail, append=True).read_bytes() == old_bytes(head + tail)
+
+    def test_float_keys_sort_numerically(self, tmp_path):
+        doc = {10.0: "c", 0.5: "a", 2.0: "b"}
+        text = write_json(tmp_path / "k.json", doc).read_text()
+        assert text == '{\n  "0.5": "a",\n  "2.0": "b",\n  "10.0": "c"\n}\n'
+        # the copying encoder sorted them as strings
+        assert old_bytes(doc) == b'{\n  "0.5": "a",\n  "10.0": "c",\n  "2.0": "b"\n}\n'
+
+    def test_other_objects_are_refused_by_json(self, tmp_path):
+        with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+            write_json(tmp_path / "s.json", {"a": {1, 2}})
 
 
 class TestSvgLines:
