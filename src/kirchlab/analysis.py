@@ -294,8 +294,7 @@ def f_bounds_suite(traj: Trajectory, N: NonlinearitySpec) -> dict:
                     and np.all(np.min(F, axis=1) >= fmin_allowed * (1 - 1e-12)))
     nprime_max = float(np.max(np.abs(N.d1(c)), initial=0.0))
     dF = (F[2:] - F[:-2]) / (2 * h)
-    lam, w = grid.lambdas, grid.weights
-    flux = np.abs(np.cumsum(w * lam**2 * np.real(u[1:-1] * np.conj(v[1:-1])), axis=1))
+    flux = np.abs(np.cumsum(grid.mass_weights * np.real(u[1:-1] * np.conj(v[1:-1])), axis=1))
     bound = 3.0 * nprime_max * 2.0**2.5 * flux + 100.0 * h * h
     worst_excess = float(np.max(np.abs(dF) - bound, initial=0.0))  # NaN propagates
     fd_ok = worst_excess <= 0

@@ -16,10 +16,9 @@ from .spectral import _must
 __all__ = ["RunConfig", "ConfigError", "parse_config"]
 
 # The keys of each section: key -> (kind, lower bound, default), judged by
-# _must.  A kind is a number kind, list, bool or a tuple of allowed strings; a
-# bound reads as its message; a default of None marks a required key, and one
-# of ... a key that stays absent when it is not given.  A kind of None marks a
-# key whose value the caller judges itself (the two-mode [re, im] pairs).
+# _must.  A kind is a number kind, list, "pairs", bool or a tuple of allowed
+# strings; a bound reads as its message; a default of None marks a required
+# key, and one of ... a key that stays absent when it is not given.
 _RANDOM_DECAY = {"M": (int, ">= 2", 64), "lambda_min": (float, "> 0", 1.0),
                  "lambda_max": (float, "> 0", 16.0), "regularity": (float, None, 0.25),
                  "margin": (float, ">= 0", 0.55), "seed": (int, ">= 0", 0)}
@@ -27,7 +26,7 @@ DECAY_DEFAULTS = {key: default for key, (_, _, default) in _RANDOM_DECAY.items()
 _BUILDERS = {
     "random-decay": _RANDOM_DECAY,
     "two-mode": {"lambda1": (float, "> 0", None), "lambda2": (float, "> 0", None),
-                 "c_plus": (None, None, ...), "c_minus": (None, None, ...)},
+                 "c_plus": ("pairs", None, None), "c_minus": ("pairs", None, None)},
 }
 _RESCALE = {"target": (float, "> 0", None), "s": (float, None, 0.0)}
 # the data of a config without data: the random-decay defaults at 0.03 in H^1 x L^2
@@ -135,9 +134,6 @@ def _read(doc, table, errors, path, names=None, scenario=None, other=(), tables=
                 out[key] = default
             continue
         value = doc[key]
-        if kind is None:
-            out[key] = value
-            continue
         if kind is int and type(value) is float and value.is_integer():
             value = int(value)  # JSON may write the integer 64 as 64.0
         if must := _must(value, kind, bound):
@@ -147,6 +143,8 @@ def _read(doc, table, errors, path, names=None, scenario=None, other=(), tables=
             value = float(value)
         elif kind is list:
             value = [float(c) for c in value]
+        elif kind == "pairs":
+            value = [[float(c) for c in pair] for pair in value]
         out[key] = value
     if tables is not None:  # the choice is read; its table reads the rest
         if (name := next(iter(out.values()))) is None:
@@ -163,18 +161,8 @@ def _validate_data(doc, names, scenario, errors):
         lo, hi = out["lambda_min"], out["lambda_max"]
         if None not in (lo, hi) and hi <= lo:
             errors.append("data.lambda_max: must exceed data.lambda_min")
-    else:
-        if out["lambda1"] is not None and out["lambda1"] == out["lambda2"]:
-            errors.append("data.lambda2: must differ from data.lambda1")
-        for key in ("c_plus", "c_minus"):
-            v = out.get(key)
-            if key not in out:
-                errors.append(f"data.{key}: missing required key")
-            elif not (isinstance(v, list) and len(v) == 2
-                      and all(not _must(c, list) and len(c) == 2 for c in v)):
-                errors.append(f"data.{key}: must be two [re, im] pairs")
-            else:
-                out[key] = [[float(c[0]), float(c[1])] for c in v]
+    elif out["lambda1"] is not None and out["lambda1"] == out["lambda2"]:
+        errors.append("data.lambda2: must differ from data.lambda1")
     if "rescale" in doc:
         out["rescale"] = _read(doc["rescale"], _RESCALE, errors, "data.rescale.")
     return out

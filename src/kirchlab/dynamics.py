@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nonlinearity import DegenerateNonlinearityError, NonlinearitySpec
-from .spectral import FrequencyGrid, SpectralState, _check, _non_finite, _readonly, sobolev_norm_sq
+from .spectral import FrequencyGrid, SpectralState, _check, _finite, _readonly, sobolev_norm_sq
 
 __all__ = [
     "Trajectory",
@@ -57,8 +57,7 @@ class LinearizedState:
         object.__setattr__(self, "w_vel", v)
         if w.shape != v.shape or w.ndim != 1:
             raise ValueError("w_hat and w_vel must be 1-d arrays of equal length")
-        if not (np.isfinite(w).all() and np.isfinite(v).all()):
-            _non_finite(w_hat=w, w_vel=v)
+        _finite(w_hat=w, w_vel=v)
 
 
 @dataclass(frozen=True)
@@ -225,8 +224,7 @@ def _blocks(state, nsteps, dt, stride, step, w, block):
         if n:
             try:
                 u, v, w = step(grid, u, v, w, dt)
-                if not (np.isfinite(u).all() and np.isfinite(v).all()):
-                    _non_finite(u_hat=u, v_hat=v)
+                _finite(u_hat=u, v_hat=v)
             except Exception as exc:
                 exc.args = (f"step {n} failed at t={t0 + (n - 1) * dt}: {exc}",)
                 raise

@@ -45,8 +45,8 @@ def _must(v, kind=float, bound=None):
     reads as its message (">= 0", "> 0"), or None if it is: the one judge of
     config values and library arguments.  A number is a finite int or float,
     numpy's too, never a bool; an int kind takes integer types alone, a
-    list kind a non-empty list of numbers, a bool kind a bool and a tuple
-    kind one of its strings."""
+    list kind a non-empty list of numbers, a "pairs" kind two lists of two
+    numbers, a bool kind a bool and a tuple kind one of its strings."""
     if isinstance(kind, tuple):
         return None if type(v) is str and v in kind else f"one of {', '.join(kind)}"
     if kind is bool:
@@ -54,6 +54,9 @@ def _must(v, kind=float, bound=None):
     if kind is list:
         ok = isinstance(v, list) and v and not any(_must(c, float, bound) for c in v)
         return None if ok else f"a non-empty list of numbers {bound or ''}".rstrip()
+    if kind == "pairs":  # the two-mode [re, im] pairs
+        ok = isinstance(v, list) and [0 if _must(c, list) else len(c) for c in v] == [2, 2]
+        return None if ok else "two [re, im] pairs"
     if type(v) is not float:
         if isinstance(v, bool) or not isinstance(v, _NUMBERS):
             return "a number"
@@ -75,12 +78,13 @@ def _check(name: str, value, kind=float, bound=None):
     return value
 
 
-def _non_finite(**amplitudes):
+def _finite(**amplitudes):
     """Raise the ValueError that names the first non-finite entry of the
-    named arrays, once a class's own whole-array test has failed."""
-    name, a = next((name, a) for name, a in amplitudes.items() if not np.isfinite(a).all())
-    k = int(np.flatnonzero(~np.isfinite(a))[0])
-    raise ValueError(f"amplitudes must be finite: {name}[{k}] = {a[k]}")
+    named 1-d arrays, if any."""
+    for name, a in amplitudes.items():
+        if not np.isfinite(a).all():
+            k = int(np.flatnonzero(~np.isfinite(a))[0])
+            raise ValueError(f"amplitudes must be finite: {name}[{k}] = {a[k]}")
 
 
 def _readonly(a, dtype) -> np.ndarray:
@@ -141,8 +145,7 @@ class SpectralState:
         n = len(self.grid)
         if u.shape != (n,) or v.shape != (n,):
             raise ValueError("amplitude arrays must match the grid length")
-        if not (np.isfinite(u).all() and np.isfinite(v).all()):
-            _non_finite(u_hat=u, v_hat=v)
+        _finite(u_hat=u, v_hat=v)
 
     def replace_amplitudes(self, u_hat, v_hat) -> "SpectralState":
         return SpectralState(self.grid, u_hat, v_hat, self.time)

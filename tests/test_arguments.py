@@ -209,6 +209,10 @@ def test_numpy_scalars_are_numbers(value, kind, bound, what):
         ("RK4", ("rotation", "rk4"), "one of rotation, rk4"),
         (None, ("rotation", "rk4"), "one of rotation, rk4"),
         (["rk4"], ("rotation", "rk4"), "one of rotation, rk4"),
+        ([[1, 0.5], [np.float64(-2.0), 0]], "pairs", None),
+        ([[1, 0], [0, True]], "pairs", "two [re, im] pairs"),
+        (([1, 0], [0, 0]), "pairs", "two [re, im] pairs"),
+        (np.zeros((2, 2)), "pairs", "two [re, im] pairs"),
     ],
 )
 def test_booleans_and_choices(value, kind, what):

@@ -132,23 +132,30 @@ class TestConfigValidation:
         assert exc.value.errors == ["(root): top level must be an object"]
 
     def test_two_mode_shape_errors(self):
-        # one pair only, then entries that are not numbers (bools included)
-        for c_plus in ([[1.0, 0.0]], [["a", 0], [0, 0]], [[None, 0], [0, 0]], [[0, 0], [True, 0]]):
-            doc = {
-                "scenario": "simulate",
-                "data": {
-                    "builder": "two-mode",
-                    "lambda1": 1.0,
-                    "lambda2": 1.0,
-                    "c_plus": c_plus,
-                    "c_minus": [[0.0, 0.0], [0.0, 0.0]],
-                },
-            }
+        # one pair only, entries that are not numbers (bools included), a
+        # number, a string, no pairs, three pairs, a pair of three numbers, a
+        # NaN entry and a string pair, for either key
+        bad = ([[1.0, 0.0]], [["a", 0], [0, 0]], [[None, 0], [0, 0]], [[0, 0], [True, 0]], 5, "x",
+               [], [[1, 0], [0, 0], [0, 0]], [[1, 0, 0], [0, 0]], [[float("nan"), 0], [0, 0]],
+               [["1", "0"], [0, 0]])
+        zero = [[0.0, 0.0], [0.0, 0.0]]
+        for key in ("c_plus", "c_minus"):
+            for value in bad:
+                data = {"builder": "two-mode", "lambda1": 1.0, "lambda2": 2.0,
+                        "c_plus": zero, "c_minus": zero, key: value}
+                with pytest.raises(ConfigError) as exc:
+                    parse_config(json.dumps({"scenario": "simulate", "data": data}))
+                assert exc.value.errors == [f"data.{key}: must be two [re, im] pairs"]
+        # each key's own error comes in table order, then the relation of the
+        # two frequencies
+        for c_plus, what in ((None, "missing required key"), (5, "must be two [re, im] pairs")):
+            data = {"builder": "two-mode", "lambda1": 1.0, "lambda2": 1.0, "c_minus": zero}
+            if c_plus is not None:
+                data["c_plus"] = c_plus
             with pytest.raises(ConfigError) as exc:
-                parse_config(json.dumps(doc))
-            text = "\n".join(exc.value.errors)
-            assert "data.lambda2" in text
-            assert "data.c_plus: must be two [re, im] pairs" in exc.value.errors
+                parse_config(json.dumps({"scenario": "simulate", "data": data}))
+            assert exc.value.errors == [f"data.c_plus: {what}",
+                                        "data.lambda2: must differ from data.lambda1"]
 
     def test_two_mode_null_or_missing_coefficients(self):
         data = {"builder": "two-mode", "lambda1": 1.0, "lambda2": 2.0, "c_plus": None}

@@ -511,6 +511,21 @@ class TestMidpointHalving:
         ref = _ref_rotation_once(st, N1, 0.2)
         assert np.array_equal(u, ref.u_hat) and np.array_equal(v, ref.v_hat)
 
+    def test_speed_lost_after_convergence_raises(self):
+        # 1 + N reads 1e-15 at the first trial and -1e-15 after it: the
+        # iteration converges in one trial, to a speed that is lost
+        calls = []
+
+        def f(r):
+            calls.append(r)
+            return -1.0 + 1e-15 if len(calls) == 1 else -1.0 - 1e-15
+
+        N = dataclasses.replace(N1, eval=f)
+        with pytest.raises(DegenerateNonlinearityError,
+                           match="^wave speed lost during midpoint iteration$"):
+            step_rotation(*amps(small_state()), N, 1e-3)
+        assert len(calls) == 2
+
     def test_half_steps_that_fail_raise(self):
         with pytest.raises(RuntimeError, match="failed to converge"):
             step_rotation(*amps(self.large_state()), N1, 0.5)
