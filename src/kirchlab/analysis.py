@@ -414,26 +414,25 @@ def linearized_fd_check(state: SpectralState, w0: LinearizedState, N: Nonlineari
 
 
 def linearized_energy(grid: FrequencyGrid, u: np.ndarray, w_hat: np.ndarray,
-                      w_vel: np.ndarray, sigma: float, A: float):
-    """(1/2)|w'|_{H^sigma}^2 + (1/2)(1 + A mass(u)) |w|_{H^{1+sigma}}^2, for
-    the model N(r) = A r, along the last axis: a scalar for one base state's
-    (M,) amplitudes u and companion (w, w'), an (S,) array for (S, M)
-    stacks of them."""
-    _check("A", A)
+                      w_vel: np.ndarray, sigma: float, N: NonlinearitySpec):
+    """(1/2)|w'|_{H^sigma}^2 + (1/2)(1 + N(m)) |w|_{H^{1+sigma}}^2, m the
+    H^1 mass of u, along the last axis: a scalar for one base state's (M,)
+    amplitudes u and companion (w, w'), an (S,) array for (S, M) stacks of
+    them."""
     kin, pot = sobolev_norm_sq(grid, w_vel, sigma), sobolev_norm_sq(grid, w_hat, 1.0 + sigma)
-    return 0.5 * kin + 0.5 * (1.0 + A * sobolev_norm_sq(grid, u, 1.0)) * pot
+    return 0.5 * kin + 0.5 * (1.0 + N.eval(sobolev_norm_sq(grid, u, 1.0))) * pot
 
 
-def _sep_mixed(grid: FrequencyGrid, u, v, w_hat, w_vel, sigma: float, A: float):
+def _sep_mixed(grid: FrequencyGrid, u, v, w_hat, w_vel, sigma: float, N: NonlinearitySpec):
     """The separable and the mixed piece of d/dt linearized_energy at the
-    same A, along the last axis as there."""
-    _check("A", A)
+    same N, both carrying N'(m), along the last axis as there."""
+    dn = N.d1(sobolev_norm_sq(grid, u, 1.0))
 
     def inner(e, a, b):  # sum_k w_k l_k^e Re(a_k conj(b_k))
         return np.add.reduce(grid.weights * grid.lambdas**e * np.real(a * np.conj(b)), axis=-1)
 
-    sep = A * inner(2, v, u) * sobolev_norm_sq(grid, w_hat, 1.0 + sigma)
-    return sep, -2.0 * A * inner(2, u, w_hat) * inner(2 + 2 * sigma, u, w_vel)
+    sep = dn * inner(2, v, u) * sobolev_norm_sq(grid, w_hat, 1.0 + sigma)
+    return sep, -2.0 * dn * inner(2, u, w_hat) * inner(2 + 2 * sigma, u, w_vel)
 
 
 def resonance_report(
@@ -450,9 +449,8 @@ def resonance_report(
     with running time averages.  Non-asserting experiment artifact."""
     _check("sigma", sigma)
     traj = evolve_pair(u0, w0, N, T, dt, stride=stride)
-    A = N.coefficients[0]
-    sep, mixed = _sep_mixed(traj.grid, traj.u, traj.v, traj.w_hat, traj.w_vel, sigma, A)
-    energy = linearized_energy(traj.grid, traj.u, traj.w_hat, traj.w_vel, sigma, A)
+    sep, mixed = _sep_mixed(traj.grid, traj.u, traj.v, traj.w_hat, traj.w_vel, sigma, N)
+    energy = linearized_energy(traj.grid, traj.u, traj.w_hat, traj.w_vel, sigma, N)
     k = np.arange(1, len(traj) + 1)
     return {
         "times": traj.times,

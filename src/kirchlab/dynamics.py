@@ -259,14 +259,14 @@ def evolve_blocks(state: SpectralState, N: NonlinearitySpec, T: float, dt: float
     return _march(state, T, dt, stride, _stepper(method, N), None, block)
 
 
-def _linearized_rhs(grid, A, two_a_lam2, u, m, w_hat):
-    """dw'/dt of the linearized equation at base amplitudes u of H^1 mass m
-    (wave speed 1 + A m), on raw arrays as in _rhs; two_a_lam2 = 2 A l_k^2:
+def _linearized_rhs(grid, u, stiff, couple, w_hat):
+    """dw'/dt of the linearized equation at base amplitudes u of H^1 mass m,
+    on raw arrays as in _rhs; stiff = -(1 + N(m)) l^2, couple = 2 N'(m) l^2:
 
-      dw'_k = -l_k^2 (1 + A m) w_k - 2 A l_k^2 u_k sum_j w_j l_j^2 Re(u_j conj(w_j)).
+      dw'_k = -l_k^2 (1 + N(m)) w_k - 2 N'(m) l_k^2 u_k sum_j w_j l_j^2 Re(u_j conj(w_j)).
     """
     inner = float(np.add.reduce(grid.mass_weights * (u * w_hat.conj()).real))
-    return -(1.0 + A * m) * grid.lambdas_sq * w_hat - two_a_lam2 * u * inner
+    return stiff * w_hat - couple * u * inner
 
 
 def evolve_pair(base: SpectralState, lin: LinearizedState, N: NonlinearitySpec, T: float,
@@ -274,26 +274,24 @@ def evolve_pair(base: SpectralState, lin: LinearizedState, N: NonlinearitySpec, 
     """Co-evolve a base solution (rotation steps) and a linearized
     companion (RK4 on the frozen-coefficient linear system, with the base
     interpolated at the half step by cubic Hermite)."""
-    if not N.is_linear:
-        raise ValueError("the linearized flow requires the model nonlinearity N(r) = A r")
     if lin.w_hat.shape != base.u_hat.shape:
         raise ValueError("linearized state does not match the base grid")
-    A = N.coefficients[0]
-    grid = base.grid
-    wl2, two_a_lam2 = grid.mass_weights, 2.0 * A * grid.lambdas_sq
-    # the H^1 mass of the current base amplitudes
-    m0 = float(np.add.reduce(wl2 * np.abs(base.u_hat) ** 2))
+    wl2, lam2 = base.grid.mass_weights, base.grid.lambdas_sq
+
+    def coefficients(u):  # _linearized_rhs's stiff and couple at the H^1 mass m of u
+        m = float(np.add.reduce(wl2 * np.abs(u) ** 2))
+        return -(1.0 + float(N.eval(m))) * lam2, 2.0 * float(N.d1(m)) * lam2
+
+    c0 = coefficients(base.u_hat)  # at the current base amplitudes
 
     def step(grid, u0, v0, w, dt):
-        nonlocal m0
+        nonlocal c0
         u1, v1 = step_rotation(grid, u0, v0, N, dt)
         # cubic Hermite weights at tau = 1/2: 1/2, 1/8, 1/2, -1/8
         um = 0.5 * u0 + 0.125 * dt * v0 + 0.5 * u1 + -0.125 * dt * v1
-        mm = float(np.add.reduce(wl2 * np.abs(um) ** 2))
-        m1 = float(np.add.reduce(wl2 * np.abs(u1) ** 2))
-        bases, masses = (u0, um, u1), (m0, mm, m1)
-        w = _rk4(lambda i, x: _linearized_rhs(grid, A, two_a_lam2, bases[i], masses[i], x), *w, dt)
-        m0 = m1
+        bases, cs = (u0, um, u1), (c0, coefficients(um), coefficients(u1))
+        w = _rk4(lambda i, x: _linearized_rhs(grid, bases[i], *cs[i], x), *w, dt)
+        c0 = cs[2]
         return u1, v1, w
 
     (traj,) = _march(base, T, dt, stride, step, (lin.w_hat, lin.w_vel))

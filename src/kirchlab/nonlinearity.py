@@ -1,7 +1,7 @@
 """The scalar nonlinearity N and the derived low-frequency profiles.
 
 N is a polynomial without constant term, given by its coefficients; the
-linear case N(r) = A r is the model the exact identities hold for.
+linear case N(r) = A r is the model the second-order identity needs.
 Three quantities ride on a state: the cumulative H^1 mass below a
 frequency r, the frequency-filtered coefficient A(r) = N'(mass below r),
 and the resummed correction F(r) = (1 + N(mass below r))^(-3/2).
@@ -64,7 +64,8 @@ def _shaped_horner(cs):
     """r -> sum_i cs[i] r^i shaped like r, also when it is a constant."""
 
     def f(r):
-        r = np.asarray(r, dtype=float)
+        if not isinstance(r, float):  # a float keeps to floats, as in eval
+            r = np.asarray(r, dtype=float)
         return _horner(cs, r) + 0.0 * r
 
     return f

@@ -13,6 +13,7 @@ import kirchlab.analysis as analysis
 from kirchlab._pcg64 import _BLOCK
 from kirchlab.analysis import (
     DIAGONAL_TOL,
+    FD_RATIO_WINDOW,
     LSTSQ_TOL,
     ObstructionCertificate,
     ScalingFit,
@@ -53,6 +54,8 @@ from kirchlab.spectral import (
 )
 
 N1 = polynomial_nonlinearity([1.0])
+# four models, two quadratics and a cubic, by their coefficients
+OVER_N = [(1.0,), (2.0,), (-1.0,), (0.5,), (1.0, 5.0), (1.0, -3.0), (1.0, 0.0, 20.0)]
 
 
 def small_state(M=24, seed=11, size=0.03, lam_max=8.0):
@@ -496,32 +499,49 @@ class TestResonance:
         assert np.all(rep["sep"] == 0.0)
         assert np.all(rep["mixed"] == 0.0)
 
-    @pytest.mark.parametrize("A", [1.0, 2.0, -1.0, 0.5])
-    def test_energy_derivative_identity(self, A):
-        # the energy and its two pieces follow the model coefficient A of the
-        # flow that evolve_pair integrates
+    @pytest.mark.parametrize("N", [polynomial_nonlinearity(cs) for cs in OVER_N],
+                             ids=lambda N: ",".join(map(str, N.coefficients)))
+    def test_energy_derivative_identity(self, N):
+        # the energy and its two pieces read N(m) and N'(m) of the flow that
+        # evolve_pair integrates, for the model and beyond it
         st = small_state(M=16)
         wdir = build_random_decay(16, 1.0, 8.0, 0.25, 0.55, seed=12)
         w0 = LinearizedState(wdir.u_hat, wdir.v_hat)
-        traj = evolve_pair(st, w0, polynomial_nonlinearity([A]), 0.01, 1e-4, stride=10)
+        traj = evolve_pair(st, w0, N, 0.01, 1e-4, stride=10)
         series = [
-            (t, linearized_energy(traj.grid, u, wh, wv, 0.25, A))
+            (t, linearized_energy(traj.grid, u, wh, wv, 0.25, N))
             for t, u, wh, wv in zip(traj.times, traj.u, traj.w_hat, traj.w_vel)
         ]
         fd = derivative_fd(series, 3)
-        sep, mixed = _sep_mixed(*amps(state_at(traj, 3)), traj.w_hat[3], traj.w_vel[3], 0.25, A)
+        sep, mixed = _sep_mixed(*amps(state_at(traj, 3)), traj.w_hat[3], traj.w_vel[3], 0.25, N)
         assert abs(fd - (sep + mixed)) <= 1e-6 * abs(sep + mixed)
 
-    def test_report_reads_the_model_coefficient(self):
+    def test_report_reads_N(self):
         st = small_state(M=8)
         wdir = build_random_decay(8, 1.0, 8.0, 0.25, 0.55, seed=12)
         w0 = LinearizedState(wdir.u_hat, wdir.v_hat)
-        rep = resonance_report(st, w0, polynomial_nonlinearity([2.0]), 0.25, 0.01, 1e-3)
-        traj = evolve_pair(st, w0, polynomial_nonlinearity([2.0]), 0.01, 1e-3)
-        sep, mixed = _sep_mixed(traj.grid, traj.u, traj.v, traj.w_hat, traj.w_vel, 0.25, 2.0)
-        energy = linearized_energy(traj.grid, traj.u, traj.w_hat, traj.w_vel, 0.25, 2.0)
+        N = polynomial_nonlinearity([2.0, 3.0])
+        rep = resonance_report(st, w0, N, 0.25, 0.01, 1e-3)
+        traj = evolve_pair(st, w0, N, 0.01, 1e-3)
+        sep, mixed = _sep_mixed(traj.grid, traj.u, traj.v, traj.w_hat, traj.w_vel, 0.25, N)
+        energy = linearized_energy(traj.grid, traj.u, traj.w_hat, traj.w_vel, 0.25, N)
         assert rep["sep"].tolist() == sep.tolist() and rep["mixed"].tolist() == mixed.tolist()
         assert rep["energy"].tolist() == energy.tolist()
+        # N(r) = 2 r + 3 r^2 is no model: its first coefficient alone gives other pieces
+        model = _sep_mixed(traj.grid, traj.u, traj.v, traj.w_hat, traj.w_vel, 0.25,
+                           polynomial_nonlinearity([2.0]))
+        assert sep.tolist() != model[0].tolist()
+
+    @pytest.mark.parametrize("size", [0.1, 0.2])
+    @pytest.mark.parametrize("cs", OVER_N[4:], ids=lambda cs: ",".join(map(str, cs)))
+    def test_fd_ratio_over_N(self, cs, size):
+        # a companion that kept N' = c_1 and 1 + c_1 m reads ratios of 0.96-7.7 here
+        st = small_state(M=64, size=size)
+        wdir = build_random_decay(64, 1.0, 8.0, 0.25, 0.55, seed=12)
+        w0 = LinearizedState(wdir.u_hat, wdir.v_hat)
+        fd = linearized_fd_check(st, w0, polynomial_nonlinearity(cs), 1.0, 1e-3, stride=1000)
+        lo, hi = FD_RATIO_WINDOW
+        assert lo <= fd["fd_ratio"] <= hi
 
     def test_mixed_mean_dominates_documented_two_mode(self):
         # documented oracle run: single-helicity base (c- = 0) makes the
@@ -561,10 +581,12 @@ class TestStackRows:
         pos, vel = pair_norm(grid, u, v, s)
         assert list(zip(pos, vel)) == [pair_norm(grid, a, b, s) for a, b in zip(u, v)]
         assert sobolev_norm_sq(grid, w, s).tolist() == [sobolev_norm_sq(grid, a, s) for a in w]
-        energy = linearized_energy(grid, u, w, wv, s, 0.7).tolist()
-        assert energy == [linearized_energy(grid, *row, s, 0.7) for row in zip(u, w, wv)]
-        sep, mixed = _sep_mixed(grid, u, v, w, wv, s, 0.7)
-        rows = [_sep_mixed(grid, *row, s, 0.7) for row in zip(u, v, w, wv)]
+        # a non-model N, so that N' of the (S,) masses varies per row
+        N = polynomial_nonlinearity([0.7, 0.3])
+        energy = linearized_energy(grid, u, w, wv, s, N).tolist()
+        assert energy == [linearized_energy(grid, *row, s, N) for row in zip(u, w, wv)]
+        sep, mixed = _sep_mixed(grid, u, v, w, wv, s, N)
+        rows = [_sep_mixed(grid, *row, s, N) for row in zip(u, v, w, wv)]
         assert list(zip(sep.tolist(), mixed.tolist())) == [(float(a), float(b)) for a, b in rows]
 
 

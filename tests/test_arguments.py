@@ -68,7 +68,7 @@ GOOD = {
     "analysis.obstruction_suite": {"n_samples": 10, "seed": 0},
     "analysis.linearized_fd_check": {"state": STATE, "w0": ZERO, "N": N1, **MARCH},
     "analysis.linearized_energy": {"grid": STATE.grid, "u": STATE.u_hat, "w_hat": STATE.u_hat,
-                                   "w_vel": STATE.v_hat, "sigma": 0.25, "A": 1.0},
+                                   "w_vel": STATE.v_hat, "sigma": 0.25, "N": N1},
     "analysis.resonance_report": {"u0": STATE, "w0": ZERO, "N": N1, "sigma": 0.25, **MARCH},
     "analysis.truncation_convergence": {"rough_state": STATE, "cutoffs": [2.0, 4.0], "N": N1,
                                         "s_low": 0.25, **MARCH},

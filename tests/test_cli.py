@@ -969,12 +969,18 @@ class TestLinearNonlinearityAliases:
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("scenario", ["linearized", "resonance"])
-    def test_nonlinear_quadratic_refused(self, tmp_path, scenario):
+    def test_nonlinear_quadratic_runs(self, tmp_path, scenario):
+        # the linearized flow reads N(m) and N'(m), so any N runs it
         doc = small_doc(scenario, nonlinearity={"name": "quadratic", "A": 1.0, "B": 0.5})
         out = tmp_path / "out"
-        assert main(["--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 1
-        err = json.loads((out / "error.json").read_text())
-        assert "requires the model nonlinearity" in err["error"]
+        assert main(["--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 0
+        assert not (out / "error.json").exists()
+        if scenario == "linearized":
+            assert json.loads((out / "linearized.json").read_text())["pass"] is True
+        else:
+            rows = (out / "resonance.csv").read_text().splitlines()
+            table = np.array([[float(x) for x in r.split(",")] for r in rows[1:]])
+            assert len(table) > 1 and np.all(np.isfinite(table))
 
 
 class TestShippedConfigs:

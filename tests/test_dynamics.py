@@ -294,8 +294,8 @@ class TestLinearized:
     def test_rhs_zero_direction(self):
         st = small_state()
         z = np.zeros(len(st.grid), complex)
-        two_a_lam2 = 2.0 * st.grid.lambdas_sq
-        dwv = _linearized_rhs(st.grid, 1.0, two_a_lam2, st.u_hat, h1_mass(st), z)
+        lam2 = st.grid.lambdas_sq
+        dwv = _linearized_rhs(st.grid, st.u_hat, -(1.0 + h1_mass(st)) * lam2, 2.0 * lam2, z)
         assert np.all(dwv == 0)
 
     def test_state_copies_caller_arrays(self):
@@ -326,11 +326,13 @@ class TestLinearized:
         with pytest.raises(ValueError, match="does not match the base grid"):
             evolve_pair(base, LinearizedState(z, z), N1, 0.1, 1e-2)
 
-    def test_non_model_rejected(self):
+    def test_non_model_runs(self):
+        # the companion reads N(m) and N'(m): a quadratic N is no special case
         st = small_state()
-        z = np.zeros(len(st.grid), complex)
-        with pytest.raises(ValueError, match="requires the model nonlinearity"):
-            evolve_pair(st, LinearizedState(z, z), polynomial_nonlinearity([1.0, 1.0]), 0.1, 1e-3)
+        lin = LinearizedState(st.u_hat, st.v_hat)
+        traj = evolve_pair(st, lin, polynomial_nonlinearity([1.0, 0.5]), 0.1, 1e-3)
+        assert traj.steps == 100 and np.all(np.isfinite(traj.w_hat[-1]))
+        assert not np.array_equal(traj.w_hat[-1], evolve_pair(st, lin, N1, 0.1, 1e-3).w_hat[-1])
 
 
 # Frozen reference: the per-step loops as they were before the array
