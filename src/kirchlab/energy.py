@@ -10,15 +10,16 @@ the second-order term.  Its integer part is a finite separable sum; its
 fractional part D_sigma is positive definite, and a pivoted Cholesky on
 the grid points gives k rows with D_sigma(x_j, x_k) = sum_a L_a(x_j)
 L_a(x_k) (_kernel_rows), so the b/c parts cost O(k*M): k = 14-16 rows
-on the shipped band and ~60 at l_max/l_min = 10^6.  Those rows depend on
-the grid and sigma alone, so they are built once per grid and sigma and
-memoized.  The pointwise divided difference that the kernel-bounds suite
-samples is `analysis.divided_difference`.
+on the shipped band and ~60 at l_max/l_min = 10^6.  The pointwise
+divided difference that the kernel-bounds suite samples is
+`analysis.divided_difference`.
 
-modified_energy makes one mode pass per call (_mode_arrays): the masses
-p, q, V, r and kin per mode, on the grid's w l^2 (held once per grid as
-mass_weights), the suffix sums of p and q, and the min-kernel weights.
-The profile, the unmodified energy and all three corrections read them.
+What the sums read is built once per thing it depends on.  Per grid and
+s, _PLANS = 16 of each are memoized: the weights w l^{2+2s}, w l^{2s}
+(_weights), the rows of D_s (_row_pairs; (2n + k) x M doubles for s =
+n + sigma) and the rows L per sigma (_kernel_rows, k x M).  Per state,
+the last one is memoized (_state, ~20 arrays of u's size), so the values
+of s of one state share one mode pass and one profile (_modes is per s).
 
 Every function takes a grid and amplitudes u, v along its last axis:
 one state's (M,) amplitudes give scalars, and an (S, M) stack of samples
@@ -39,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .nonlinearity import FilteredProfile, NonlinearitySpec, _profile
+from .nonlinearity import NonlinearitySpec, _check_wave_type, _profile
 from .spectral import FrequencyGrid, _check, _norm_sum
 
 __all__ = [
@@ -71,19 +72,53 @@ class EnergyBreakdown(NamedTuple):
 #   kin_j = w_j l_j^{2s} |v_j|^2     (H^s mass of u')
 # the suffix sums Sp, Sq, and W_m = p_m q_m + p_m Tq_m + q_m Tp_m (T the
 # exclusive suffix sums): sum_{j,k} K[min(j,k)] p_j q_k = sum_m K_m W_m.
-_Modes = namedtuple("_Modes", "p q V r kin Sp Sq W")
+_Masses = namedtuple("_Masses", "u2 v2 p V r Sp Tp")  # the s-free ones; _modes adds the rest
+_Modes = namedtuple("_Modes", _Masses._fields + ("q", "kin", "Sq", "W"))
+_State = namedtuple("_State", _Masses._fields + tuple("base profile K KG Kp g Sg T".split()))
 
 
-def _mode_arrays(grid: FrequencyGrid, u, v, s: float) -> _Modes:
-    _check("s", s)
+def _masses(grid: FrequencyGrid, u, v) -> _Masses:
     # an overflowing mass is left inf or NaN; the norm sums raise on it, located
     with np.errstate(over="ignore", invalid="ignore"):
         wl2, u2, v2 = grid.mass_weights, np.abs(u) ** 2, np.abs(v) ** 2
-        p, V, r = wl2 * u2, wl2 * v2, wl2 * (u * v.conj()).real
-        q = grid.weights * grid.lambdas ** (2.0 + 2.0 * s) * u2
-        kin = grid.weights * grid.lambdas ** (2.0 * s) * v2
-        (Sp, Tp), (Sq, Tq) = _suffix(p), _suffix(q)
-        return _Modes(p, q, V, r, kin, Sp, Sq, p * q + p * Tq + q * Tp)
+        p = wl2 * u2
+        return _Masses(u2, v2, p, wl2 * v2, wl2 * (u * v.conj()).real, *_suffix(p))
+
+
+# the one entry of _state's memo: the grid, N, key and _State of the last state
+_last_state = None
+
+
+def _state(grid: FrequencyGrid, u, v, N: NonlinearitySpec) -> _State:
+    """The _masses, profile, K = A F and s-free parts of _normal_form and
+    _asym of (u, v), memoized for the last state seen: keyed on the grid and
+    N (by identity) and the dtype, shape, strides and bytes of u and v.  A
+    thin wave-type margin warns on every call."""
+    global _last_state
+    key = (u.dtype, v.dtype, u.shape, v.shape, u.strides, v.strides, u.tobytes(), v.tobytes())
+    last = _last_state  # read once, so that the key and arrays are one state's
+    if last is not None and last[0] is grid and last[1] is N and last[2] == key:
+        _check_wave_type(last[3].base)
+        return last[3]
+    _last_state = last = None  # freed before this state's arrays are built
+    m = _masses(grid, u, v)
+    profile, base = _profile(m.p, N, stacklevel=5)
+    A, K = profile.a_values, profile.a_values * profile.f_values
+    g, inc = A * m.p, np.zeros_like(A)  # inc[i] = A_i - A_{i-1}, inc[0] = 0
+    inc[..., 1:] = A[..., 1:] - A[..., :-1]
+    # T_j = sum_{k >= j} (A_k - A_j) p_k = sum_{i > j} inc_i * Sp_i
+    st = _State(*m, base, profile, K, K * g.cumsum(-1), K * m.p, g, _suffix(g)[0],
+                _suffix(inc * m.Sp)[1])
+    _last_state = grid, N, key, st
+    return st
+
+
+def _modes(grid: FrequencyGrid, m: _Masses | _State, s: float) -> _Modes:
+    q_weights, kin_weights = _weights(grid.lambdas.tobytes(), grid.weights.tobytes(), s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, kin = q_weights * m.u2, kin_weights * m.v2
+        Sq, Tq = _suffix(q)
+        return _Modes(*m[:7], q, kin, Sq, m.p * q + m.p * Tq + q * m.Tp)
 
 
 def _suffix(a: np.ndarray):
@@ -95,12 +130,22 @@ def _suffix(a: np.ndarray):
 
 
 # _CHUNK bounds the array elements of one pass of _divided_difference_sum;
-# _ROW_TOL is where the row builder stops (_kernel_rows).
+# _ROW_TOL is where the row builder stops (_kernel_rows); _PLANS is how many
+# grids and s (or sigma) _weights, _row_pairs and _kernel_rows keep.
 _CHUNK = 1 << 16
 _ROW_TOL = 1e-14
+_PLANS = 16
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=_PLANS)
+def _weights(lam_bytes: bytes, w_bytes: bytes, s: float):
+    """w l^{2+2s} and w l^{2s} on the grid of these lambdas and weights."""
+    lam, w = np.frombuffer(lam_bytes), np.frombuffer(w_bytes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return w * lam ** (2.0 + 2.0 * s), w * lam ** (2.0 * s)
+
+
+@functools.lru_cache(maxsize=_PLANS)
 def _kernel_rows(x_bytes: bytes, sigma: float):
     """Rows L_a(x_j) with D_sigma(x_j, x_k) = sum_a L_a(x_j) L_a(x_k),
     0 < sigma < 1, on the grid points x whose bytes are x_bytes.
@@ -124,7 +169,7 @@ def _kernel_rows(x_bytes: bytes, sigma: float):
     the whole grid (two grids with the same band but other interior
     points get their own rows) and returned read-only.  One entry holds
     k x M doubles: 0.5 MiB at M = 4096 on the shipped band and 31 MiB at
-    M = 65536 and x_max/x_min = 1e12; the memo holds at most four.
+    M = 65536 and x_max/x_min = 1e12; the memo holds _PLANS of them.
     """
     x = np.frombuffer(x_bytes)
     # Below 1e-200 the unit-diagonal kernel is its sigma -> 0 limit to double
@@ -160,24 +205,14 @@ def _kernel_rows(x_bytes: bytes, sigma: float):
     return L
 
 
-def _divided_difference_sum(K, x, s: float, r, f, g):
-    """sum_{j,k} K[min(j,k)] D_s(x_j, x_k) (r_j r_k - f_j g_k) for ascending
-    x, in O(k*M) time and O(k*M + _CHUNK) memory, k the row count of
-    _kernel_rows.  K, r, f and g are (M,) arrays, or (S, M) stacks whose
-    rows go through one at a time, one sum per sample; x is shared.
-
-    With s = n + sigma, pointwise
+@functools.lru_cache(maxsize=_PLANS)
+def _row_pairs(x_bytes: bytes, s: float):
+    """Pairs (X, Y) of rows, reversed, with D_s(x_j, x_k) = sum X(x_j) Y(x_k)
+    on the ascending points x whose bytes are x_bytes; s = n + sigma >= 0:
       D_s(x, y) = x^n D_sigma(x, y) + y^sigma sum_{i<n} x^i y^(n-1-i),
-    so the kernel is a sum of rows L(x_j) R(x_k): n exact rows, plus the
-    k rows of _kernel_rows when sigma > 0.  Each row's min-kernel sum
-    telescopes: sum_{j,k} K[min] X_j Y_k = sum_m dK_m SX_m SY_m,
-    dK_m = K_m - K_{m-1}, SX the suffix sums of X.  Everything is reversed
-    so the suffix sums are cumsums along the last axis.
-    """
-    _check("s", s, float, ">= 0")  # before any memo sees it
-    n = int(s)
+    n exact rows and the k of _kernel_rows.  Memoized like _kernel_rows."""
+    x, n = np.frombuffer(x_bytes)[::-1], int(s)
     sigma = s - n
-    x = x[::-1]
     pairs = []
     if n:
         i = np.arange(n)[:, None]
@@ -185,6 +220,24 @@ def _divided_difference_sum(K, x, s: float, r, f, g):
     if sigma > 0.0:
         L = _kernel_rows(x.tobytes(), sigma)
         pairs.append((x**n * L if n else L, L))
+    return pairs
+
+
+def _divided_difference_sum(K, x, s: float, r, f, g):
+    """sum_{j,k} K[min(j,k)] D_s(x_j, x_k) (r_j r_k - f_j g_k) for ascending
+    x, in O(k*M) time and O(k*M + _CHUNK) memory, k the row count of
+    _kernel_rows.  K, r, f and g are (M,) arrays, or (S, M) stacks whose
+    rows go through one at a time, one sum per sample; x is shared.
+
+    The kernel is a sum of rows X(x_j) Y(x_k) (_row_pairs), none for s = 0.
+    Each row's min-kernel sum telescopes: sum_{j,k} K[min] X_j Y_k =
+    sum_m dK_m SX_m SY_m, dK_m = K_m - K_{m-1}, SX the suffix sums of X.
+    Everything is reversed so the suffix sums are cumsums along axis -1.
+    """
+    _check("s", s, float, ">= 0")  # before any memo sees it
+    pairs = _row_pairs(x.tobytes(), s)
+    if not pairs:
+        return np.zeros(K.shape[:-1])
     # the passes go in blocks of at most span rows, so that the four sums
     # of a block hold at most _CHUNK elements
     span = max(1, _CHUNK // (4 * len(x)))
@@ -208,6 +261,8 @@ def _divided_difference_sum(K, x, s: float, r, f, g):
 
     dK = K.copy()
     dK[..., 1:] -= K[..., :-1]
+    if dK.ndim == 1:
+        return one(dK[::-1], r[::-1], f[::-1], g[::-1])
     samples = zip(*(a.reshape(-1, len(x))[:, ::-1] for a in (dK, r, f, g)))
     return np.array([one(*sample) for sample in samples]).reshape(dK.shape[:-1])
 
@@ -220,79 +275,60 @@ def _second_order(K, x, s: float, m: _Modes):
     return a_part + 0.25 * _divided_difference_sum(K, x, s, m.r, m.p, m.V)
 
 
-def second_order_term(
-    grid: FrequencyGrid,
-    u: np.ndarray,
-    v: np.ndarray,
-    N: NonlinearitySpec,
-    s: float,
-    profile: FilteredProfile | None = None,
-    modes: _Modes | None = None,
-):
+def second_order_term(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: NonlinearitySpec,
+                      s: float, parts: tuple | None = None):
     """sum_{j,k} w_j w_k A(m) F(m) [a |u_j|^2|u_k|^2 + b |u_j|^2|v_k|^2
     + c Re(u_j v_j) Re(u_k v_k)], m = min(l_j, l_k).
 
     The a-part is a min-kernel sum (O(M)); the b/c parts carry the
     divided-difference kernel and cost O(k*M) through
-    _divided_difference_sum (exact for integer s, zero for s = 0).
-    A caller that already holds the profile of u or its _mode_arrays at
-    this s may hand them in.
+    _divided_difference_sum (exact for integer s, zero for s = 0).  A
+    caller that already holds the state's _state and _modes at this s may
+    hand them in as parts.
     """
-    if modes is None:
-        modes = _mode_arrays(grid, u, v, s)
-    if profile is None:
-        profile = _profile(modes.p, N)
-    return _second_order(profile.a_values * profile.f_values, grid.lambdas_sq, s, modes)
+    if parts is None:
+        _check("s", s)  # before any memo sees it
+        st = _state(grid, u, v, N)
+        parts = st, _modes(grid, st, s)
+    return _second_order(parts[0].K, grid.lambdas_sq, s, parts[1])
 
 
-def _normal_form(profile: FilteredProfile, m: _Modes):
+def _normal_form(st: _State, m: _Modes):
     """The three cubic region sums (integration-by-parts terms).
 
-    With g_l = w_l A(l_l) l_l^2 |u_l|^2 and the arrays of _mode_arrays:
+    With g_l = w_l A(l_l) l_l^2 |u_l|^2, G its inclusive prefix sums, Sg
+    its suffix sums, and the arrays of _state and _modes:
       T1 = -1/4 sum_{l3 <= min(l1,l2)} A(m)F(m) g_3 p_1 q_2   (m = l1^l2 min)
       T2 = -1/4 sum_{l1 <= min(l2,l3)} A(l1)F(l1) p_1 q_2 g_3
       T3 = +1/4 sum_{l1 <= l3 <= l2}   A(l1)F(l1) q_1 p_2 g_3
     each collapsed to prefix/suffix sums after sorting.
     """
-    g = profile.a_values * m.p
-    AF = profile.a_values * profile.f_values
-    G = g.cumsum(-1)  # inclusive prefix of g
-    Sg, _ = _suffix(g)
-    t1 = -0.25 * np.add.reduce(AF * G * m.W, axis=-1)
-    t2 = -0.25 * np.add.reduce(AF * m.p * m.Sq * Sg, axis=-1)
-    t3 = 0.25 * np.add.reduce(g * (AF * m.q).cumsum(-1) * m.Sp, axis=-1)
+    t1 = -0.25 * np.add.reduce(st.KG * m.W, axis=-1)
+    t2 = -0.25 * np.add.reduce(st.Kp * m.Sq * st.Sg, axis=-1)
+    t3 = 0.25 * np.add.reduce(st.g * (st.K * m.q).cumsum(-1) * st.Sp, axis=-1)
     return t1 + t2 + t3
 
 
-def _asym(profile: FilteredProfile, m: _Modes):
+def _asym(st: _State, m: _Modes):
     """-1/2 sum_{l_j <= l_k} w_j w_k l_j^{2s+2} l_k^2 (A(l_k) - A(l_j))
-    |u_j|^2 |u_k|^2, via suffix sums.  Exactly zero when N' is constant.
-
-    The difference A(l_k) - A(l_j) is telescoped through consecutive-mode
-    increments, so a constant filter yields a structural (not rounded)
-    zero."""
-    A = profile.a_values
-    inc = np.zeros_like(A)  # inc[i] = A_i - A_{i-1}, inc[0] = 0
-    inc[..., 1:] = A[..., 1:] - A[..., :-1]
-    # T_j = sum_{k >= j} (A_k - A_j) p_k = sum_{i > j} inc_i * Sp_i
-    _, T = _suffix(inc * m.Sp)
-    return -0.5 * np.add.reduce(m.q * T, axis=-1)
+    |u_j|^2 |u_k|^2 = -1/2 sum_j q_j T_j (T of _state, telescoped through
+    consecutive-mode increments): a structural zero when N' is constant."""
+    return -0.5 * np.add.reduce(m.q * st.T, axis=-1)
 
 
 def modified_energy(
     grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: NonlinearitySpec, s: float
 ) -> EnergyBreakdown:
-    """Assemble the modified energy at regularity s from its four parts,
-    all read from one _mode_arrays pass.  The second-order part goes through
-    the public second_order_term, so it stays a layer of its own in call
-    traces; the norms raise on overflow as in sobolev_norm_sq."""
-    m = _mode_arrays(grid, u, v, s)
-    profile = _profile(m.p, N)
+    """The modified energy at regularity s, its four parts read from _state
+    and _modes; the second-order part goes through the public second_order_term
+    (its own layer in call traces), the norms raise as in sobolev_norm_sq."""
+    _check("s", s)  # before any memo sees it
+    st = _state(grid, u, v, N)
+    m = _modes(grid, st, s)
     pos, vel = _norm_sum(m.q, 1.0 + s), _norm_sum(m.kin, s)
-    e0 = 0.5 * (1.0 + N.eval(_norm_sum(m.p, 1.0))) * pos + 0.5 * vel
-    e2 = second_order_term(grid, u, v, N, s, profile, m)
-    en = _normal_form(profile, m)
-    ea = _asym(profile, m)
+    e0 = 0.5 * (1.0 + N.eval(_norm_sum(st.p, 1.0))) * pos + 0.5 * vel
+    e2 = second_order_term(grid, u, v, N, s, (st, m))
+    en, ea = _normal_form(st, m), _asym(st, m)
     return EnergyBreakdown(e0, e2, en, ea, e0 + e2 + en + ea)
 
 
@@ -305,21 +341,22 @@ def unmodified_derivative_analytic(
     Second (N'' remainder) piece over l_l <= l_k:
       (sum_j q_j) * sum_l w_l l_l^2 Re(u_l v_l) N''(C(l_l)) * suffix_p(l).
     """
-    m = _mode_arrays(grid, u, v, s)
-    profile = _profile(m.p, N)
-    Q = np.add.reduce(m.q, axis=-1)
-    first = Q * np.add.reduce(profile.a_values * m.r, axis=-1)
-    d2 = np.asarray(N.d2(profile.c_prefix), dtype=float)
-    second = Q * np.add.reduce(d2 * m.r * m.Sp, axis=-1)
+    _check("s", s)  # before any memo sees it
+    st = _state(grid, u, v, N)
+    Q = np.add.reduce(_modes(grid, st, s).q, axis=-1)
+    first = Q * np.add.reduce(st.profile.a_values * st.r, axis=-1)
+    d2 = np.asarray(N.d2(st.profile.c_prefix), dtype=float)
+    second = Q * np.add.reduce(d2 * st.r * st.Sp, axis=-1)
     return first + second
 
 
 def second_order_model(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, A: float, s: float):
     """The model-case second-order correction A * sum_{j,k} w_j w_k E^s_{jk}
-    (constant filter A, no resummation factor)."""
+    (constant filter A, no resummation factor), as in second_order_term."""
     _check("A", A)
+    _check("s", s)
     K = np.full(u.shape, float(A))
-    return _second_order(K, grid.lambdas_sq, s, _mode_arrays(grid, u, v, s))
+    return _second_order(K, grid.lambdas_sq, s, _modes(grid, _masses(grid, u, v), s))
 
 
 def second_order_rate_model(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, A: float, s: float):
@@ -331,7 +368,8 @@ def second_order_rate_model(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, A
            * (sum p)
     """
     _check("A", A)
-    m = _mode_arrays(grid, u, v, s)
+    _check("s", s)
+    m = _modes(grid, _masses(grid, u, v), s)
     rs = grid.weights * grid.lambdas ** (2.0 + 2.0 * s) * np.real(u * np.conj(v))
     P, Q, R, Rs = (np.add.reduce(a, axis=-1) for a in (m.p, m.q, m.r, rs))
     return -A * Q * R - 0.5 * A * A * (Q * R - P * Rs) * P

@@ -119,31 +119,31 @@ class FilteredProfile:
     f_values: np.ndarray
 
 
-def _check_wave_type(one_plus_n):
+def _check_wave_type(one_plus_n, stacklevel=4):
     """Raise where 1 + N(C) <= 0, naming the mode (and the sample of a
-    stack); warn where it is <= 1/2."""
+    stack); warn where it is <= 1/2, at the caller stacklevel frames up."""
     bad = one_plus_n <= 0.0
     if bad.any():
         *sample, mode = (int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
         where = f"sample {sample[0]}, mode index {mode}" if sample else f"mode index {mode}"
         raise DegenerateNonlinearityError(f"nonlinearity degenerate at this data size ({where})")
     if (one_plus_n <= 0.5).any():
-        warnings.warn("1 + N(C) fell below 1/2; wave-type margin is thin", stacklevel=4)
+        warnings.warn("1 + N(C) fell below 1/2; wave-type margin is thin", stacklevel=stacklevel)
 
 
 def build_profile(grid: FrequencyGrid, u: np.ndarray, N: NonlinearitySpec) -> FilteredProfile:
     """The profile of one state's (M,) amplitudes u on the grid, or of each
     state of an (S, M) stack on it (then every array is (S, M))."""
-    return _profile(grid.mass_weights * np.abs(u) ** 2, N)
+    return _profile(grid.mass_weights * np.abs(u) ** 2, N)[0]
 
 
-def _profile(masses: np.ndarray, N: NonlinearitySpec) -> FilteredProfile:
-    """The profile of the H^1 masses w_k l_k^2 |u_k|^2 along the last axis."""
+def _profile(masses: np.ndarray, N: NonlinearitySpec, stacklevel=4):
+    """The profile of the H^1 masses w_k l_k^2 |u_k|^2 (last axis) and its checked 1 + N(C)."""
     c_prefix = masses.cumsum(-1)
     a_values = np.asarray(N.d1(c_prefix), dtype=float)
     base = 1.0 + np.asarray(N.eval(c_prefix), dtype=float)
-    _check_wave_type(base)
-    return FilteredProfile(c_prefix, a_values, base**-1.5)
+    _check_wave_type(base, stacklevel)
+    return FilteredProfile(c_prefix, a_values, base**-1.5), base
 
 
 # the regularity s0 = 1/4 at which the smallness gate is posed

@@ -15,7 +15,7 @@ __all__ = ["fmt", "write_csv", "write_json", "write_svg_lines"]
 
 def fmt(value) -> str:
     """Shortest round-trip text for a scalar; numpy scalars are unwrapped."""
-    if hasattr(value, "item"):
+    if type(value) is not float and hasattr(value, "item"):  # most cells are Python floats
         value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -232,11 +234,14 @@ def asym_term_reference(state, N, s, profile=None):
 
 def exact_divided_difference(x, y, s):
     """(x^s - y^s)/(x - y) to a few ulps for every pair, including nearly
-    equal ones: x^(s-1) expm1(s log1p(d))/d with d = (y - x)/x."""
+    equal ones: x^(s-1) expm1(s log1p(d))/d with d = (y - x)/x.  Where
+    s log1p(d) is below 1e-200 (and may be subnormal), expm1 of it is it to
+    double precision, and the ratio is s log1p(d)/d."""
     lo, hi = np.minimum(x, y), np.maximum(x, y)
     d = (hi - lo) / lo
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.expm1(s * np.log1p(d)) / d
+        log1p_d = np.log1p(d)
+        ratio = np.where(s * log1p_d < 1e-200, s * (log1p_d / d), np.expm1(s * log1p_d) / d)
     return lo ** (s - 1.0) * np.where(d == 0.0, s, ratio)
 
 
@@ -415,9 +420,12 @@ def _grid_draw(M, lam_min, log_ratio, near_gap, seed):
     return lam, rng
 
 
+# fractional parts in [0, 0.99], none subnormal: there D_s ~ sigma has a few
+# significant bits (TestDividedDifferenceSum.test_subnormal_fraction)
 REGULARITIES = st.one_of(
     st.sampled_from([0.0, 1.0, 2.0, 4.0, 0.99, 3.99]),
-    st.builds(lambda n, sigma: n + sigma, st.integers(0, 3), st.floats(0.0, 0.99)),
+    st.builds(lambda n, sigma: n + sigma, st.integers(0, 3),
+              st.floats(0.0, 0.99, allow_subnormal=False)),
 )
 GRIDS = dict(
     M=st.integers(1, 24),
@@ -457,6 +465,19 @@ class TestDividedDifferenceSum:
         want = float(np.sum(a_terms)) + 0.25 * bc
         scale = float(np.sum(np.abs(a_terms))) + 0.25 * bc_scale
         assert abs(second_order_model(*amps(st_), A, s) - want) <= 1e-11 * scale
+
+    @pytest.mark.parametrize("s", [5e-324, 2.2250738585e-313, 1e-310])
+    def test_subnormal_fraction(self, s):
+        # the summands are subnormal, so no sum of them is good to 1e-11 of
+        # the scale; each may be off by a few units of the smallest subnormal
+        # (n + s rounds to n for n >= 1)
+        for M, seed in ((1, 3), (5, 0), (24, 1)):
+            rng = np.random.default_rng(seed)
+            lam = np.sort(rng.uniform(1.0, 16.0, M))
+            K, r, f, g = rng.normal(size=(4, M))
+            got = _divided_difference_sum(K, lam**2, s, r, f, g)
+            want, scale = dense_divided_difference_sum(K, lam**2, s, r, f, g)
+            assert abs(got - want) <= 1e-11 * scale + 8 * M * M * math.ulp(0.0)
 
     def test_rejects_negative_regularity(self):
         x = np.array([1.0, 4.0])
@@ -555,7 +576,7 @@ class TestRankRows:
 class TestMixedRowsMemo:
     """The kernel rows are memoized on the whole grid and sigma
     (_kernel_rows): the same points give the same read-only rows, other
-    points their own, and a bad s never reaches the memo."""
+    points their own, and a bad s never reaches a memo."""
 
     def test_same_band_other_interior_point_gets_own_rows(self):
         lam = np.geomspace(1.0, 16.0, 64)
@@ -588,14 +609,17 @@ class TestMixedRowsMemo:
             lambda: second_order_model(*amp, 0.5, s),
             lambda: second_order_rate_model(*amp, 0.5, s),
         ]
-        before = _kernel_rows.cache_info()
+        memos = (_kernel_rows, energy._row_pairs, energy._weights)
+        before = [memo.cache_info() for memo in memos]
+        energy._last_state = None
         for call in calls:
             with pytest.raises(ValueError, match="^s must be a finite number, got "):
                 call()
         x = np.array([1.0, 4.0])
         with pytest.raises(ValueError, match="^s must be a finite number, got "):
             _divided_difference_sum(np.ones(2), x, s, x, x, x)
-        assert _kernel_rows.cache_info() == before
+        assert [memo.cache_info() for memo in memos] == before
+        assert energy._last_state is None
 
 
 class TestModifiedEnergy:
@@ -921,3 +945,98 @@ class TestEnergyFrozenReference:
         for x in [*xs.tolist(), 0.0, -0.0]:
             got, want = N.eval(x), N.eval(np.array(x))
             assert type(got) is float and np.array(got).tobytes() == np.array(want).tobytes()
+
+
+class TestEnergyMemos:
+    """What modified_energy reads is built once per thing it depends on:
+    per grid and s (_weights, _row_pairs, _kernel_rows), and per state for
+    the last state seen (_state).  Neither memo changes a result, a warning
+    or an error."""
+
+    # six fractional parts, more than an LRU of four rows holds
+    S_VALUES = [0.1, 0.2, 0.3, 0.4, 0.6, 1.7]
+
+    @staticmethod
+    def states(S=10, M=48, seed=12):
+        # a grid of its own: random interior points, so no memo holds its rows
+        rng = np.random.default_rng(seed)
+        lam = 1.0 + np.cumsum(rng.uniform(0.05, 0.5, M))
+        grid = FrequencyGrid(lam, rng.uniform(0.1, 1.0, M))
+        u, v = rng.normal(size=(2, S, M)) + 1j * rng.normal(size=(2, S, M))
+        scale = 0.02 / np.sqrt(np.sum(grid.weights * (lam**2 * abs(u) ** 2 + abs(v) ** 2), axis=1))
+        return grid, u * scale[:, None], v * scale[:, None]
+
+    def test_sample_major_builds_each_sigma_once(self):
+        # one state at a time, all its s back to back, as the simulate rows ask
+        grid, u, v = self.states()
+        _kernel_rows.cache_clear()
+        sample_major = [[modified_energy(grid, a, b, N_QUAD, s) for s in self.S_VALUES]
+                        for a, b in zip(u, v)]
+        assert _kernel_rows.cache_info().misses == len(self.S_VALUES)
+        s_major = [[modified_energy(grid, a, b, N_QUAD, s) for a, b in zip(u, v)]
+                   for s in self.S_VALUES]
+        assert np.array(sample_major).tobytes() == np.array(s_major).transpose(1, 0, 2).tobytes()
+
+    def test_state_changed_in_place_gives_the_fresh_result(self):
+        # the memo keys on the contents of u, not on the array object
+        grid, u, v = self.states(S=1)
+        a, b = u[0].copy(), v[0].copy()
+        modified_energy(grid, a, b, N_QUAD, 0.25)
+        a[5] *= 3.0
+        got = modified_energy(grid, a, b, N_QUAD, 0.25)
+        assert list(got) == list(_ref_modified_energy(grid, a, b, N_QUAD, 0.25))
+
+    def test_thin_margin_warns_on_every_call(self):
+        g = FrequencyGrid([1.0], [1.0])
+        u, v = np.array([0.8 + 0j]), np.zeros(1, complex)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for s in (0.25, 0.25, 0.5):
+                modified_energy(g, u, v, polynomial_nonlinearity([-1.0]), s)
+        assert [str(w.message) for w in caught] == [
+            "1 + N(C) fell below 1/2; wave-type margin is thin"] * 3
+        assert {w.filename for w in caught} == {__file__}  # the caller, memo or not
+
+    def test_degenerate_state_raises_on_every_call(self):
+        g = FrequencyGrid([1.0], [1.0])
+        u, v = np.array([2.0 + 0j]), np.zeros(1, complex)
+        for s in (0.25, 0.25, 0.5):
+            with pytest.raises(DegenerateNonlinearityError, match=r"\(mode index 0\)"):
+                modified_energy(g, u, v, polynomial_nonlinearity([-1.0]), s)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_stack_at_every_s_equals_rows(self, reverse):
+        grid, u, v = self.states(S=5)
+        order = self.S_VALUES[::-1] if reverse else self.S_VALUES
+        stacked = [modified_energy(grid, u, v, N_QUAD, s) for s in order]
+        rows = [[modified_energy(grid, a, b, N_QUAD, s) for s in order] for a, b in zip(u, v)]
+        assert np.array(stacked).tobytes() == np.array(rows).transpose(1, 2, 0).tobytes()
+
+    def test_concurrent_callers_get_their_own_state(self):
+        # four threads (more than the cores) switching every microsecond, each
+        # alternating two states through the one-entry memo
+        grid, u, v = self.states(S=4)
+        want = [modified_energy(grid, u[i], v[i], N_QUAD, 0.25) for i in range(4)]
+        wrong = []
+
+        def run(i):
+            for k in range(1000):
+                j = (i + k) % 4
+                try:
+                    if modified_energy(grid, u[j], v[j], N_QUAD, 0.25) != want[j]:
+                        wrong.append(j)
+                except Exception as exc:  # a torn memo entry may fail instead
+                    wrong.append(exc)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
