@@ -103,12 +103,16 @@ def _block_columns(block, N, s_list):
     pos, vel = pair_norm(grid, u, v, 0.0)
     columns = {"t": block.times.tolist(), "hamiltonian": hamiltonian(grid, u, v, N).tolist(),
                "h1_norm": pos.tolist(), "l2_vel": vel.tolist()}
-    norms = [pair_norm(grid, u, v, s) for s in s_list]
-    # (s, part, sample) as Python floats; one sample's s back to back share its arrays
-    energies = np.array([[modified_energy(grid, a, b, N, s) for s in s_list]
-                         for a, b in zip(u, v)]).transpose(1, 2, 0).tolist()
-    for s, (pos, vel), parts in zip(s_list, norms, energies):
+    try:  # a sample's s back to back share its arrays; (s, part, sample) as floats
+        energies = np.array([[modified_energy(grid, a, b, N, s) for s in s_list]
+                             for a, b in zip(u, v)]).transpose(1, 2, 0).tolist()
+    except Exception:  # then again s by s below, to raise the first failure in that order
+        energies = None
+    for k, s in enumerate(s_list):
         tag = output.fmt(float(s))
+        pos, vel = pair_norm(grid, u, v, s)
+        parts = energies[k] if energies else zip(*(modified_energy(grid, a, b, N, s)
+                                                   for a, b in zip(u, v)))
         columns.update(zip([f"{name}[{tag}]" for name in ("pos", "vel", *EnergyBreakdown._fields)],
                            [pos.tolist(), vel.tolist(), *parts]))
     return columns

@@ -15,11 +15,11 @@ divided difference that the kernel-bounds suite samples is
 `analysis.divided_difference`.
 
 What the sums read is built once per thing it depends on.  Per grid and
-s, _PLANS = 16 of each are memoized: the weights w l^{2+2s}, w l^{2s}
-(_weights), the rows of D_s (_row_pairs; (2n + k) x M doubles for s =
-n + sigma) and the rows L per sigma (_kernel_rows, k x M).  Per state,
-the last one is memoized (_state, ~20 arrays of u's size), so the values
-of s of one state share one mode pass and one profile (_modes is per s).
+s, _PLANS = 16 entries are memoized of the rows of D_s (_row_pairs, <=
+(2n + k + 1) x M doubles with the key, s = n + sigma) and of the rows L
+per sigma (_kernel_rows, (k + 1) x M).  Per state, the last one is
+memoized (_parts, ~20 arrays of M doubles per sample with the key), so
+the values of s of a state share one mode pass and one profile.
 
 Every function takes a grid and amplitudes u, v along its last axis:
 one state's (M,) amplitudes give scalars, and an (S, M) stack of samples
@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .nonlinearity import NonlinearitySpec, _check_wave_type, _profile
-from .spectral import FrequencyGrid, _check, _norm_sum
+from .spectral import FrequencyGrid, _check, _norm_sum, _readonly
 
 __all__ = [
     "EnergyBreakdown",
@@ -85,38 +85,40 @@ def _masses(grid: FrequencyGrid, u, v) -> _Masses:
         return _Masses(u2, v2, p, wl2 * v2, wl2 * (u * v.conj()).real, *_suffix(p))
 
 
-# the one entry of _state's memo: the grid, N, key and _State of the last state
+# the one entry of _parts' memo: the grid, N, key and _State of the last state
 _last_state = None
 
 
-def _state(grid: FrequencyGrid, u, v, N: NonlinearitySpec) -> _State:
-    """The _masses, profile, K = A F and s-free parts of _normal_form and
-    _asym of (u, v), memoized for the last state seen: keyed on the grid and
-    N (by identity) and the dtype, shape, strides and bytes of u and v.  A
-    thin wave-type margin warns on every call."""
+def _parts(grid: FrequencyGrid, u, v, N: NonlinearitySpec, s: float):
+    """The _State of (u, v): its _masses, profile, K = A F and the s-free
+    parts of _normal_form and _asym, memoized for the last state seen (keyed
+    on the grid and N by identity and on the dtype, shape and bytes of u and
+    v); and its _modes at s.  A thin wave-type margin warns on every call."""
     global _last_state
-    key = (u.dtype, v.dtype, u.shape, v.shape, u.strides, v.strides, u.tobytes(), v.tobytes())
+    _check("s", s)  # before the memo sees it
+    key = (u.dtype, v.dtype, u.shape, v.shape, u.tobytes(), v.tobytes())
     last = _last_state  # read once, so that the key and arrays are one state's
     if last is not None and last[0] is grid and last[1] is N and last[2] == key:
-        _check_wave_type(last[3].base)
-        return last[3]
-    _last_state = last = None  # freed before this state's arrays are built
-    m = _masses(grid, u, v)
-    profile, base = _profile(m.p, N, stacklevel=5)
-    A, K = profile.a_values, profile.a_values * profile.f_values
-    g, inc = A * m.p, np.zeros_like(A)  # inc[i] = A_i - A_{i-1}, inc[0] = 0
-    inc[..., 1:] = A[..., 1:] - A[..., :-1]
-    # T_j = sum_{k >= j} (A_k - A_j) p_k = sum_{i > j} inc_i * Sp_i
-    st = _State(*m, base, profile, K, K * g.cumsum(-1), K * m.p, g, _suffix(g)[0],
-                _suffix(inc * m.Sp)[1])
-    _last_state = grid, N, key, st
-    return st
+        st = last[3]
+        _check_wave_type(st.base)
+    else:
+        _last_state = last = None  # freed before this state's arrays are built
+        m = _masses(grid, u, v)
+        profile, base = _profile(m.p, N, stacklevel=5)
+        A, K = profile.a_values, profile.a_values * profile.f_values
+        g, inc = A * m.p, np.zeros_like(A)  # inc[i] = A_i - A_{i-1}, inc[0] = 0
+        inc[..., 1:] = A[..., 1:] - A[..., :-1]
+        # T_j = sum_{k >= j} (A_k - A_j) p_k = sum_{i > j} inc_i * Sp_i
+        st = _State(*m, base, profile, K, K * g.cumsum(-1), K * m.p, g, _suffix(g)[0],
+                    _suffix(inc * m.Sp)[1])
+        _last_state = grid, N, key, st
+    return st, _modes(grid, st, s)
 
 
 def _modes(grid: FrequencyGrid, m: _Masses | _State, s: float) -> _Modes:
-    q_weights, kin_weights = _weights(grid.lambdas.tobytes(), grid.weights.tobytes(), s)
     with np.errstate(over="ignore", invalid="ignore"):
-        q, kin = q_weights * m.u2, kin_weights * m.v2
+        q = grid.weights * grid.lambdas ** (2.0 + 2.0 * s) * m.u2
+        kin = grid.weights * grid.lambdas ** (2.0 * s) * m.v2
         Sq, Tq = _suffix(q)
         return _Modes(*m[:7], q, kin, Sq, m.p * q + m.p * Tq + q * m.Tp)
 
@@ -131,18 +133,10 @@ def _suffix(a: np.ndarray):
 
 # _CHUNK bounds the array elements of one pass of _divided_difference_sum;
 # _ROW_TOL is where the row builder stops (_kernel_rows); _PLANS is how many
-# grids and s (or sigma) _weights, _row_pairs and _kernel_rows keep.
+# grids and s (or sigma) _row_pairs and _kernel_rows keep.
 _CHUNK = 1 << 16
 _ROW_TOL = 1e-14
 _PLANS = 16
-
-
-@functools.lru_cache(maxsize=_PLANS)
-def _weights(lam_bytes: bytes, w_bytes: bytes, s: float):
-    """w l^{2+2s} and w l^{2s} on the grid of these lambdas and weights."""
-    lam, w = np.frombuffer(lam_bytes), np.frombuffer(w_bytes)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return w * lam ** (2.0 + 2.0 * s), w * lam ** (2.0 * s)
 
 
 @functools.lru_cache(maxsize=_PLANS)
@@ -168,8 +162,9 @@ def _kernel_rows(x_bytes: bytes, sigma: float):
     The rows depend on the grid and sigma alone, so they are memoized on
     the whole grid (two grids with the same band but other interior
     points get their own rows) and returned read-only.  One entry holds
-    k x M doubles: 0.5 MiB at M = 4096 on the shipped band and 31 MiB at
-    M = 65536 and x_max/x_min = 1e12; the memo holds _PLANS of them.
+    (k + 1) x M doubles with its key: 0.5 MiB at M = 4096 on the shipped
+    band and 31 MiB at M = 65536 and x_max/x_min = 1e12; the memo holds
+    _PLANS of them.
     """
     x = np.frombuffer(x_bytes)
     # Below 1e-200 the unit-diagonal kernel is its sigma -> 0 limit to double
@@ -210,17 +205,18 @@ def _row_pairs(x_bytes: bytes, s: float):
     """Pairs (X, Y) of rows, reversed, with D_s(x_j, x_k) = sum X(x_j) Y(x_k)
     on the ascending points x whose bytes are x_bytes; s = n + sigma >= 0:
       D_s(x, y) = x^n D_sigma(x, y) + y^sigma sum_{i<n} x^i y^(n-1-i),
-    n exact rows and the k of _kernel_rows.  Memoized like _kernel_rows."""
+    n exact rows and the k of _kernel_rows.  Memoized like _kernel_rows and
+    read-only: (2n + 1) x M doubles with the key, plus k x M for x^n L."""
     x, n = np.frombuffer(x_bytes)[::-1], int(s)
     sigma = s - n
     pairs = []
     if n:
         i = np.arange(n)[:, None]
-        pairs.append((x**i, x ** (n - 1 - i + sigma)))
+        pairs.append((_readonly(x**i, float), _readonly(x ** (n - 1 - i + sigma), float)))
     if sigma > 0.0:
         L = _kernel_rows(x.tobytes(), sigma)
-        pairs.append((x**n * L if n else L, L))
-    return pairs
+        pairs.append((_readonly(x**n * L, float) if n else L, L))
+    return tuple(pairs)
 
 
 def _divided_difference_sum(K, x, s: float, r, f, g):
@@ -261,8 +257,6 @@ def _divided_difference_sum(K, x, s: float, r, f, g):
 
     dK = K.copy()
     dK[..., 1:] -= K[..., :-1]
-    if dK.ndim == 1:
-        return one(dK[::-1], r[::-1], f[::-1], g[::-1])
     samples = zip(*(a.reshape(-1, len(x))[:, ::-1] for a in (dK, r, f, g)))
     return np.array([one(*sample) for sample in samples]).reshape(dK.shape[:-1])
 
@@ -275,21 +269,24 @@ def _second_order(K, x, s: float, m: _Modes):
     return a_part + 0.25 * _divided_difference_sum(K, x, s, m.r, m.p, m.V)
 
 
-def second_order_term(grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: NonlinearitySpec,
-                      s: float, parts: tuple | None = None):
+def second_order_term(
+    grid: FrequencyGrid,
+    u: np.ndarray,
+    v: np.ndarray,
+    N: NonlinearitySpec,
+    s: float,
+    parts: tuple | None = None,
+):
     """sum_{j,k} w_j w_k A(m) F(m) [a |u_j|^2|u_k|^2 + b |u_j|^2|v_k|^2
     + c Re(u_j v_j) Re(u_k v_k)], m = min(l_j, l_k).
 
     The a-part is a min-kernel sum (O(M)); the b/c parts carry the
     divided-difference kernel and cost O(k*M) through
     _divided_difference_sum (exact for integer s, zero for s = 0).  A
-    caller that already holds the state's _state and _modes at this s may
-    hand them in as parts.
+    caller that already holds the state's _parts at this s may hand them in.
     """
     if parts is None:
-        _check("s", s)  # before any memo sees it
-        st = _state(grid, u, v, N)
-        parts = st, _modes(grid, st, s)
+        parts = _parts(grid, u, v, N, s)
     return _second_order(parts[0].K, grid.lambdas_sq, s, parts[1])
 
 
@@ -297,7 +294,7 @@ def _normal_form(st: _State, m: _Modes):
     """The three cubic region sums (integration-by-parts terms).
 
     With g_l = w_l A(l_l) l_l^2 |u_l|^2, G its inclusive prefix sums, Sg
-    its suffix sums, and the arrays of _state and _modes:
+    its suffix sums, and the arrays of _parts:
       T1 = -1/4 sum_{l3 <= min(l1,l2)} A(m)F(m) g_3 p_1 q_2   (m = l1^l2 min)
       T2 = -1/4 sum_{l1 <= min(l2,l3)} A(l1)F(l1) p_1 q_2 g_3
       T3 = +1/4 sum_{l1 <= l3 <= l2}   A(l1)F(l1) q_1 p_2 g_3
@@ -311,7 +308,7 @@ def _normal_form(st: _State, m: _Modes):
 
 def _asym(st: _State, m: _Modes):
     """-1/2 sum_{l_j <= l_k} w_j w_k l_j^{2s+2} l_k^2 (A(l_k) - A(l_j))
-    |u_j|^2 |u_k|^2 = -1/2 sum_j q_j T_j (T of _state, telescoped through
+    |u_j|^2 |u_k|^2 = -1/2 sum_j q_j T_j (T of _parts, telescoped through
     consecutive-mode increments): a structural zero when N' is constant."""
     return -0.5 * np.add.reduce(m.q * st.T, axis=-1)
 
@@ -319,12 +316,10 @@ def _asym(st: _State, m: _Modes):
 def modified_energy(
     grid: FrequencyGrid, u: np.ndarray, v: np.ndarray, N: NonlinearitySpec, s: float
 ) -> EnergyBreakdown:
-    """The modified energy at regularity s, its four parts read from _state
-    and _modes; the second-order part goes through the public second_order_term
-    (its own layer in call traces), the norms raise as in sobolev_norm_sq."""
-    _check("s", s)  # before any memo sees it
-    st = _state(grid, u, v, N)
-    m = _modes(grid, st, s)
+    """The modified energy at regularity s, its four parts read from _parts;
+    the second-order part goes through the public second_order_term (its
+    own layer in call traces), the norms raise as in sobolev_norm_sq."""
+    st, m = _parts(grid, u, v, N, s)
     pos, vel = _norm_sum(m.q, 1.0 + s), _norm_sum(m.kin, s)
     e0 = 0.5 * (1.0 + N.eval(_norm_sum(st.p, 1.0))) * pos + 0.5 * vel
     e2 = second_order_term(grid, u, v, N, s, (st, m))
@@ -341,9 +336,8 @@ def unmodified_derivative_analytic(
     Second (N'' remainder) piece over l_l <= l_k:
       (sum_j q_j) * sum_l w_l l_l^2 Re(u_l v_l) N''(C(l_l)) * suffix_p(l).
     """
-    _check("s", s)  # before any memo sees it
-    st = _state(grid, u, v, N)
-    Q = np.add.reduce(_modes(grid, st, s).q, axis=-1)
+    st, m = _parts(grid, u, v, N, s)
+    Q = np.add.reduce(m.q, axis=-1)
     first = Q * np.add.reduce(st.profile.a_values * st.r, axis=-1)
     d2 = np.asarray(N.d2(st.profile.c_prefix), dtype=float)
     second = Q * np.add.reduce(d2 * st.r * st.Sp, axis=-1)

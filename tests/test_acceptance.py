@@ -54,8 +54,7 @@ def _second_order(st, N, s):
 # arrays at s, then the part's O(M) sum, which is what the speed check times.
 def _parts(st, N, s):
     energy._last_state = None
-    state = energy._state(*amps(st), N)
-    return state, energy._modes(st.grid, state, s)
+    return energy._parts(*amps(st), N, s)
 
 
 def _normal_form(st, N, s):

@@ -17,8 +17,8 @@ from kirchlab.cli import main
 from kirchlab.config import ConfigError, parse_config
 from kirchlab.dynamics import evolve, evolve_blocks, hamiltonian
 from kirchlab.energy import modified_energy
-from kirchlab.nonlinearity import polynomial_nonlinearity
-from kirchlab.spectral import build_random_decay, pair_norm
+from kirchlab.nonlinearity import DegenerateNonlinearityError, polynomial_nonlinearity
+from kirchlab.spectral import FrequencyGrid, build_random_decay, pair_norm
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -698,6 +698,16 @@ class TestScenarioOutputs:
                 want += [*pair_norm(traj.grid, u, v, s),
                          *modified_energy(traj.grid, u, v, N, s)]
             assert len(row) == 4 + 7 * len(s_list) and list(row) == want
+
+    def test_block_raises_the_first_failure_in_s_order(self):
+        # sample 0's H^{1+s} norm overflows at s = 20 only, sample 1 is
+        # degenerate at every s: s by s, the degenerate sample at s = 0.25
+        # comes first, though sample by sample the overflow would
+        grid = FrequencyGrid([1.0, 1e10], [1.0, 1.0])
+        u = np.array([[0.0, 3e-11], [2.0, 0.0]], dtype=complex)
+        block = dynamics.Trajectory(grid, np.array([0.0, 1.0]), u, np.zeros_like(u), steps=1)
+        with pytest.raises(DegenerateNonlinearityError, match=r"\(mode index 0\)"):
+            cli._block_columns(block, polynomial_nonlinearity([-1.0]), [0.25, 20.0])
 
     def test_shipped_sweep_is_the_scaling_slope_experiment(self, tmp_path):
         # criterion 06's data: M = 32 on [1, 16], seed 21
